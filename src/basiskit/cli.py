@@ -500,6 +500,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise ParseError(f"--samples must be at least 1, got {args.samples}")
         return args.func(args)
     except (ParseError, MembershipError) as exc:
         print(f"error: {exc}", file=sys.stderr)

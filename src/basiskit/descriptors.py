@@ -80,6 +80,11 @@ def _need(d: dict, key: str, context: str):
     return d[key]
 
 
+def _is_index(value) -> bool:
+    """An integer index; JSON ``true``/``false`` are not indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _vector_from(values, backend: Backend, context: str) -> tuple:
     if not isinstance(values, list):
         raise ParseError(f"{context}: expected a list of scalars")
@@ -129,7 +134,7 @@ def group_from_descriptor(
     kind = _need(d, "kind", "group")
     if kind == "finite":
         table = _need(d, "table", "finite group")
-        if not isinstance(table, list):
+        if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
             raise ParseError("finite group: table must be a list of rows")
         try:
             group = validate_cayley_table(table, names=d.get("names"))
@@ -231,10 +236,10 @@ def element_from_descriptor(d, group) -> GroupElement:
     """An element given inline: ``{"index": i}``, ``{"matrix": rows}``,
     or ``{"P": rows, "R": shift}``."""
     if isinstance(group, FiniteGroup):
-        if isinstance(d, int):
+        if not isinstance(d, dict):
             d = {"index": d}
         index = _need(d, "index", "element")
-        if not isinstance(index, int):
+        if not _is_index(index):
             raise ParseError(f"element: bad index {index!r}")
         try:
             return group.element(index)
@@ -339,7 +344,11 @@ def representation_from_descriptor(
                 f"assign: expected {group.order} permutations"
             )
         for i, perm in enumerate(perms):
-            if sorted(perm) != list(range(carrier.size)):
+            if (
+                not isinstance(perm, list)
+                or not all(_is_index(x) for x in perm)
+                or sorted(perm) != list(range(carrier.size))
+            ):
                 raise ParseError(
                     f"assign: row {i} is not a permutation of the carrier"
                 )
@@ -386,7 +395,7 @@ def representation_from_descriptor(
 def point_from_descriptor(raw, carrier):
     """Interpret an inline JSON value as a carrier point."""
     if isinstance(carrier, FiniteCarrier):
-        if not isinstance(raw, int):
+        if not _is_index(raw):
             raise ParseError(f"point: expected an integer index, got {raw!r}")
         if not 0 <= raw < carrier.size:
             raise ParseError(f"point: {raw} outside 0..{carrier.size - 1}")

@@ -455,6 +455,7 @@ class Representation:
         self.transport_solver = transport_solver
         self.origin = origin
         self._cache: dict = {}
+        self._table = _NOT_COMPILED
         if not self.transformation(_identity_of(group)).is_identity():
             raise BasiskitError(
                 f"{self.label}: the identity element is not assigned the identity map"
@@ -479,8 +480,93 @@ class Representation:
             raise CarrierMismatch(f"point {u!r} is not in the carrier")
         return self.transformation(g).apply(u)
 
+    def _action_table(self) -> Optional[list]:
+        """The action as integer rows, compiled on first use; see
+        :func:`_compile_action_table`."""
+        if self._table is _NOT_COMPILED:
+            self._table = _compile_action_table(self)
+        return self._table
+
     def __repr__(self) -> str:
         return f"Representation({self.label}, side={self.side})"
+
+
+_NOT_COMPILED = object()
+
+
+def _compile_action_table(rep: Representation) -> Optional[list]:
+    """``T[i][j]``: index of the image of carrier point ``j`` under element ``i``.
+
+    Compiles a finite group acting on a finite carrier or on the elements
+    of a finite group, when every assigned transformation is a mapping
+    onto carrier points; points are indexed as in ``carrier.points()``.
+    Returns ``None`` for anything else, and the checks then run their
+    generic code, which is also the reference the table path must match.
+    """
+    group, carrier = rep.group, rep.carrier
+    if not isinstance(group, FiniteGroup):
+        return None
+    if isinstance(carrier, FiniteCarrier):
+        size = carrier.size
+
+        def index(p):
+            return p if type(p) is int and 0 <= p < size else None
+
+    elif isinstance(carrier, SelfCarrier) and isinstance(carrier.group, FiniteGroup):
+        own = carrier.group
+
+        def index(p):
+            return p.payload if isinstance(p, GroupElement) and p.group is own else None
+
+    else:
+        return None
+    points = carrier.points()
+    table = []
+    for g in group.elements():
+        try:
+            t = rep.transformation(g)
+            if not isinstance(t, MappingTransformation):
+                return None
+            row = [index(t.apply(p)) for p in points]
+        except BasiskitError:
+            return None
+        if None in row:
+            return None
+        table.append(row)
+    return table
+
+
+def _point_index(carrier, p) -> int:
+    """Row position of a point of a carrier that has an action table."""
+    return p.payload if isinstance(carrier, SelfCarrier) else p
+
+
+def _after(outer: list, inner: list) -> list:
+    """Row of the map applying ``inner`` first, then ``outer``."""
+    return list(map(outer.__getitem__, inner))
+
+
+def _commuting(x: list, y: list) -> tuple:
+    """The rows of ``x`` after ``y`` and of ``y`` after ``x``."""
+    return _after(x, y), _after(y, x)
+
+
+def _sweep(n: int, rows: Callable) -> tuple:
+    """Compare the two rows ``rows(a, b)`` for every pair ``a, b < n`` in order.
+
+    Returns ``(checked, None)``, or ``(checked, (a, b, j))`` at the first
+    position ``j`` where they differ; ``checked`` counts the positions
+    compared, the failing one included.
+    """
+    checked = 0
+    for a in range(n):
+        for b in range(n):
+            lhs, rhs = rows(a, b)
+            if lhs != rhs:
+                j = next(j for j, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                return checked + j + 1, (a, b, j)
+            checked += len(lhs)
+    return checked, None
 
 
 def _identity_of(group) -> GroupElement:
@@ -644,6 +730,9 @@ def check_axioms(
 
     checked = 1
     residual = 0.0
+    table = rep._action_table()
+    if table is not None:
+        return _table_axioms(rep, table, exhaustive, mode, elements, samples, seed)
 
     def law_holds(a, b, u):
         ab = compose(rep.group, a, b)
@@ -678,6 +767,43 @@ def check_axioms(
     return Verdict(True, mode, checked, None, residual)
 
 
+def _table_axioms(rep, table, exhaustive, mode, elements, samples, seed) -> Verdict:
+    """:func:`check_axioms` on the action table: row ``T[ab]`` against
+    ``T[a]`` after ``T[b]`` on the left side, ``T[b]`` after ``T[a]`` on
+    the right.  The count starts at 1 for the identity law, and the
+    residual is 0.0 because points of these carriers compare exactly.
+    """
+    mul = rep.group.table
+
+    def rows(a, b):
+        outer, inner = (a, b) if rep.side == "left" else (b, a)
+        return table[mul[a][b]], table[outer], table[inner]
+
+    if exhaustive:
+        def compared(a, b):
+            ab, outer, inner = rows(a, b)
+            return ab, _after(outer, inner)
+
+        checked, failure = _sweep(len(table), compared)
+        if failure is None:
+            return Verdict(True, mode, 1 + checked, None, 0.0)
+        a, b, j = failure
+        witness = (elements[a], elements[b], rep.carrier.points()[j])
+        return Verdict(False, mode, 1 + checked, witness, 0.0)
+    rng = Random(seed)
+    checked = 1
+    for _ in range(samples):
+        a = sample_group_element(rep.group, rng)
+        b = sample_group_element(rep.group, rng)
+        u = rep.carrier.sample(rng)
+        ab, outer, inner = rows(a.payload, b.payload)
+        j = _point_index(rep.carrier, u)
+        checked += 1
+        if ab[j] != outer[inner[j]]:
+            return Verdict(False, mode, checked, (a, b, u), 0.0)
+    return Verdict(True, mode, checked, None, 0.0)
+
+
 def check_variance(
     rep: Representation,
     sample: str = "auto",
@@ -704,17 +830,27 @@ def check_variance(
 
     homo_ok, anti_ok = True, True
     homo_witness, anti_witness = None, None
+    table = rep._action_table()
+    mul = rep.group.table if table is not None else None
     for a, b in pairs:
-        fa, fb = rep.transformation(a), rep.transformation(b)
-        product = _variance_product(fa, fb)
-        if homo_ok:
-            ab = compose(rep.group, a, b)
-            if not transformations_equal(rep.transformation(ab), product):
-                homo_ok, homo_witness = False, (a, b)
-        if anti_ok:
-            ba = compose(rep.group, b, a)
-            if not transformations_equal(rep.transformation(ba), product):
-                anti_ok, anti_witness = False, (a, b)
+        if table is not None:
+            i, k = a.payload, b.payload
+            product = _after(table[i], table[k])
+            homo = not homo_ok or table[mul[i][k]] == product
+            anti = not anti_ok or table[mul[k][i]] == product
+        else:
+            fa, fb = rep.transformation(a), rep.transformation(b)
+            product = _variance_product(fa, fb)
+            homo = not homo_ok or transformations_equal(
+                rep.transformation(compose(rep.group, a, b)), product
+            )
+            anti = not anti_ok or transformations_equal(
+                rep.transformation(compose(rep.group, b, a)), product
+            )
+        if not homo:
+            homo_ok, homo_witness = False, (a, b)
+        if not anti:
+            anti_ok, anti_witness = False, (a, b)
         if not homo_ok and not anti_ok:
             break
     verdict = {
@@ -740,12 +876,20 @@ def inverse_law_check(
         mode = f"sampled(k={samples}, seed={seed})"
     else:
         mode = "exhaustive"
+    table = rep._action_table()
     checked = 0
     for g in elements:
-        expected = rep.transformation(rep.group.inverse_element(g))
-        actual = rep.transformation(g).inverted()
         checked += 1
-        if not transformations_equal(expected, actual):
+        if table is not None:
+            row = table[g.payload]
+            inverted = [0] * len(row)
+            for j, image in enumerate(row):
+                inverted[image] = j
+            holds = table[rep.group.inverses[g.payload]] == inverted
+        else:
+            expected = rep.transformation(rep.group.inverse_element(g))
+            holds = transformations_equal(expected, rep.transformation(g).inverted())
+        if not holds:
             return Verdict(False, mode, checked, (g,))
     return Verdict(True, mode, checked, None)
 
@@ -840,6 +984,15 @@ def orbit(rep: Representation, base, cap: int = 100_000) -> Orbit:
         )
     if not rep.carrier.contains(base):
         raise CarrierMismatch(f"base point {base!r} is not in the carrier")
+    table = rep._action_table()
+    if table is not None:
+        carrier_points = rep.carrier.points()
+        reached = _table_orbit(table, _point_index(rep.carrier, base))
+        return Orbit(
+            base,
+            tuple(carrier_points[j] for j in reached),
+            tuple((carrier_points[j], elements[i]) for j, i in reached.items()),
+        )
     points: list = []
     witnesses: list = []
     for g in elements:
@@ -848,6 +1001,15 @@ def orbit(rep: Representation, base, cap: int = 100_000) -> Orbit:
             points.append(w)
             witnesses.append((w, g))
     return Orbit(base, tuple(points), tuple(witnesses))
+
+
+def _table_orbit(table: list, j: int) -> dict:
+    """Orbit of point ``j`` as ``{point index: first element index}``,
+    in discovery order."""
+    reached: dict = {}
+    for i, row in enumerate(table):
+        reached.setdefault(row[j], i)
+    return reached
 
 
 def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
@@ -860,6 +1022,9 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
         raise InfeasibleExhaustive("orbit partition needs an enumerable carrier")
     carrier = rep.carrier
     all_points = carrier.points()
+    table = rep._action_table()
+    if table is not None:
+        return _table_orbit_partition(table, all_points)
     orbits: list = []
     for u in all_points:
         if any(o.contains(carrier, u) for o in orbits):
@@ -881,6 +1046,31 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
                 False, tuple(o.points for o in orbits), ("coverage", u, hits)
             )
     return OrbitPartitionReport(True, tuple(o.points for o in orbits))
+
+
+def _table_orbit_partition(table: list, points: tuple) -> OrbitPartitionReport:
+    """:func:`orbit_well_defined_check` on the action table."""
+    orbits: list = []
+    covered: set = set()
+
+    def as_points():
+        return tuple(tuple(points[j] for j in o) for o in orbits)
+
+    for u in range(len(points)):
+        if u in covered:
+            continue
+        o = _table_orbit(table, u)
+        for v in o:
+            if _table_orbit(table, v).keys() != o.keys():
+                return OrbitPartitionReport(
+                    False, as_points(), ("orbit-mismatch", points[u], points[v])
+                )
+        orbits.append(o)
+        covered.update(o)
+    # no coverage failure is possible here: each point lies in its own
+    # orbit (f(e) is the identity), and orbits that passed the comparison
+    # above are disjoint
+    return OrbitPartitionReport(True, as_points())
 
 
 def direct_product(r1: Representation, r2: Representation) -> Representation:
@@ -910,6 +1100,10 @@ def kernel_of_inefficiency(rep: Representation) -> tuple:
     elements = _enumerable_elements(rep.group)
     if elements is None:
         raise InfeasibleExhaustive("kernel needs an enumerable group")
+    table = rep._action_table()
+    if table is not None:
+        natural = list(range(len(table[0])))
+        return tuple(g for g, row in zip(elements, table) if row == natural)
     return tuple(g for g in elements if rep.transformation(g).is_identity())
 
 
@@ -932,29 +1126,19 @@ def classify(rep: Representation) -> ClassificationReport:
     carrier = rep.carrier
     all_points = carrier.points()
     base_orbit = orbit(rep, all_points[0])
-    transitive = True
-    unreachable = None
-    for v in all_points:
-        if not base_orbit.contains(carrier, v):
-            transitive = False
-            unreachable = (all_points[0], v)
-            break
+    table = rep._action_table()
+    if table is not None:
+        reached = {_point_index(carrier, p) for p in base_orbit.points}
+        missed = (v for j, v in enumerate(all_points) if j not in reached)
+    else:
+        missed = (v for v in all_points if not base_orbit.contains(carrier, v))
+    unreachable = next(((all_points[0], v) for v in missed), None)
+    transitive = unreachable is None
     single = transitive and effective
 
     unique: Optional[bool] = None
-    pair_cost = len(all_points) ** 2 * len(elements)
-    if pair_cost <= EXHAUSTIVE_WORK_CAP:
-        unique = True
-        for u in all_points:
-            for v in all_points:
-                count = sum(
-                    1 for g in elements if carrier.point_eq(rep.apply(g, u), v)
-                )
-                if count != 1:
-                    unique = False
-                    break
-            if not unique:
-                break
+    if len(all_points) ** 2 * len(elements) <= EXHAUSTIVE_WORK_CAP:
+        unique = _unique_transport(rep, table, all_points, elements)
     agrees = None if unique is None else (unique == single)
     return ClassificationReport(
         axioms=axioms,
@@ -966,6 +1150,21 @@ def classify(rep: Representation) -> ClassificationReport:
         single_transitive=single,
         unique_transport=unique,
         uniqueness_agrees=agrees,
+    )
+
+
+def _unique_transport(rep, table, points, elements) -> bool:
+    """Exactly one element carries ``u`` to ``v``, for every ordered pair."""
+    if table is not None:
+        # every column of the table is a permutation of the points
+        m = len(points)
+        return len(table) == m and all(
+            len({row[j] for row in table}) == m for j in range(m)
+        )
+    return all(
+        sum(1 for g in elements if rep.carrier.point_eq(rep.apply(g, u), v)) == 1
+        for u in points
+        for v in points
     )
 
 
@@ -1004,6 +1203,15 @@ def shifts_commute_check(group, sample: str = "auto") -> Verdict:
     elements = _enumerable_elements(group)
     if elements is None:
         raise InfeasibleExhaustive("shift commutation needs enumerable elements")
+    if isinstance(group, FiniteGroup):
+        # a (c b) = (a c) b for all c: row a commutes with column b
+        mul = group.table
+        columns = [[row[b] for row in mul] for b in range(len(mul))]
+        checked, failure = _sweep(len(mul), lambda a, b: _commuting(mul[a], columns[b]))
+        if failure is not None:
+            witness = tuple(elements[i] for i in failure)
+            return Verdict(False, "exhaustive", checked, witness)
+        return Verdict(True, "exhaustive", checked, None)
     checked = 0
     for a in elements:
         for b in elements:
@@ -1076,6 +1284,16 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
         raise InfeasibleExhaustive("commutation check needs enumerable domains")
     carrier = rep1.carrier
     points = carrier.points()
+    table1, table2 = rep1._action_table(), rep2._action_table()
+    if table1 is not None and table2 is not None:
+        checked, failure = _sweep(
+            len(elements), lambda a, b: _commuting(table1[a], table2[b])
+        )
+        if failure is not None:
+            a, b, j = failure
+            witness = (elements[a], elements[b], points[j])
+            return Verdict(False, "exhaustive", checked, witness, 0.0)
+        return Verdict(True, "exhaustive", checked, None, 0.0)
     checked = 0
     residual = 0.0
     for a in elements:

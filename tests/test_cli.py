@@ -445,3 +445,103 @@ def test_membership_error_is_exit_2(tmp_path, capsys):
     code = main(["basis", "coordrep", "--group", group])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# -- malformed finite tables, indices and settings -------------------------------
+
+
+def finite_rep(tmp_path, table, carrier=None, assign=None):
+    return write(
+        tmp_path,
+        "finite_rep.json",
+        {
+            "group": {"kind": "finite", "table": table},
+            "side": "left",
+            "carrier": carrier or {"kind": "self"},
+            "assign": assign or {"kind": "shift-left"},
+        },
+    )
+
+
+def assert_one_line_error(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], 5],  # a row that is not a list
+        [[0, 1], "10"],
+        [[0, True], [True, 0]],  # booleans are not element indices
+    ],
+)
+def test_malformed_cayley_table_is_exit_2(tmp_path, capsys, table):
+    code = main(["repcheck", "--input", finite_rep(tmp_path, table)])
+    assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "perms",
+    [
+        [[0, 1], 3],  # a row that is not a list
+        [[0, 1], "10"],
+        [[0, 1], [True, 0]],  # passes sorted(row) == [0, 1] but is not a permutation
+        [[0, 1], ["a", 1]],
+    ],
+)
+def test_malformed_permutation_table_is_exit_2(tmp_path, capsys, perms):
+    path = finite_rep(
+        tmp_path,
+        [[0, 1], [1, 0]],
+        carrier={"kind": "finite", "size": 2},
+        assign={"kind": "permutation-table", "table": perms},
+    )
+    code = main(["repcheck", "--input", path])
+    assert_one_line_error(code, capsys)
+
+
+def test_boolean_point_is_exit_2(tmp_path, capsys):
+    path = finite_rep(
+        tmp_path,
+        [[0, 1], [1, 0]],
+        carrier={"kind": "finite", "size": 2},
+        assign={"kind": "permutation-table", "table": [[0, 1], [1, 0]]},
+    )
+    assert_one_line_error(main(["orbit", "--input", path, "--point", "true"]), capsys)
+    assert main(["orbit", "--input", path, "--point", "1", "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["base"] == 1
+
+
+@pytest.mark.parametrize("point", ["true", '{"index": true}', '"1"'])
+def test_boolean_element_is_exit_2(tmp_path, capsys, point):
+    path = shift_rep(tmp_path)
+    assert_one_line_error(main(["orbit", "--input", path, "--point", point]), capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repcheck", "--input", "REP", "--sample", "sampled", "--samples", "-5"],
+        ["repcheck", "--input", "REP", "--samples", "0"],
+        ["orbit", "--input", "REP", "--samples", "0"],
+        ["object", "--input", "OBJ", "--samples", "-1"],
+        ["basis", "coordrep", "--group", "GROUP", "--samples", "0"],
+        ["selftest", "--samples", "0"],
+    ],
+)
+def test_samples_below_one_is_exit_2(tmp_path, capsys, argv):
+    files = {
+        "REP": shift_rep(tmp_path),
+        "OBJ": vector_object(tmp_path),
+        "GROUP": quarter_turn_group(tmp_path),
+    }
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, got {argv[-1]}\n"

@@ -1,6 +1,8 @@
 """Multiplication tables, matrix families, and the affine composition rule."""
 
+import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -14,6 +16,7 @@ from basiskit.errors import (
 )
 from basiskit.groups import (
     AffineTransform,
+    _generating_set,
     MatrixGroup,
     affine_apply,
     boost_2d,
@@ -154,6 +157,104 @@ def test_validate_accepts_klein_four():
     assert group.order == 4
     assert group.identity_index == 0
     assert group.inverses == (0, 1, 2, 3)
+
+
+def test_validate_rejects_boolean_entries():
+    # True == 1, but a boolean is not an element index
+    with pytest.raises(CayleyTableError) as err:
+        validate_cayley_table([[0, True], [True, 0]])
+    assert err.value.violations == (("not-closed", (0, 1, True)),)
+
+
+# -- Light's associativity test against the scan over all triples ----------------
+
+
+def scan_violations(table):
+    """The violations of the axioms, associativity by the scan over all
+    triples: the reference Light's test must reproduce."""
+    n = len(table)
+    violations = []
+    identity = next(
+        (e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n))),
+        None,
+    )
+    if identity is None:
+        violations.append(("no-identity", None))
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
+            violations.append(("not-associative", (a, b, c)))
+            break
+    if identity is not None:
+        for a in range(n):
+            if not any(
+                table[a][b] == identity == table[b][a] for b in range(n)
+            ):
+                violations.append(("not-invertible", a))
+                break
+    return violations
+
+
+def product_table(t1, t2):
+    n2 = len(t2)
+    return [
+        [t1[a // n2][b // n2] * n2 + t2[a % n2][b % n2] for b in range(len(t1) * n2)]
+        for a in range(len(t1) * n2)
+    ]
+
+
+def random_group_table(rng, n):
+    """A group table of order ``n`` with its elements relabelled at random."""
+    choices = [cyclic_group(n).table]
+    if n % 2 == 0 and n >= 6:
+        choices.append(dihedral_group(n // 2).table)
+    for a in range(2, n):
+        if n % a == 0 and n // a >= 2:
+            choices.append(
+                product_table(cyclic_group(a).table, cyclic_group(n // a).table)
+            )
+    if n % 6 == 0:
+        s3 = symmetric_group(3).table
+        choices.append(product_table(s3, cyclic_group(n // 6).table))
+    if n == 8:
+        choices.append(quaternion_group().table)
+    if n == 24:
+        choices.append(symmetric_group(4).table)
+    table = rng.choice(choices)
+    label = list(range(n))
+    rng.shuffle(label)
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[label[a]][label[b]] = label[table[a][b]]
+    return relabelled
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_light_test_matches_the_full_scan(seed):
+    rng = Random(seed)
+    n = rng.randint(2, 40)
+    table = random_group_table(rng, n)
+    assert scan_violations(table) == []
+    assert validate_cayley_table(table).order == n
+    a, b = rng.randrange(n), rng.randrange(n)
+    table[a][b] = (table[a][b] + rng.randrange(1, n)) % n
+    with pytest.raises(CayleyTableError) as err:
+        validate_cayley_table(table)
+    assert list(err.value.violations) == scan_violations(table)
+
+
+def test_greedy_generators_reach_every_element():
+    # the identity comes first; after it each generator leaves the subgroup
+    # reached so far, so at least doubles it
+    assert _generating_set(cyclic_group(12).table) == [0, 1]
+    for group in (symmetric_group(4), dihedral_group(8), quaternion_group()):
+        gens = _generating_set(group.table)
+        assert 2 ** (len(gens) - 1) <= group.order
+        reached = frontier = set(gens)
+        while frontier:
+            frontier = {group.table[r][g] for r in frontier for g in gens} - reached
+            reached = reached | frontier
+        assert reached == set(range(group.order))
 
 
 def test_table_size_cap():

@@ -1,5 +1,6 @@
 """Side laws, variance, orbits, transports, twins."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,15 +16,19 @@ from basiskit.errors import (
     Singular,
 )
 from basiskit.groups import (
+    FiniteGroup,
+    GroupElement,
     MatrixGroup,
     cyclic_group,
     dihedral_group,
+    quaternion_group,
     symmetric_group,
 )
 from basiskit.matrices import Matrix
 from basiskit.representations import (
     CoordCarrier,
     FiniteCarrier,
+    FunctionTransformation,
     LinearTransformation,
     MappingTransformation,
     Representation,
@@ -48,6 +53,7 @@ from basiskit.representations import (
     twin_representation,
 )
 from basiskit.scalars import EXACT
+from basiskit.selftest import finite_fixtures
 
 F = Fraction
 
@@ -496,3 +502,220 @@ def test_compose_transformations_row_layout_order():
     combined = compose_transformations(a, b)
     u = (F(1), F(1))
     assert combined.apply(u) == a.apply(b.apply(u))
+
+
+# -- compiled action tables against the generic path ------------------------------
+#
+# A finite group acting on a finite or self carrier through mappings is
+# checked on an integer table.  Wrapping the same assignment in opaque
+# FunctionTransformations (with an explicit inverse) keeps it from
+# compiling, so every check takes the generic path; both must return
+# identical verdicts, witnesses included.
+
+
+def opaque(rep):
+    def assign(g):
+        t = rep.transformation(g)
+        return FunctionTransformation(rep.carrier, t.apply, t.inverted().apply)
+
+    return Representation(rep.group, rep.carrier, rep.side, assign, label=rep.label)
+
+
+def permutation_action(group, perms, side="left", points=None):
+    """Element ``i`` moves point ``x`` to ``perms[i][x]``."""
+    carrier = FiniteCarrier(points or len(perms[0]))
+
+    def assign(g):
+        perm = perms[g.payload]
+        return MappingTransformation(
+            carrier, {x: perm[x] if x < len(perm) else x for x in range(carrier.size)}
+        )
+
+    return Representation(group, carrier, side, assign, label="natural")
+
+
+def symmetric_perms(n):
+    return list(itertools.permutations(range(n)))
+
+
+def dihedral_perms(n):
+    return [tuple((x + k) % n for x in range(n)) for k in range(n)] + [
+        tuple((k - x) % n for x in range(n)) for k in range(n)
+    ]
+
+
+def three_cycle_of_z2():
+    """Z2 assigned a 3-cycle: f(1)f(1) is not f(0), so orbits computed from
+    different points differ (0 reaches {0, 1}, 1 reaches {1, 2})."""
+    z2 = cyclic_group(2)
+    carrier = FiniteCarrier(3)
+    cycle = {0: 1, 1: 2, 2: 0}
+
+    def assign(g):
+        return MappingTransformation(carrier, cycle if g.payload else {0: 0, 1: 1, 2: 2})
+
+    return Representation(z2, carrier, "left", assign, label="three-cycle")
+
+
+def table_fixtures():
+    fixtures = []
+    for name, group in finite_fixtures():
+        f, h = left_shift(group), right_shift(group)
+        fixtures += [
+            (f"{name}/left-shift", f),
+            (f"{name}/right-shift", h),
+            (f"{name}/contragredient-left", contragredient(f)),
+            (f"{name}/contragredient-right", contragredient(h)),
+        ]
+    for name, group in (("S3", symmetric_group(3)), ("D4", dihedral_group(4))):
+        fixtures += [
+            (f"{name}/twin-left", twin_representation(left_shift(group))),
+            (f"{name}/twin-right", twin_representation(right_shift(group))),
+        ]
+    s4, d5, d6 = symmetric_group(4), dihedral_group(5), dihedral_group(6)
+    fixtures += [
+        ("S4/natural", permutation_action(s4, symmetric_perms(4))),
+        ("D5/natural", permutation_action(d5, dihedral_perms(5))),
+        ("D6/natural", permutation_action(d6, dihedral_perms(6))),
+    ]
+    # planted failures
+    perms = symmetric_perms(4)
+    swapped = list(perms)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    inverted = [perms[s4.inverses[i]] for i in range(s4.order)]
+    s3 = symmetric_group(3)
+    fixtures += [
+        ("S4/swapped-rows", permutation_action(s4, swapped)),
+        ("S4/antihomomorphic", permutation_action(s4, inverted)),
+        ("S4/natural-claimed-right", permutation_action(s4, perms, "right")),
+        ("S3/not-transitive", permutation_action(s3, symmetric_perms(3), points=5)),
+        ("Z6/not-effective", rotation_action_of_z6_on_triangle()),
+        ("Z2/swap", swap_action_of_z2()),
+        ("Z2/not-an-action", three_cycle_of_z2()),
+    ]
+    return fixtures
+
+
+TABLE_FIXTURES = table_fixtures()
+
+
+@pytest.fixture(params=TABLE_FIXTURES, ids=[name for name, _ in TABLE_FIXTURES])
+def compiled_and_generic(request):
+    rep = request.param[1]
+    generic = opaque(rep)
+    assert rep._action_table() is not None
+    assert generic._action_table() is None
+    return rep, generic
+
+
+def test_table_axioms_match_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    for sample in ("auto", "exhaustive"):
+        assert check_axioms(rep, sample) == check_axioms(generic, sample)
+    for samples, seed in ((60, 0), (60, 7), (60, 42), (0, 1)):
+        fast = check_axioms(rep, "sampled", samples=samples, seed=seed)
+        assert fast == check_axioms(generic, "sampled", samples=samples, seed=seed)
+
+
+def test_table_variance_matches_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    assert check_variance(rep, "exhaustive") == check_variance(generic, "exhaustive")
+    for seed in (0, 7):
+        fast = check_variance(rep, "sampled", samples=40, seed=seed)
+        assert fast == check_variance(generic, "sampled", samples=40, seed=seed)
+
+
+def test_table_inverse_law_and_kernel_match_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    assert inverse_law_check(rep) == inverse_law_check(generic)
+    assert kernel_of_inefficiency(rep) == kernel_of_inefficiency(generic)
+
+
+def test_table_orbits_match_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    for point in rep.carrier.points():
+        assert orbit(rep, point) == orbit(generic, point)
+    assert orbit_well_defined_check(rep) == orbit_well_defined_check(generic)
+
+
+def test_table_classification_matches_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    assert classify(rep) == classify(generic)
+
+
+def test_planted_failures_are_caught():
+    fixtures = dict(TABLE_FIXTURES)
+    for name in ("S4/swapped-rows", "S4/antihomomorphic", "S4/natural-claimed-right"):
+        assert not check_axioms(fixtures[name]).passed
+    assert check_variance(fixtures["S4/antihomomorphic"]).verdict == "contravariant"
+    assert check_variance(fixtures["S4/swapped-rows"]).verdict == "neither"
+    assert not classify(fixtures["S3/not-transitive"]).transitive
+    assert not classify(fixtures["Z6/not-effective"]).effective
+    partition = orbit_well_defined_check(fixtures["Z2/not-an-action"])
+    assert partition.failure == ("orbit-mismatch", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [symmetric_group(3), dihedral_group(4), quaternion_group(), cyclic_group(6)],
+)
+def test_table_commutation_matches_generic(group):
+    f = left_shift(group)
+    for h in (twin_representation(f), f):
+        assert commutation_check(f, h) == commutation_check(opaque(f), opaque(h))
+    assert commutation_check(f, twin_representation(f)).passed
+    # same-side shifts commute only on an abelian group
+    abelian = same_side_noncommuting_witness(group) is None
+    assert commutation_check(f, f).passed == abelian
+
+
+class StoredGroup:
+    """A finite group seen only through a store and a product, the way the
+    generic checks see a matrix group; it never takes the table path."""
+
+    def __init__(self, table, identity_index=0):
+        self._table = table
+        self.store = tuple(GroupElement(self, i) for i in range(len(table)))
+        self.identity = self.store[identity_index]
+
+    def compose_elements(self, a, b):
+        return self.store[self._table[a.payload][b.payload]]
+
+    def payload_eq(self, p, q):
+        return p == q
+
+
+def payloads(verdict):
+    witness = verdict.counterexample
+    return (
+        verdict.passed,
+        verdict.mode,
+        verdict.checked,
+        None if witness is None else tuple(g.payload for g in witness),
+    )
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        cyclic_group(5).table,
+        symmetric_group(3).table,
+        dihedral_group(5).table,
+        quaternion_group().table,
+        # not associative: (1*1)*2 != 1*(1*2)
+        ((0, 1, 2), (1, 2, 2), (2, 2, 1)),
+        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1)),
+    ],
+)
+def test_table_shifts_commute_matches_generic(table):
+    group = FiniteGroup(tuple(map(tuple, table)), 0, tuple(range(len(table))))
+    fast = shifts_commute_check(group)
+    assert payloads(fast) == payloads(shifts_commute_check(StoredGroup(table)))
+    n = len(table)
+    associative = all(
+        table[a][table[c][b]] == table[table[a][c]][b]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+    assert fast.passed == associative
