@@ -133,11 +133,7 @@ class Basis:
         elif origin is not None:
             raise BasiskitError(f"{space.kind} basis takes no origin")
         b = cls(space, rows, origin)
-        det = b.rows().det()
-        backend = space.backend
-        if (backend.is_exact and det == 0) or (
-            not backend.is_exact and abs(det) <= backend.tolerance
-        ):
+        if not b.rows().is_invertible():
             raise DegenerateBasis("basis vectors are linearly dependent")
         return b
 
@@ -485,10 +481,7 @@ class PassiveBasisTransformation(Transformation):
     """Passive recombination of bases, acting on a basis manifold carrier."""
 
     def __init__(self, carrier, grid: Matrix):
-        det = grid.det()
-        if (grid.backend.is_exact and det == 0) or (
-            not grid.backend.is_exact and abs(det) <= grid.backend.tolerance
-        ):
+        if not grid.is_invertible():
             raise Singular("passive grid is singular")
         self.carrier = carrier
         self.grid = grid

@@ -9,7 +9,9 @@ check passed, 1 means some check failed, 2 means the input was bad.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from .bases import (
@@ -27,6 +29,7 @@ from .descriptors import (
     basis_to_descriptor,
     element_from_descriptor,
     element_to_descriptor,
+    gram_schmidt_input_from_descriptor,
     group_from_descriptor,
     load_json,
     object_from_descriptor,
@@ -290,13 +293,9 @@ def _cmd_basis(args) -> int:
         )
         report.data["element"] = a
     elif args.action == "gram-schmidt":
-        payload = load_json(args.input)
-        signature = payload.get("signature", None)
-        vectors = payload.get("vectors", None)
-        if signature is None or vectors is None:
-            raise ParseError("gram-schmidt input needs 'signature' and 'vectors'")
+        vectors, signature = gram_schmidt_input_from_descriptor(load_json(args.input))
         try:
-            result = gram_schmidt(vectors, tuple(signature), args.tolerance)
+            result = gram_schmidt(vectors, signature, args.tolerance)
         except (DependentInput, NullVector) as exc:
             report.add(
                 CheckLine(
@@ -496,12 +495,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of :func:`main` and reused.
+
+    ``parse_args`` fills a fresh namespace on every call, so nothing from
+    one call reaches the next.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "samples", 1) < 1:
             raise ParseError(f"--samples must be at least 1, got {args.samples}")
+        tolerance = getattr(args, "tolerance", 1e-9)
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ParseError(
+                f"--tolerance must be a positive finite number, got {tolerance}"
+            )
         return args.func(args)
     except (ParseError, MembershipError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,7 @@ __all__ = [
     "object_to_descriptor",
     "element_from_descriptor",
     "element_to_descriptor",
+    "gram_schmidt_input_from_descriptor",
     "functor_from_descriptor",
     "functor_to_descriptor",
     "to_jsonable",
@@ -83,6 +84,31 @@ def _need(d: dict, key: str, context: str):
 def _is_index(value) -> bool:
     """An integer index; JSON ``true``/``false`` are not indices."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _need_list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
+def _need_int(value, context: str) -> int:
+    if not _is_index(value):
+        raise ParseError(f"{context}: expected an integer, got {value!r}")
+    return value
+
+
+def _signature_from(value, context: str) -> Optional[tuple]:
+    """A metric signature ``(p, q)``; ``None`` when absent."""
+    if value is None:
+        return None
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(_is_index(x) and x >= 0 for x in value)
+    ):
+        raise ParseError(f"{context}: expected [p, q] with p, q >= 0, got {value!r}")
+    return tuple(value)
 
 
 def _vector_from(values, backend: Backend, context: str) -> tuple:
@@ -136,8 +162,13 @@ def group_from_descriptor(
         table = _need(d, "table", "finite group")
         if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
             raise ParseError("finite group: table must be a list of rows")
+        names = d.get("names")
+        if names is not None and not all(
+            isinstance(x, str) for x in _need_list(names, "finite group: names")
+        ):
+            raise ParseError("finite group: names must be strings")
         try:
-            group = validate_cayley_table(table, names=d.get("names"))
+            group = validate_cayley_table(table, names=names)
         except CayleyTableError:
             raise
         except BasiskitError as exc:
@@ -160,16 +191,14 @@ def group_from_descriptor(
             family = _need(d, "family", "matrix group")
             if family not in ("GL", "SL", "SO"):
                 raise ParseError(f"matrix group: unknown family {family!r}")
-            signature = d.get("signature")
-            if signature is not None:
-                signature = tuple(signature)
+            signature = _signature_from(d.get("signature"), "matrix group: signature")
         if backend is None:
             backend = approx(tolerance) if family == "SO" else EXACT
         payloads = None
         if "elements" in d:
             payloads = [
                 _element_payload(e, family, dim, backend, f"{kind} group element")
-                for e in d["elements"]
+                for e in _need_list(d["elements"], f"{kind} group: elements")
             ]
         try:
             group = MatrixGroup(
@@ -182,7 +211,7 @@ def group_from_descriptor(
         if "generators" in d:
             gens = [
                 _element_payload(e, family, dim, backend, f"{kind} group generator")
-                for e in d["generators"]
+                for e in _need_list(d["generators"], f"{kind} group: generators")
             ]
             group.close_over(gens, cap=cap)
         return group
@@ -309,7 +338,7 @@ def representation_from_descriptor(
             raise ParseError(f"carrier: bad size {size!r}")
         carrier = FiniteCarrier(size)
     elif carrier_kind == "coords":
-        dim = _need(carrier_d, "dim", "carrier")
+        dim = _need_int(_need(carrier_d, "dim", "carrier"), "carrier: dim")
         layout = _need(carrier_d, "layout", "carrier")
         if layout not in ("row", "column"):
             raise ParseError(f"carrier: unknown layout {layout!r}")
@@ -414,10 +443,8 @@ def _space_from_descriptor(
     d: dict, backend: Optional[Backend], tolerance: float
 ) -> VectorSpace:
     kind = _need(d, "kind", "space")
-    dim = _need(d, "dim", "space")
-    signature = d.get("signature")
-    if signature is not None:
-        signature = tuple(signature)
+    dim = _need_int(_need(d, "dim", "space"), "space: dim")
+    signature = _signature_from(d.get("signature"), "space: signature")
     if backend is None:
         backend = approx(tolerance) if kind in ("euclid", "pseudo_euclid") else EXACT
     try:
@@ -457,6 +484,19 @@ def basis_to_descriptor(b: Basis) -> dict:
     return d
 
 
+def gram_schmidt_input_from_descriptor(d) -> tuple:
+    """``(vectors, signature)`` from ``{"signature": [p, q], "vectors": rows}``;
+    the scalars are left to :func:`~basiskit.bases.gram_schmidt`."""
+    if not isinstance(d, dict) or None in (d.get("signature"), d.get("vectors")):
+        raise ParseError("gram-schmidt input needs 'signature' and 'vectors'")
+    signature = _signature_from(d["signature"], "gram-schmidt signature")
+    vectors = [
+        _need_list(v, "gram-schmidt vector")
+        for v in _need_list(d["vectors"], "gram-schmidt vectors")
+    ]
+    return vectors, signature
+
+
 # -- functors, objects ---------------------------------------------------------
 
 
@@ -464,7 +504,7 @@ def functor_from_descriptor(d: dict) -> TypeAFunctor:
     tag = _need(d, "tag", "functor")
     try:
         if tag == "tensor_power":
-            return TypeAFunctor(tag, power=_need(d, "k", "functor"))
+            return TypeAFunctor(tag, power=_need_int(_need(d, "k", "functor"), "k"))
         if tag == "direct_sum":
             parts = _need(d, "parts", "functor")
             if not isinstance(parts, list):

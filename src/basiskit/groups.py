@@ -398,7 +398,7 @@ class MatrixGroup:
                 return False, 0.0
             if payload.dim != self.dim or payload.backend != self.backend:
                 return False, 0.0
-            return self._invertible(payload.linear), 0.0
+            return payload.linear.is_invertible(), 0.0
         if not isinstance(payload, Matrix):
             return False, 0.0
         if (
@@ -408,7 +408,7 @@ class MatrixGroup:
         ):
             return False, 0.0
         if self.family == "GL":
-            return self._invertible(payload), 0.0
+            return payload.is_invertible(), 0.0
         if self.family == "SL":
             det = payload.det()
             residual = float(abs(det - self.backend.one()))
@@ -417,12 +417,6 @@ class MatrixGroup:
         gram = payload.transpose().mul(eta).mul(payload)
         residual = float(gram.max_diff(eta))
         return gram.eq(eta), residual
-
-    def _invertible(self, m: Matrix) -> bool:
-        det = m.det()
-        if self.backend.is_exact:
-            return det != 0
-        return abs(det) > self.backend.tolerance
 
     # -- element handling --------------------------------------------------
 

@@ -2,13 +2,28 @@
 
 Everything is immutable: a matrix is a tuple of row tuples, a vector a
 tuple of scalars.  Sizes in this package stay tiny (dimension five or so,
-tensor squares up to 25), so plain Gaussian elimination is entirely
-adequate and keeps one code path for both backends.
+tensor squares up to 25).
+
+The two backends share the interface but not the arithmetic.  Float
+matrices use Gaussian elimination with partial pivoting, and a pivot at
+or below the tolerance counts as singular.  Exact matrices never do
+``Fraction`` arithmetic inside a kernel: each operand is brought to
+integer rows over a common denominator, all the work happens on Python
+ints, and each output entry becomes one normalised ``Fraction`` at the
+end.  ``det`` uses Bareiss's fraction-free elimination and ``inverse``
+the fraction-free Gauss-Jordan form of it on ``[A | D]``, where every
+division by the previous pivot is exact (E. H. Bareiss, *Sylvester's
+identity and multistep integer-preserving Gaussian elimination*, Math.
+Comp. 22, 1968).  Rationals are canonical, so the results are the same
+values as ordinary exact elimination would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Singular
@@ -68,6 +83,90 @@ def metric_dot(u: Vector, v: Vector, signs: Sequence[int]) -> Scalar:
     for s, a, b in zip(signs[1:], u[1:], v[1:]):
         total = total + s * a * b
     return total
+
+
+def _int_rows(rows: Iterable[Sequence]) -> tuple:
+    """Rational rows as ``(ints, dens)``: ``row[j] == ints[i][j] / dens[i]``,
+    with ``dens[i]`` the least common denominator of the row."""
+    ints, dens = [], []
+    for row in rows:
+        d = lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return ints, dens
+
+
+def _exact_products(rows: Sequence[Sequence], cols: Iterable[Sequence]) -> tuple:
+    """``out[i][j] = sum_k rows[i][k] * cols[j][k]`` over the rationals,
+    summed as integers with one ``Fraction`` per entry."""
+    row_ints, row_dens = _int_rows(rows)
+    col_ints, col_dens = _int_rows(cols)
+    return tuple(
+        tuple(
+            Fraction(sum(map(mul, r, c)), dr * dc)
+            for c, dc in zip(col_ints, col_dens)
+        )
+        for r, dr in zip(row_ints, row_dens)
+    )
+
+
+def _bareiss_det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant by Bareiss elimination on the integer rows.
+
+    Each step replaces the trailing block by ``(p * x - f * y) // prev``,
+    where ``p`` is the pivot and ``prev`` the pivot before it; the
+    division is exact, so entries stay minors of the integer matrix.
+    """
+    m, dens = _int_rows(rows)
+    sign, prev = 1, 1
+    while len(m) > 1:
+        k = next((i for i, row in enumerate(m) if row[0]), None)
+        if k is None:
+            return Fraction(0)
+        if k:
+            m[0], m[k] = m[k], m[0]
+            sign = -sign
+        pivot, *rest = m
+        p, tail = pivot[0], pivot[1:]
+        m = [
+            [(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for row in rest
+        ]
+        prev = p
+    return Fraction(sign * m[0][0], prod(dens))
+
+
+def _fraction_free_inverse(rows: Sequence[Sequence]) -> tuple:
+    """Inverse by fraction-free Gauss-Jordan elimination on ``[B | D]``.
+
+    ``B`` holds the integer rows and ``D`` their denominators on the
+    diagonal, so the solution of ``B X = D`` is the rational inverse.
+    Column ``k`` is dropped once it is eliminated; after the last step
+    every row holds ``p * X`` for the last pivot ``p``.  Raises
+    :class:`Singular` at the first column that depends on the ones
+    before it.
+    """
+    m, dens = _int_rows(rows)
+    n = len(m)
+    aug = [
+        row + [d if i == j else 0 for j in range(n)]
+        for i, (row, d) in enumerate(zip(m, dens))
+    ]
+    prev = 1
+    for k in range(n):
+        r = next((r for r in range(k, n) if aug[r][0]), None)
+        if r is None:
+            raise Singular(f"matrix is singular at column {k}")
+        aug[k], aug[r] = aug[r], aug[k]
+        p, tail = aug[k][0], aug[k][1:]
+        aug = [
+            tail
+            if i == k
+            else [(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+            for i, row in enumerate(aug)
+        ]
+        prev = p
+    return tuple(tuple(Fraction(x, prev) for x in row) for row in aug)
 
 
 @dataclass(frozen=True)
@@ -137,6 +236,9 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
+        if self.backend.is_exact:
+            products = _exact_products(self.entries, zip(*other.entries))
+            return Matrix(products, self.backend)
         cols = other.transpose().entries
         return Matrix(
             tuple(
@@ -180,21 +282,28 @@ class Matrix:
         """Apply to a column vector: ``(M u)_r = sum_c M[r][c] u[c]``."""
         if len(u) != self.ncols:
             raise DimensionMismatch(f"expected length {self.ncols}, got {len(u)}")
+        if self.backend.is_exact:
+            return tuple(row[0] for row in _exact_products(self.entries, (u,)))
         return tuple(sum(a * b for a, b in zip(row, u)) for row in self.entries)
 
     def vecmat(self, u: Vector) -> Vector:
         """Apply to a row vector: ``(u M)_c = sum_r u[r] M[r][c]``."""
         if len(u) != self.nrows:
             raise DimensionMismatch(f"expected length {self.nrows}, got {len(u)}")
+        if self.backend.is_exact:
+            return _exact_products((u,), zip(*self.entries))[0]
         return tuple(
             sum(u[r] * self.entries[r][c] for r in range(self.nrows))
             for c in range(self.ncols)
         )
 
     def det(self) -> Scalar:
-        """Determinant by Gaussian elimination with partial pivoting."""
+        """Determinant: Bareiss elimination when exact, Gaussian
+        elimination with partial pivoting when float."""
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
+        if self.backend.is_exact:
+            return _bareiss_det(self.entries)
         n = self.nrows
         rows = [list(r) for r in self.entries]
         det = self.backend.one()
@@ -216,9 +325,12 @@ class Matrix:
         return det
 
     def inverse(self) -> "Matrix":
-        """Inverse by Gauss-Jordan elimination; raises Singular."""
+        """Inverse by Gauss-Jordan elimination, fraction-free when exact;
+        raises Singular."""
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
+        if self.backend.is_exact:
+            return Matrix(_fraction_free_inverse(self.entries), self.backend)
         n = self.nrows
         one, zero = self.backend.one(), self.backend.zero()
         aug = [
@@ -241,11 +353,16 @@ class Matrix:
         return Matrix(tuple(tuple(row[n:]) for row in aug), self.backend)
 
     def _pivot_vanishes(self, pivot) -> bool:
-        if self.backend.is_exact:
-            return pivot == 0
         # A float pivot is only trusted when it clears the comparison
         # tolerance; smaller pivots are treated as rank deficiency.
         return abs(pivot) <= self.backend.tolerance
+
+    def is_invertible(self) -> bool:
+        """Nonzero determinant: exactly, or beyond the float tolerance."""
+        det = self.det()
+        if self.backend.is_exact:
+            return det != 0
+        return abs(det) > self.backend.tolerance
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, blocks of ``self[i][j] * other``."""

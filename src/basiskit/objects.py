@@ -226,10 +226,7 @@ class GeometricalObject:
         else:
             if w_basis.nrows != m or w_basis.ncols != m:
                 raise DimensionMismatch("auxiliary basis has the wrong size")
-            det = w_basis.det()
-            if (backend.is_exact and det == 0) or (
-                not backend.is_exact and abs(det) <= backend.tolerance
-            ):
+            if not w_basis.is_invertible():
                 raise Singular("auxiliary basis is degenerate")
         return cls(functor, row, anchor, w_basis)
 

@@ -282,10 +282,7 @@ class LinearTransformation(Transformation):
             )
         if carrier.backend != grid.backend:
             grid = Matrix.from_rows(grid.rows_as_lists(), carrier.backend)
-        det = grid.det()
-        if (grid.backend.is_exact and det == 0) or (
-            not grid.backend.is_exact and abs(det) <= grid.backend.tolerance
-        ):
+        if not grid.is_invertible():
             raise Singular("transformation grid is singular")
         self.carrier = carrier
         self.grid = grid

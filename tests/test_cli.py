@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from basiskit.cli import main
+from basiskit.cli import build_parser, main
 
 
 def write(tmp_path, name, payload):
@@ -545,3 +545,148 @@ def test_samples_below_one_is_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: --samples must be at least 1, got {argv[-1]}\n"
+
+
+# -- malformed descriptor fields, tolerance, parser reuse ------------------------
+
+
+def plane_basis():
+    return {"space": {"kind": "central_affine", "dim": 2}, "vectors": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (
+            ["repcheck", "--input", "DOC"],
+            {
+                "group": {"kind": "finite", "table": [[0, 1], [1, 0]], "names": 5},
+                "side": "left",
+                "carrier": {"kind": "self"},
+                "assign": {"kind": "shift-left"},
+            },
+        ),
+        (
+            ["basis", "coordrep", "--group", "DOC"],
+            {"kind": "matrix", "family": "SO", "dim": 2, "signature": 2},
+        ),
+        (
+            ["basis", "coordrep", "--group", "DOC"],
+            {"kind": "matrix", "family": "GL", "dim": 2, "elements": 5},
+        ),
+        (
+            ["basis", "coordrep", "--group", "DOC"],
+            {"kind": "matrix", "family": "GL", "dim": 2, "generators": 5},
+        ),
+        (
+            ["object", "--input", "DOC"],
+            {
+                "functor": {"tag": "tensor_power", "k": "2"},
+                "coords": [1, 0, 0, 1],
+                "anchor": plane_basis(),
+            },
+        ),
+        (
+            ["object", "--input", "DOC"],
+            {
+                "functor": {"tag": "fundamental"},
+                "coords": [1, 0],
+                "anchor": {"space": {"kind": "central_affine", "dim": "2"}, "vectors": [[1, 0], [0, 1]]},
+            },
+        ),
+        (
+            ["repcheck", "--input", "DOC"],
+            {
+                "group": {"kind": "matrix", "family": "GL", "dim": 1, "elements": [[1]]},
+                "side": "left",
+                "carrier": {"kind": "coords", "dim": "1", "layout": "column"},
+                "assign": {"kind": "linear"},
+            },
+        ),
+        (["basis", "gram-schmidt", "--input", "DOC"], [[1, 0], [0, 1]]),
+        (
+            ["basis", "gram-schmidt", "--input", "DOC"],
+            {"signature": 2, "vectors": [[1, 0], [0, 1]]},
+        ),
+        (
+            ["basis", "gram-schmidt", "--input", "DOC"],
+            {"signature": [2, 0], "vectors": [5, [0, 1]]},
+        ),
+    ],
+    ids=[
+        "names-not-a-list",
+        "signature-an-int",
+        "elements-not-a-list",
+        "generators-not-a-list",
+        "tensor-power-k-a-string",
+        "space-dim-a-string",
+        "carrier-dim-a-string",
+        "gram-schmidt-input-a-list",
+        "gram-schmidt-signature-an-int",
+        "gram-schmidt-vector-not-a-list",
+    ],
+)
+def test_malformed_descriptor_field_is_exit_2(tmp_path, capsys, argv, doc):
+    path = write(tmp_path, "doc.json", doc)
+    assert_one_line_error(main([path if a == "DOC" else a for a in argv]), capsys)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_nonsense_tolerance_is_exit_2(tmp_path, capsys, value):
+    code = main(
+        ["basis", "coordrep", "--group", quarter_turn_group(tmp_path), "--tolerance", value]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --tolerance must be a positive finite number, got {float(value)}\n"
+    )
+
+
+def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypatch):
+    import basiskit.cli as cli
+
+    rep = shift_rep(tmp_path)
+    calls = [
+        ["repcheck", "--input", rep, "--sample", "sampled", "--samples", "5", "--report", "json"],
+        ["repcheck", "--input", rep, "--sample", "sampled", "--report", "json"],
+        ["repcheck"],  # missing --input: argparse exits
+        ["orbit", "--input", rep, "--point", "1", "--seed", "3", "--report", "json"],
+        ["orbit", "--input", rep, "--report", "json"],
+        ["basis", "coordrep", "--group", quarter_turn_group(tmp_path), "--tolerance", "1e-6",
+         "--report", "json"],
+        ["basis", "coordrep", "--group", quarter_turn_group(tmp_path), "--report", "json"],
+        ["no-such-command"],
+        ["repcheck", "--input", rep, "--report", "json"],
+    ]
+
+    def run(fresh):
+        outcomes = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    reused = run(fresh=False)
+    assert len(built) == 1
+    assert reused == run(fresh=True)
+    assert reused[2][0] == ("exit", 2) and reused[7][0] == ("exit", 2)
+    settings = [json.loads(out)["data"]["settings"] for _, out, _ in reused if out]
+    assert [s["samples"] for s in settings[:2]] == [5, 1000]
+    assert [s["seed"] for s in settings[2:4]] == [3, 42]
+    assert [s["tolerance"] for s in settings[4:6]] == [1e-6, 1e-9]
+    cli._parser.cache_clear()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()

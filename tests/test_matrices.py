@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -137,3 +138,143 @@ def test_vec_eq_tolerance():
     u = vector([1.0, 2.0], APPROX)
     v = vector([1.0 + 1e-12, 2.0], APPROX)
     assert vec_eq(u, v, APPROX)
+
+
+# -- exact kernels against Fraction elimination ---------------------------------
+#
+# The reference below is the Gaussian and Gauss-Jordan elimination on
+# Fraction entries that the exact backend ran before its fraction-free
+# kernels; the kernels must give the same values and the same Singular.
+
+
+def reference_det(rows):
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = F(1)
+    for k in range(n):
+        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        if rows[pivot_row][k] == 0:
+            return F(0)
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            det = -det
+        pivot = rows[k][k]
+        det = det * pivot
+        for r in range(k + 1, n):
+            factor = rows[r][k] / pivot
+            if factor == 0:
+                continue
+            for c in range(k, n):
+                rows[r][c] = rows[r][c] - factor * rows[k][c]
+    return det
+
+
+def reference_inverse(rows):
+    n = len(rows)
+    aug = [
+        list(row) + [F(1) if i == j else F(0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for k in range(n):
+        pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
+        if aug[pivot_row][k] == 0:
+            raise Singular(f"matrix is singular at column {k}")
+        if pivot_row != k:
+            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        pivot = aug[k][k]
+        aug[k] = [x / pivot for x in aug[k]]
+        for r in range(n):
+            if r == k or aug[r][k] == 0:
+                continue
+            factor = aug[r][k]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[k])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def reference_mul(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+def _random_fraction(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 5, 6)))
+
+
+def _random_rational_matrix(rng, n, shape):
+    """One of several shapes: full, a zero leading pivot, a zero first
+    column, a dependent row, low rank, a dependent column in the middle."""
+    rows = [[_random_fraction(rng) for _ in range(n)] for _ in range(n)]
+    if shape == "zero-pivot":
+        rows[0][0] = F(0)
+    elif shape == "zero-column":
+        for row in rows:
+            row[0] = F(0)
+    elif shape == "dependent-row" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        c = _random_fraction(rng)
+        rows[i] = [c * x for x in rows[j]]
+    elif shape == "low-rank":
+        r = rng.randint(1, max(1, n - 1))
+        left = [[_random_fraction(rng) for _ in range(r)] for _ in range(n)]
+        right = [[_random_fraction(rng) for _ in range(n)] for _ in range(r)]
+        rows = [list(row) for row in reference_mul(left, right)]
+    elif shape == "dependent-column" and n > 2:
+        k = rng.randint(1, n - 1)
+        for row in rows:
+            row[k] = row[0] * F(rng.randint(-3, 3), rng.randint(1, 3)) + row[k - 1]
+    return rows
+
+
+SHAPES = ("full", "zero-pivot", "zero-column", "dependent-row", "low-rank", "dependent-column")
+
+
+def _differential_cases(count=1080, seed=20260):
+    rng = Random(seed)
+    for i in range(count):
+        n = 1 + i % 9
+        yield rng, n, _random_rational_matrix(rng, n, SHAPES[(i // 9) % len(SHAPES)])
+
+
+def test_exact_kernels_match_fraction_elimination():
+    singular_columns = set()
+    for rng, n, rows in _differential_cases():
+        a = m(rows)
+        det = a.det()
+        assert type(det) is Fraction and det == reference_det(rows), rows
+        try:
+            expected = reference_inverse(rows)
+        except Singular as exc:
+            with pytest.raises(Singular) as raised:
+                a.inverse()
+            assert str(raised.value) == str(exc), rows
+            singular_columns.add(str(exc))
+            assert det == 0
+        else:
+            inv = a.inverse()
+            assert inv.entries == expected, rows
+            assert all(type(x) is Fraction for row in inv.entries for x in row)
+        width = rng.randint(1, 4)
+        b = [[_random_fraction(rng) for _ in range(width)] for _ in range(n)]
+        assert a.mul(m(b)).entries == reference_mul(rows, b)
+        u = tuple(_random_fraction(rng) for _ in range(n))
+        assert a.matvec(u) == tuple(row[0] for row in reference_mul(rows, [[x] for x in u]))
+        assert a.vecmat(u) == reference_mul([u], rows)[0]
+    # the singular inputs reach every column position, not only the first
+    assert {f"matrix is singular at column {k}" for k in range(9)} <= singular_columns
+
+
+def test_exact_and_float_backends_agree_on_integer_matrices():
+    rng = Random(7)
+    checked = 0
+    for i in range(300):
+        n = 1 + i % 6
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        exact, approx_ = m(rows), m(rows, APPROX)
+        assert abs(approx_.det() - exact.det()) <= 1e-9
+        if exact.det() == 0:
+            continue
+        inv_exact, inv_float = exact.inverse(), approx_.inverse()
+        assert inv_float.max_diff(m(inv_exact.entries, APPROX)) <= 1e-9
+        checked += 1
+    assert checked > 200
