@@ -36,12 +36,13 @@ from .errors import (
 from .groups import AffineTransform, GroupElement, MatrixGroup
 from .matrices import Matrix, metric_dot, vec_eq, vec_max_diff, vector
 from .representations import (
+    GridTransformation,
     Representation,
-    Transformation,
     Verdict,
+    _first_failure,
 )
 from .sampling import random_vector, sample_group_element
-from .scalars import APPROX, Backend, approx
+from .scalars import Backend, approx
 
 __all__ = [
     "VectorSpace",
@@ -341,47 +342,32 @@ def coordinate_representation_check(
         mode = f"sampled(k={samples}, seed={seed})"
         elements = [a for a, _ in pairs]
 
-    residual = 0.0
-    checked = 0
-    composition: Optional[Verdict] = None
-    for a, b in pairs:
-        grid_a, grid_b = _linear_grid(a), _linear_grid(b)
-        once = grid_b.mul(grid_a).inverse()
-        step_a, step_b = grid_a.inverse(), grid_b.inverse()
-        for _ in range(vectors_per_pair):
-            v = random_vector(rng, n, backend)
-            stepped = step_b.vecmat(step_a.vecmat(v))
-            direct = once.vecmat(v)
-            checked += 1
-            if not backend.is_exact:
-                residual = max(residual, vec_max_diff(stepped, direct))
-            if not vec_eq(stepped, direct, backend):
-                composition = Verdict(
-                    False, mode, checked, (a, b, v), residual
-                )
-                break
-        if composition is not None:
-            break
-    if composition is None:
-        composition = Verdict(True, mode, checked, None, residual)
+    def composition_outcomes():
+        for a, b in pairs:
+            grid_a, grid_b = _linear_grid(a), _linear_grid(b)
+            once = grid_b.mul(grid_a).inverse()
+            step_a, step_b = grid_a.inverse(), grid_b.inverse()
+            for _ in range(vectors_per_pair):
+                v = random_vector(rng, n, backend)
+                stepped = step_b.vecmat(step_a.vecmat(v))
+                direct = once.vecmat(v)
+                residual = 0.0 if backend.is_exact else vec_max_diff(stepped, direct)
+                yield (a, b, v), vec_eq(stepped, direct, backend), residual
 
     kron = [
         tuple(backend.one() if i == k else backend.zero() for i in range(n))
         for k in range(n)
     ]
-    effectiveness: Optional[Verdict] = None
-    eff_checked = 0
-    for a in elements:
+
+    def effective(a):
         grid = _linear_grid(a)
         inv = grid.inverse()
         moved = [inv.vecmat(e) for e in kron]
         fixes_all = all(vec_eq(m, e, backend) for m, e in zip(moved, kron))
-        eff_checked += 1
-        if fixes_all and not grid.is_identity():
-            effectiveness = Verdict(False, mode, eff_checked, (a,))
-            break
-    if effectiveness is None:
-        effectiveness = Verdict(True, mode, eff_checked, None)
+        return (a,), not (fixes_all and not grid.is_identity()), 0.0
+
+    composition = _first_failure(mode, composition_outcomes())
+    effectiveness = _first_failure(mode, map(effective, elements))
     return CoordinateRepCheckReport(composition, effectiveness)
 
 
@@ -477,26 +463,16 @@ def is_g_basis(b: Basis) -> GBasisReport:
     return GBasisReport(False, residual, "gram matrix differs from the metric")
 
 
-class PassiveBasisTransformation(Transformation):
+class PassiveBasisTransformation(GridTransformation):
     """Passive recombination of bases, acting on a basis manifold carrier."""
 
     def __init__(self, carrier, grid: Matrix):
         if not grid.is_invertible():
             raise Singular("passive grid is singular")
-        self.carrier = carrier
-        self.grid = grid
-
-    def with_grid(self, grid: Matrix) -> "PassiveBasisTransformation":
-        return PassiveBasisTransformation(self.carrier, grid)
+        super().__init__(carrier, grid)
 
     def apply(self, b: Basis) -> Basis:
         return Basis.make(b.space, self.grid.mul(b.rows()).entries, b.origin)
-
-    def inverted(self) -> "PassiveBasisTransformation":
-        return PassiveBasisTransformation(self.carrier, self.grid.inverse())
-
-    def is_identity(self) -> bool:
-        return self.grid.is_identity()
 
 
 class BasisCarrier:

@@ -15,6 +15,7 @@ import math
 import sys
 
 from .bases import (
+    _linear_grid,
     active_transform,
     change_of_basis,
     coordinate_representation_check,
@@ -26,14 +27,11 @@ from .bases import (
 )
 from .descriptors import (
     basis_from_descriptor,
-    basis_to_descriptor,
     element_from_descriptor,
-    element_to_descriptor,
     gram_schmidt_input_from_descriptor,
     group_from_descriptor,
     load_json,
     object_from_descriptor,
-    object_to_descriptor,
     point_from_descriptor,
     representation_from_descriptor,
 )
@@ -47,7 +45,6 @@ from .errors import (
     NullVector,
     ParseError,
 )
-from .groups import AffineTransform
 from .matrices import vec_eq, vec_max_diff
 from .objects import (
     invariance_check,
@@ -240,8 +237,7 @@ def _cmd_basis(args) -> int:
             # moving the vectors and the basis together must leave every
             # displacement's components alone
             backend = b.space.backend
-            payload = g.payload
-            linear = payload.linear if isinstance(payload, AffineTransform) else payload
+            linear = _linear_grid(g)
             n = b.space.dim
             probes = [
                 tuple(
@@ -358,7 +354,7 @@ def _cmd_object(args) -> int:
         total = 0.0
         failed = None
         checked = 0
-        for g in group.elements():
+        for g in group.store:
             verdict = invariance_check(obj, g)
             checked += 1
             worst = max(worst, verdict.residual_max)

@@ -101,7 +101,8 @@ class FiniteGroup:
     """A group given by its full multiplication table.
 
     Construct through :func:`validate_cayley_table`; the constructor here
-    trusts its arguments.
+    trusts its arguments.  ``store`` holds every element in table order,
+    as :attr:`MatrixGroup.store` holds a matrix group's stored elements.
     """
 
     def __init__(
@@ -115,23 +116,23 @@ class FiniteGroup:
         self.identity_index = identity_index
         self.inverses = inverses
         self.names = names
-        self._elements = tuple(GroupElement(self, i) for i in range(len(table)))
+        self.store = tuple(GroupElement(self, i) for i in range(len(table)))
 
     @property
     def order(self) -> int:
         return len(self.table)
 
     def elements(self) -> tuple:
-        return self._elements
+        return self.store
 
     def element(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
             raise BasiskitError(f"element index {index} out of range 0..{self.order - 1}")
-        return self._elements[index]
+        return self.store[index]
 
     @property
     def identity(self) -> GroupElement:
-        return self._elements[self.identity_index]
+        return self.store[self.identity_index]
 
     def _own(self, a: GroupElement) -> int:
         if not isinstance(a, GroupElement) or a.group is not self:
@@ -139,10 +140,10 @@ class FiniteGroup:
         return a.payload
 
     def compose_elements(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self._elements[self.table[self._own(a)][self._own(b)]]
+        return self.store[self.table[self._own(a)][self._own(b)]]
 
     def inverse_element(self, a: GroupElement) -> GroupElement:
-        return self._elements[self.inverses[self._own(a)]]
+        return self.store[self.inverses[self._own(a)]]
 
     def payload_eq(self, p, q) -> bool:
         return p == q
@@ -462,8 +463,6 @@ class MatrixGroup:
         return GroupElement(self, inv)
 
     def payload_eq(self, p, q) -> bool:
-        if self.family == "AFFINE":
-            return p.eq(q)
         return p.eq(q)
 
     def payload_name(self, p) -> str:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .groups import GroupElement, MatrixGroup, compose
 from .matrices import Matrix, vec_eq, vec_max_diff, vec_add, vec_scale, vector
-from .representations import Verdict
+from .representations import Verdict, _first_failure
 from .sampling import random_vector, sample_group_element
 
 __all__ = [
@@ -117,7 +117,9 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     The homomorphism property ``A(ab) = A(a) A(b)`` and ``A(e) = 1`` are
     checked over all stored pairs before the functor is accepted.
     """
-    elements = _stored_elements(group)
+    elements = group.store
+    if elements is None:
+        raise InfeasibleExhaustive("table functor needs stored elements")
     if len(grids) != len(elements):
         raise BasiskitError(
             f"table has {len(grids)} grids for {len(elements)} elements"
@@ -143,17 +145,10 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     return functor
 
 
-def _stored_elements(group) -> tuple:
-    if hasattr(group, "table"):
-        return group.elements()
-    store = getattr(group, "store", None)
-    if store is None:
-        raise InfeasibleExhaustive("table functor needs stored elements")
-    return store
-
-
 def _table_lookup(functor: TypeAFunctor, group, g: GroupElement) -> Matrix:
-    for i, h in enumerate(_stored_elements(group)):
+    if group.store is None:
+        raise InfeasibleExhaustive("table functor needs stored elements")
+    for i, h in enumerate(group.store):
         if g.eq_to(h):
             return functor.table[i]
     raise BasiskitError(f"element {g!r} is not in the stored enumeration")
@@ -276,7 +271,7 @@ def object_orbit(
     obj: GeometricalObject, group: MatrixGroup, cap: int = 100_000
 ) -> ObjectOrbit:
     """Images of the object under every stored element, deduplicated."""
-    store = getattr(group, "store", None)
+    store = group.store
     if store is None:
         raise InfeasibleExhaustive("object orbit needs stored elements")
     if len(store) > cap:
@@ -297,17 +292,18 @@ def object_orbit_well_defined_check(
     obj: GeometricalObject, group: MatrixGroup
 ) -> Verdict:
     """Re-enumerating the orbit from any of its points gives the same set."""
-    base_orbit = object_orbit(obj, group)
-    checked = 0
-    for point in base_orbit.points:
-        other = object_orbit(point, group)
-        checked += 1
-        if len(other.points) != len(base_orbit.points):
-            return Verdict(False, "exhaustive", checked, (point,))
-        for q in other.points:
-            if not any(q.eq(p) for p in base_orbit.points):
-                return Verdict(False, "exhaustive", checked, (point, q))
-    return Verdict(True, "exhaustive", checked, None)
+    base = object_orbit(obj, group).points
+
+    def outcome(point):
+        other = object_orbit(point, group).points
+        if len(other) != len(base):
+            return (point,), False, 0.0
+        for q in other:
+            if not any(q.eq(p) for p in base):
+                return (point, q), False, 0.0
+        return (point,), True, 0.0
+
+    return _first_failure("exhaustive", map(outcome, base))
 
 
 def _require_compatible(o1: GeometricalObject, o2: GeometricalObject) -> None:
@@ -369,45 +365,40 @@ def vector_space_axioms_check(
     backend = anchor.space.backend
     m = weight_dim(functor, anchor.space.dim)
     zero = GeometricalObject.make(functor, [backend.zero()] * m, anchor)
-    checked = 0
-    for _ in range(samples):
-        u = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
-        v = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
-        w = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
-        c = random_vector(rng, 1, backend)[0]
-        g = sample_group_element(group, rng)
-        laws = [
-            ("commutative", add_objects(u, v), add_objects(v, u)),
-            (
-                "associative",
-                add_objects(add_objects(u, v), w),
-                add_objects(u, add_objects(v, w)),
-            ),
-            ("zero", add_objects(u, zero), u),
-            ("negative", add_objects(u, scale_object(-1, u)), zero),
-            (
-                "distributive",
-                scale_object(c, add_objects(u, v)),
-                add_objects(scale_object(c, u), scale_object(c, v)),
-            ),
-            (
-                "transform-additive",
-                transform_object(add_objects(u, v), g),
-                add_objects(transform_object(u, g), transform_object(v, g)),
-            ),
-            (
-                "transform-homogeneous",
-                transform_object(scale_object(c, u), g),
-                scale_object(c, transform_object(u, g)),
-            ),
-        ]
-        for name, lhs, rhs in laws:
-            checked += 1
-            if not lhs.eq(rhs):
-                return Verdict(
-                    False,
-                    f"sampled(k={samples}, seed={seed})",
-                    checked,
-                    (name, u.coords, v.coords, c),
-                )
-    return Verdict(True, f"sampled(k={samples}, seed={seed})", checked, None)
+
+    def outcomes():
+        for _ in range(samples):
+            u = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
+            v = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
+            w = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
+            c = random_vector(rng, 1, backend)[0]
+            g = sample_group_element(group, rng)
+            laws = [
+                ("commutative", add_objects(u, v), add_objects(v, u)),
+                (
+                    "associative",
+                    add_objects(add_objects(u, v), w),
+                    add_objects(u, add_objects(v, w)),
+                ),
+                ("zero", add_objects(u, zero), u),
+                ("negative", add_objects(u, scale_object(-1, u)), zero),
+                (
+                    "distributive",
+                    scale_object(c, add_objects(u, v)),
+                    add_objects(scale_object(c, u), scale_object(c, v)),
+                ),
+                (
+                    "transform-additive",
+                    transform_object(add_objects(u, v), g),
+                    add_objects(transform_object(u, g), transform_object(v, g)),
+                ),
+                (
+                    "transform-homogeneous",
+                    transform_object(scale_object(c, u), g),
+                    scale_object(c, transform_object(u, g)),
+                ),
+            ]
+            for name, lhs, rhs in laws:
+                yield (name, u.coords, v.coords, c), lhs.eq(rhs), 0.0
+
+    return _first_failure(f"sampled(k={samples}, seed={seed})", outcomes())

@@ -12,6 +12,14 @@ Variance is a separate question and is classified by
 contravariant one an antihomomorphism.  Point mappings are classified
 against map composition; matrix-valued assignments against the grid
 product, which reproduces the classical row/column vector conventions.
+
+How the checks run: :func:`_plan` picks exhaustive or sampled, and a law
+check is a stream of cases plus an ``outcome`` that returns ``(witness,
+holds, residual)``.  :func:`_first_failure` runs the outcomes lazily,
+counts them, keeps the worst residual and stops at the first witness.
+Groups are enumerated through one attribute, ``group.store``: every
+element of a finite group, the stored elements of a matrix group, or
+``None`` for a group without an enumeration.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ __all__ = [
     "ProductCarrier",
     "Transformation",
     "MappingTransformation",
+    "GridTransformation",
     "LinearTransformation",
-    "AffinePointTransformation",
     "PairTransformation",
     "FunctionTransformation",
     "compose_transformations",
@@ -151,18 +159,16 @@ class SelfCarrier:
 
     @property
     def enumerable(self) -> bool:
-        return _enumerable_elements(self.group) is not None
+        return self.group.store is not None
 
     @property
     def size(self) -> Optional[int]:
-        elements = _enumerable_elements(self.group)
-        return None if elements is None else len(elements)
+        return None if self.group.store is None else len(self.group.store)
 
     def points(self) -> tuple:
-        elements = _enumerable_elements(self.group)
-        if elements is None:
+        if self.group.store is None:
             raise InfeasibleExhaustive("group has no stored elements to enumerate")
-        return elements
+        return self.group.store
 
     def contains(self, p) -> bool:
         return isinstance(p, GroupElement) and p.group is self.group
@@ -269,7 +275,29 @@ class MappingTransformation(Transformation):
         return all(self.carrier.point_eq(k, v) for k, v in self.mapping.items())
 
 
-class LinearTransformation(Transformation):
+class GridTransformation(Transformation):
+    """Invertible grid acting on a carrier, built as ``(carrier, grid)``;
+    composed, inverted and compared through the grid alone."""
+
+    def __init__(self, carrier, grid: Matrix):
+        self.carrier = carrier
+        self.grid = grid
+
+    def with_grid(self, grid: Matrix) -> "GridTransformation":
+        return type(self)(self.carrier, grid)
+
+    def after(self, inner: "GridTransformation") -> "GridTransformation":
+        """``self`` after ``inner``, for a grid multiplying points from the left."""
+        return self.with_grid(self.grid.mul(inner.grid))
+
+    def inverted(self) -> "GridTransformation":
+        return self.with_grid(self.grid.inverse())
+
+    def is_identity(self) -> bool:
+        return self.grid.is_identity()
+
+
+class LinearTransformation(GridTransformation):
     """Invertible grid acting on a coordinate carrier.
 
     Column layout contracts ``u' = M u``; row layout ``u' = u M``.
@@ -284,41 +312,17 @@ class LinearTransformation(Transformation):
             grid = Matrix.from_rows(grid.rows_as_lists(), carrier.backend)
         if not grid.is_invertible():
             raise Singular("transformation grid is singular")
-        self.carrier = carrier
-        self.grid = grid
+        super().__init__(carrier, grid)
 
     def apply(self, p):
         if self.carrier.layout == "column":
             return self.grid.matvec(p)
         return self.grid.vecmat(p)
 
-    def inverted(self) -> "LinearTransformation":
-        return LinearTransformation(self.carrier, self.grid.inverse())
-
-    def is_identity(self) -> bool:
-        return self.grid.is_identity()
-
-
-class AffinePointTransformation(Transformation):
-    """Affine map acting on a coordinate carrier's points."""
-
-    def __init__(self, carrier: CoordCarrier, affine):
-        if affine.dim != carrier.dim:
-            raise DimensionMismatch("affine dimension does not match carrier")
-        self.carrier = carrier
-        self.affine = affine
-
-    def apply(self, p):
-        return self.affine.apply(p)
-
-    def inverted(self) -> "AffinePointTransformation":
-        return AffinePointTransformation(self.carrier, self.affine.inverted())
-
-    def is_identity(self) -> bool:
-        backend = self.affine.backend
-        return self.affine.linear.is_identity() and all(
-            backend.is_zero(x) for x in self.affine.translation
-        )
+    def after(self, inner: "LinearTransformation") -> "LinearTransformation":
+        if self.carrier.layout == "column":
+            return super().after(inner)
+        return self.with_grid(inner.grid.mul(self.grid))
 
 
 class PairTransformation(Transformation):
@@ -367,22 +371,12 @@ class FunctionTransformation(Transformation):
 
 def compose_transformations(t1: Transformation, t2: Transformation) -> Transformation:
     """Map composition ``t1 after t2``: apply ``t2`` first."""
-    if isinstance(t1, LinearTransformation) and isinstance(t2, LinearTransformation):
-        if t1.carrier.layout == "column":
-            return LinearTransformation(t1.carrier, t1.grid.mul(t2.grid))
-        return LinearTransformation(t1.carrier, t2.grid.mul(t1.grid))
-    if type(t1) is type(t2) and hasattr(t1, "with_grid"):
-        # grid-bearing transformations whose action is grid times point
-        # block: composition is the grid product
-        return t1.with_grid(t1.grid.mul(t2.grid))
+    if isinstance(t1, GridTransformation) and type(t1) is type(t2):
+        return t1.after(t2)
     if isinstance(t1, MappingTransformation) and isinstance(t2, MappingTransformation):
         return MappingTransformation(
             t1.carrier, {k: t1.apply(v) for k, v in t2.mapping.items()}
         )
-    if isinstance(t1, AffinePointTransformation) and isinstance(
-        t2, AffinePointTransformation
-    ):
-        return AffinePointTransformation(t1.carrier, t1.affine.after(t2.affine))
     if isinstance(t1, PairTransformation) and isinstance(t2, PairTransformation):
         return PairTransformation(
             t1.carrier,
@@ -394,12 +388,8 @@ def compose_transformations(t1: Transformation, t2: Transformation) -> Transform
 
 def transformations_equal(t1: Transformation, t2: Transformation) -> bool:
     """Extensional equality; structural where the form allows it."""
-    if type(t1) is type(t2) and hasattr(t1, "grid") and hasattr(t2, "grid"):
+    if isinstance(t1, GridTransformation) and type(t1) is type(t2):
         return t1.grid.eq(t2.grid)
-    if isinstance(t1, AffinePointTransformation) and isinstance(
-        t2, AffinePointTransformation
-    ):
-        return t1.affine.eq(t2.affine)
     if isinstance(t1, PairTransformation) and isinstance(t2, PairTransformation):
         return transformations_equal(t1.first, t2.first) and transformations_equal(
             t1.second, t2.second
@@ -417,9 +407,7 @@ def transformations_equal(t1: Transformation, t2: Transformation) -> bool:
 def _variance_product(t1: Transformation, t2: Transformation) -> Transformation:
     # Matrix-valued assignments are classified against the grid product,
     # which is layout independent; everything else against composition.
-    if isinstance(t1, LinearTransformation) and isinstance(t2, LinearTransformation):
-        return LinearTransformation(t1.carrier, t1.grid.mul(t2.grid))
-    if type(t1) is type(t2) and hasattr(t1, "with_grid"):
+    if isinstance(t1, GridTransformation) and type(t1) is type(t2):
         return t1.with_grid(t1.grid.mul(t2.grid))
     return compose_transformations(t1, t2)
 
@@ -453,7 +441,7 @@ class Representation:
         self.origin = origin
         self._cache: dict = {}
         self._table = _NOT_COMPILED
-        if not self.transformation(_identity_of(group)).is_identity():
+        if not self.transformation(group.identity).is_identity():
             raise BasiskitError(
                 f"{self.label}: the identity element is not assigned the identity map"
             )
@@ -566,16 +554,6 @@ def _sweep(n: int, rows: Callable) -> tuple:
     return checked, None
 
 
-def _identity_of(group) -> GroupElement:
-    return group.identity
-
-
-def _enumerable_elements(group) -> Optional[tuple]:
-    if isinstance(group, FiniteGroup):
-        return group.elements()
-    return getattr(group, "store", None)
-
-
 def apply(rep: Representation, g: GroupElement, u):
     """Image of carrier point ``u`` under the transformation for ``g``."""
     return rep.apply(g, u)
@@ -672,10 +650,16 @@ class SameSideWitness:
 # -- checks ------------------------------------------------------------------
 
 
-def _plan(rep: Representation, sample, samples: int, seed: int, cost_fn):
-    """Decide exhaustive vs sampled; returns (exhaustive, mode string)."""
-    elements = _enumerable_elements(rep.group)
-    enumerable = elements is not None and rep.carrier.enumerable
+def _plan(
+    rep: Representation, sample, samples: int, seed: int, cost_fn, over_carrier=True
+):
+    """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store)``.
+
+    Exhaustive needs the group's store and, unless the check leaves the
+    carrier out (``over_carrier=False``), an enumerable carrier.
+    """
+    elements = rep.group.store
+    enumerable = elements is not None and (not over_carrier or rep.carrier.enumerable)
     if sample == "exhaustive":
         if not enumerable:
             raise InfeasibleExhaustive(
@@ -689,6 +673,30 @@ def _plan(rep: Representation, sample, samples: int, seed: int, cost_fn):
     if sample == "sampled":
         return False, f"sampled(k={samples}, seed={seed})", elements
     raise BasiskitError(f"unknown sampling mode {sample!r}")
+
+
+def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
+    """Run ``(witness, holds, residual)`` outcomes lazily until one fails.
+
+    ``checked`` counts up from its start value, the failing outcome
+    included; ``residual_max`` is the worst residual of the outcomes run.
+    """
+    residual = 0.0
+    for witness, holds, r in outcomes:
+        checked += 1
+        residual = max(residual, r)
+        if not holds:
+            return Verdict(False, mode, checked, witness, residual)
+    return Verdict(True, mode, checked, None, residual)
+
+
+def _sampled_triples(rep: Representation, samples: int, seed: int):
+    """``samples`` seeded triples ``(a, b, u)``, drawn in that order."""
+    rng = Random(seed)
+    for _ in range(samples):
+        a = sample_group_element(rep.group, rng)
+        b = sample_group_element(rep.group, rng)
+        yield a, b, rep.carrier.sample(rng)
 
 
 def _point_residual(carrier, x, y) -> float:
@@ -722,46 +730,28 @@ def check_axioms(
         rep, sample, samples, seed, lambda ng, nm: ng * ng * nm
     )
     carrier = rep.carrier
-    if not rep.transformation(_identity_of(rep.group)).is_identity():
+    if not rep.transformation(rep.group.identity).is_identity():
         return Verdict(False, mode, 1, ("identity",), detail="f(e) is not the identity")
 
-    checked = 1
-    residual = 0.0
     table = rep._action_table()
     if table is not None:
         return _table_axioms(rep, table, exhaustive, mode, elements, samples, seed)
 
-    def law_holds(a, b, u):
+    def outcome(a, b, u):
         ab = compose(rep.group, a, b)
         lhs = rep.apply(ab, u)
         if rep.side == "left":
             rhs = rep.apply(a, rep.apply(b, u))
         else:
             rhs = rep.apply(b, rep.apply(a, u))
-        return carrier.point_eq(lhs, rhs), _point_residual(carrier, lhs, rhs)
+        return (a, b, u), carrier.point_eq(lhs, rhs), _point_residual(carrier, lhs, rhs)
 
     if exhaustive:
-        points = carrier.points()
-        for a in elements:
-            for b in elements:
-                for u in points:
-                    ok, r = law_holds(a, b, u)
-                    checked += 1
-                    residual = max(residual, r)
-                    if not ok:
-                        return Verdict(False, mode, checked, (a, b, u), residual)
+        cases = itertools.product(elements, elements, carrier.points())
     else:
-        rng = Random(seed)
-        for _ in range(samples):
-            a = sample_group_element(rep.group, rng)
-            b = sample_group_element(rep.group, rng)
-            u = carrier.sample(rng)
-            ok, r = law_holds(a, b, u)
-            checked += 1
-            residual = max(residual, r)
-            if not ok:
-                return Verdict(False, mode, checked, (a, b, u), residual)
-    return Verdict(True, mode, checked, None, residual)
+        cases = _sampled_triples(rep, samples, seed)
+    # the identity law above is case 1
+    return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
 
 
 def _table_axioms(rep, table, exhaustive, mode, elements, samples, seed) -> Verdict:
@@ -787,18 +777,14 @@ def _table_axioms(rep, table, exhaustive, mode, elements, samples, seed) -> Verd
         a, b, j = failure
         witness = (elements[a], elements[b], rep.carrier.points()[j])
         return Verdict(False, mode, 1 + checked, witness, 0.0)
-    rng = Random(seed)
-    checked = 1
-    for _ in range(samples):
-        a = sample_group_element(rep.group, rng)
-        b = sample_group_element(rep.group, rng)
-        u = rep.carrier.sample(rng)
+
+    def outcome(a, b, u):
         ab, outer, inner = rows(a.payload, b.payload)
         j = _point_index(rep.carrier, u)
-        checked += 1
-        if ab[j] != outer[inner[j]]:
-            return Verdict(False, mode, checked, (a, b, u), 0.0)
-    return Verdict(True, mode, checked, None, 0.0)
+        return (a, b, u), ab[j] == outer[inner[j]], 0.0
+
+    cases = _sampled_triples(rep, samples, seed)
+    return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
 
 
 def check_variance(
@@ -811,19 +797,14 @@ def check_variance(
     exhaustive, mode, elements = _plan(
         rep, sample, samples, seed, lambda ng, nm: ng * ng * max(nm or 1, 1)
     )
-    if elements is None:
-        # variance needs group pairs even in sampled mode
+    if exhaustive:
+        pairs = list(itertools.product(elements, elements))
+    else:
         rng = Random(seed)
         pairs = [
             (sample_group_element(rep.group, rng), sample_group_element(rep.group, rng))
             for _ in range(samples)
         ]
-        mode = f"sampled(k={samples}, seed={seed})"
-    elif exhaustive:
-        pairs = list(itertools.product(elements, elements))
-    else:
-        rng = Random(seed)
-        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(samples)]
 
     homo_ok, anti_ok = True, True
     homo_witness, anti_witness = None, None
@@ -865,18 +846,20 @@ def inverse_law_check(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Verdict:
-    """Verify ``f(g^-1)`` equals the map inverse of ``f(g)`` for every ``g``."""
-    elements = _enumerable_elements(rep.group)
-    if elements is None:
+    """Verify ``f(g^-1)`` equals the map inverse of ``f(g)`` for every ``g``.
+
+    A law of the group alone: exhaustive over a stored group, otherwise
+    over ``samples`` seeded elements, whatever the carrier.
+    """
+    exhaustive, mode, elements = _plan(
+        rep, sample, samples, seed, lambda ng, nm: ng, over_carrier=False
+    )
+    if not exhaustive:
         rng = Random(seed)
         elements = [sample_group_element(rep.group, rng) for _ in range(samples)]
-        mode = f"sampled(k={samples}, seed={seed})"
-    else:
-        mode = "exhaustive"
     table = rep._action_table()
-    checked = 0
-    for g in elements:
-        checked += 1
+
+    def outcome(g):
         if table is not None:
             row = table[g.payload]
             inverted = [0] * len(row)
@@ -886,9 +869,9 @@ def inverse_law_check(
         else:
             expected = rep.transformation(rep.group.inverse_element(g))
             holds = transformations_equal(expected, rep.transformation(g).inverted())
-        if not holds:
-            return Verdict(False, mode, checked, (g,))
-    return Verdict(True, mode, checked, None)
+        return (g,), holds, 0.0
+
+    return _first_failure(mode, map(outcome, elements))
 
 
 # -- shifts and derived representations ---------------------------------------
@@ -972,7 +955,7 @@ def orbit(rep: Representation, base, cap: int = 100_000) -> Orbit:
     Points keep discovery order (the group's element order), so the
     result is deterministic.
     """
-    elements = _enumerable_elements(rep.group)
+    elements = rep.group.store
     if elements is None:
         raise InfeasibleExhaustive("orbit needs an enumerable group")
     if len(elements) > cap:
@@ -1094,7 +1077,7 @@ def direct_product(r1: Representation, r2: Representation) -> Representation:
 
 def kernel_of_inefficiency(rep: Representation) -> tuple:
     """Elements assigned the identity transformation, in element order."""
-    elements = _enumerable_elements(rep.group)
+    elements = rep.group.store
     if elements is None:
         raise InfeasibleExhaustive("kernel needs an enumerable group")
     table = rep._action_table()
@@ -1111,14 +1094,13 @@ def classify(rep: Representation) -> ClassificationReport:
     independently cross-checked by counting transports for every ordered
     pair of carrier points; the report records whether the two agree.
     """
-    elements = _enumerable_elements(rep.group)
+    elements = rep.group.store
     if elements is None or not rep.carrier.enumerable:
         raise InfeasibleExhaustive("classification needs enumerable group and carrier")
     axioms = check_axioms(rep)
     variance = check_variance(rep)
     kernel = kernel_of_inefficiency(rep)
-    identity = _identity_of(rep.group)
-    effective = len(kernel) == 1 and kernel[0].eq_to(identity)
+    effective = len(kernel) == 1 and kernel[0].eq_to(rep.group.identity)
 
     carrier = rep.carrier
     all_points = carrier.points()
@@ -1182,7 +1164,7 @@ def solve_transport(rep: Representation, u, v) -> GroupElement:
         if not carrier.point_eq(rep.apply(g, u), v):
             raise NoSolution("structural solver produced a non-transport")
         return g
-    elements = _enumerable_elements(rep.group)
+    elements = rep.group.store
     if elements is None:
         raise InfeasibleExhaustive("transport needs stored elements or a solver")
     matches = [g for g in elements if carrier.point_eq(rep.apply(g, u), v)]
@@ -1196,8 +1178,16 @@ def solve_transport(rep: Representation, u, v) -> GroupElement:
 
 
 def shifts_commute_check(group, sample: str = "auto") -> Verdict:
-    """Left and right shifts commute: ``a (c b) = (a c) b`` over all triples."""
-    elements = _enumerable_elements(group)
+    """Left and right shifts commute: ``a (c b) = (a c) b`` over all triples.
+
+    Always exhaustive: there is no seed to sample with, so a ``sample``
+    other than ``"auto"`` or ``"exhaustive"`` is rejected.
+    """
+    if sample not in ("auto", "exhaustive"):
+        raise BasiskitError(
+            f"shift commutation runs exhaustively only, got sample mode {sample!r}"
+        )
+    elements = group.store
     if elements is None:
         raise InfeasibleExhaustive("shift commutation needs enumerable elements")
     if isinstance(group, FiniteGroup):
@@ -1209,16 +1199,14 @@ def shifts_commute_check(group, sample: str = "auto") -> Verdict:
             witness = tuple(elements[i] for i in failure)
             return Verdict(False, "exhaustive", checked, witness)
         return Verdict(True, "exhaustive", checked, None)
-    checked = 0
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                lhs = compose(group, a, compose(group, c, b))
-                rhs = compose(group, compose(group, a, c), b)
-                checked += 1
-                if not lhs.eq_to(rhs):
-                    return Verdict(False, "exhaustive", checked, (a, b, c))
-    return Verdict(True, "exhaustive", checked, None)
+
+    def outcome(a, b, c):
+        lhs = compose(group, a, compose(group, c, b))
+        rhs = compose(group, compose(group, a, c), b)
+        return (a, b, c), lhs.eq_to(rhs), 0.0
+
+    cases = itertools.product(elements, repeat=3)
+    return _first_failure("exhaustive", itertools.starmap(outcome, cases))
 
 
 def twin_representation(rep: Representation, origin=None) -> Representation:
@@ -1276,7 +1264,7 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
         raise MixedGroups("commutation check needs one common group")
     if rep1.carrier is not rep2.carrier:
         raise CarrierMismatch("commutation check needs one common carrier")
-    elements = _enumerable_elements(rep1.group)
+    elements = rep1.group.store
     if elements is None or not rep1.carrier.enumerable:
         raise InfeasibleExhaustive("commutation check needs enumerable domains")
     carrier = rep1.carrier
@@ -1291,18 +1279,15 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
             witness = (elements[a], elements[b], points[j])
             return Verdict(False, "exhaustive", checked, witness, 0.0)
         return Verdict(True, "exhaustive", checked, None, 0.0)
-    checked = 0
-    residual = 0.0
-    for a in elements:
-        for b in elements:
-            for w in points:
-                lhs = rep1.apply(a, rep2.apply(b, w))
-                rhs = rep2.apply(b, rep1.apply(a, w))
-                checked += 1
-                residual = max(residual, _point_residual(carrier, lhs, rhs))
-                if not carrier.point_eq(lhs, rhs):
-                    return Verdict(False, "exhaustive", checked, (a, b, w), residual)
-    return Verdict(True, "exhaustive", checked, None, residual)
+
+    def outcome(a, b, w):
+        lhs = rep1.apply(a, rep2.apply(b, w))
+        rhs = rep2.apply(b, rep1.apply(a, w))
+        residual = _point_residual(carrier, lhs, rhs)
+        return (a, b, w), carrier.point_eq(lhs, rhs), residual
+
+    cases = itertools.product(elements, elements, points)
+    return _first_failure("exhaustive", itertools.starmap(outcome, cases))
 
 
 def same_side_noncommuting_witness(group) -> Optional[SameSideWitness]:
@@ -1312,10 +1297,9 @@ def same_side_noncommuting_witness(group) -> Optional[SameSideWitness]:
     ``a b != b a``, evaluated at the point ``b`` of the left shift's
     carrier with origin at the identity.
     """
-    elements = _enumerable_elements(group)
+    elements = group.store
     if elements is None:
         raise InfeasibleExhaustive("witness search needs enumerable elements")
-    identity = _identity_of(group)
     for a in elements:
         for b in elements:
             ab = compose(group, a, b)
@@ -1327,7 +1311,7 @@ def same_side_noncommuting_witness(group) -> Optional[SameSideWitness]:
                 return SameSideWitness(
                     a=a,
                     b=b,
-                    origin=identity,
+                    origin=group.identity,
                     point=b,
                     same_side_value=ab,
                     required_value=ba,

@@ -80,11 +80,8 @@ def sample_group_element(group, rng: Random) -> GroupElement:
     Stored elements are sampled uniformly.  Matrix families without a
     store fall back to family-specific generators where one exists.
     """
-    store = getattr(group, "store", None)
-    if store is not None:
-        return rng.choice(store)
-    if hasattr(group, "table"):
-        return rng.choice(group.elements())
+    if group.store is not None:
+        return rng.choice(group.store)
     family = getattr(group, "family", None)
     if family == "GL":
         return group.element(random_invertible_matrix(rng, group.dim, group.backend))

@@ -9,6 +9,7 @@ check for agreement and raise :class:`~basiskit.errors.BackendMismatch`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -82,9 +83,6 @@ class Backend:
             return x == y
         return abs(x - y) <= self.tolerance
 
-    def is_zero(self, x: Scalar) -> bool:
-        return self.eq(x, self.zero())
-
     def require_same(self, other: "Backend") -> None:
         if self != other:
             raise BackendMismatch(f"backends differ: {self} vs {other}")
@@ -119,17 +117,23 @@ def scalar_from_json(value, backend: Backend) -> Scalar:
     """Parse a descriptor scalar.
 
     Exact accepts ``"num/den"`` strings and integers; approx accepts any
-    JSON number and also fraction strings (evaluated to float).
+    JSON number and also fraction strings (evaluated to float).  Neither
+    accepts a non-finite number (JSON ``1e400``, ``Infinity``, ``NaN``)
+    or, under approx, a value too large for a float.
     """
     if isinstance(value, str):
         try:
             f = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            return f if backend.is_exact else float(f)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"bad scalar literal {value!r}: {exc}") from None
-        return f if backend.is_exact else float(f)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"bad scalar literal {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ParseError(f"scalar {value!r} is not a finite number")
     try:
         return backend.coerce(value)
     except BackendMismatch as exc:
         raise ParseError(str(exc)) from None
+    except OverflowError:
+        raise ParseError("integer scalar is too large for a float") from None

@@ -29,7 +29,7 @@ from basiskit.errors import (
 )
 from basiskit.groups import MatrixGroup, boost_2d, rotation_2d
 from basiskit.matrices import Matrix
-from basiskit.representations import check_axioms, solve_transport
+from basiskit.representations import Verdict, check_axioms, solve_transport
 from basiskit.scalars import APPROX, EXACT, approx
 
 F = Fraction
@@ -225,6 +225,28 @@ def test_coordinate_rep_check_sampled_exact():
     result = coordinate_representation_check(gl3, samples=25, seed=11)
     assert result.passed
     assert result.composition.residual_max == 0.0
+
+
+def test_coordinate_rep_check_reports_its_first_failure():
+    # with a tolerance of 1e-300, float rounding breaks the composition law;
+    # the count, witness and residual pin the first failing case
+    tiny = approx(1e-300)
+    group = MatrixGroup.general_linear(
+        2, tiny, elements=[rotation_2d(2 * math.pi * k / 5, tiny) for k in range(5)]
+    )
+    result = coordinate_representation_check(group)
+    composition = result.composition
+    assert not result.passed
+    assert (composition.passed, composition.mode, composition.checked) == (
+        False,
+        "exhaustive-pairs(25)",
+        19,
+    )
+    a, b, v = composition.counterexample
+    assert a is group.store[1] and b is group.store[1]
+    assert v == (1.9764279855179687, 0.7111185141854763)
+    assert composition.residual_max == 2.220446049250313e-16
+    assert result.effectiveness == Verdict(True, "exhaustive-pairs(25)", 5, None, 0.0)
 
 
 # -- orthonormalisation ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,20 @@ def test_repcheck_text_report(tmp_path, capsys):
     assert code == 0
     assert "PASS" in out
     assert "axioms" in out
+
+
+def test_repcheck_sampled_runs_a_sampled_inverse_law(tmp_path, capsys):
+    argv = ["repcheck", "--input", shift_rep(tmp_path), "--sample", "sampled"]
+    code = main(argv + ["--samples", "6", "--seed", "5", "--report", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    inverse = next(line for line in out["checks"] if line["name"] == "inverse-law")
+    assert inverse == {
+        "name": "inverse-law",
+        "passed": True,
+        "mode": "sampled(k=6, seed=5)",
+        "checked": 6,
+    }
 
 
 def test_repcheck_catches_a_broken_assignment(tmp_path, capsys):
@@ -422,6 +437,12 @@ def test_selftest_json_is_deterministic(capsys):
     assert payload["data"]["seed"] == 42
 
 
+def test_selftest_json_matches_the_golden_report(capsys):
+    golden = Path(__file__).parent / "golden" / "selftest_seed42.json"
+    assert main(["selftest", "--seed", "42", "--report", "json"]) == 0
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
 def test_missing_file_is_exit_2(tmp_path, capsys):
     code = main(["repcheck", "--input", str(tmp_path / "nope.json")])
     assert code == 2
@@ -629,6 +650,25 @@ def plane_basis():
 def test_malformed_descriptor_field_is_exit_2(tmp_path, capsys, argv, doc):
     path = write(tmp_path, "doc.json", doc)
     assert_one_line_error(main([path if a == "DOC" else a for a in argv]), capsys)
+
+
+NON_FINITE = ["1e400", "-1e400", "Infinity", "NaN"]
+
+
+@pytest.mark.parametrize(
+    "backend, entry",
+    [(b, e) for b in ("--exact", "--approx") for e in NON_FINITE]
+    # too large for a float, though finite: a fraction string and an integer
+    + [("--approx", '"1e400"'), ("--approx", "1" + "0" * 400)],
+    ids=lambda value: value if len(value) < 20 else "10**400",
+)
+def test_non_finite_scalar_is_exit_2(tmp_path, capsys, backend, entry):
+    line = {"kind": "euclid", "dim": 1}
+    basis = tmp_path / "basis.json"
+    basis.write_text('{"space": %s, "vectors": [[%s]]}' % (json.dumps(line), entry))
+    reference = write(tmp_path, "ref.json", {"space": line, "vectors": [[1]]})
+    argv = ["basis", "standard-coords", "--input", str(basis), "--reference", reference]
+    assert_one_line_error(main(argv + [backend]), capsys)
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])

@@ -35,7 +35,8 @@ from basiskit.objects import (
     vector_space_axioms_check,
     weight_dim,
 )
-from basiskit.scalars import EXACT
+from basiskit.representations import Verdict
+from basiskit.scalars import EXACT, approx
 
 F = Fraction
 
@@ -326,3 +327,24 @@ def test_vector_space_axioms():
     assert verdict.passed
     assert verdict.checked == 280
     assert verdict.mode == "sampled(k=40, seed=5)"
+
+
+def test_vector_space_axioms_report_the_first_failing_law():
+    # float rounding breaks distributivity under a tolerance of 1e-300; the
+    # count and witness pin the first failing law
+    tiny = approx(1e-300)
+    anchor = Basis.make(VectorSpace("central_affine", 2, tiny), [[1, 0], [0, 1]])
+    group = MatrixGroup.general_linear(2, tiny, elements=[[[1, 0], [0, 1]]])
+    verdict = vector_space_axioms_check(fundamental_functor(), anchor, group, seed=1)
+    assert verdict == Verdict(
+        False,
+        "sampled(k=100, seed=1)",
+        5,
+        (
+            "distributive",
+            (-2.1938145353255925, 2.084602421623396),
+            (1.582647713859684, -1.4695858455634698),
+            0.9095578363365777,
+        ),
+        0.0,
+    )

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from basiskit.errors import (
+    BasiskitError,
     CarrierMismatch,
     InfeasibleExhaustive,
     MixedGroups,
@@ -33,6 +34,8 @@ from basiskit.representations import (
     MappingTransformation,
     Representation,
     SelfCarrier,
+    Verdict,
+    _first_failure,
     check_axioms,
     check_variance,
     classify,
@@ -201,6 +204,35 @@ def test_shifts_commute():
         assert shifts_commute_check(group).passed
 
 
+@pytest.mark.parametrize("sample", ["sampled", "bogus"])
+def test_shifts_commute_refuses_a_sample_it_cannot_take(sample):
+    with pytest.raises(BasiskitError):
+        shifts_commute_check(cyclic_group(4), sample)
+
+
+# -- the first-failure loop -------------------------------------------------------
+
+
+def test_first_failure_counts_the_failing_case_and_stops_there():
+    consumed = []
+
+    def outcomes():
+        cases = [("a", True, 0.5), ("b", False, 0.25), ("c", False, 9.0)]
+        for witness, holds, residual in cases:
+            consumed.append(witness)
+            yield witness, holds, residual
+
+    verdict = _first_failure("mode", outcomes(), checked=1)
+    assert verdict == Verdict(False, "mode", 3, "b", 0.5)
+    assert consumed == ["a", "b"]
+
+
+def test_first_failure_passes_with_the_worst_residual():
+    cases = [((1,), True, 0.0), ((2,), True, 3.0), ((3,), True, 1.0)]
+    assert _first_failure("m", iter(cases)) == Verdict(True, "m", 3, None, 3.0)
+    assert _first_failure("m", iter([])) == Verdict(True, "m", 0, None, 0.0)
+
+
 # -- the natural matrix action ---------------------------------------------------
 
 
@@ -256,6 +288,28 @@ def test_row_action_on_the_left_side_fails():
     assert not check_axioms(rep, samples=40).passed
 
 
+def test_sampled_axioms_report_the_first_drawn_failure():
+    # draws come in the order a, b, u: the witness pins which draw fails first
+    group = _stored_gl2()
+    carrier = CoordCarrier(2, "row", EXACT)
+    rep = Representation(
+        group, carrier, "left", lambda g: LinearTransformation(carrier, g.payload)
+    )
+    verdict = check_axioms(rep, "sampled", samples=40, seed=3)
+    assert (verdict.passed, verdict.mode, verdict.checked) == (
+        False,
+        "sampled(k=40, seed=3)",
+        2,
+    )
+    assert verdict.counterexample == (group.store[1], group.store[4], (F(8, 3), F(1, 4)))
+    s3 = symmetric_group(3)
+    shift = left_shift(s3)
+    misdeclared = Representation(s3, shift.carrier, "right", shift.transformation)
+    verdict = check_axioms(misdeclared, "sampled", samples=40, seed=3)
+    assert verdict.checked == 2
+    assert [g.payload for g in verdict.counterexample] == [1, 4, 4]
+
+
 def test_coordinate_style_action_is_contravariant():
     # components pick up the inverse grid; classification against the
     # grid product flips to the antihomomorphism reading
@@ -276,6 +330,22 @@ def test_exhaustive_demand_on_coordinates_is_refused():
     rep = natural_action(_stored_gl2(), "column")
     with pytest.raises(InfeasibleExhaustive):
         check_axioms(rep, sample="exhaustive")
+
+
+def test_inverse_law_honours_the_sample_mode():
+    # a law of the group alone: a stored group runs exhaustively even on a
+    # coordinate carrier, and "sampled" draws seeded elements instead
+    rep = natural_action(_stored_gl2(), "column")
+    assert inverse_law_check(rep) == Verdict(True, "exhaustive", 5, None)
+    assert inverse_law_check(rep, "sampled", samples=7, seed=3) == Verdict(
+        True, "sampled(k=7, seed=3)", 7, None
+    )
+    with pytest.raises(BasiskitError):
+        inverse_law_check(rep, "bogus")
+    unstored = natural_action(MatrixGroup.general_linear(2), "column")
+    assert inverse_law_check(unstored, samples=4).mode == "sampled(k=4, seed=42)"
+    with pytest.raises(InfeasibleExhaustive):
+        inverse_law_check(unstored, "exhaustive")
 
 
 # -- contragredient ---------------------------------------------------------------
@@ -629,6 +699,13 @@ def test_table_inverse_law_and_kernel_match_generic(compiled_and_generic):
     rep, generic = compiled_and_generic
     assert inverse_law_check(rep) == inverse_law_check(generic)
     assert kernel_of_inefficiency(rep) == kernel_of_inefficiency(generic)
+
+
+def test_table_sampled_inverse_law_matches_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    for seed in (0, 7):
+        fast = inverse_law_check(rep, "sampled", samples=20, seed=seed)
+        assert fast == inverse_law_check(generic, "sampled", samples=20, seed=seed)
 
 
 def test_table_orbits_match_generic(compiled_and_generic):
