@@ -342,11 +342,20 @@ def coordinate_representation_check(
         mode = f"sampled(k={samples}, seed={seed})"
         elements = [a for a, _ in pairs]
 
+    inverses: dict = {}
+
+    def inverse_grid(a):
+        # each element is inverted once per check, on first use
+        if id(a) not in inverses:
+            inverses[id(a)] = _linear_grid(a).inverse()
+        return inverses[id(a)]
+
     def composition_outcomes():
         for a, b in pairs:
             grid_a, grid_b = _linear_grid(a), _linear_grid(b)
+            # the independent side of the law, never built from the steps
             once = grid_b.mul(grid_a).inverse()
-            step_a, step_b = grid_a.inverse(), grid_b.inverse()
+            step_a, step_b = inverse_grid(a), inverse_grid(b)
             for _ in range(vectors_per_pair):
                 v = random_vector(rng, n, backend)
                 stepped = step_b.vecmat(step_a.vecmat(v))
@@ -360,11 +369,9 @@ def coordinate_representation_check(
     ]
 
     def effective(a):
-        grid = _linear_grid(a)
-        inv = grid.inverse()
-        moved = [inv.vecmat(e) for e in kron]
+        moved = [inverse_grid(a).vecmat(e) for e in kron]
         fixes_all = all(vec_eq(m, e, backend) for m, e in zip(moved, kron))
-        return (a,), not (fixes_all and not grid.is_identity()), 0.0
+        return (a,), not (fixes_all and not _linear_grid(a).is_identity()), 0.0
 
     composition = _first_failure(mode, composition_outcomes())
     effectiveness = _first_failure(mode, map(effective, elements))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -504,50 +505,104 @@ class MatrixGroup:
 
         Breadth-first products until nothing new appears; raises
         :class:`EnumerationCapExceeded` rather than truncating when the
-        closure grows past ``cap``.
+        closure grows past ``cap``, and, on the float backend, at the first
+        product with a non-finite entry.
         """
         gens = [self.element(g) for g in generators]
-        seen: list = [self.identity]
-        if self.backend.is_exact:
-            index = {self._identity_payload: 0}
-        else:
-            index = None
+        found = _ClosureIndex(self)
+        found.add(self.identity)
         frontier = [self.identity]
         while frontier:
             new_frontier = []
             for current in frontier:
                 for g in gens:
                     candidate = self.compose_elements(current, g)
-                    if index is not None:
-                        if candidate.payload in index:
-                            continue
-                    else:
-                        if any(candidate.eq_to(s) for s in seen):
-                            continue
-                    if len(seen) >= cap:
+                    if not found.add(candidate):
+                        continue
+                    if len(found.elements) > cap:
                         raise EnumerationCapExceeded(
-                            f"closure exceeded the cap of {cap} elements"
+                            f"closure exceeded the cap of {cap} elements "
+                            f"({len(found.elements) - 1} found, "
+                            f"frontier of {len(frontier)})"
                         )
-                    if index is not None:
-                        index[candidate.payload] = len(seen)
-                    seen.append(candidate)
                     new_frontier.append(candidate)
             frontier = new_frontier
-        self.store = tuple(seen)
+        self.store = tuple(found.elements)
 
-    @classmethod
-    def from_generators(
-        cls,
-        family: str,
-        dim: int,
-        backend: Backend,
-        generators: Sequence,
-        signature: Optional[tuple] = None,
-        cap: int = DEFAULT_CLOSURE_CAP,
-    ) -> "MatrixGroup":
-        group = cls(family, dim, backend, signature=signature)
-        group.close_over(generators, cap=cap)
-        return group
+
+# A float closure files payloads in square cells this many tolerances wide.
+_CELL_TOLERANCES = 4
+# Cell coordinates at least this large are computed exactly, not rounded.
+_CELL_LIMIT = 2.0**50
+
+
+def _flat_entries(payload) -> list:
+    """Matrix entries row by row; for an affine map, then the translation."""
+    if isinstance(payload, AffineTransform):
+        return [x for row in payload.linear.entries for x in row] + list(
+            payload.translation
+        )
+    return [x for row in payload.entries for x in row]
+
+
+class _ClosureIndex:
+    """The elements a closure has found, in order, with a lookup under the
+    group's equality.
+
+    Exact payloads are hashed whole.  A float payload is filed in the cell
+    ``(floor(x0 / w), floor(x1 / w))`` of its first two flattened entries,
+    ``w`` a fixed multiple of the tolerance: a payload equal to it lies
+    within the tolerance entrywise, hence in one of the nine cells around
+    it, and every element found there is confirmed with ``eq_to`` (the
+    cell grid for fixed-radius near neighbours of Bentley, Stanat &
+    Williams, Inf. Proc. Letters 6(6), 1977).
+    """
+
+    def __init__(self, group: MatrixGroup):
+        self.elements: list = []
+        self._exact = group.backend.is_exact
+        self._width = _CELL_TOLERANCES * group.backend.tolerance
+        self._payloads: set = set()
+        self._cells: dict = {}
+
+    def add(self, element: GroupElement) -> bool:
+        """Append ``element`` unless an equal one is already found; True
+        when it was new."""
+        if self._exact:
+            if element.payload in self._payloads:
+                return False
+            self._payloads.add(element.payload)
+        elif not self._file(element):
+            return False
+        self.elements.append(element)
+        return True
+
+    def _file(self, element: GroupElement) -> bool:
+        flat = _flat_entries(element.payload)
+        if not all(map(math.isfinite, flat)):
+            raise EnumerationCapExceeded(
+                "closure left the float range: a product has a non-finite "
+                f"entry after {len(self.elements)} elements"
+            )
+        c0 = self._cell(flat[0])
+        c1 = self._cell(flat[1]) if len(flat) > 1 else 0
+        cells, eq = self._cells, element.eq_to
+        for d0 in (-1, 0, 1):
+            for d1 in (-1, 0, 1):
+                for other in cells.get((c0 + d0, c1 + d1), ()):
+                    if eq(other):
+                        return False
+        cells.setdefault((c0, c1), []).append(element)
+        return True
+
+    def _cell(self, x: float) -> int:
+        # Entries within the tolerance are at most a quarter cell apart;
+        # below the limit ``x / width`` rounds by less than an eighth of a
+        # cell, so their cells are the same or adjacent.
+        q = x / self._width
+        if abs(q) < _CELL_LIMIT:
+            return math.floor(q)
+        return Fraction(x) // Fraction(self._width)
 
 
 def membership_check(group: MatrixGroup, payload) -> tuple:

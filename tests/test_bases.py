@@ -249,6 +249,26 @@ def test_coordinate_rep_check_reports_its_first_failure():
     assert result.effectiveness == Verdict(True, "exhaustive-pairs(25)", 5, None, 0.0)
 
 
+def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
+    # one inverse per pair for the product, one per element for the steps
+    calls = [0]
+    inverse = Matrix.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    group = MatrixGroup.metric_preserving(
+        2, 0, elements=[rotation_2d(k * math.pi / 5) for k in range(5)]
+    )
+    assert coordinate_representation_check(group, seed=7).passed
+    assert calls[0] == 25 + 5
+    calls[0] = 0
+    assert coordinate_representation_check(MatrixGroup.general_linear(2), samples=9).passed
+    assert calls[0] == 9 + 2 * 9
+
+
 # -- orthonormalisation ------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Command line behaviour: outputs, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -730,3 +731,56 @@ def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypa
 
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
+
+
+def test_float_jobs_match_the_golden_output(capsys):
+    # SO(2) and SO(3) closures behind an object sweep, coordrep and repcheck;
+    # the expected output was written before float closure used a cell index
+    golden = Path(__file__).parent / "golden" / "float"
+    jobs = json.loads((golden / "expected.json").read_text(encoding="utf-8"))
+    for name, job in jobs.items():
+        argv = [str(golden / a) if a.endswith(".json") else a for a in job["argv"]]
+        assert main(argv) == job["rc"], name
+        out, err = capsys.readouterr()
+        assert (out, err) == (job["stdout"], ""), name
+
+
+def test_float_closure_past_the_float_range_is_exit_1(tmp_path, capsys, monkeypatch):
+    # the powers of a boost of rapidity 3 overflow after 237 elements; the
+    # closure stops there instead of scanning on to the default cap
+    from basiskit.groups import GroupElement, boost_2d
+
+    calls = [0]
+    eq_to = GroupElement.eq_to
+
+    def counted(self, other):
+        calls[0] += 1
+        return eq_to(self, other)
+
+    monkeypatch.setattr(GroupElement, "eq_to", counted)
+    boost = [x for row in boost_2d(3.0).entries for x in row]
+    group = write(
+        tmp_path,
+        "boost.json",
+        {"kind": "matrix", "family": "SO", "dim": 2, "signature": [1, 1], "generators": [boost]},
+    )
+    assert main(["basis", "coordrep", "--group", group]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: EnumerationCapExceeded: closure left the float range")
+    assert err.count("\n") == 1
+    assert calls[0] <= 2 * 240
+
+
+def test_float_closure_cap_bounds_its_running_time(tmp_path, capsys):
+    # a rotation by one radian has infinite order; the cap stops the closure
+    rotation = [math.cos(1.0), -math.sin(1.0), math.sin(1.0), math.cos(1.0)]
+    group = write(
+        tmp_path,
+        "so2.json",
+        {"kind": "matrix", "family": "SO", "dim": 2, "generators": [rotation]},
+    )
+    assert main(["basis", "coordrep", "--group", group, "--cap", "2000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: EnumerationCapExceeded: closure exceeded the cap of 2000 elements "
+        "(2000 found, frontier of 1)\n"
+    )

@@ -1,6 +1,7 @@
 """Multiplication tables, matrix families, and the affine composition rule."""
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -15,7 +16,9 @@ from basiskit.errors import (
     MixedGroups,
 )
 from basiskit.groups import (
+    DEFAULT_CLOSURE_CAP,
     AffineTransform,
+    GroupElement,
     _generating_set,
     MatrixGroup,
     affine_apply,
@@ -424,3 +427,199 @@ def test_permutation_matrices_compose_like_permutations():
             assert permutation_matrix(p).mul(permutation_matrix(q)).eq(
                 permutation_matrix(pq)
             )
+
+
+# -- float closure through the cell index ----------------------------------------
+
+
+def scan_closure(group, generators, cap=DEFAULT_CLOSURE_CAP):
+    """The closure by a scan of every element found so far: the reference
+    for ``close_over``.  Returns the payloads in the order found, or the
+    message of the cap error."""
+    gens = [group.element(g) for g in generators]
+    seen = [group.identity]
+    frontier = [group.identity]
+    while frontier:
+        new_frontier = []
+        for current in frontier:
+            for g in gens:
+                candidate = compose(group, current, g)
+                if any(candidate.eq_to(s) for s in seen):
+                    continue
+                if len(seen) >= cap:
+                    return (
+                        f"closure exceeded the cap of {cap} elements "
+                        f"({len(seen)} found, frontier of {len(frontier)})"
+                    )
+                seen.append(candidate)
+                new_frontier.append(candidate)
+        frontier = new_frontier
+    return [s.payload for s in seen]
+
+
+def indexed_closure(group, generators, cap=DEFAULT_CLOSURE_CAP):
+    try:
+        group.close_over(generators, cap=cap)
+    except EnumerationCapExceeded as exc:
+        return str(exc)
+    return [s.payload for s in group.store]
+
+
+def assert_same_closure(make_group, generators, cap=DEFAULT_CLOSURE_CAP):
+    """Equal stores (payloads compared with ``==``, in order) or the same
+    cap point, through two fresh groups."""
+    expected = scan_closure(make_group(), generators, cap)
+    assert indexed_closure(make_group(), generators, cap) == expected
+    return expected
+
+
+def rotation_3d(axis, angle):
+    """Rodrigues' rotation about ``axis`` by ``angle``."""
+    norm = math.sqrt(sum(a * a for a in axis))
+    x, y, z = (a / norm for a in axis)
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1.0 - c
+    return Matrix.from_rows(
+        [
+            [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
+            [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
+            [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
+        ],
+        APPROX,
+    )
+
+
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+# Generators of the rotation groups T (order 12), O (24), I (60) and D<m> (2m).
+SO3_GENERATORS = {
+    "T": [((1, 1, 1), 2 * math.pi / 3), ((0, 0, 1), math.pi)],
+    "O": [((0, 0, 1), math.pi / 2), ((1, 1, 1), 2 * math.pi / 3)],
+    "I": [((0, 1, PHI), 2 * math.pi / 5), ((1, 1, 1), 2 * math.pi / 3)],
+    **{
+        f"D{m}": [((0, 0, 1), 2 * math.pi / m), ((1, 0, 0), math.pi)]
+        for m in (2, 3, 5, 12, 30)
+    },
+}
+SO3_ORDERS = {"T": 12, "O": 24, "I": 60, "D2": 4, "D3": 6, "D5": 10, "D12": 24, "D30": 60}
+
+
+def test_indexed_closure_of_so2_matches_the_scan():
+    rng = Random(2)
+    so2 = lambda: MatrixGroup.metric_preserving(2, 0)
+    # every order up to 40, then a spread up to 200 (the scan is quadratic)
+    for m in [*range(1, 41), *range(47, 200, 19), 200]:
+        k = rng.choice([k for k in range(1, m) if math.gcd(k, m) == 1] or [0])
+        store = assert_same_closure(so2, [rotation_2d(2 * math.pi * k / m)])
+        assert len(store) == m
+
+
+@pytest.mark.parametrize("name", sorted(SO3_GENERATORS))
+def test_indexed_closure_of_so3_matches_the_scan(name):
+    rng = Random(name)
+    so3 = lambda: MatrixGroup.metric_preserving(3, 0)
+    for _ in range(3):
+        r = rotation_3d([rng.gauss(0, 1) for _ in range(3)], rng.uniform(0, 2 * math.pi))
+        gens = [
+            r.mul(rotation_3d(axis, angle)).mul(r.transpose())
+            for axis, angle in SO3_GENERATORS[name]
+        ]
+        assert len(assert_same_closure(so3, gens)) == SO3_ORDERS[name]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+def test_indexed_closure_of_near_ties_matches_the_scan(tol, factor):
+    # products that differ from stored elements by tol * (1 -+ 1e-3), in a
+    # cell-key entry and in an entry outside the key
+    backend = approx(tol)
+    gl = lambda n: (lambda: MatrixGroup.general_linear(n, backend))
+    d = tol * factor
+    for entry in [(0, 0), (0, 1), (1, 1)]:
+        tie = [[0.0, -1.0], [1.0, 0.0]]
+        tie[entry[0]][entry[1]] += d
+        quarter = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], backend)
+        assert_same_closure(gl(2), [quarter, Matrix.from_rows(tie, backend)], cap=120)
+    flip = Matrix.from_rows([[-1.0, 0.0], [0.0, 1.0]], backend)
+    near_flip = Matrix.from_rows([[-(1.0 + d), 0.0], [0.0, 1.0]], backend)
+    capped = factor > 1
+    result = assert_same_closure(gl(2), [flip, near_flip], cap=100)
+    assert isinstance(result, str) == capped
+    rng = Random(f"{tol}/{factor}")
+    for _ in range(5):
+        m = rng.randrange(3, 40)
+        theta = 2 * math.pi / m
+        c, s = math.cos(theta), math.sin(theta)
+        eps = d / max(abs(c), abs(s))
+        gens = [rotation_2d(theta, backend), rotation_2d(theta + eps, backend)]
+        assert_same_closure(gl(2), gens, cap=120)
+    assert_same_closure(
+        gl(1), [Matrix.from_rows([[-1.0]], backend), Matrix.from_rows([[-1.0 - d]], backend)], cap=100
+    )
+
+
+@pytest.mark.parametrize("scale", [1e6, 2.0**50 * 4e-9, 1e9, 1e12])
+def test_indexed_closure_of_large_entries_matches_the_scan(scale):
+    # 2**50 * 4e-9 puts entries on both sides of the point where cell
+    # coordinates (entry / 4e-9) are no longer rounded but computed exactly
+    gl2 = lambda: MatrixGroup.general_linear(2, approx())
+    for m in (4, 6, 12):
+        r = rotation_2d(2 * math.pi / m)
+        (c, ms), (s, _) = r.entries
+        stretched = Matrix.from_rows([[c, ms / scale], [s * scale, c]], APPROX)
+        assert_same_closure(gl2, [stretched], cap=150)
+    affine1 = lambda: MatrixGroup.affine(1, approx())
+    one = Matrix.from_rows([[1.0]], APPROX)
+    for shift, tie in [(scale, 1e-9 * 0.999), (scale * 0.999, 1e-9 * 1.001)]:
+        gens = [AffineTransform(one, (shift,)), AffineTransform(one, (shift + tie,))]
+        assert_same_closure(affine1, gens, cap=150)
+    gl1 = lambda: MatrixGroup.general_linear(1, approx())
+    assert_same_closure(gl1, [Matrix.from_rows([[-scale]], APPROX)], cap=20)
+
+
+def test_indexed_closure_of_affine_groups_matches_the_scan():
+    rng = Random(3)
+    affine2 = lambda: MatrixGroup.affine(2, approx())
+    for m in (2, 5, 12, 40):
+        r = rotation_2d(2 * math.pi / m)
+        turn = AffineTransform(r, (rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        assert len(assert_same_closure(affine2, [turn])) == m
+        other = AffineTransform(r, (rng.uniform(-5, 5), rng.uniform(-5, 5)))
+        assert_same_closure(affine2, [turn, other], cap=150)
+
+
+@pytest.mark.parametrize("tol", [1e-320, 1e-300, 1e-6, 1e-2, 0.3])
+def test_indexed_closure_with_other_tolerances_matches_the_scan(tol):
+    # below about 1e-300, entry / (4 * tol) overflows and the cell is
+    # computed exactly; rotations then rarely close, so the cap is low
+    so2 = lambda: MatrixGroup.metric_preserving(2, 0, backend=approx(tol))
+    for m in (7, 50, 200):
+        assert_same_closure(so2, [rotation_2d(2 * math.pi / m, approx(tol))], cap=120)
+
+
+def test_indexed_closure_comparisons_grow_linearly(monkeypatch):
+    calls = [0]
+    eq_to = GroupElement.eq_to
+
+    def counted(self, other):
+        calls[0] += 1
+        return eq_to(self, other)
+
+    monkeypatch.setattr(GroupElement, "eq_to", counted)
+    so2 = MatrixGroup.metric_preserving(2, 0)
+    so2.close_over([rotation_2d(2 * math.pi * 7 / 200)])
+    assert len(so2.store) == 200
+    assert calls[0] <= 2 * len(so2.store)
+    calls[0] = 0
+    so3 = MatrixGroup.metric_preserving(3, 0)
+    so3.close_over([rotation_3d(axis, angle) for axis, angle in SO3_GENERATORS["I"]])
+    assert len(so3.store) == 60
+    assert calls[0] <= 2 * 2 * len(so3.store)
+
+
+def test_closure_cap_error_says_how_far_it_got():
+    gl1 = MatrixGroup.general_linear(1, EXACT)
+    with pytest.raises(EnumerationCapExceeded, match=r"cap of 50 elements \(50 found, frontier of 1\)"):
+        gl1.close_over([Matrix.from_rows([[2]], EXACT)], cap=50)
+    with pytest.raises(EnumerationCapExceeded, match=r"\(1 found, frontier of 1\)"):
+        gl1.close_over([Matrix.from_rows([[2]], EXACT)], cap=0)
