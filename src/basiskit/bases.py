@@ -175,6 +175,11 @@ class CoordinateVector:
         return self.basis.rows().vecmat(self.components)
 
 
+def _basis_entries(b: Basis) -> list:
+    """The vectors' entries in order, then the origin's."""
+    return [x for v in b.vectors for x in v] + list(b.origin or ())
+
+
 def _linear_grid(g: GroupElement) -> Matrix:
     payload = g.payload
     if isinstance(payload, AffineTransform):
@@ -223,9 +228,12 @@ def passive_transform(b: Basis, a: GroupElement) -> Basis:
     part is recombined.
     """
     _check_acts(a, b.space)
-    grid = _linear_grid(a)
-    new_rows = grid.mul(b.rows())
-    return Basis.make(b.space, new_rows.entries, b.origin)
+    return _recombine(b, _linear_grid(a))
+
+
+def _recombine(b: Basis, grid: Matrix) -> Basis:
+    """The passive move by a linear grid: ``e'_j = sum_i grid[j][i] e_i``."""
+    return Basis.make(b.space, grid.mul(b.rows()).entries, b.origin)
 
 
 def standard_coordinates(b: Basis, reference: Basis) -> StandardCoordinates:
@@ -479,7 +487,7 @@ class PassiveBasisTransformation(GridTransformation):
         super().__init__(carrier, grid)
 
     def apply(self, b: Basis) -> Basis:
-        return Basis.make(b.space, self.grid.mul(b.rows()).entries, b.origin)
+        return _recombine(b, self.grid)
 
 
 class BasisCarrier:
@@ -500,6 +508,13 @@ class BasisCarrier:
 
     def point_eq(self, b1: Basis, b2: Basis) -> bool:
         return b1.eq(b2)
+
+    @property
+    def tolerance(self) -> float:
+        return self.manifold.reference.space.backend.tolerance
+
+    def entries(self, b: Basis) -> list:
+        return _basis_entries(b)
 
     def sample(self, rng: Random) -> Basis:
         g = sample_group_element(self.manifold.group, rng)

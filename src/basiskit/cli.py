@@ -48,8 +48,7 @@ from .errors import (
 from .matrices import vec_eq, vec_max_diff
 from .objects import (
     invariance_check,
-    object_orbit,
-    object_orbit_well_defined_check,
+    object_representation,
     representative,
     transform_object,
     vector_space_axioms_check,
@@ -61,6 +60,7 @@ from .representations import (
     classify,
     inverse_law_check,
     orbit,
+    orbit_closure_check,
     orbit_well_defined_check,
 )
 from .scalars import EXACT, approx
@@ -385,10 +385,9 @@ def _cmd_object(args) -> int:
     if args.orbit:
         if group is None or group.store is None:
             raise ParseError("--orbit needs --group with stored elements")
-        result = object_orbit(obj, group, cap=args.cap)
-        report.add_verdict(
-            "orbit-well-defined", object_orbit_well_defined_check(obj, group)
-        )
+        rep = object_representation(obj, group)
+        result = orbit(rep, obj, cap=args.cap)
+        report.add_verdict("orbit-well-defined", orbit_closure_check(rep, result))
         report.data["orbit_size"] = len(result.points)
         report.data["orbit"] = list(result.points)
     return _emit(report, args)

@@ -149,6 +149,9 @@ class FiniteGroup:
     def payload_eq(self, p, q) -> bool:
         return p == q
 
+    def payload_entries(self, p) -> tuple:
+        return (p,)
+
     def payload_name(self, p) -> str:
         if self.names is not None:
             return self.names[p]
@@ -466,6 +469,12 @@ class MatrixGroup:
     def payload_eq(self, p, q) -> bool:
         return p.eq(q)
 
+    def payload_entries(self, p) -> list:
+        """Matrix entries row by row; for an affine map, then the translation."""
+        if isinstance(p, AffineTransform):
+            return [x for row in p.linear.entries for x in row] + list(p.translation)
+        return [x for row in p.entries for x in row]
+
     def payload_name(self, p) -> str:
         if self.family == "AFFINE":
             return f"affine({p.linear.entries}, {p.translation})"
@@ -509,7 +518,18 @@ class MatrixGroup:
         product with a non-finite entry.
         """
         gens = [self.element(g) for g in generators]
-        found = _ClosureIndex(self)
+        exact = self.backend.is_exact
+
+        def entries(element: GroupElement) -> list:
+            flat = self.payload_entries(element.payload)
+            if not exact and not all(map(math.isfinite, flat)):
+                raise EnumerationCapExceeded(
+                    "closure left the float range: a product has a non-finite "
+                    f"entry after {len(found.points)} elements"
+                )
+            return flat
+
+        found = PointIndex(GroupElement.eq_to, entries, self.backend.tolerance)
         found.add(self.identity)
         frontier = [self.identity]
         while frontier:
@@ -519,90 +539,84 @@ class MatrixGroup:
                     candidate = self.compose_elements(current, g)
                     if not found.add(candidate):
                         continue
-                    if len(found.elements) > cap:
+                    if len(found.points) > cap:
                         raise EnumerationCapExceeded(
                             f"closure exceeded the cap of {cap} elements "
-                            f"({len(found.elements) - 1} found, "
+                            f"({len(found.points) - 1} found, "
                             f"frontier of {len(frontier)})"
                         )
                     new_frontier.append(candidate)
             frontier = new_frontier
-        self.store = tuple(found.elements)
+        self.store = tuple(found.points)
 
 
-# A float closure files payloads in square cells this many tolerances wide.
+# Float points are filed in square cells this many tolerances wide.
 _CELL_TOLERANCES = 4
 # Cell coordinates at least this large are computed exactly, not rounded.
 _CELL_LIMIT = 2.0**50
 
 
-def _flat_entries(payload) -> list:
-    """Matrix entries row by row; for an affine map, then the translation."""
-    if isinstance(payload, AffineTransform):
-        return [x for row in payload.linear.entries for x in row] + list(
-            payload.translation
-        )
-    return [x for row in payload.entries for x in row]
+class PointIndex:
+    """Points in the order added, with a lookup under a given equality.
 
-
-class _ClosureIndex:
-    """The elements a closure has found, in order, with a lookup under the
-    group's equality.
-
-    Exact payloads are hashed whole.  A float payload is filed in the cell
-    ``(floor(x0 / w), floor(x1 / w))`` of its first two flattened entries,
-    ``w`` a fixed multiple of the tolerance: a payload equal to it lies
-    within the tolerance entrywise, hence in one of the nine cells around
-    it, and every element found there is confirmed with ``eq_to`` (the
-    cell grid for fixed-radius near neighbours of Bentley, Stanat &
-    Williams, Inf. Proc. Letters 6(6), 1977).
+    Closures, orbits and the orbit checks deduplicate through it.
+    ``entries(p)`` flattens a point to its scalars.  With ``tolerance``
+    zero a point is filed under all its entries, hashed.  Otherwise it is
+    filed in the cell ``(floor(x0 / w), floor(x1 / w))`` of its first two
+    entries, ``w`` a fixed multiple of the tolerance: a point equal to it
+    lies within the tolerance entrywise, hence in one of the nine cells
+    around it (the cell grid for fixed-radius near neighbours of Bentley,
+    Stanat & Williams, Inf. Proc. Letters 6(6), 1977).  A point with one
+    entry has one cell coordinate; points with none share a single cell.
+    Every candidate found is confirmed with ``eq(point, candidate)``.
     """
 
-    def __init__(self, group: MatrixGroup):
-        self.elements: list = []
-        self._exact = group.backend.is_exact
-        self._width = _CELL_TOLERANCES * group.backend.tolerance
-        self._payloads: set = set()
+    def __init__(self, eq, entries, tolerance: float):
+        self.points: list = []
+        self._eq = eq
+        self._entries = entries
+        self._width = _CELL_TOLERANCES * tolerance
         self._cells: dict = {}
 
-    def add(self, element: GroupElement) -> bool:
-        """Append ``element`` unless an equal one is already found; True
-        when it was new."""
-        if self._exact:
-            if element.payload in self._payloads:
-                return False
-            self._payloads.add(element.payload)
-        elif not self._file(element):
+    def find(self, point) -> Optional[int]:
+        """Position of the first point added that equals ``point``, or ``None``."""
+        near, eq, points = self._near(self._key(point)), self._eq, self.points
+        return min((i for i in near if eq(point, points[i])), default=None)
+
+    def add(self, point) -> bool:
+        """Append ``point`` unless an equal one is already in; True when it was new."""
+        key, eq, points = self._key(point), self._eq, self.points
+        if any(eq(point, points[i]) for i in self._near(key)):
             return False
-        self.elements.append(element)
+        self._cells.setdefault(key, []).append(len(points))
+        points.append(point)
         return True
 
-    def _file(self, element: GroupElement) -> bool:
-        flat = _flat_entries(element.payload)
-        if not all(map(math.isfinite, flat)):
-            raise EnumerationCapExceeded(
-                "closure left the float range: a product has a non-finite "
-                f"entry after {len(self.elements)} elements"
-            )
-        c0 = self._cell(flat[0])
-        c1 = self._cell(flat[1]) if len(flat) > 1 else 0
-        cells, eq = self._cells, element.eq_to
-        for d0 in (-1, 0, 1):
-            for d1 in (-1, 0, 1):
-                for other in cells.get((c0 + d0, c1 + d1), ()):
-                    if eq(other):
-                        return False
-        cells.setdefault((c0, c1), []).append(element)
-        return True
+    def _key(self, point) -> tuple:
+        flat = self._entries(point)
+        if not self._width:
+            return tuple(flat)
+        return tuple(map(self._cell, flat[:2]))
 
-    def _cell(self, x: float) -> int:
+    def _near(self, key) -> list:
+        """Positions of the points filed under ``key`` and, for float
+        points, in the cells around it."""
+        cells = self._cells
+        if not self._width:
+            return cells.get(key, [])
+        near = itertools.product(*((c - 1, c, c + 1) for c in key))
+        return [i for k in near for i in cells.get(k, ())]
+
+    def _cell(self, x):
         # Entries within the tolerance are at most a quarter cell apart;
         # below the limit ``x / width`` rounds by less than an eighth of a
         # cell, so their cells are the same or adjacent.
         q = x / self._width
         if abs(q) < _CELL_LIMIT:
             return math.floor(q)
-        return Fraction(x) // Fraction(self._width)
+        if math.isfinite(x):
+            return Fraction(x) // Fraction(self._width)
+        return x  # a non-finite entry equals nothing, so any cell will do
 
 
 def membership_check(group: MatrixGroup, payload) -> tuple:

@@ -11,6 +11,15 @@ of the functor:
 
 The representative ``w @ E`` is unchanged by construction, which is the
 invariance principle this module exists to check.
+
+The law is one :class:`ObjectTransformation` per element, and the action
+is an ordinary :class:`~basiskit.representations.Representation` on the
+objects of one type over one space: left (``T_b(T_a o) = T_{ba} o``) and
+covariant.  :func:`object_representation` builds it, so the generic
+checks apply to objects: ``orbit(object_representation(obj, group),
+obj)`` lists the orbit of ``obj`` under the stored elements of ``group``,
+and :func:`~basiskit.representations.orbit_closure_check` checks that
+re-enumerating it from any of its points gives it again.
 """
 
 from __future__ import annotations
@@ -19,12 +28,18 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
-from .bases import Basis, change_of_basis, passive_transform
+from .bases import (
+    Basis,
+    _basis_entries,
+    _check_acts,
+    _linear_grid,
+    _recombine,
+    change_of_basis,
+)
 from .errors import (
     AnchorMismatch,
     BasiskitError,
     DimensionMismatch,
-    EnumerationCapExceeded,
     GroupSpaceMismatch,
     InfeasibleExhaustive,
     Singular,
@@ -32,7 +47,12 @@ from .errors import (
 )
 from .groups import GroupElement, MatrixGroup, compose
 from .matrices import Matrix, vec_eq, vec_max_diff, vec_add, vec_scale, vector
-from .representations import Verdict, _first_failure
+from .representations import (
+    GridTransformation,
+    Representation,
+    Verdict,
+    _first_failure,
+)
 from .sampling import random_vector, sample_group_element
 
 __all__ = [
@@ -46,12 +66,12 @@ __all__ = [
     "functor_eval",
     "weight_dim",
     "GeometricalObject",
+    "ObjectCarrier",
+    "ObjectTransformation",
+    "object_representation",
     "transform_object",
     "representative",
     "invariance_check",
-    "object_orbit",
-    "ObjectOrbit",
-    "object_orbit_well_defined_check",
     "add_objects",
     "scale_object",
     "rebase",
@@ -235,13 +255,101 @@ class GeometricalObject:
         )
 
 
+class ObjectCarrier:
+    """The objects of one functor type over the space of ``anchor``."""
+
+    enumerable = False
+    size = None
+
+    def __init__(self, functor: TypeAFunctor, anchor: Basis):
+        self.functor = functor
+        self.anchor = anchor
+        self.space = anchor.space
+        self.weight_dim = weight_dim(functor, anchor.space.dim)
+        self.tolerance = anchor.space.backend.tolerance
+
+    def contains(self, o) -> bool:
+        return (
+            isinstance(o, GeometricalObject)
+            and o.functor == self.functor
+            and o.anchor.space == self.space
+        )
+
+    point_eq = staticmethod(GeometricalObject.eq)
+
+    def entries(self, o: GeometricalObject) -> list:
+        # the anchor first: it moves under every element with a linear part
+        # other than 1, which spreads float points over the index cells
+        w = [x for row in o.w_basis.entries for x in row]
+        return _basis_entries(o.anchor) + list(o.coords) + w
+
+    def sample(self, rng: Random) -> GeometricalObject:
+        coords = random_vector(rng, self.weight_dim, self.space.backend)
+        return GeometricalObject.make(self.functor, coords, self.anchor)
+
+    def __repr__(self) -> str:
+        return f"ObjectCarrier({self.functor.describe()}, dim={self.space.dim})"
+
+
+class ObjectTransformation(GridTransformation):
+    """The object law of one element ``g``: ``A(g)`` moves the coordinates
+    and the auxiliary basis, the linear part ``L(g)`` moves the anchor
+    passively.  ``A(g)^-1`` is computed once, on construction.
+
+    As a grid it is ``A(g) ⊕ L(g)``, which composes, inverts and compares
+    like any other grid.
+    """
+
+    def __init__(
+        self, carrier: ObjectCarrier, functor_grid: Matrix, anchor_grid: Matrix
+    ):
+        self.carrier = carrier
+        self.functor_grid = functor_grid
+        self.functor_inverse = functor_grid.inverse()
+        self.anchor_grid = anchor_grid
+
+    @classmethod
+    def of(cls, carrier: ObjectCarrier, g: GroupElement) -> "ObjectTransformation":
+        functor_grid = functor_eval(carrier.functor, g)
+        _check_acts(g, carrier.space)
+        return cls(carrier, functor_grid, _linear_grid(g))
+
+    @property
+    def grid(self) -> Matrix:
+        return self.functor_grid.block_diag(self.anchor_grid)
+
+    def with_grid(self, grid: Matrix) -> "ObjectTransformation":
+        m, rows = self.carrier.weight_dim, grid.entries
+        blocks = (tuple(r[:m] for r in rows[:m]), tuple(r[m:] for r in rows[m:]))
+        return type(self)(self.carrier, *(Matrix(b, grid.backend) for b in blocks))
+
+    def apply(self, obj: GeometricalObject) -> GeometricalObject:
+        """Move coordinates, auxiliary basis and anchor together."""
+        return GeometricalObject(
+            obj.functor,
+            self.functor_inverse.vecmat(obj.coords),
+            _recombine(obj.anchor, self.anchor_grid),
+            self.functor_grid.mul(obj.w_basis),
+        )
+
+
+def object_representation(obj: GeometricalObject, group) -> Representation:
+    """The object law as a left, covariant representation of ``group`` on
+    the objects of ``obj``'s type over its anchor's space."""
+    carrier = ObjectCarrier(obj.functor, obj.anchor)
+    return Representation(
+        group,
+        carrier,
+        "left",
+        lambda g: ObjectTransformation.of(carrier, g),
+        variance_claim="covariant",
+        label=f"object({obj.functor.describe()})",
+    )
+
+
 def transform_object(obj: GeometricalObject, g: GroupElement) -> GeometricalObject:
     """Move the object by ``g``: coordinates, auxiliary basis, anchor together."""
-    grid = functor_eval(obj.functor, g)
-    new_coords = grid.inverse().vecmat(obj.coords)
-    new_w = grid.mul(obj.w_basis)
-    new_anchor = passive_transform(obj.anchor, g)
-    return GeometricalObject(obj.functor, new_coords, new_anchor, new_w)
+    return ObjectTransformation.of(ObjectCarrier(obj.functor, obj.anchor), g).apply(obj)
 
 
 def representative(obj: GeometricalObject) -> tuple:
@@ -258,52 +366,6 @@ def invariance_check(obj: GeometricalObject, g: GroupElement) -> Verdict:
     if vec_eq(before, after, backend):
         return Verdict(True, "direct", 1, None, residual)
     return Verdict(False, "direct", 1, (g, before, after), residual)
-
-
-@dataclass(frozen=True)
-class ObjectOrbit:
-    base: GeometricalObject
-    points: tuple
-    witnesses: tuple  # (object, group element) pairs
-
-
-def object_orbit(
-    obj: GeometricalObject, group: MatrixGroup, cap: int = 100_000
-) -> ObjectOrbit:
-    """Images of the object under every stored element, deduplicated."""
-    store = group.store
-    if store is None:
-        raise InfeasibleExhaustive("object orbit needs stored elements")
-    if len(store) > cap:
-        raise EnumerationCapExceeded(
-            f"group store of {len(store)} exceeds the cap {cap}"
-        )
-    points: list = []
-    witnesses: list = []
-    for g in store:
-        moved = transform_object(obj, g)
-        if not any(moved.eq(p) for p in points):
-            points.append(moved)
-            witnesses.append((moved, g))
-    return ObjectOrbit(obj, tuple(points), tuple(witnesses))
-
-
-def object_orbit_well_defined_check(
-    obj: GeometricalObject, group: MatrixGroup
-) -> Verdict:
-    """Re-enumerating the orbit from any of its points gives the same set."""
-    base = object_orbit(obj, group).points
-
-    def outcome(point):
-        other = object_orbit(point, group).points
-        if len(other) != len(base):
-            return (point,), False, 0.0
-        for q in other:
-            if not any(q.eq(p) for p in base):
-                return (point, q), False, 0.0
-        return (point,), True, 0.0
-
-    return _first_failure("exhaustive", map(outcome, base))
 
 
 def _require_compatible(o1: GeometricalObject, o2: GeometricalObject) -> None:

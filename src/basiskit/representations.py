@@ -25,7 +25,7 @@ element of a finite group, the stored elements of a matrix group, or
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
 
@@ -43,10 +43,10 @@ from .errors import (
     SideMismatch,
     Singular,
 )
-from .groups import FiniteGroup, GroupElement, compose
+from .groups import FiniteGroup, GroupElement, PointIndex, compose
 from .matrices import Matrix, vec_eq, vec_max_diff
 from .sampling import random_vector, sample_group_element
-from .scalars import Backend
+from .scalars import EXACT, Backend
 
 __all__ = [
     "FiniteCarrier",
@@ -77,6 +77,7 @@ __all__ = [
     "contragredient",
     "orbit",
     "orbit_well_defined_check",
+    "orbit_closure_check",
     "direct_product",
     "kernel_of_inefficiency",
     "classify",
@@ -92,12 +93,17 @@ DEFAULT_SEED = 42
 
 
 # -- carriers ------------------------------------------------------------
+#
+# Besides ``contains``, ``point_eq`` and ``sample``, a carrier gives the
+# point index of orbits (:class:`~basiskit.groups.PointIndex`) a point's
+# scalars, ``entries(p)``, and the ``tolerance`` of its equality.
 
 
 class FiniteCarrier:
     """Points ``0 .. size-1``."""
 
     enumerable = True
+    tolerance = 0.0
 
     def __init__(self, size: int):
         if size < 1:
@@ -112,6 +118,9 @@ class FiniteCarrier:
 
     def point_eq(self, p, q) -> bool:
         return p == q
+
+    def entries(self, p) -> tuple:
+        return (p,)
 
     def sample(self, rng: Random):
         return rng.randrange(self.size)
@@ -134,6 +143,7 @@ class CoordCarrier:
         self.dim = dim
         self.layout = layout
         self.backend = backend
+        self.tolerance = backend.tolerance
 
     def points(self):
         raise InfeasibleExhaustive("coordinate carrier is not enumerable")
@@ -143,6 +153,9 @@ class CoordCarrier:
 
     def point_eq(self, p, q) -> bool:
         return vec_eq(p, q, self.backend)
+
+    def entries(self, p) -> tuple:
+        return p
 
     def sample(self, rng: Random):
         return random_vector(rng, self.dim, self.backend)
@@ -175,6 +188,13 @@ class SelfCarrier:
 
     def point_eq(self, p, q) -> bool:
         return p.eq_to(q)
+
+    @property
+    def tolerance(self) -> float:
+        return getattr(self.group, "backend", EXACT).tolerance
+
+    def entries(self, p):
+        return self.group.payload_entries(p.payload)
 
     def sample(self, rng: Random):
         return sample_group_element(self.group, rng)
@@ -215,6 +235,13 @@ class ProductCarrier:
 
     def point_eq(self, p, q) -> bool:
         return self.left.point_eq(p[0], q[0]) and self.right.point_eq(p[1], q[1])
+
+    @property
+    def tolerance(self) -> float:
+        return max(self.left.tolerance, self.right.tolerance)
+
+    def entries(self, p) -> tuple:
+        return (*self.left.entries(p[0]), *self.right.entries(p[1]))
 
     def sample(self, rng: Random):
         return (self.left.sample(rng), self.right.sample(rng))
@@ -606,18 +633,22 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class Orbit:
+    """The points reached from ``base``; lookups go through ``index``,
+    which holds ``points`` in order under the orbit's carrier equality."""
+
     base: object
     points: tuple
     witnesses: tuple  # (point, group element) pairs, discovery order
+    index: PointIndex = field(compare=False, repr=False)
 
     def witness_for(self, carrier, point) -> GroupElement:
-        for p, g in self.witnesses:
-            if carrier.point_eq(p, point):
-                return g
-        raise NoSolution(f"point {point!r} is not in the orbit")
+        i = self.index.find(point)
+        if i is None:
+            raise NoSolution(f"point {point!r} is not in the orbit")
+        return self.witnesses[i][1]
 
     def contains(self, carrier, point) -> bool:
-        return any(carrier.point_eq(p, point) for p in self.points)
+        return self.index.find(point) is not None
 
 
 @dataclass(frozen=True)
@@ -962,25 +993,18 @@ def orbit(rep: Representation, base, cap: int = 100_000) -> Orbit:
         raise EnumerationCapExceeded(
             f"group store of {len(elements)} exceeds the cap {cap}"
         )
-    if not rep.carrier.contains(base):
+    carrier = rep.carrier
+    if not carrier.contains(base):
         raise CarrierMismatch(f"base point {base!r} is not in the carrier")
     table = rep._action_table()
     if table is not None:
-        carrier_points = rep.carrier.points()
-        reached = _table_orbit(table, _point_index(rep.carrier, base))
-        return Orbit(
-            base,
-            tuple(carrier_points[j] for j in reached),
-            tuple((carrier_points[j], elements[i]) for j, i in reached.items()),
-        )
-    points: list = []
-    witnesses: list = []
-    for g in elements:
-        w = rep.apply(g, base)
-        if not any(rep.carrier.point_eq(w, p) for p in points):
-            points.append(w)
-            witnesses.append((w, g))
-    return Orbit(base, tuple(points), tuple(witnesses))
+        points, j = carrier.points(), _point_index(carrier, base)
+        images = ((points[row[j]], g) for row, g in zip(table, elements))
+    else:
+        images = ((rep.apply(g, base), g) for g in elements)
+    index = PointIndex(carrier.point_eq, carrier.entries, carrier.tolerance)
+    witnesses = tuple((w, g) for w, g in images if index.add(w))
+    return Orbit(base, tuple(index.points), witnesses, index)
 
 
 def _table_orbit(table: list, j: int) -> dict:
@@ -995,8 +1019,9 @@ def _table_orbit(table: list, j: int) -> dict:
 def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
     """Orbits computed from any of their members coincide, and they partition.
 
-    Recomputes the orbit from every reachable point and compares as sets;
-    then checks that each carrier point lies in exactly one orbit.
+    Recomputes each orbit from every one of its points with
+    :func:`orbit_closure_check`; then checks that each carrier point lies
+    in exactly one orbit.
     """
     if not rep.carrier.enumerable:
         raise InfeasibleExhaustive("orbit partition needs an enumerable carrier")
@@ -1010,14 +1035,12 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
         if any(o.contains(carrier, u) for o in orbits):
             continue
         o = orbit(rep, u)
-        for v in o.points:
-            from_v = orbit(rep, v)
-            if len(from_v.points) != len(o.points) or not all(
-                from_v.contains(carrier, p) for p in o.points
-            ):
-                return OrbitPartitionReport(
-                    False, tuple(o.points for o in orbits), ("orbit-mismatch", u, v)
-                )
+        closure = orbit_closure_check(rep, o)
+        if not closure.passed:
+            v = closure.counterexample[0]
+            return OrbitPartitionReport(
+                False, tuple(o.points for o in orbits), ("orbit-mismatch", u, v)
+            )
         orbits.append(o)
     for u in all_points:
         hits = sum(1 for o in orbits if o.contains(carrier, u))
@@ -1026,6 +1049,27 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
                 False, tuple(o.points for o in orbits), ("coverage", u, hits)
             )
     return OrbitPartitionReport(True, tuple(o.points for o in orbits))
+
+
+def orbit_closure_check(rep: Representation, o: Orbit) -> Verdict:
+    """Re-enumerating ``o`` from any of its points gives ``o`` again.
+
+    Runs over the points of ``o`` in order, so it needs no enumerable
+    carrier.  The witness is ``(point,)`` when the orbit from ``point``
+    has another size, ``(point, q)`` when it reaches a point ``q``
+    outside ``o``.
+    """
+
+    def outcome(point):
+        other = orbit(rep, point)
+        if len(other.points) != len(o.points):
+            return (point,), False, 0.0
+        for q in other.points:
+            if not o.contains(rep.carrier, q):
+                return (point, q), False, 0.0
+        return (point,), True, 0.0
+
+    return _first_failure("exhaustive", map(outcome, o.points))
 
 
 def _table_orbit_partition(table: list, points: tuple) -> OrbitPartitionReport:
@@ -1105,19 +1149,14 @@ def classify(rep: Representation) -> ClassificationReport:
     carrier = rep.carrier
     all_points = carrier.points()
     base_orbit = orbit(rep, all_points[0])
-    table = rep._action_table()
-    if table is not None:
-        reached = {_point_index(carrier, p) for p in base_orbit.points}
-        missed = (v for j, v in enumerate(all_points) if j not in reached)
-    else:
-        missed = (v for v in all_points if not base_orbit.contains(carrier, v))
+    missed = (v for v in all_points if not base_orbit.contains(carrier, v))
     unreachable = next(((all_points[0], v) for v in missed), None)
     transitive = unreachable is None
     single = transitive and effective
 
     unique: Optional[bool] = None
     if len(all_points) ** 2 * len(elements) <= EXHAUSTIVE_WORK_CAP:
-        unique = _unique_transport(rep, table, all_points, elements)
+        unique = _unique_transport(rep, rep._action_table(), all_points, elements)
     agrees = None if unique is None else (unique == single)
     return ClassificationReport(
         axioms=axioms,

@@ -349,6 +349,26 @@ def test_object_orbit(tmp_path, capsys):
     assert out["checks"][1]["name"] == "orbit-well-defined"
 
 
+def test_object_orbit_computes_the_base_orbit_once(tmp_path, capsys, monkeypatch):
+    # 4 transforms for the invariance sweep, 4 for the orbit and 16 for
+    # re-enumerating it from each of its 4 points
+    from basiskit.objects import ObjectTransformation
+
+    calls = [0]
+    apply = ObjectTransformation.apply
+
+    def counted(self, obj):
+        calls[0] += 1
+        return apply(self, obj)
+
+    monkeypatch.setattr(ObjectTransformation, "apply", counted)
+    argv = ["object", "--input", vector_object(tmp_path), "--group", quarter_turn_group(tmp_path)]
+    assert main(argv + ["--orbit", "--report", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [c["checked"] for c in out["checks"]] == [4, 4]
+    assert calls[0] == 24
+
+
 def test_object_axioms_flag(tmp_path, capsys):
     obj = vector_object(tmp_path)
     group = write(

@@ -1,5 +1,6 @@
 """Geometrical objects: transformation law, invariance, orbits, linear structure."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,18 @@ from basiskit.errors import (
     AnchorMismatch,
     BasiskitError,
     DimensionMismatch,
+    EnumerationCapExceeded,
     GroupSpaceMismatch,
+    InfeasibleExhaustive,
     Singular,
     TypeMismatch,
 )
-from basiskit.groups import MatrixGroup, cyclic_group
+from basiskit.groups import MatrixGroup, cyclic_group, rotation_2d
 from basiskit.matrices import Matrix
 from basiskit.objects import (
     GeometricalObject,
+    ObjectCarrier,
+    ObjectTransformation,
     add_objects,
     direct_sum_functor,
     dual_functor,
@@ -24,8 +29,7 @@ from basiskit.objects import (
     functor_eval,
     identity_functor,
     invariance_check,
-    object_orbit,
-    object_orbit_well_defined_check,
+    object_representation,
     rebase,
     representative,
     scale_object,
@@ -35,8 +39,18 @@ from basiskit.objects import (
     vector_space_axioms_check,
     weight_dim,
 )
-from basiskit.representations import Verdict
-from basiskit.scalars import EXACT, approx
+from basiskit.representations import (
+    FunctionTransformation,
+    Representation,
+    Verdict,
+    _first_failure,
+    check_axioms,
+    check_variance,
+    inverse_law_check,
+    orbit,
+    orbit_closure_check,
+)
+from basiskit.scalars import APPROX, EXACT, approx
 
 F = Fraction
 
@@ -243,13 +257,92 @@ def test_transforms_compose_through_the_product():
 # -- orbits -----------------------------------------------------------------------
 
 
+def object_orbit(obj, group, move=transform_object, cap=100_000):
+    """Oracle: the images of ``obj`` under every stored element, each kept
+    unless it equals one kept before, found by a scan.  Returns the points
+    and the ``(point, element)`` witnesses."""
+    store = group.store
+    if store is None:
+        raise InfeasibleExhaustive("object orbit needs stored elements")
+    if len(store) > cap:
+        raise EnumerationCapExceeded(f"group store of {len(store)} exceeds the cap {cap}")
+    points, witnesses = [], []
+    for g in store:
+        moved = move(obj, g)
+        if not any(moved.eq(p) for p in points):
+            points.append(moved)
+            witnesses.append((moved, g))
+    return tuple(points), tuple(witnesses)
+
+
+def object_orbit_well_defined_check(obj, group, move=transform_object):
+    """Oracle: re-enumerating the orbit from any of its points gives the
+    same set, compared by scans."""
+    base, _ = object_orbit(obj, group, move)
+
+    def outcome(point):
+        other, _ = object_orbit(point, group, move)
+        if len(other) != len(base):
+            return (point,), False, 0.0
+        for q in other:
+            if not any(q.eq(p) for p in base):
+                return (point, q), False, 0.0
+        return (point,), True, 0.0
+
+    return _first_failure("exhaustive", map(outcome, base))
+
+
+def dihedral_8():
+    """The symmetries of a square as a stored GL(2) group; not abelian."""
+    group = MatrixGroup.general_linear(2, EXACT)
+    group.close_over(
+        [
+            Matrix.from_rows([[0, -1], [1, 0]], EXACT),
+            Matrix.from_rows([[1, 0], [0, -1]], EXACT),
+        ]
+    )
+    return group
+
+
+def so2_order_12():
+    group = MatrixGroup.general_linear(2, APPROX)
+    group.close_over([rotation_2d(2 * math.pi / 12)])
+    return group
+
+
+def float_anchor():
+    space = VectorSpace("euclid", 2, APPROX)
+    return Basis.make(space, [[1.5, 0.25], [-0.5, 2.0]])
+
+
+ORACLE_CASES = [
+    (functor, group, anchor)
+    for functor in ("fundamental", "dual", "identity")
+    for group, anchor in (
+        (quarter_turns, anchor_2d),
+        (dihedral_8, anchor_2d),
+        (so2_order_12, float_anchor),
+    )
+]
+
+
+def oracle_case(functor, make_group, make_anchor):
+    functor = {
+        "fundamental": fundamental_functor(),
+        "dual": dual_functor(),
+        "identity": identity_functor(),
+    }[functor]
+    coords = [F(3, 2), -2][: weight_dim(functor, 2)]
+    return GeometricalObject.make(functor, coords, make_anchor()), make_group()
+
+
 def test_object_orbit_of_a_vector_under_quarter_turns():
     group = quarter_turns()
     assert len(group.store) == 4
     obj = GeometricalObject.make(fundamental_functor(), [1, 0], anchor_2d())
-    orbit = object_orbit(obj, group)
-    assert len(orbit.points) == 4
-    for moved, g in orbit.witnesses:
+    result = orbit(object_representation(obj, group), obj)
+    assert len(result.points) == 4
+    for moved, g in result.witnesses:
         assert transform_object(obj, g).eq(moved)
         assert representative(moved) == (F(1), F(0))
 
@@ -257,7 +350,8 @@ def test_object_orbit_of_a_vector_under_quarter_turns():
 def test_object_orbit_well_defined():
     group = quarter_turns()
     obj = GeometricalObject.make(fundamental_functor(), [1, 0], anchor_2d())
-    verdict = object_orbit_well_defined_check(obj, group)
+    rep = object_representation(obj, group)
+    verdict = orbit_closure_check(rep, orbit(rep, obj))
     assert verdict.passed
     assert verdict.checked == 4
 
@@ -265,10 +359,103 @@ def test_object_orbit_well_defined():
 def test_object_orbit_of_an_invariant_point():
     group = quarter_turns()
     obj = GeometricalObject.make(identity_functor(), [9], anchor_2d())
-    orbit = object_orbit(obj, group)
+    result = orbit(object_representation(obj, group), obj)
     # the coordinate never moves but the anchor does
-    assert len(orbit.points) == 4
-    assert all(p.coords == (F(9),) for p in orbit.points)
+    assert len(result.points) == 4
+    assert all(p.coords == (F(9),) for p in result.points)
+
+
+@pytest.mark.parametrize("functor, make_group, make_anchor", ORACLE_CASES)
+def test_object_orbit_matches_the_scan_oracle(functor, make_group, make_anchor):
+    obj, group = oracle_case(functor, make_group, make_anchor)
+    rep = object_representation(obj, group)
+    result = orbit(rep, obj)
+    points, witnesses = object_orbit(obj, group)
+    assert result.points == points
+    assert result.witnesses == witnesses
+    verdict = orbit_closure_check(rep, result)
+    assert verdict == object_orbit_well_defined_check(obj, group)
+    assert verdict.passed and verdict.mode == "exhaustive"
+    assert verdict.checked == len(points)
+    for p, g in witnesses:
+        assert result.contains(rep.carrier, p)
+        assert result.witness_for(rep.carrier, p) == g
+
+
+@pytest.mark.parametrize("functor, make_group, make_anchor", ORACLE_CASES)
+def test_a_planted_non_action_fails_with_the_oracle_witness(
+    functor, make_group, make_anchor
+):
+    obj, group = oracle_case(functor, make_group, make_anchor)
+    backend = obj.anchor.space.backend
+    target = group.store[1]
+    # a coordinate shift well beyond the tolerance, for one element only
+    shift = backend.coerce(1) if backend.is_exact else 1e-6
+
+    def move(o, g):
+        moved = transform_object(o, g)
+        if g != target:
+            return moved
+        coords = (moved.coords[0] + shift,) + moved.coords[1:]
+        return GeometricalObject(moved.functor, coords, moved.anchor, moved.w_basis)
+
+    carrier = ObjectCarrier(obj.functor, obj.anchor)
+
+    def assign(g):
+        if g != target:
+            return ObjectTransformation.of(carrier, g)
+        return FunctionTransformation(carrier, lambda o: move(o, g))
+
+    rep = Representation(group, carrier, "left", assign)
+    result = orbit(rep, obj)
+    assert result.points == object_orbit(obj, group, move)[0]
+    verdict = orbit_closure_check(rep, result)
+    assert not verdict.passed
+    assert verdict == object_orbit_well_defined_check(obj, group, move)
+
+
+@pytest.mark.parametrize("functor", ["fundamental", "dual", "identity"])
+@pytest.mark.parametrize("make_group, make_anchor", [(dihedral_8, anchor_2d), (so2_order_12, float_anchor)])
+def test_the_object_action_is_left_and_covariant(functor, make_group, make_anchor):
+    obj, group = oracle_case(functor, make_group, make_anchor)
+    rep = object_representation(obj, group)
+    assert rep.side == "left"
+    axioms = check_axioms(rep, sample="sampled", samples=40, seed=3)
+    assert axioms.passed and axioms.mode == "sampled(k=40, seed=3)"
+    variance = check_variance(rep, sample="sampled", samples=40, seed=3)
+    # SO(2) is abelian, so its products match in both orders
+    abelian = make_group is so2_order_12
+    assert variance.verdict == ("both" if abelian else "covariant")
+    assert inverse_law_check(rep).passed
+    # T_b(T_a o) = T_{ba} o, checked directly
+    for a in group.store[:4]:
+        for b in group.store[:4]:
+            stepwise = rep.apply(b, rep.apply(a, obj))
+            assert stepwise.eq(rep.apply(b * a, obj))
+    if not abelian:
+        right = Representation(group, rep.carrier, "right", rep.transformation)
+        assert not check_axioms(right, sample="sampled", samples=40, seed=3).passed
+
+
+def test_transform_object_is_the_representation_applied_once():
+    obj = GeometricalObject.make(dual_functor(), [3, 5], anchor_2d())
+    group = dihedral_8()
+    rep = object_representation(obj, group)
+    for g in group.store:
+        assert transform_object(obj, g) == rep.apply(g, obj)
+
+
+def test_object_carrier_membership_and_samples():
+    from random import Random
+
+    obj = GeometricalObject.make(dual_functor(), [3, 5], anchor_2d())
+    carrier = ObjectCarrier(obj.functor, obj.anchor)
+    assert carrier.contains(obj)
+    assert not carrier.contains(GeometricalObject.make(fundamental_functor(), [3, 5], anchor_2d()))
+    assert not carrier.contains((3, 5))
+    sample = carrier.sample(Random(1))
+    assert carrier.contains(sample) and sample.anchor == obj.anchor
+    assert carrier.point_eq(obj, obj)
 
 
 # -- linear structure ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Side laws, variance, orbits, transports, twins."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,11 @@ from basiskit.groups import (
     FiniteGroup,
     GroupElement,
     MatrixGroup,
+    PointIndex,
     cyclic_group,
     dihedral_group,
     quaternion_group,
+    rotation_2d,
     symmetric_group,
 )
 from basiskit.matrices import Matrix
@@ -47,6 +50,7 @@ from basiskit.representations import (
     kernel_of_inefficiency,
     left_shift,
     orbit,
+    orbit_closure_check,
     orbit_well_defined_check,
     right_shift,
     same_side_noncommuting_witness,
@@ -55,7 +59,7 @@ from basiskit.representations import (
     transformations_equal,
     twin_representation,
 )
-from basiskit.scalars import EXACT
+from basiskit.scalars import EXACT, approx
 from basiskit.selftest import finite_fixtures
 
 F = Fraction
@@ -796,3 +800,92 @@ def test_table_shifts_commute_matches_generic(table):
         for c in range(n)
     )
     assert fast.passed == associative
+
+
+# -- the point index behind orbits ----------------------------------------------
+
+
+def shear_orbit(base, shifts, tolerance):
+    """The carrier and the orbit of a column point under the stored shears
+    ``[[1, s], [0, 1]]``: the point ``(x, 1)`` goes to ``(x + s, 1)``."""
+    backend = approx(tolerance)
+    elements = [[[1.0, s], [0.0, 1.0]] for s in (0.0, *shifts)]
+    group = MatrixGroup.general_linear(2, backend, elements=elements)
+    carrier = CoordCarrier(2, "column", backend)
+    rep = Representation(group, carrier, "left", lambda g: LinearTransformation(carrier, g.payload))
+    return carrier, orbit(rep, (base, 1.0))
+
+
+def test_orbit_dedupes_equal_points_in_adjacent_cells():
+    # cells are four tolerances wide: x and x + 4e-10 lie on either side of
+    # the cell boundary at 1e-6 but within the tolerance of each other
+    x, s = 1e-6 - 2e-10, 4e-10
+    assert math.floor(x / 4e-9) + 1 == math.floor((x + s) / 4e-9)
+    carrier, o = shear_orbit(x, [s], 1e-9)
+    assert len(o.points) == 1
+    assert o.witness_for(carrier, (x + s, 1.0)) == o.witnesses[0][1]
+    assert len(shear_orbit(x, [3 * s], 1e-9)[1].points) == 2
+
+
+def test_orbit_lookup_returns_the_first_equal_point():
+    # two orbit points 1.5 tolerances apart, the second in the cell below
+    # the first; a point between them equals both
+    x = 1e-6 + 0.5e-9
+    carrier, o = shear_orbit(x, [-1.5e-9], 1e-9)
+    assert len(o.points) == 2
+    (p, first), (q, second) = o.witnesses
+    assert math.floor(p[0] / 4e-9) == math.floor(q[0] / 4e-9) + 1
+    assert o.witness_for(carrier, (x - 0.75e-9, 1.0)) is first
+    assert o.witness_for(carrier, (x - 1.6e-9, 1.0)) is second
+    assert not o.contains(carrier, (x - 2.6e-9, 1.0))
+
+
+def test_orbit_cells_past_the_rounding_limit_are_exact():
+    # here x / (4 * 1e-9) rounds up to the next integer in floats
+    x = 43073491.65695036
+    exact = Fraction(x) // Fraction(4e-9)
+    assert math.floor(x / 4e-9) == exact + 1
+    assert PointIndex(None, None, 1e-9)._cell(x) == exact
+    # with tolerance 2**-10 the cells are 2**-8 wide, so entries from 2**42
+    # on have cell coordinates of at least 2**50; 2**42 - 2**-11 still
+    # rounds, into the cell below, and equals 2**42 within the tolerance
+    tol, x = 2.0**-10, 2.0**42
+    index = PointIndex(None, None, tol)
+    assert index._cell(x) == 2**50
+    assert index._cell(math.nextafter(x, 0)) == 2**50 - 1
+    assert len(shear_orbit(x, [-(2.0**-11), 2.0**-10], tol)[1].points) == 1
+    assert len(shear_orbit(x, [2 * 2.0**-10], tol)[1].points) == 2
+
+
+def test_orbit_of_product_and_self_carrier_points_over_a_matrix_group():
+    so2 = MatrixGroup.metric_preserving(2, 0)
+    so2.close_over([rotation_2d(2 * math.pi / 12)])
+    carrier = CoordCarrier(2, "column", so2.backend)
+    linear = Representation(so2, carrier, "left", lambda g: LinearTransformation(carrier, g.payload))
+    shift = left_shift(so2)
+    assert orbit_well_defined_check(shift).orbits == (so2.store,)
+    both = direct_product(linear, shift)
+    base = ((1.0, 0.5), so2.identity)
+    o = orbit(both, base)
+    assert len(o.points) == 12
+    for (v, h), g in o.witnesses:
+        assert h.eq_to(g)
+        # a point within the tolerance of an orbit point finds its witness
+        near = ((v[0] + 5e-10, v[1]), h)
+        assert o.witness_for(both.carrier, near) is g
+    assert not o.contains(both.carrier, ((1.0, 0.5 + 1e-6), so2.identity))
+    assert orbit_closure_check(both, o).passed
+
+
+def test_orbit_closure_check_witnesses_a_re_enumeration_of_another_size():
+    # not an action: the nontrivial element sends both points to 1, so the
+    # orbit of 0 is {0, 1} but the orbit of 1 is {1}
+    z2 = cyclic_group(2)
+    carrier = FiniteCarrier(2)
+    maps = [lambda p: p, lambda p: 1]
+    rep = Representation(z2, carrier, "left", lambda g: FunctionTransformation(carrier, maps[g.payload]))
+    o = orbit(rep, 0)
+    assert o.points == (0, 1)
+    assert orbit_closure_check(rep, o) == Verdict(False, "exhaustive", 2, (1,), 0.0)
+    assert orbit_well_defined_check(rep).failure == ("orbit-mismatch", 0, 1)
+    assert orbit_closure_check(rep, orbit(rep, 1)) == Verdict(True, "exhaustive", 1, None, 0.0)
