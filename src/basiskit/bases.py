@@ -19,6 +19,7 @@ the single transformation for the product ``b a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
@@ -133,12 +134,20 @@ class Basis:
                 raise DegenerateBasis("origin length does not match the space")
         elif origin is not None:
             raise BasiskitError(f"{space.kind} basis takes no origin")
-        b = cls(space, rows, origin)
-        if not b.rows().is_invertible():
+        return cls(space, rows, origin)._independent()
+
+    def _independent(self) -> "Basis":
+        """This basis, once its vectors are checked to be independent."""
+        if not self.rows().is_invertible():
             raise DegenerateBasis("basis vectors are linearly dependent")
-        return b
+        return self
 
     def rows(self) -> Matrix:
+        """The vectors as the rows of one matrix, built once per basis."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> Matrix:
         return Matrix(self.vectors, self.space.backend)
 
     def eq(self, other: "Basis") -> bool:
@@ -232,8 +241,18 @@ def passive_transform(b: Basis, a: GroupElement) -> Basis:
 
 
 def _recombine(b: Basis, grid: Matrix) -> Basis:
-    """The passive move by a linear grid: ``e'_j = sum_i grid[j][i] e_i``."""
-    return Basis.make(b.space, grid.mul(b.rows()).entries, b.origin)
+    """The passive move by a linear grid: ``e'_j = sum_i grid[j][i] e_i``.
+
+    The product's entries are backend scalars already and are used as
+    they are.  Every grid that reaches here is invertible: a group
+    element's linear part, or a grid composed and inverted from such
+    parts.  So over the rationals the new rows are independent whenever
+    the old ones are, and their determinant is not computed again.  In
+    floating point a product can still lose rank beyond the tolerance,
+    so the float backend checks it as :meth:`Basis.make` does.
+    """
+    moved = Basis(b.space, grid.mul(b.rows()).entries, b.origin)
+    return moved if b.space.backend.is_exact else moved._independent()
 
 
 def standard_coordinates(b: Basis, reference: Basis) -> StandardCoordinates:

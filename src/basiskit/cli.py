@@ -68,6 +68,12 @@ from .selftest import run_selftest
 
 __all__ = ["main"]
 
+# Four ulps of 1.0.  Two float computations of one unit-sized element,
+# each rounded a few times, can already differ by this much; below it they
+# no longer compare as equal, and a float closure of a finite rotation
+# group never closes.
+MIN_TOLERANCE = 4 * sys.float_info.epsilon
+
 
 def _inline_or_file(value: str):
     if value.startswith("@"):
@@ -354,8 +360,9 @@ def _cmd_object(args) -> int:
         total = 0.0
         failed = None
         checked = 0
+        before = representative(obj)
         for g in group.store:
-            verdict = invariance_check(obj, g)
+            verdict = invariance_check(obj, g, before)
             checked += 1
             worst = max(worst, verdict.residual_max)
             total += verdict.residual_max
@@ -509,6 +516,11 @@ def main(argv=None) -> int:
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ParseError(
                 f"--tolerance must be a positive finite number, got {tolerance}"
+            )
+        if tolerance < MIN_TOLERANCE:
+            raise ParseError(
+                f"--tolerance must be at least {MIN_TOLERANCE} (four ulps of 1.0), "
+                f"got {tolerance}"
             )
         return args.func(args)
     except (ParseError, MembershipError) as exc:

@@ -16,11 +16,20 @@ division by the previous pivot is exact (E. H. Bareiss, *Sylvester's
 identity and multistep integer-preserving Gaussian elimination*, Math.
 Comp. 22, 1968).  Rationals are canonical, so the results are the same
 values as ordinary exact elimination would give.
+
+The operand forms the kernels read are cached on each matrix, built on
+first use: the integer rows and the integer columns of an exact matrix,
+and the column tuples of a float one.  They are built from the matrix's
+own canonical entries, so a chain of products never carries unreduced
+denominators forward, and they are tuples, so no kernel can change them.
+A matrix used in many products, inversions or determinants is converted
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -91,16 +100,17 @@ def _int_rows(rows: Iterable[Sequence]) -> tuple:
     ints, dens = [], []
     for row in rows:
         d = lcm(*[x.denominator for x in row])
-        ints.append([x.numerator * (d // x.denominator) for x in row])
+        ints.append(tuple(x.numerator * (d // x.denominator) for x in row))
         dens.append(d)
-    return ints, dens
+    return tuple(ints), tuple(dens)
 
 
-def _exact_products(rows: Sequence[Sequence], cols: Iterable[Sequence]) -> tuple:
+def _exact_products(rows: tuple, cols: tuple) -> tuple:
     """``out[i][j] = sum_k rows[i][k] * cols[j][k]`` over the rationals,
-    summed as integers with one ``Fraction`` per entry."""
-    row_ints, row_dens = _int_rows(rows)
-    col_ints, col_dens = _int_rows(cols)
+    for ``rows`` and ``cols`` in :func:`_int_rows` form, summed as integers
+    with one ``Fraction`` per entry."""
+    row_ints, row_dens = rows
+    col_ints, col_dens = cols
     return tuple(
         tuple(
             Fraction(sum(map(mul, r, c)), dr * dc)
@@ -110,14 +120,15 @@ def _exact_products(rows: Sequence[Sequence], cols: Iterable[Sequence]) -> tuple
     )
 
 
-def _bareiss_det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by Bareiss elimination on the integer rows.
+def _bareiss_det(ints: tuple, dens: tuple) -> Fraction:
+    """Determinant by Bareiss elimination on the integer rows ``ints`` over
+    the row denominators ``dens``.
 
     Each step replaces the trailing block by ``(p * x - f * y) // prev``,
     where ``p`` is the pivot and ``prev`` the pivot before it; the
     division is exact, so entries stay minors of the integer matrix.
     """
-    m, dens = _int_rows(rows)
+    m = list(ints)  # the row swap below changes this list, never the cached rows
     sign, prev = 1, 1
     while len(m) > 1:
         k = next((i for i, row in enumerate(m) if row[0]), None)
@@ -136,21 +147,21 @@ def _bareiss_det(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * m[0][0], prod(dens))
 
 
-def _fraction_free_inverse(rows: Sequence[Sequence]) -> tuple:
+def _fraction_free_inverse(ints: tuple, dens: tuple) -> tuple:
     """Inverse by fraction-free Gauss-Jordan elimination on ``[B | D]``.
 
-    ``B`` holds the integer rows and ``D`` their denominators on the
-    diagonal, so the solution of ``B X = D`` is the rational inverse.
+    ``B`` holds the integer rows ``ints`` and ``D`` their denominators
+    ``dens`` on the diagonal, so the solution of ``B X = D`` is the
+    rational inverse.
     Column ``k`` is dropped once it is eliminated; after the last step
     every row holds ``p * X`` for the last pivot ``p``.  Raises
     :class:`Singular` at the first column that depends on the ones
     before it.
     """
-    m, dens = _int_rows(rows)
-    n = len(m)
+    n = len(ints)
     aug = [
-        row + [d if i == j else 0 for j in range(n)]
-        for i, (row, d) in enumerate(zip(m, dens))
+        [*row, *(d if i == j else 0 for j in range(n))]
+        for i, (row, d) in enumerate(zip(ints, dens))
     ]
     prev = 1
     for k in range(n):
@@ -206,6 +217,21 @@ class Matrix:
             backend,
         )
 
+    @cached_property
+    def _exact_rows(self) -> tuple:
+        """The rows in :func:`_int_rows` form."""
+        return _int_rows(self.entries)
+
+    @cached_property
+    def _exact_cols(self) -> tuple:
+        """The columns in :func:`_int_rows` form."""
+        return _int_rows(zip(*self.entries))
+
+    @cached_property
+    def _float_cols(self) -> tuple:
+        """The columns as tuples."""
+        return tuple(zip(*self.entries))
+
     @property
     def nrows(self) -> int:
         return len(self.entries)
@@ -237,14 +263,11 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         if self.backend.is_exact:
-            products = _exact_products(self.entries, zip(*other.entries))
+            products = _exact_products(self._exact_rows, other._exact_cols)
             return Matrix(products, self.backend)
-        cols = other.transpose().entries
+        cols = other._float_cols
         return Matrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            ),
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries),
             self.backend,
         )
 
@@ -283,19 +306,18 @@ class Matrix:
         if len(u) != self.ncols:
             raise DimensionMismatch(f"expected length {self.ncols}, got {len(u)}")
         if self.backend.is_exact:
-            return tuple(row[0] for row in _exact_products(self.entries, (u,)))
-        return tuple(sum(a * b for a, b in zip(row, u)) for row in self.entries)
+            return tuple(
+                row[0] for row in _exact_products(self._exact_rows, _int_rows((u,)))
+            )
+        return tuple(sum(map(mul, row, u)) for row in self.entries)
 
     def vecmat(self, u: Vector) -> Vector:
         """Apply to a row vector: ``(u M)_c = sum_r u[r] M[r][c]``."""
         if len(u) != self.nrows:
             raise DimensionMismatch(f"expected length {self.nrows}, got {len(u)}")
         if self.backend.is_exact:
-            return _exact_products((u,), zip(*self.entries))[0]
-        return tuple(
-            sum(u[r] * self.entries[r][c] for r in range(self.nrows))
-            for c in range(self.ncols)
-        )
+            return _exact_products(_int_rows((u,)), self._exact_cols)[0]
+        return tuple(sum(map(mul, u, col)) for col in self._float_cols)
 
     def det(self) -> Scalar:
         """Determinant: Bareiss elimination when exact, Gaussian
@@ -303,7 +325,7 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("determinant of a non-square matrix")
         if self.backend.is_exact:
-            return _bareiss_det(self.entries)
+            return _bareiss_det(*self._exact_rows)
         n = self.nrows
         rows = [list(r) for r in self.entries]
         det = self.backend.one()
@@ -330,7 +352,7 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.backend.is_exact:
-            return Matrix(_fraction_free_inverse(self.entries), self.backend)
+            return Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
         n = self.nrows
         one, zero = self.backend.one(), self.backend.zero()
         aug = [

@@ -357,9 +357,16 @@ def representative(obj: GeometricalObject) -> tuple:
     return obj.w_basis.vecmat(obj.coords)
 
 
-def invariance_check(obj: GeometricalObject, g: GroupElement) -> Verdict:
-    """Representative before and after the transformation must agree."""
-    before = representative(obj)
+def invariance_check(
+    obj: GeometricalObject, g: GroupElement, before: Optional[tuple] = None
+) -> Verdict:
+    """Representative before and after the transformation must agree.
+
+    ``before`` is ``representative(obj)``; a caller checking one object
+    against many elements passes it in so that it is computed once.
+    """
+    if before is None:
+        before = representative(obj)
     after = representative(transform_object(obj, g))
     backend = obj.anchor.space.backend
     residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
@@ -425,7 +432,8 @@ def vector_space_axioms_check(
     """
     rng = Random(seed)
     backend = anchor.space.backend
-    m = weight_dim(functor, anchor.space.dim)
+    carrier = ObjectCarrier(functor, anchor)
+    m = carrier.weight_dim
     zero = GeometricalObject.make(functor, [backend.zero()] * m, anchor)
 
     def outcomes():
@@ -434,7 +442,7 @@ def vector_space_axioms_check(
             v = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
             w = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
             c = random_vector(rng, 1, backend)[0]
-            g = sample_group_element(group, rng)
+            move = ObjectTransformation.of(carrier, sample_group_element(group, rng)).apply
             laws = [
                 ("commutative", add_objects(u, v), add_objects(v, u)),
                 (
@@ -451,13 +459,13 @@ def vector_space_axioms_check(
                 ),
                 (
                     "transform-additive",
-                    transform_object(add_objects(u, v), g),
-                    add_objects(transform_object(u, g), transform_object(v, g)),
+                    move(add_objects(u, v)),
+                    add_objects(move(u), move(v)),
                 ),
                 (
                     "transform-homogeneous",
-                    transform_object(scale_object(c, u), g),
-                    scale_object(c, transform_object(u, g)),
+                    move(scale_object(c, u)),
+                    scale_object(c, move(u)),
                 ),
             ]
             for name, lhs, rhs in laws:

@@ -111,6 +111,20 @@ def test_passive_recombines_rows():
     assert moved.vectors == ((F(1), F(1)), (F(0), F(1)))
 
 
+def test_passive_rows_are_built_once_and_float_rank_is_still_checked():
+    gl2 = MatrixGroup.general_linear(2)
+    moved = passive_transform(
+        exact_basis([[1, 2], [0, 1]]), gl2.element(Matrix.from_rows([[0, 1], [1, 0]], EXACT))
+    )
+    assert moved.rows() is moved.rows()
+    assert moved.vectors == ((F(0), F(1)), (F(1), F(2)))
+    # grid and basis each clear the 1e-9 tolerance; their product does not
+    shrink = Matrix.from_rows([[1e-5, 0.0], [0.0, 1.0]], APPROX)
+    flat = Basis.make(linear_space(backend=APPROX), shrink.entries)
+    with pytest.raises(DegenerateBasis):
+        passive_transform(flat, MatrixGroup.general_linear(2, APPROX).element(shrink))
+
+
 def test_active_moves_each_vector():
     gl2 = MatrixGroup.general_linear(2)
     b = exact_basis([[1, 0], [0, 1]])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,6 +370,28 @@ def test_object_orbit_computes_the_base_orbit_once(tmp_path, capsys, monkeypatch
     assert calls[0] == 24
 
 
+def test_object_sweep_computes_the_unchanged_representative_once(
+    tmp_path, capsys, monkeypatch
+):
+    # one for the report, one before the sweep and one after each of 4 elements
+    import basiskit.cli as cli
+    import basiskit.objects as objects
+
+    calls = [0]
+    representative = objects.representative
+
+    def counted(obj):
+        calls[0] += 1
+        return representative(obj)
+
+    monkeypatch.setattr(cli, "representative", counted)
+    monkeypatch.setattr(objects, "representative", counted)
+    argv = ["object", "--input", vector_object(tmp_path), "--group", quarter_turn_group(tmp_path)]
+    assert main(argv + ["--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["checked"] == 4
+    assert calls[0] == 6
+
+
 def test_object_axioms_flag(tmp_path, capsys):
     obj = vector_object(tmp_path)
     group = write(
@@ -705,6 +728,30 @@ def test_nonsense_tolerance_is_exit_2(tmp_path, capsys, value):
     )
 
 
+def test_tolerance_below_four_ulps_is_exit_2(tmp_path, capsys):
+    # with a tolerance of 1e-300 no rounding error compares as equal, so the
+    # closure of a rotation of order 7 would run on to the cap
+    angle = 2 * math.pi / 7
+    rotation = [math.cos(angle), -math.sin(angle), math.sin(angle), math.cos(angle)]
+    group = write(
+        tmp_path,
+        "so2_order7.json",
+        {"kind": "matrix", "family": "SO", "dim": 2, "generators": [rotation]},
+    )
+    argv = ["basis", "coordrep", "--group", group, "--report", "json"]
+    assert main(argv + ["--tolerance", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --tolerance must be at least {4 * sys.float_info.epsilon} "
+        "(four ulps of 1.0), got 1e-300\n"
+    )
+    for tail in (["--tolerance", "1e-12"], []):
+        assert main(argv + tail) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"][0]["mode"] == "exhaustive-pairs(49)"
+
+
 def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypatch):
     import basiskit.cli as cli
 
@@ -753,16 +800,27 @@ def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
 
 
-def test_float_jobs_match_the_golden_output(capsys):
-    # SO(2) and SO(3) closures behind an object sweep, coordrep and repcheck;
-    # the expected output was written before float closure used a cell index
-    golden = Path(__file__).parent / "golden" / "float"
+def assert_golden_jobs(golden, capsys):
     jobs = json.loads((golden / "expected.json").read_text(encoding="utf-8"))
     for name, job in jobs.items():
         argv = [str(golden / a) if a.endswith(".json") else a for a in job["argv"]]
         assert main(argv) == job["rc"], name
         out, err = capsys.readouterr()
         assert (out, err) == (job["stdout"], ""), name
+
+
+def test_float_jobs_match_the_golden_output(capsys):
+    # SO(2) and SO(3) closures behind an object sweep, coordrep and repcheck;
+    # the expected output was written before float closure used a cell index
+    assert_golden_jobs(Path(__file__).parent / "golden" / "float", capsys)
+
+
+def test_exact_jobs_match_the_golden_output(capsys):
+    # rational GL(2), GL(3) and SL(3) groups behind coordrep, the vector space
+    # axioms, a dual sweep, an affine basis change, an active transform and a
+    # moved direct-sum object; the expected output was written before the
+    # matrices cached their kernel operands
+    assert_golden_jobs(Path(__file__).parent / "golden" / "exact", capsys)
 
 
 def test_float_closure_past_the_float_range_is_exit_1(tmp_path, capsys, monkeypatch):

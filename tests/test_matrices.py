@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from basiskit.errors import BackendMismatch, DimensionMismatch, Singular
-from basiskit.matrices import Matrix, metric_dot, vec_eq, vector
+from basiskit.matrices import Matrix, _int_rows, metric_dot, vec_eq, vector
 from basiskit.scalars import APPROX, EXACT
 
 F = Fraction
@@ -278,3 +279,130 @@ def test_exact_and_float_backends_agree_on_integer_matrices():
         assert inv_float.max_diff(m(inv_exact.entries, APPROX)) <= 1e-9
         checked += 1
     assert checked > 200
+
+
+# -- cached kernel operands against the generic paths ---------------------------
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+def rational_rows(n, width):
+    return st.lists(
+        st.lists(rationals, min_size=width, max_size=width), min_size=n, max_size=n
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_cached_exact_kernels_match_fraction_references(data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(rational_rows(n, n))
+    b = data.draw(rational_rows(n, data.draw(st.integers(1, 4))))
+    u = tuple(data.draw(rational_rows(1, n))[0])
+    a = m(rows)
+    # the second round reads the operand forms the first one cached
+    for _ in range(2):
+        assert a.det() == reference_det(rows)
+        try:
+            expected = reference_inverse(rows)
+        except Singular:
+            with pytest.raises(Singular):
+                a.inverse()
+        else:
+            assert a.inverse().entries == expected
+        assert a.mul(m(b)).entries == reference_mul(rows, b)
+        assert m(b).transpose().mul(a).entries == reference_mul(list(zip(*b)), rows)
+        assert a.matvec(u) == tuple(row[0] for row in reference_mul(rows, [[x] for x in u]))
+        assert a.vecmat(u) == reference_mul([u], rows)[0]
+
+
+def test_a_chain_of_products_caches_forms_of_canonical_entries():
+    rng = Random(11)
+    a = m(_random_rational_matrix(rng, 3, "full"))
+    product, expected = a, a.entries
+    for _ in range(8):
+        product, expected = product.mul(a), reference_mul(expected, a.entries)
+        assert product.entries == expected
+        ints, dens = product._exact_rows
+        # each row over the least common denominator of its reduced entries,
+        # not over the product of the factors' denominators
+        assert dens == tuple(lcm(*(x.denominator for x in row)) for row in expected)
+        assert (ints, dens) == _int_rows(expected)
+
+
+def test_cached_forms_are_not_changed_by_a_row_swap():
+    a = m([[0, 1, F(1, 2)], [F(2, 3), 0, 0], [0, 3, 1]])
+    twin = m(a.entries)
+    rows = a._exact_rows
+    calls = [a.det(), a.inverse().entries, a.det(), a.mul(a).entries, a.inverse().entries]
+    assert calls[0] == calls[2] == reference_det(a.entries)
+    assert calls[1] == calls[4] == reference_inverse(a.entries)
+    assert calls[3] == reference_mul(a.entries, a.entries)
+    assert a._exact_rows is rows and rows == _int_rows(a.entries)
+    swap = m([[0, 1], [1, 0]])
+    assert [swap.det(), swap.inverse(), swap.det(), swap.mul(swap)] == [
+        F(-1), swap, F(-1), Matrix.identity(2, EXACT)
+    ]
+    # the cache is no field: equality, hash and repr see the entries only
+    assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
+
+
+def generator_mul(a, b):
+    cols = b.transpose().entries
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.entries
+    )
+
+
+def generator_matvec(a, u):
+    return tuple(sum(x * y for x, y in zip(row, u)) for row in a.entries)
+
+
+def generator_vecmat(a, u):
+    return tuple(
+        sum(u[r] * a.entries[r][c] for r in range(a.nrows)) for c in range(a.ncols)
+    )
+
+
+def bits(values):
+    return [x.hex() for x in values]
+
+
+floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 0.1, 1e-300]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_float_products_are_bit_identical_to_the_generator_formulas(data):
+    n, width = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+
+    def draw(size):
+        return tuple(data.draw(st.lists(floats, min_size=size, max_size=size)))
+
+    a = Matrix(tuple(draw(width) for _ in range(n)), APPROX)
+    b = Matrix(tuple(draw(n) for _ in range(width)), APPROX)
+    u, v = draw(width), draw(n)
+    for _ in range(2):
+        assert [bits(r) for r in a.mul(b).entries] == [bits(r) for r in generator_mul(a, b)]
+        assert bits(a.matvec(u)) == bits(generator_matvec(a, u))
+        assert bits(a.vecmat(v)) == bits(generator_vecmat(a, v))
+
+
+def test_float_products_keep_signed_zeros_and_cancellation():
+    a = Matrix(((-0.0, -0.0, -0.0), (1e16, 1.0, -1e16), (0.1, 0.2, 0.3)), APPROX)
+    ones = (1.0, 1.0, 1.0)
+    # a sum of -0.0 starts from the integer 0, so it is +0.0; whether the 1.0
+    # in 1e16 + 1.0 - 1e16 survives depends on the builtin sum (it does from
+    # Python 3.12 on), which both formulas call in the same order
+    assert a.matvec(ones)[0].hex() == "0x0.0p+0"
+    assert bits(a.matvec(ones)) == bits(generator_matvec(a, ones))
+    assert bits(a.transpose().vecmat(ones)) == bits(a.matvec(ones))
+    column = Matrix(tuple((x,) for x in ones), APPROX)
+    assert a.mul(column).entries == tuple((x,) for x in a.matvec(ones))
+    for u in (ones, (-0.0, 1.0, 1e16), (1e16, -1e16, 0.5)):
+        assert bits(a.vecmat(u)) == bits(generator_vecmat(a, u))
+        assert bits(a.matvec(u)) == bits(generator_matvec(a, u))
+    assert [bits(r) for r in a.mul(a).entries] == [bits(r) for r in generator_mul(a, a)]

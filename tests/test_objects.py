@@ -516,6 +516,22 @@ def test_vector_space_axioms():
     assert verdict.mode == "sampled(k=40, seed=5)"
 
 
+def test_vector_space_axioms_build_one_transformation_per_sample(monkeypatch):
+    built = [0]
+    init = ObjectTransformation.__init__
+
+    def counted(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(ObjectTransformation, "__init__", counted)
+    verdict = vector_space_axioms_check(
+        tensor_power_functor(2), anchor_2d(), quarter_turns(), samples=40, seed=5
+    )
+    assert verdict.passed and verdict.checked == 280
+    assert built[0] == 40
+
+
 def test_vector_space_axioms_report_the_first_failing_law():
     # float rounding breaks distributivity under a tolerance of 1e-300; the
     # count and witness pin the first failing law
