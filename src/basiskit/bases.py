@@ -37,6 +37,7 @@ from .errors import (
 from .groups import AffineTransform, GroupElement, MatrixGroup
 from .matrices import Matrix, metric_dot, vec_eq, vec_max_diff, vector
 from .representations import (
+    EXHAUSTIVE_WORK_CAP,
     GridTransformation,
     Representation,
     Verdict,
@@ -350,24 +351,42 @@ def coordinate_representation_check(
     """Verify the coordinate transformation behaves as a representation.
 
     Composition: transforming coordinates for ``a`` and then for ``b``
-    must equal the single transformation for the product ``b a``.
+    must equal the single transformation for the product ``b a``.  A
+    stored group is checked on every ordered pair while
+    ``|store|**2 * vectors_per_pair`` stays within
+    :data:`EXHAUSTIVE_WORK_CAP`, and on ``samples`` seeded pairs of
+    stored elements above it; a group without a store is always sampled.
+    Each pair counts ``vectors_per_pair`` cases.  The independent side
+    ``(grid_b grid_a)^-1`` is inverted by elimination, never built from
+    the steps.
+
+    Over the rationals the law for a pair is decided on its grids: the
+    product of the two step inverses either equals the inverse of the
+    product, and then the pair holds for every vector, or it does not.
+    Equal products have equal inverses, so each distinct product is
+    inverted once per check.  Only a pair whose grids disagree draws its
+    seeded vectors, and it gets the same ones as if every pair before it
+    had drawn theirs, so its witness ``(a, b, v)`` is the one a check on
+    vectors alone would report.  In floating point every pair is checked
+    on its vectors, which give the residuals.
+
     Effectiveness: every stored (or sampled) element other than the
     identity moves at least one Kronecker coordinate tuple.
     """
     rng = Random(seed)
     n = group.dim
     backend = group.backend
-    if group.store is not None:
-        pairs = [(a, b) for a in group.store for b in group.store]
+    store = group.store
+    if store is not None and len(store) ** 2 * vectors_per_pair <= EXHAUSTIVE_WORK_CAP:
+        pairs = [(a, b) for a in store for b in store]
         mode = f"exhaustive-pairs({len(pairs)})"
-        elements = list(group.store)
     else:
         pairs = [
             (sample_group_element(group, rng), sample_group_element(group, rng))
             for _ in range(samples)
         ]
         mode = f"sampled(k={samples}, seed={seed})"
-        elements = [a for a, _ in pairs]
+    elements = list(store) if store is not None else [a for a, _ in pairs]
 
     inverses: dict = {}
 
@@ -377,18 +396,40 @@ def coordinate_representation_check(
             inverses[id(a)] = _linear_grid(a).inverse()
         return inverses[id(a)]
 
-    def composition_outcomes():
+    def vector_outcomes(a, b, once, vectors):
+        step_a, step_b = inverse_grid(a), inverse_grid(b)
+        for v in vectors:
+            stepped = step_b.vecmat(step_a.vecmat(v))
+            direct = once.vecmat(v)
+            residual = 0.0 if backend.is_exact else vec_max_diff(stepped, direct)
+            yield (a, b, v), vec_eq(stepped, direct, backend), residual
+
+    def draw(count):
+        return (random_vector(rng, n, backend) for _ in range(count))
+
+    def float_outcomes():
         for a, b in pairs:
             grid_a, grid_b = _linear_grid(a), _linear_grid(b)
             # the independent side of the law, never built from the steps
             once = grid_b.mul(grid_a).inverse()
-            step_a, step_b = inverse_grid(a), inverse_grid(b)
-            for _ in range(vectors_per_pair):
-                v = random_vector(rng, n, backend)
-                stepped = step_b.vecmat(step_a.vecmat(v))
-                direct = once.vecmat(v)
-                residual = 0.0 if backend.is_exact else vec_max_diff(stepped, direct)
-                yield (a, b, v), vec_eq(stepped, direct, backend), residual
+            yield from vector_outcomes(a, b, once, draw(vectors_per_pair))
+
+    def exact_outcomes():
+        product_inverses: dict = {}
+        drawn = 0  # vectors of the seeded stream drawn so far
+        for i, (a, b) in enumerate(pairs):
+            product = _linear_grid(b).mul(_linear_grid(a))
+            if product not in product_inverses:
+                product_inverses[product] = product.inverse()
+            once = product_inverses[product]
+            if inverse_grid(a).mul(inverse_grid(b)) == once:
+                yield from [((a, b), True, 0.0)] * vectors_per_pair
+                continue
+            # the pair's own vectors come after the deferred ones of the pairs before it
+            for _ in draw(vectors_per_pair * i - drawn):
+                pass
+            drawn = vectors_per_pair * (i + 1)
+            yield from vector_outcomes(a, b, once, draw(vectors_per_pair))
 
     kron = [
         tuple(backend.one() if i == k else backend.zero() for i in range(n))
@@ -400,7 +441,8 @@ def coordinate_representation_check(
         fixes_all = all(vec_eq(m, e, backend) for m, e in zip(moved, kron))
         return (a,), not (fixes_all and not _linear_grid(a).is_identity()), 0.0
 
-    composition = _first_failure(mode, composition_outcomes())
+    outcomes = exact_outcomes() if backend.is_exact else float_outcomes()
+    composition = _first_failure(mode, outcomes)
     effectiveness = _first_failure(mode, map(effective, elements))
     return CoordinateRepCheckReport(composition, effectiveness)
 

@@ -24,15 +24,21 @@ own canonical entries, so a chain of products never carries unreduced
 denominators forward, and they are tuples, so no kernel can change them.
 A matrix used in many products, inversions or determinants is converted
 once.
+
+A float dot product is a left fold from ``0.0``, term after term, so
+its bits do not depend on the Python version.  The builtin ``sum()`` is
+such a fold before Python 3.12; from 3.12 on it adds floats with
+compensated summation, so there :func:`functools.reduce` folds instead.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Singular
@@ -51,6 +57,9 @@ __all__ = [
 ]
 
 Vector = tuple
+
+# ``_fold(terms, 0.0)`` adds the terms left to right from ``0.0``
+_fold = sum if sys.version_info < (3, 12) else partial(reduce, add)
 
 
 def vector(values: Iterable, backend: Backend) -> Vector:
@@ -267,7 +276,10 @@ class Matrix:
             return Matrix(products, self.backend)
         cols = other._float_cols
         return Matrix(
-            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries),
+            tuple(
+                tuple(_fold(map(mul, row, col), 0.0) for col in cols)
+                for row in self.entries
+            ),
             self.backend,
         )
 
@@ -309,7 +321,7 @@ class Matrix:
             return tuple(
                 row[0] for row in _exact_products(self._exact_rows, _int_rows((u,)))
             )
-        return tuple(sum(map(mul, row, u)) for row in self.entries)
+        return tuple(_fold(map(mul, row, u), 0.0) for row in self.entries)
 
     def vecmat(self, u: Vector) -> Vector:
         """Apply to a row vector: ``(u M)_c = sum_r u[r] M[r][c]``."""
@@ -317,7 +329,7 @@ class Matrix:
             raise DimensionMismatch(f"expected length {self.nrows}, got {len(u)}")
         if self.backend.is_exact:
             return _exact_products(_int_rows((u,)), self._exact_cols)[0]
-        return tuple(sum(map(mul, u, col)) for col in self._float_cols)
+        return tuple(_fold(map(mul, u, col), 0.0) for col in self._float_cols)
 
     def det(self) -> Scalar:
         """Determinant: Bareiss elimination when exact, Gaussian

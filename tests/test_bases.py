@@ -1,10 +1,15 @@
 """Bases, coordinates, transports and orthonormalisation."""
 
+import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
+from basiskit import bases
 from basiskit.bases import (
     Basis,
     BasisManifold,
@@ -27,9 +32,11 @@ from basiskit.errors import (
     NotInOrbit,
     NullVector,
 )
+from basiskit.descriptors import group_from_descriptor
 from basiskit.groups import MatrixGroup, boost_2d, rotation_2d
-from basiskit.matrices import Matrix
-from basiskit.representations import Verdict, check_axioms, solve_transport
+from basiskit.matrices import Matrix, vec_eq
+from basiskit.representations import Verdict, _first_failure, check_axioms, solve_transport
+from basiskit.sampling import random_vector, sample_group_element
 from basiskit.scalars import APPROX, EXACT, approx
 
 F = Fraction
@@ -264,7 +271,8 @@ def test_coordinate_rep_check_reports_its_first_failure():
 
 
 def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
-    # one inverse per pair for the product, one per element for the steps
+    # one inverse per element for the steps; for the products, one per pair
+    # in floating point and one per distinct product over the rationals
     calls = [0]
     inverse = Matrix.inverse
 
@@ -281,6 +289,198 @@ def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
     calls[0] = 0
     assert coordinate_representation_check(MatrixGroup.general_linear(2), samples=9).passed
     assert calls[0] == 9 + 2 * 9
+    # a closed group of order eight has eight distinct products in 64 pairs
+    calls[0] = 0
+    assert coordinate_representation_check(golden_gl3_order8(), seed=5).passed
+    assert calls[0] == 8 + 8
+
+
+# -- the exact law decided on grids ----------------------------------------------------
+
+
+def per_vector_composition(group, samples=100, vectors_per_pair=3, seed=42):
+    """The composition law on seeded vectors alone: every pair draws its own
+    vectors and is judged on them.  The oracle of the grid-decided check."""
+    rng = Random(seed)
+    n, backend = group.dim, group.backend
+    if group.store is not None:
+        pairs = [(a, b) for a in group.store for b in group.store]
+        mode = f"exhaustive-pairs({len(pairs)})"
+    else:
+        pairs = [
+            (sample_group_element(group, rng), sample_group_element(group, rng))
+            for _ in range(samples)
+        ]
+        mode = f"sampled(k={samples}, seed={seed})"
+
+    def outcomes():
+        for a, b in pairs:
+            once = b.payload.mul(a.payload).inverse()
+            step_a, step_b = a.payload.inverse(), b.payload.inverse()
+            for _ in range(vectors_per_pair):
+                v = random_vector(rng, n, backend)
+                stepped = step_b.vecmat(step_a.vecmat(v))
+                yield (a, b, v), vec_eq(stepped, once.vecmat(v), backend), 0.0
+
+    return _first_failure(mode, outcomes())
+
+
+def golden_gl3_order8():
+    path = Path(__file__).parent / "golden" / "exact" / "gl3_order8_group.json"
+    return group_from_descriptor(json.loads(path.read_text(encoding="utf-8")))
+
+
+def signed_permutations(n, special=False):
+    """The signed permutation matrices of size ``n``, those of determinant
+    one only when ``special``."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            grid = Matrix.from_rows(
+                [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)],
+                EXACT,
+            )
+            if not special or grid.det() == 1:
+                out.append(grid)
+    return out
+
+
+def conjugated(grids, conjugator):
+    c = Matrix.from_rows(conjugator, EXACT)
+    c_inv = c.inverse()
+    return MatrixGroup.general_linear(c.nrows, elements=[c.mul(g).mul(c_inv) for g in grids])
+
+
+CONJUGATED_GROUPS = {
+    "signed-perms-2": lambda: conjugated(signed_permutations(2), [[2, F(1, 3)], [F(-1, 2), 1]]),
+    "rotations-of-the-cube": lambda: conjugated(
+        signed_permutations(3, special=True),
+        [[1, F(1, 2), 0], [0, 1, F(-2, 3)], [F(1, 3), 0, 1]],
+    ),
+    "sign-flips-3": lambda: conjugated(
+        [Matrix.diagonal(signs, EXACT) for signs in itertools.product((1, -1), repeat=3)],
+        [[3, 1, 0], [0, F(1, 2), 1], [1, 0, F(-5, 4)]],
+    ),
+}
+
+
+def composition_key(verdict):
+    return (verdict.passed, verdict.checked, verdict.mode, verdict.counterexample)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 42])
+@pytest.mark.parametrize("name", ["golden-gl3-order8", *CONJUGATED_GROUPS])
+def test_grid_decided_law_agrees_with_the_per_vector_oracle(name, seed):
+    group = golden_gl3_order8() if name == "golden-gl3-order8" else CONJUGATED_GROUPS[name]()
+    result = coordinate_representation_check(group, seed=seed)
+    assert result.passed
+    assert composition_key(result.composition) == composition_key(
+        per_vector_composition(group, seed=seed)
+    )
+    assert result.composition.mode == f"exhaustive-pairs({len(group.store) ** 2})"
+    assert result.composition.checked == 3 * len(group.store) ** 2
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_grid_decided_law_agrees_with_the_oracle_when_sampled(seed):
+    gl3 = MatrixGroup.general_linear(3)
+    result = coordinate_representation_check(gl3, samples=12, seed=seed)
+    assert composition_key(result.composition) == composition_key(
+        per_vector_composition(gl3, samples=12, seed=seed)
+    )
+
+
+def patch_inverse_of(monkeypatch, value):
+    """Make ``Matrix.inverse`` wrong in one entry for the matrix ``value``."""
+    inverse = Matrix.inverse
+
+    def patched(self):
+        inv = inverse(self)
+        if self != value:
+            return inv
+        rows = [list(row) for row in inv.entries]
+        rows[0][0] += 1
+        return Matrix(tuple(map(tuple, rows)), inv.backend)
+
+    monkeypatch.setattr(Matrix, "inverse", patched)
+
+
+@pytest.mark.parametrize("seed", [2, 5, 9])
+@pytest.mark.parametrize("index", [0, 3, 6])
+def test_a_wrong_inverse_of_an_element_gives_the_oracle_witness(monkeypatch, index, seed):
+    # every product of a closed group is an element; the wrong inverse of
+    # store[index] breaks the steps and the products that land on it
+    group = golden_gl3_order8()
+    patch_inverse_of(monkeypatch, group.store[index].payload)
+    composition = coordinate_representation_check(group, seed=seed).composition
+    oracle = per_vector_composition(group, seed=seed)
+    assert not composition.passed
+    assert composition_key(composition) == composition_key(oracle)
+    if index:
+        # the pairs before the first failure were decided on their grids
+        assert composition.checked > 3
+
+
+@pytest.mark.parametrize("seed", [23, 119])
+def test_a_disagreeing_pair_that_passes_its_vectors_keeps_the_stream(monkeypatch, seed):
+    # with one vector per pair and these seeds, pair 0 disagrees on its grids
+    # but its vector has a zero first component and passes; a later pair fails
+    group = golden_gl3_order8()
+    patch_inverse_of(monkeypatch, group.store[1].payload)
+    composition = coordinate_representation_check(
+        group, vectors_per_pair=1, seed=seed
+    ).composition
+    oracle = per_vector_composition(group, vectors_per_pair=1, seed=seed)
+    assert not composition.passed
+    assert composition.checked > 1
+    assert composition_key(composition) == composition_key(oracle)
+
+
+@pytest.mark.parametrize("seed", [4, 8])
+def test_a_wrong_inverse_of_a_product_gives_the_oracle_witness(monkeypatch, seed):
+    # a store that is not closed: the wrong product is no element, so only
+    # the independent side goes wrong, first at pair 5 of 9
+    grids = [
+        Matrix.from_rows(rows, EXACT)
+        for rows in ([[1, 2], [0, 1]], [[F(1, 2), 0], [1, 3]], [[0, -1], [1, F(2, 3)]])
+    ]
+    group = MatrixGroup.general_linear(2, elements=grids)
+    patch_inverse_of(monkeypatch, grids[2].mul(grids[1]))
+    composition = coordinate_representation_check(group, seed=seed).composition
+    oracle = per_vector_composition(group, seed=seed)
+    assert not composition.passed
+    assert composition_key(composition) == composition_key(oracle)
+    a, b, _ = composition.counterexample
+    assert (a, b) == (group.store[1], group.store[2])
+    assert composition.checked > 3 * 5
+
+
+def test_passing_exact_check_draws_no_vectors(monkeypatch):
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return random_vector(*args)
+
+    monkeypatch.setattr(bases, "random_vector", counted)
+    assert coordinate_representation_check(golden_gl3_order8(), seed=5).passed
+    assert calls[0] == 0
+
+
+def test_stored_group_above_the_work_cap_is_sampled(monkeypatch):
+    group = MatrixGroup.metric_preserving(
+        2, 0, elements=[rotation_2d(k * math.pi / 5) for k in range(5)]
+    )
+    # five elements, three vectors per pair: 75 cases exhaustively
+    monkeypatch.setattr(bases, "EXHAUSTIVE_WORK_CAP", 75)
+    result = coordinate_representation_check(group, samples=4, seed=7)
+    assert (result.composition.mode, result.composition.checked) == ("exhaustive-pairs(25)", 75)
+    monkeypatch.setattr(bases, "EXHAUSTIVE_WORK_CAP", 74)
+    result = coordinate_representation_check(group, samples=4, seed=7)
+    assert result.passed
+    assert (result.composition.mode, result.composition.checked) == ("sampled(k=4, seed=7)", 12)
+    # effectiveness still runs over every stored element
+    assert result.effectiveness.checked == 5
 
 
 # -- orthonormalisation ------------------------------------------------------------------

@@ -347,20 +347,29 @@ def test_cached_forms_are_not_changed_by_a_row_swap():
     assert a == twin and hash(a) == hash(twin) and repr(a) == repr(twin)
 
 
+def left_fold(terms):
+    """``terms`` added one after another to ``0.0``, as IEEE doubles."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def generator_mul(a, b):
     cols = b.transpose().entries
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.entries
+        tuple(left_fold(x * y for x, y in zip(row, col)) for col in cols)
+        for row in a.entries
     )
 
 
 def generator_matvec(a, u):
-    return tuple(sum(x * y for x, y in zip(row, u)) for row in a.entries)
+    return tuple(left_fold(x * y for x, y in zip(row, u)) for row in a.entries)
 
 
 def generator_vecmat(a, u):
     return tuple(
-        sum(u[r] * a.entries[r][c] for r in range(a.nrows)) for c in range(a.ncols)
+        left_fold(u[r] * a.entries[r][c] for r in range(a.nrows)) for c in range(a.ncols)
     )
 
 
@@ -394,10 +403,10 @@ def test_float_products_are_bit_identical_to_the_generator_formulas(data):
 def test_float_products_keep_signed_zeros_and_cancellation():
     a = Matrix(((-0.0, -0.0, -0.0), (1e16, 1.0, -1e16), (0.1, 0.2, 0.3)), APPROX)
     ones = (1.0, 1.0, 1.0)
-    # a sum of -0.0 starts from the integer 0, so it is +0.0; whether the 1.0
-    # in 1e16 + 1.0 - 1e16 survives depends on the builtin sum (it does from
-    # Python 3.12 on), which both formulas call in the same order
+    # a sum of -0.0 starts from 0.0, so it is +0.0; the 1.0 in
+    # 1e16 + 1.0 - 1e16 is lost to rounding, on every Python version
     assert a.matvec(ones)[0].hex() == "0x0.0p+0"
+    assert a.matvec(ones)[1] == 0.0
     assert bits(a.matvec(ones)) == bits(generator_matvec(a, ones))
     assert bits(a.transpose().vecmat(ones)) == bits(a.matvec(ones))
     column = Matrix(tuple((x,) for x in ones), APPROX)
@@ -406,3 +415,21 @@ def test_float_products_keep_signed_zeros_and_cancellation():
         assert bits(a.vecmat(u)) == bits(generator_vecmat(a, u))
         assert bits(a.matvec(u)) == bits(generator_matvec(a, u))
     assert [bits(r) for r in a.mul(a).entries] == [bits(r) for r in generator_mul(a, a)]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_float_kernels_fold_left_with_cancelling_terms(data):
+    # each vector holds terms and their negatives around small ones, the
+    # sums that compensated summation would round differently
+    n = data.draw(st.integers(1, 4))
+    big = data.draw(st.lists(floats, min_size=n, max_size=n))
+    small = data.draw(st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.0, 1e-300]), min_size=n, max_size=n))
+    terms = data.draw(st.permutations(big + small + [-x for x in big]))
+    u = tuple(terms)
+    ones = tuple(1.0 for _ in u)
+    row, column = Matrix((u,), APPROX), Matrix(tuple((x,) for x in u), APPROX)
+    expected = left_fold(u).hex()
+    assert row.matvec(ones)[0].hex() == expected
+    assert column.vecmat(ones)[0].hex() == expected
+    assert row.mul(Matrix(tuple((1.0,) for _ in u), APPROX)).entries[0][0].hex() == expected
