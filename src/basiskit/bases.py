@@ -220,7 +220,7 @@ def active_transform(b: Basis, g: GroupElement) -> Basis:
     """
     _check_acts(g, b.space)
     grid = _linear_grid(g)
-    new_rows = [grid.matvec(v) for v in b.vectors]
+    new_rows = tuple(grid.matvec(v) for v in b.vectors)
     new_origin = None
     if b.space.kind == "affine":
         new_origin = grid.matvec(b.origin)
@@ -228,7 +228,7 @@ def active_transform(b: Basis, g: GroupElement) -> Basis:
             new_origin = tuple(
                 x + t for x, t in zip(new_origin, g.payload.translation)
             )
-    return Basis.make(b.space, new_rows, new_origin)
+    return _moved(b, new_rows, new_origin)
 
 
 def passive_transform(b: Basis, a: GroupElement) -> Basis:
@@ -242,17 +242,22 @@ def passive_transform(b: Basis, a: GroupElement) -> Basis:
 
 
 def _recombine(b: Basis, grid: Matrix) -> Basis:
-    """The passive move by a linear grid: ``e'_j = sum_i grid[j][i] e_i``.
+    """The passive move by a linear grid: ``e'_j = sum_i grid[j][i] e_i``."""
+    return _moved(b, grid.mul(b.rows()).entries, b.origin)
 
-    The product's entries are backend scalars already and are used as
-    they are.  Every grid that reaches here is invertible: a group
-    element's linear part, or a grid composed and inverted from such
-    parts.  So over the rationals the new rows are independent whenever
-    the old ones are, and their determinant is not computed again.  In
-    floating point a product can still lose rank beyond the tolerance,
-    so the float backend checks it as :meth:`Basis.make` does.
+
+def _moved(b: Basis, rows: tuple, origin) -> Basis:
+    """``b`` moved by an invertible grid to the vectors ``rows`` and ``origin``.
+
+    The new entries are backend scalars already and are used as they
+    are.  Every grid that moves a basis is invertible: a group element's
+    linear part, or a grid composed and inverted from such parts.  So
+    over the rationals the new rows are independent whenever the old
+    ones are, and their determinant is not computed again.  In floating
+    point a product can still lose rank beyond the tolerance, so the
+    float backend checks it as :meth:`Basis.make` does.
     """
-    moved = Basis(b.space, grid.mul(b.rows()).entries, b.origin)
+    moved = Basis(b.space, rows, origin)
     return moved if b.space.backend.is_exact else moved._independent()
 
 
@@ -540,12 +545,11 @@ def is_g_basis(b: Basis) -> GBasisReport:
 
 
 class PassiveBasisTransformation(GridTransformation):
-    """Passive recombination of bases, acting on a basis manifold carrier."""
+    """Passive recombination of bases, acting on a basis manifold carrier.
 
-    def __init__(self, carrier, grid: Matrix):
-        if not grid.is_invertible():
-            raise Singular("passive grid is singular")
-        super().__init__(carrier, grid)
+    Its grid is a group element's linear part, which membership has
+    already decided is invertible.
+    """
 
     def apply(self, b: Basis) -> Basis:
         return _recombine(b, self.grid)

@@ -185,7 +185,7 @@ def _cmd_repcheck(args) -> int:
         summary = classify(rep)
         report.data["classification"] = {
             "side": rep.side,
-            "variance": summary.variance.verdict,
+            "variance": variance.verdict,
             "kernel_size": len(summary.kernel),
             "effective": summary.effective,
             "transitive": summary.transitive,
@@ -341,7 +341,8 @@ def _cmd_object(args) -> int:
     )
     report = RunReport("object")
     report.data["object"] = obj
-    report.data["representative"] = list(representative(obj))
+    before = representative(obj)
+    report.data["representative"] = list(before)
     group = None
     if args.group is not None:
         group = group_from_descriptor(
@@ -354,13 +355,12 @@ def _cmd_object(args) -> int:
         moved = transform_object(obj, g)
         report.data["result"] = moved
         report.data["result_representative"] = list(representative(moved))
-        report.add_verdict("invariance", invariance_check(obj, g))
+        report.add_verdict("invariance", invariance_check(obj, g, before))
     elif group is not None and group.store is not None:
         worst = 0.0
         total = 0.0
         failed = None
         checked = 0
-        before = representative(obj)
         for g in group.store:
             verdict = invariance_check(obj, g, before)
             checked += 1

@@ -49,7 +49,6 @@ __all__ = [
     "Vector",
     "vector",
     "vec_add",
-    "vec_sub",
     "vec_scale",
     "vec_eq",
     "vec_max_diff",
@@ -71,12 +70,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, u: Vector) -> Vector:

@@ -48,7 +48,8 @@ def random_invertible_matrix(rng: Random, n: int, backend: Backend) -> Matrix:
 
     Float candidates are additionally required to be well conditioned in
     the crude sense of ``|det| > 0.01``, so downstream inversions stay far
-    from the comparison tolerance.
+    from the comparison tolerance.  Either way the result passes
+    :meth:`Matrix.is_invertible`, the membership test of ``GL``.
     """
     for _ in range(1000):
         m = _random_square(rng, n, backend)
@@ -56,7 +57,7 @@ def random_invertible_matrix(rng: Random, n: int, backend: Backend) -> Matrix:
         if backend.is_exact:
             if det != 0:
                 return m
-        elif abs(det) > 0.01:
+        elif abs(det) > max(0.01, backend.tolerance):
             return m
     raise BasiskitError("failed to sample an invertible matrix")
 
@@ -78,19 +79,25 @@ def sample_group_element(group, rng: Random) -> GroupElement:
     """Draw a random element of a group.
 
     Stored elements are sampled uniformly.  Matrix families without a
-    store fall back to family-specific generators where one exists.
+    store fall back to family-specific generators where one exists.  A
+    sampled ``GL`` or ``AFFINE`` element is invertible by construction,
+    which is all their membership tests decide, so it is not tested again.
     """
     if group.store is not None:
         return rng.choice(group.store)
     family = getattr(group, "family", None)
     if family == "GL":
-        return group.element(random_invertible_matrix(rng, group.dim, group.backend))
+        return GroupElement(
+            group, random_invertible_matrix(rng, group.dim, group.backend)
+        )
     if family == "SL":
         return group.element(
             random_special_linear_matrix(rng, group.dim, group.backend)
         )
     if family == "AFFINE":
-        return group.element(random_affine_transform(rng, group.dim, group.backend))
+        return GroupElement(
+            group, random_affine_transform(rng, group.dim, group.backend)
+        )
     if family == "SO":
         p, q = group.signature
         if (p, q) == (2, 0):

@@ -33,7 +33,7 @@ from basiskit.errors import (
     NullVector,
 )
 from basiskit.descriptors import group_from_descriptor
-from basiskit.groups import MatrixGroup, boost_2d, rotation_2d
+from basiskit.groups import AffineTransform, MatrixGroup, boost_2d, rotation_2d
 from basiskit.matrices import Matrix, vec_eq
 from basiskit.representations import Verdict, _first_failure, check_axioms, solve_transport
 from basiskit.sampling import random_vector, sample_group_element
@@ -130,6 +130,35 @@ def test_passive_rows_are_built_once_and_float_rank_is_still_checked():
     flat = Basis.make(linear_space(backend=APPROX), shrink.entries)
     with pytest.raises(DegenerateBasis):
         passive_transform(flat, MatrixGroup.general_linear(2, APPROX).element(shrink))
+
+
+@pytest.mark.parametrize("mover", [active_transform, passive_transform])
+def test_exact_moved_bases_take_no_determinant(mover, monkeypatch):
+    # the basis and the element are checked on entry; their image inherits it
+    space = VectorSpace("affine", 2, EXACT)
+    b = Basis.make(space, [[1, 1], [0, 1]], origin=[1, 2])
+    affine = MatrixGroup.affine(2)
+    g = affine.element(AffineTransform(Matrix.from_rows([[2, 1], [1, 1]], EXACT), (F(1), F(0))))
+    calls = [0]
+    det = Matrix.det
+
+    def counted(self):
+        calls[0] += 1
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counted)
+    moved = mover(b, g)
+    assert calls[0] == 0
+    monkeypatch.setattr(Matrix, "det", det)
+    assert moved.eq(Basis.make(space, moved.vectors, origin=moved.origin))
+
+
+def test_float_active_transform_still_checks_rank():
+    # grid and basis each clear the 1e-9 tolerance; the moved vectors do not
+    shrink = Matrix.from_rows([[1e-5, 0.0], [0.0, 1.0]], APPROX)
+    flat = Basis.make(linear_space(backend=APPROX), [[1e-5, 0.0], [0.0, 1.0]])
+    with pytest.raises(DegenerateBasis):
+        active_transform(flat, MatrixGroup.general_linear(2, APPROX).element(shrink))
 
 
 def test_active_moves_each_vector():

@@ -85,6 +85,43 @@ def test_repcheck_passes(tmp_path, capsys):
     assert out["data"]["classification"]["single_transitive"] is True
 
 
+def test_repcheck_classification_carries_the_variance_verdict(tmp_path, capsys):
+    # two sampled pairs of S3 do not tell the sides apart: the variance line
+    # says "both", and the classification repeats that verdict
+    from basiskit.groups import symmetric_group
+
+    path = write(
+        tmp_path,
+        "s3_left.json",
+        {
+            "group": {"kind": "finite", "table": [list(r) for r in symmetric_group(3).table]},
+            "side": "left",
+            "carrier": {"kind": "self"},
+            "assign": {"kind": "shift-left"},
+        },
+    )
+    argv = ["repcheck", "--input", path, "--sample", "sampled", "--samples", "2"]
+    assert main(argv + ["--seed", "2", "--report", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    variance = next(c for c in out["checks"] if c["name"] == "variance")
+    assert variance["detail"] == "verdict both, expected covariant"
+    assert out["data"]["classification"]["variance"] == "both"
+
+
+def test_repcheck_with_a_singular_linear_matrix_is_exit_2(tmp_path, capsys):
+    path = write(
+        tmp_path,
+        "z2_singular.json",
+        {
+            "group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+            "side": "left",
+            "carrier": {"kind": "coords", "dim": 2, "layout": "column"},
+            "assign": {"kind": "linear", "matrices": [[[1, 0], [0, 1]], [[1, 2], [2, 4]]]},
+        },
+    )
+    assert_one_line_error(main(["repcheck", "--input", path]), capsys)
+
+
 def test_repcheck_text_report(tmp_path, capsys):
     code = main(["repcheck", "--input", shift_rep(tmp_path, "right")])
     out = capsys.readouterr().out
@@ -373,7 +410,7 @@ def test_object_orbit_computes_the_base_orbit_once(tmp_path, capsys, monkeypatch
 def test_object_sweep_computes_the_unchanged_representative_once(
     tmp_path, capsys, monkeypatch
 ):
-    # one for the report, one before the sweep and one after each of 4 elements
+    # one for the report and the sweep together, and one after each of 4 elements
     import basiskit.cli as cli
     import basiskit.objects as objects
 
@@ -389,7 +426,7 @@ def test_object_sweep_computes_the_unchanged_representative_once(
     argv = ["object", "--input", vector_object(tmp_path), "--group", quarter_turn_group(tmp_path)]
     assert main(argv + ["--report", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["checks"][0]["checked"] == 4
-    assert calls[0] == 6
+    assert calls[0] == 5
 
 
 def test_object_axioms_flag(tmp_path, capsys):

@@ -623,3 +623,32 @@ def test_closure_cap_error_says_how_far_it_got():
         gl1.close_over([Matrix.from_rows([[2]], EXACT)], cap=50)
     with pytest.raises(EnumerationCapExceeded, match=r"\(1 found, frontier of 1\)"):
         gl1.close_over([Matrix.from_rows([[2]], EXACT)], cap=0)
+
+
+@pytest.mark.parametrize("family", ["GL", "AFFINE"])
+@pytest.mark.parametrize("backend", [EXACT, approx(1e-9), approx(0.5)], ids=["exact", "float", "coarse"])
+def test_a_sampled_element_is_a_member_decided_once(family, backend, monkeypatch):
+    # the sampler's rejection test is the family's membership test, so each
+    # candidate matrix takes one determinant and every draw is a member
+    from basiskit import sampling
+
+    make = MatrixGroup.general_linear if family == "GL" else MatrixGroup.affine
+    group = make(3, backend)
+    counts = {"det": 0, "candidates": 0}
+
+    def counting(fn, key):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
+
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", counting(det, "det"))
+    monkeypatch.setattr(sampling, "_random_square", counting(sampling._random_square, "candidates"))
+    rng = Random(5)
+    drawn = [sampling.sample_group_element(group, rng) for _ in range(20)]
+    assert counts["det"] == counts["candidates"] >= 20
+    monkeypatch.setattr(Matrix, "det", det)
+    for g in drawn:
+        assert group.membership(g.payload)[0]

@@ -39,6 +39,7 @@ from basiskit.representations import (
     SelfCarrier,
     Verdict,
     _first_failure,
+    _variance_product,
     check_axioms,
     check_variance,
     classify,
@@ -330,6 +331,61 @@ def test_coordinate_style_action_is_contravariant():
     assert check_variance(rep).verdict == "contravariant"
 
 
+@pytest.mark.parametrize("backend", [EXACT, approx(1e-9)], ids=["exact", "float"])
+def test_linear_transformation_refuses_a_singular_grid(backend):
+    carrier = CoordCarrier(2, "column", backend)
+    with pytest.raises(Singular):
+        LinearTransformation(carrier, Matrix.from_rows([[1, 2], [2, 4]], backend))
+    # a float grid counts as singular once its determinant is within the tolerance
+    if not backend.is_exact:
+        flat = Matrix.from_rows([[1e-10, 0.0], [0.0, 1.0]], backend)
+        with pytest.raises(Singular):
+            LinearTransformation(carrier, flat)
+
+
+@pytest.mark.parametrize("backend", [EXACT, approx(1e-9)], ids=["exact", "float"])
+def test_derived_linear_transformations_take_no_determinant(backend, monkeypatch):
+    # a product or an inverse of checked grids is invertible already
+    carrier = CoordCarrier(2, "row", backend)
+    t1 = LinearTransformation(carrier, Matrix.from_rows([[2, 1], [1, 1]], backend))
+    t2 = LinearTransformation(carrier, Matrix.from_rows([[1, 0], [3, 1]], backend))
+    calls = [0]
+    det = Matrix.det
+
+    def counted(self):
+        calls[0] += 1
+        return det(self)
+
+    monkeypatch.setattr(Matrix, "det", counted)
+    composed = t1.after(t2)
+    inverted = t1.inverted()
+    product = _variance_product(t1, t2)
+    assert calls[0] == 0
+    assert composed.grid.eq(t2.grid.mul(t1.grid))
+    assert inverted.grid.eq(t1.grid.inverse())
+    assert product.grid.eq(t1.grid.mul(t2.grid))
+    assert all(type(t) is LinearTransformation for t in (composed, inverted, product))
+    assert all(t.carrier is carrier for t in (composed, inverted, product))
+
+
+def test_a_float_variance_product_under_the_tolerance_is_a_verdict():
+    # each grid clears the tolerance, the product of the squeeze with itself
+    # does not; the law fails on it instead of the product being refused
+    backend = approx(1e-9)
+    z2 = cyclic_group(2)
+    carrier = CoordCarrier(2, "column", backend)
+    grids = [
+        Matrix.identity(2, backend),
+        Matrix.from_rows([[1e-5, 0.0], [0.0, 1.0]], backend),
+    ]
+    rep = Representation(
+        z2, carrier, "left", lambda g: LinearTransformation(carrier, grids[g.payload])
+    )
+    verdict = check_variance(rep)
+    assert verdict.verdict == "neither"
+    assert verdict.homomorphism_witness == (z2.element(1), z2.element(1))
+
+
 def test_exhaustive_demand_on_coordinates_is_refused():
     rep = natural_action(_stored_gl2(), "column")
     with pytest.raises(InfeasibleExhaustive):
@@ -429,6 +485,19 @@ def test_classification_of_left_shift():
     assert result.transitive and result.effective and result.single_transitive
     assert result.unique_transport is True
     assert result.uniqueness_agrees
+
+
+def test_classify_reports_structure_without_checking_the_laws(monkeypatch):
+    import basiskit.representations as representations
+
+    def refused(*args, **kwargs):
+        raise AssertionError("classify ran a law check")
+
+    monkeypatch.setattr(representations, "check_axioms", refused)
+    monkeypatch.setattr(representations, "check_variance", refused)
+    s3 = symmetric_group(3)
+    for rep in (left_shift(s3), twin_representation(left_shift(s3))):
+        assert classify(rep).single_transitive
 
 
 def test_orbit_partition_for_intransitive_action():
