@@ -55,6 +55,7 @@ __all__ = [
     "CoordinateRepCheckReport",
     "BasisManifold",
     "active_transform",
+    "active_coordinates_check",
     "passive_transform",
     "standard_coordinates",
     "change_of_basis",
@@ -229,6 +230,30 @@ def active_transform(b: Basis, g: GroupElement) -> Basis:
                 x + t for x, t in zip(new_origin, g.payload.translation)
             )
     return _moved(b, new_rows, new_origin)
+
+
+def active_coordinates_check(
+    b: Basis, g: GroupElement, moved: Optional[Basis] = None
+) -> Verdict:
+    """Moving a vector and the basis together by ``g`` leaves its components alone.
+
+    The probes are the Kronecker vectors, then the all-ones vector; the
+    witness is ``(v, before, after)``.  ``moved`` is ``active_transform(b,
+    g)``, passed in by a caller that has it already.
+    """
+    moved = moved or active_transform(b, g)
+    backend, n = b.space.backend, b.space.dim
+    linear = _linear_grid(g)
+    probes = Matrix.identity(n, backend).entries + ((backend.one(),) * n,)
+
+    def outcomes():
+        for v in probes:
+            before = vector_coordinates(v, b).components
+            after = vector_coordinates(linear.matvec(v), moved).components
+            residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
+            yield (v, before, after), vec_eq(before, after, backend), residual
+
+    return _first_failure("", outcomes())
 
 
 def passive_transform(b: Basis, a: GroupElement) -> Basis:
@@ -436,10 +461,7 @@ def coordinate_representation_check(
             drawn = vectors_per_pair * (i + 1)
             yield from vector_outcomes(a, b, once, draw(vectors_per_pair))
 
-    kron = [
-        tuple(backend.one() if i == k else backend.zero() for i in range(n))
-        for k in range(n)
-    ]
+    kron = Matrix.identity(n, backend).entries
 
     def effective(a):
         moved = [inverse_grid(a).vecmat(e) for e in kron]

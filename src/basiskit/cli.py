@@ -15,7 +15,7 @@ import math
 import sys
 
 from .bases import (
-    _linear_grid,
+    active_coordinates_check,
     active_transform,
     change_of_basis,
     coordinate_representation_check,
@@ -23,7 +23,6 @@ from .bases import (
     is_g_basis,
     passive_transform,
     standard_coordinates,
-    vector_coordinates,
 )
 from .descriptors import (
     basis_from_descriptor,
@@ -45,15 +44,15 @@ from .errors import (
     NullVector,
     ParseError,
 )
-from .matrices import vec_eq, vec_max_diff
 from .objects import (
     invariance_check,
+    invariance_sweep,
     object_representation,
     representative,
     transform_object,
     vector_space_axioms_check,
 )
-from .reports import CheckLine, RunReport
+from .reports import CheckLine, RunReport, sweep_line
 from .representations import (
     check_axioms,
     check_variance,
@@ -242,35 +241,9 @@ def _cmd_basis(args) -> int:
         if args.mode == "active":
             # moving the vectors and the basis together must leave every
             # displacement's components alone
-            backend = b.space.backend
-            linear = _linear_grid(g)
-            n = b.space.dim
-            probes = [
-                tuple(
-                    backend.one() if i == k else backend.zero() for i in range(n)
-                )
-                for k in range(n)
-            ]
-            probes.append(tuple(backend.one() for _ in range(n)))
-            worst = 0.0
-            failure = None
-            for v in probes:
-                before = vector_coordinates(v, b).components
-                after = vector_coordinates(linear.matvec(v), moved).components
-                if not backend.is_exact:
-                    worst = max(worst, vec_max_diff(before, after))
-                if not vec_eq(before, after, backend):
-                    failure = (v, before, after)
-                    break
-            report.add(
-                CheckLine(
-                    "coordinates-preserved",
-                    passed=failure is None,
-                    checked=len(probes),
-                    counterexample=failure,
-                    residual=None if backend.is_exact else worst,
-                )
-            )
+            verdict = active_coordinates_check(b, g, moved)
+            exact = b.space.backend.is_exact
+            report.add(sweep_line("coordinates-preserved", verdict, exact))
     elif args.action == "change":
         b1 = basis_from_descriptor(load_json(args.source), override, args.tolerance)
         b2 = basis_from_descriptor(load_json(args.target), override, args.tolerance)
@@ -353,33 +326,16 @@ def _cmd_object(args) -> int:
             raise ParseError("--element needs --group for context")
         g = element_from_descriptor(_inline_or_file(args.element), group)
         moved = transform_object(obj, g)
+        after = representative(moved)
         report.data["result"] = moved
-        report.data["result_representative"] = list(representative(moved))
-        report.add_verdict("invariance", invariance_check(obj, g, before))
+        report.data["result_representative"] = list(after)
+        report.add_verdict("invariance", invariance_check(obj, g, before, after))
     elif group is not None and group.store is not None:
-        worst = 0.0
-        total = 0.0
-        failed = None
-        checked = 0
-        for g in group.store:
-            verdict = invariance_check(obj, g, before)
-            checked += 1
-            worst = max(worst, verdict.residual_max)
-            total += verdict.residual_max
-            if not verdict.passed and failed is None:
-                failed = verdict.counterexample
-        report.add(
-            CheckLine(
-                "invariance",
-                passed=failed is None,
-                mode="stored-elements",
-                checked=checked,
-                counterexample=failed,
-                residual=worst if not obj.anchor.space.backend.is_exact else None,
-            )
-        )
-        if not obj.anchor.space.backend.is_exact and checked:
-            report.data["residuals"] = {"max": worst, "mean": total / checked}
+        exact = obj.anchor.space.backend.is_exact
+        verdict, mean = invariance_sweep((obj, g, before, None) for g in group.store)
+        report.add(sweep_line("invariance", verdict, exact))
+        if not exact:
+            report.data["residuals"] = {"max": verdict.residual_max, "mean": mean}
     if args.axioms:
         if group is None:
             raise ParseError("--axioms needs --group for sampling elements")
@@ -420,7 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="orbits and the partition property")
     p.add_argument("--input", required=True, help="representation descriptor path")
     p.add_argument("--point", help="carrier point, inline JSON or @path")
-    _add_common(p, sampling=True)
+    _add_common(p)
+    p.add_argument(
+        "--cap", type=int, default=100_000, help="enumeration cap for closures and orbits"
+    )
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("basis", help="basis transformations and checks")

@@ -30,6 +30,8 @@ from .representations import (
     MappingTransformation,
     Representation,
     SelfCarrier,
+    left_shift,
+    right_shift,
 )
 from .scalars import (
     EXACT,
@@ -307,8 +309,6 @@ def representation_from_descriptor(
     tolerance: float = 1e-9,
     cap: int = 100_000,
 ) -> Representation:
-    from .representations import left_shift, right_shift
-
     group = group_from_descriptor(
         _need(d, "group", "representation"), backend, tolerance, cap
     )

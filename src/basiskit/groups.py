@@ -123,9 +123,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
-    def elements(self) -> tuple:
-        return self.store
-
     def element(self, index: int) -> GroupElement:
         if not 0 <= index < self.order:
             raise BasiskitError(f"element index {index} out of range 0..{self.order - 1}")
@@ -439,13 +436,6 @@ class MatrixGroup:
     @property
     def identity(self) -> GroupElement:
         return GroupElement(self, self._identity_payload)
-
-    def elements(self) -> tuple:
-        if self.store is None:
-            raise BasiskitError(
-                f"{self.describe()} has no stored elements to enumerate"
-            )
-        return self.store
 
     def _own(self, a: GroupElement):
         if not isinstance(a, GroupElement) or a.group is not self:

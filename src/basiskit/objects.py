@@ -72,6 +72,7 @@ __all__ = [
     "transform_object",
     "representative",
     "invariance_check",
+    "invariance_sweep",
     "add_objects",
     "scale_object",
     "rebase",
@@ -357,22 +358,47 @@ def representative(obj: GeometricalObject) -> tuple:
     return obj.w_basis.vecmat(obj.coords)
 
 
+def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
+    """The invariance law on every case: ``(verdict, mean residual)``.
+
+    A case is ``(obj, g, before, after)``: an object, an element, and the
+    representatives of ``obj`` and of ``transform_object(obj, g)``, or
+    ``None`` for one the caller does not have yet.  Every case runs; the
+    witness is the first failure's ``(g, before, after)`` and the
+    residual is the worst one seen.
+    """
+    witness = None
+    checked = 0
+    worst = total = 0.0
+    for obj, g, before, after in cases:
+        if before is None:
+            before = representative(obj)
+        if after is None:
+            after = representative(transform_object(obj, g))
+        backend = obj.anchor.space.backend
+        residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
+        checked += 1
+        worst = max(worst, residual)
+        total += residual
+        if witness is None and not vec_eq(before, after, backend):
+            witness = (g, before, after)
+    verdict = Verdict(witness is None, mode, checked, witness, worst)
+    return verdict, total / max(checked, 1)
+
+
 def invariance_check(
-    obj: GeometricalObject, g: GroupElement, before: Optional[tuple] = None
+    obj: GeometricalObject,
+    g: GroupElement,
+    before: Optional[tuple] = None,
+    after: Optional[tuple] = None,
 ) -> Verdict:
     """Representative before and after the transformation must agree.
 
-    ``before`` is ``representative(obj)``; a caller checking one object
-    against many elements passes it in so that it is computed once.
+    ``before`` is ``representative(obj)`` and ``after`` that of
+    ``transform_object(obj, g)``; a caller that has either already passes
+    it in.
     """
-    if before is None:
-        before = representative(obj)
-    after = representative(transform_object(obj, g))
-    backend = obj.anchor.space.backend
-    residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
-    if vec_eq(before, after, backend):
-        return Verdict(True, "direct", 1, None, residual)
-    return Verdict(False, "direct", 1, (g, before, after), residual)
+    return invariance_sweep([(obj, g, before, after)], mode="direct")[0]
 
 
 def _require_compatible(o1: GeometricalObject, o2: GeometricalObject) -> None:
@@ -433,14 +459,12 @@ def vector_space_axioms_check(
     rng = Random(seed)
     backend = anchor.space.backend
     carrier = ObjectCarrier(functor, anchor)
-    m = carrier.weight_dim
-    zero = GeometricalObject.make(functor, [backend.zero()] * m, anchor)
+    zeros = [backend.zero()] * carrier.weight_dim
+    zero = GeometricalObject.make(functor, zeros, anchor)
 
     def outcomes():
         for _ in range(samples):
-            u = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
-            v = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
-            w = GeometricalObject.make(functor, random_vector(rng, m, backend), anchor)
+            u, v, w = (carrier.sample(rng) for _ in range(3))
             c = random_vector(rng, 1, backend)[0]
             move = ObjectTransformation.of(carrier, sample_group_element(group, rng)).apply
             laws = [

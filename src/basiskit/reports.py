@@ -16,7 +16,7 @@ from .descriptors import to_jsonable
 
 SCHEMA = "basiskit/1"
 
-__all__ = ["SCHEMA", "CheckLine", "RunReport"]
+__all__ = ["SCHEMA", "CheckLine", "RunReport", "sweep_line"]
 
 
 @dataclass
@@ -42,6 +42,15 @@ class CheckLine:
         if self.detail:
             d["detail"] = self.detail
         return d
+
+
+def sweep_line(name: str, verdict, exact: bool) -> CheckLine:
+    """A sweep's line: a float sweep reports its worst residual, 0.0
+    included, and an exact one none (unlike :meth:`RunReport.add_verdict`)."""
+    residual = None if exact else verdict.residual_max
+    return CheckLine(
+        name, verdict.passed, verdict.mode, verdict.checked, verdict.counterexample, residual
+    )
 
 
 @dataclass

@@ -539,7 +539,7 @@ def _compile_action_table(rep: Representation) -> Optional[list]:
         return None
     points = carrier.points()
     table = []
-    for g in group.elements():
+    for g in group.store:
         try:
             t = rep.transformation(g)
             if not isinstance(t, MappingTransformation):

@@ -51,20 +51,24 @@ def random_invertible_matrix(rng: Random, n: int, backend: Backend) -> Matrix:
     from the comparison tolerance.  Either way the result passes
     :meth:`Matrix.is_invertible`, the membership test of ``GL``.
     """
+    return _invertible_with_det(rng, n, backend)[0]
+
+
+def _invertible_with_det(rng: Random, n: int, backend: Backend) -> tuple:
+    """``(m, det(m))`` for the matrix :func:`random_invertible_matrix` draws."""
     for _ in range(1000):
         m = _random_square(rng, n, backend)
         det = m.det()
         if backend.is_exact:
             if det != 0:
-                return m
+                return m, det
         elif abs(det) > max(0.01, backend.tolerance):
-            return m
+            return m, det
     raise BasiskitError("failed to sample an invertible matrix")
 
 
 def random_special_linear_matrix(rng: Random, n: int, backend: Backend) -> Matrix:
-    m = random_invertible_matrix(rng, n, backend)
-    det = m.det()
+    m, det = _invertible_with_det(rng, n, backend)
     scaled_first = tuple(x / det for x in m.entries[0])
     return Matrix((scaled_first,) + m.entries[1:], backend)
 
@@ -81,7 +85,9 @@ def sample_group_element(group, rng: Random) -> GroupElement:
     Stored elements are sampled uniformly.  Matrix families without a
     store fall back to family-specific generators where one exists.  A
     sampled ``GL`` or ``AFFINE`` element is invertible by construction,
-    which is all their membership tests decide, so it is not tested again.
+    which is all their membership tests decide, so it is not tested again;
+    neither is an exact ``SL`` sample, whose determinant is 1 by
+    construction.
     """
     if group.store is not None:
         return rng.choice(group.store)
@@ -91,9 +97,9 @@ def sample_group_element(group, rng: Random) -> GroupElement:
             group, random_invertible_matrix(rng, group.dim, group.backend)
         )
     if family == "SL":
-        return group.element(
-            random_special_linear_matrix(rng, group.dim, group.backend)
-        )
+        m = random_special_linear_matrix(rng, group.dim, group.backend)
+        # over the rationals det = 1 by construction; a float sample is tested
+        return GroupElement(group, m) if group.backend.is_exact else group.element(m)
     if family == "AFFINE":
         return GroupElement(
             group, random_affine_transform(rng, group.dim, group.backend)

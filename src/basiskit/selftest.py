@@ -32,15 +32,14 @@ from .groups import (
 )
 from .matrices import Matrix
 from .objects import (
-    GeometricalObject,
+    ObjectCarrier,
     direct_sum_functor,
     dual_functor,
     fundamental_functor,
     identity_functor,
-    invariance_check,
+    invariance_sweep,
     tensor_power_functor,
     vector_space_axioms_check,
-    weight_dim,
 )
 from .representations import (
     check_axioms,
@@ -55,8 +54,7 @@ from .representations import (
     twin_representation,
     same_side_noncommuting_witness,
 )
-from .reports import CheckLine, RunReport
-from .sampling import random_vector
+from .reports import CheckLine, RunReport, sweep_line
 from .scalars import EXACT, approx
 
 __all__ = ["run_selftest", "finite_fixtures", "so2_octant", "s3_matrix_group"]
@@ -158,31 +156,29 @@ def _invariance_battery(
     rng: Random,
     objects_per_element: int,
 ) -> None:
-    backend = anchor.space.backend
     for functor in functors:
-        m = weight_dim(functor, anchor.space.dim)
-        worst = 0.0
-        failed = None
-        checked = 0
-        for g in group.elements():
-            for _ in range(objects_per_element):
-                coords = random_vector(rng, m, backend)
-                obj = GeometricalObject.make(functor, coords, anchor)
-                verdict = invariance_check(obj, g)
-                checked += 1
-                worst = max(worst, verdict.residual_max)
-                if not verdict.passed and failed is None:
-                    failed = verdict.counterexample
-        report.add(
-            CheckLine(
-                f"{label}/invariance/{functor.describe()}",
-                passed=failed is None,
-                mode="stored-elements",
-                checked=checked,
-                counterexample=failed,
-                residual=worst if not backend.is_exact else None,
-            )
+        carrier = ObjectCarrier(functor, anchor)
+        cases = (
+            (carrier.sample(rng), g, None, None)
+            for g in group.store
+            for _ in range(objects_per_element)
         )
+        verdict, _ = invariance_sweep(cases)
+        name = f"{label}/invariance/{functor.describe()}"
+        report.add(sweep_line(name, verdict, anchor.space.backend.is_exact))
+
+
+def _membership_line(report: RunReport, label: str, group: MatrixGroup) -> None:
+    """The worst membership residual of the stored elements, within tolerance."""
+    worst = max(group.membership(g.payload)[1] for g in group.store)
+    report.add(
+        CheckLine(
+            f"{label}/membership-residual",
+            passed=worst <= group.backend.tolerance,
+            checked=len(group.store),
+            residual=worst,
+        )
+    )
 
 
 def run_selftest(
@@ -219,29 +215,13 @@ def run_selftest(
     )
 
     so2 = so2_octant(tolerance)
-    worst = max(so2.membership(g.payload)[1] for g in so2.elements())
-    report.add(
-        CheckLine(
-            "SO2/membership-residual",
-            passed=worst <= tolerance,
-            checked=len(so2.elements()),
-            residual=worst,
-        )
-    )
+    _membership_line(report, "SO2", so2)
     coord = coordinate_representation_check(so2, seed=seed)
     report.add_verdict("SO2/coordinate-composition", coord.composition)
     report.add_verdict("SO2/coordinate-effectiveness", coord.effectiveness)
 
     so11 = so11_boosts(tolerance)
-    worst = max(so11.membership(g.payload)[1] for g in so11.elements())
-    report.add(
-        CheckLine(
-            "SO11/membership-residual",
-            passed=worst <= tolerance,
-            checked=len(so11.elements()),
-            residual=worst,
-        )
-    )
+    _membership_line(report, "SO11", so11)
 
     s3m = s3_matrix_group()
     coord = coordinate_representation_check(s3m, seed=seed)

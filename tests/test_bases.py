@@ -14,6 +14,7 @@ from basiskit.bases import (
     Basis,
     BasisManifold,
     VectorSpace,
+    active_coordinates_check,
     active_transform,
     basis_metric_signs,
     change_of_basis,
@@ -178,6 +179,37 @@ def test_active_preserves_coordinates():
     moved_v = g.payload.matvec(v)
     after = vector_coordinates(moved_v, active_transform(b, g)).components
     assert before == after
+
+
+@pytest.mark.parametrize("backend", [EXACT, APPROX], ids=["exact", "float"])
+def test_active_coordinates_check_probes_kronecker_then_all_ones(backend):
+    b = Basis.make(linear_space(3, backend), [[1, 1, 0], [0, 1, 0], [0, 2, 1]])
+    g = MatrixGroup.general_linear(3, backend).element(
+        Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], backend)
+    )
+    verdict = active_coordinates_check(b, g)
+    assert verdict.passed and verdict.checked == 4
+    assert verdict == active_coordinates_check(b, g, active_transform(b, g))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("backend", [EXACT, APPROX], ids=["exact", "float"])
+def test_active_coordinates_check_fails_at_the_unmoved_vector(backend, k):
+    # a moved basis with vector k left in place breaks the law first at the
+    # k-th Kronecker probe, whose only component is on that vector
+    b = Basis.make(linear_space(3, backend), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    g = MatrixGroup.general_linear(3, backend).element(
+        Matrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], backend)
+    )
+    rows = list(active_transform(b, g).vectors)
+    rows[k] = b.vectors[k]
+    verdict = active_coordinates_check(b, g, Basis.make(b.space, rows))
+    assert not verdict.passed
+    assert verdict.checked == k + 1
+    v, before, after = verdict.counterexample
+    assert v == b.vectors[k] == before
+    assert not vec_eq(before, after, backend)
+    assert (verdict.residual_max > 0.5) == (not backend.is_exact)
 
 
 def test_active_and_passive_commute():

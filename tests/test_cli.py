@@ -356,6 +356,24 @@ def test_object_transform_and_invariance(tmp_path, capsys):
     assert out["checks"][0]["passed"] is True
 
 
+def test_object_element_moves_the_object_once(tmp_path, capsys, monkeypatch):
+    from basiskit.objects import ObjectTransformation
+
+    applied = []
+    apply = ObjectTransformation.apply
+    monkeypatch.setattr(
+        ObjectTransformation, "apply", lambda self, o: applied.append(1) or apply(self, o)
+    )
+    group = write(tmp_path, "gl2.json", {"kind": "matrix", "family": "GL", "dim": 2})
+    argv = ["object", "--input", vector_object(tmp_path), "--group", group,
+            "--element", '{"matrix": [[0, -1], [1, 0]]}', "--report", "json"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["data"]["result_representative"] == [1, 0]
+    assert out["checks"][0]["passed"] is True
+    assert len(applied) == 1
+
+
 def test_object_orbit(tmp_path, capsys):
     obj = write(
         tmp_path,
@@ -630,7 +648,6 @@ def test_boolean_element_is_exit_2(tmp_path, capsys, point):
     [
         ["repcheck", "--input", "REP", "--sample", "sampled", "--samples", "-5"],
         ["repcheck", "--input", "REP", "--samples", "0"],
-        ["orbit", "--input", "REP", "--samples", "0"],
         ["object", "--input", "OBJ", "--samples", "-1"],
         ["basis", "coordrep", "--group", "GROUP", "--samples", "0"],
         ["selftest", "--samples", "0"],
@@ -647,6 +664,16 @@ def test_samples_below_one_is_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: --samples must be at least 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "flag", [["--sample", "sampled"], ["--samples", "5"], ["--seed", "3"]]
+)
+def test_orbit_rejects_the_sampling_flags_it_never_reads(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--input", shift_rep(tmp_path), *flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # -- malformed descriptor fields, tolerance, parser reuse ------------------------
@@ -797,7 +824,7 @@ def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypa
         ["repcheck", "--input", rep, "--sample", "sampled", "--samples", "5", "--report", "json"],
         ["repcheck", "--input", rep, "--sample", "sampled", "--report", "json"],
         ["repcheck"],  # missing --input: argparse exits
-        ["orbit", "--input", rep, "--point", "1", "--seed", "3", "--report", "json"],
+        ["orbit", "--input", rep, "--point", "1", "--cap", "50", "--report", "json"],
         ["orbit", "--input", rep, "--report", "json"],
         ["basis", "coordrep", "--group", quarter_turn_group(tmp_path), "--tolerance", "1e-6",
          "--report", "json"],
@@ -828,7 +855,7 @@ def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys, monkeypa
     assert reused[2][0] == ("exit", 2) and reused[7][0] == ("exit", 2)
     settings = [json.loads(out)["data"]["settings"] for _, out, _ in reused if out]
     assert [s["samples"] for s in settings[:2]] == [5, 1000]
-    assert [s["seed"] for s in settings[2:4]] == [3, 42]
+    assert [s["cap"] for s in settings[2:4]] == [50, 100000]
     assert [s["tolerance"] for s in settings[4:6]] == [1e-6, 1e-9]
     cli._parser.cache_clear()
 

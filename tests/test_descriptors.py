@@ -150,7 +150,7 @@ def test_finite_element_range_checked():
 
 def test_named_element_keeps_its_name():
     q8 = quaternion_group()
-    g = next(g for g in q8.elements() if g.name == "k")
+    g = next(g for g in q8.store if g.name == "k")
     d = element_to_descriptor(g)
     assert d["name"] == "k"
     assert element_from_descriptor(d, q8).eq_to(g)

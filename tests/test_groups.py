@@ -63,8 +63,8 @@ def test_s3_is_not_abelian():
     s3 = symmetric_group(3)
     pairs = [
         (a, b)
-        for a in s3.elements()
-        for b in s3.elements()
+        for a in s3.store
+        for b in s3.store
         if not (a * b).eq_to(b * a)
     ]
     assert pairs, "expected at least one noncommuting pair"
@@ -88,7 +88,7 @@ def test_quaternion_relations():
 
 def test_dihedral_reflection_squares_to_identity():
     d4 = dihedral_group(4)
-    for g in d4.elements():
+    for g in d4.store:
         gg = g * g
         # rotations of order 4 exist; every reflection squares to e
         if g.payload >= 4:
@@ -652,3 +652,43 @@ def test_a_sampled_element_is_a_member_decided_once(family, backend, monkeypatch
     monkeypatch.setattr(Matrix, "det", det)
     for g in drawn:
         assert group.membership(g.payload)[0]
+
+
+def test_an_exact_special_linear_sample_takes_one_determinant(monkeypatch):
+    # the rejection loop's determinant scales the first row, and det = 1 by
+    # construction, so no membership determinant follows
+    from basiskit import sampling
+
+    def scaled(rng):
+        # the sample as drawn before: a GL(3) sample, its first row over its det
+        m = sampling.random_invertible_matrix(rng, 3, EXACT)
+        det = m.det()
+        return Matrix(((tuple(x / det for x in m.entries[0]),) + m.entries[1:]), EXACT)
+
+    rng = Random(5)
+    expected = [scaled(rng) for _ in range(10)]
+    sl3 = MatrixGroup.special_linear(3)
+    dets = []
+    det = Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: dets.append(1) or det(self))
+    rng = Random(5)
+    drawn = [sampling.sample_group_element(sl3, rng) for _ in range(10)]
+    assert len(dets) == 10
+    monkeypatch.setattr(Matrix, "det", det)
+    assert [g.payload for g in drawn] == expected
+    assert all(sl3.membership(g.payload)[0] for g in drawn)
+
+
+def test_a_float_special_linear_sample_keeps_its_membership_test(monkeypatch):
+    from basiskit import sampling
+
+    sl2 = MatrixGroup.special_linear(2, approx(1e-9))
+    tested = []
+    membership = MatrixGroup.membership
+    monkeypatch.setattr(
+        MatrixGroup, "membership", lambda self, p: tested.append(1) or membership(self, p)
+    )
+    rng = Random(5)
+    drawn = [sampling.sample_group_element(sl2, rng) for _ in range(4)]
+    assert len(tested) == 4
+    assert all(abs(g.payload.det() - 1.0) <= 1e-9 for g in drawn)

@@ -17,7 +17,8 @@ from basiskit.errors import (
     TypeMismatch,
 )
 from basiskit.groups import MatrixGroup, cyclic_group, rotation_2d
-from basiskit.matrices import Matrix
+from basiskit import objects
+from basiskit.matrices import Matrix, vec_eq, vec_max_diff
 from basiskit.objects import (
     GeometricalObject,
     ObjectCarrier,
@@ -29,6 +30,7 @@ from basiskit.objects import (
     functor_eval,
     identity_functor,
     invariance_check,
+    invariance_sweep,
     object_representation,
     rebase,
     representative,
@@ -456,6 +458,70 @@ def test_object_carrier_membership_and_samples():
     sample = carrier.sample(Random(1))
     assert carrier.contains(sample) and sample.anchor == obj.anchor
     assert carrier.point_eq(obj, obj)
+
+
+# -- the invariance sweep ------------------------------------------------------------
+
+
+def per_element_sweep(obj, group):
+    """The stored-elements sweep as an element-by-element loop: the first
+    failure's witness, the count, and the worst and mean residuals."""
+    backend = obj.anchor.space.backend
+    before = representative(obj)
+    worst = total = 0.0
+    failed, checked = None, 0
+    for g in group.store:
+        after = representative(objects.transform_object(obj, g))
+        residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
+        checked += 1
+        worst = max(worst, residual)
+        total += residual
+        if not vec_eq(before, after, backend) and failed is None:
+            failed = (g, before, after)
+    return failed, checked, worst, total / checked
+
+
+@pytest.mark.parametrize("planted", [(), (2, 5)], ids=["holds", "planted"])
+@pytest.mark.parametrize(
+    "make_group, make_anchor", [(dihedral_8, anchor_2d), (so2_order_12, float_anchor)]
+)
+def test_invariance_sweep_matches_the_per_element_loop(
+    make_group, make_anchor, planted, monkeypatch
+):
+    group = make_group()
+    obj = GeometricalObject.make(fundamental_functor(), [F(3, 2), -2], make_anchor())
+    targets = [group.store[i] for i in planted]
+    transform = objects.transform_object
+
+    def skip_w_basis(o, g):
+        # the planted defect: the auxiliary basis stays put for the targets
+        moved = transform(o, g)
+        if g not in targets:
+            return moved
+        return GeometricalObject(moved.functor, moved.coords, moved.anchor, o.w_basis)
+
+    monkeypatch.setattr(objects, "transform_object", skip_w_basis)
+    failed, checked, worst, mean = per_element_sweep(obj, group)
+    verdict, swept_mean = invariance_sweep(
+        (obj, g, representative(obj), None) for g in group.store
+    )
+    assert verdict == Verdict(failed is None, "stored-elements", checked, failed, worst)
+    assert checked == len(group.store)
+    assert swept_mean == mean
+    assert (failed is None) == (not planted)
+    if planted:
+        assert failed[0] == targets[0]
+        assert (worst > 0.1) == (not obj.anchor.space.backend.is_exact)
+
+
+def test_invariance_check_takes_both_representatives():
+    obj = GeometricalObject.make(fundamental_functor(), [5, 7], anchor_2d())
+    g = elem([[2, 1], [1, 1]])
+    wrong = (F(5), F(8))
+    assert invariance_check(obj, g, after=wrong) == Verdict(
+        False, "direct", 1, (g, (F(5), F(7)), wrong), 0.0
+    )
+
 
 
 # -- linear structure ---------------------------------------------------------------

@@ -426,7 +426,7 @@ def test_contragredient_is_an_involution():
     f = left_shift(s3)
     hh = contragredient(contragredient(f))
     assert hh.side == f.side
-    for g in s3.elements():
+    for g in s3.store:
         assert transformations_equal(hh.transformation(g), f.transformation(g))
 
 
@@ -562,7 +562,7 @@ def test_twin_of_right_shift():
     # the twin of the right shift is conjugation-free left composition,
     # which matches the left shift pointwise
     g = left_shift(d4)
-    for a in d4.elements():
+    for a in d4.store:
         assert transformations_equal(f.transformation(a), g.transformation(a))
 
 
@@ -600,8 +600,8 @@ def test_witness_structure_on_s3():
     assert w.origin.eq_to(s3.identity)
     assert w.conjugate.eq_to(w.b * w.a * w.b.inverse())
     # first noncommuting pair in element order
-    for a in s3.elements():
-        for b in s3.elements():
+    for a in s3.store:
+        for b in s3.store:
             if not (a * b).eq_to(b * a):
                 assert w.a.eq_to(a) and w.b.eq_to(b)
                 return
@@ -627,7 +627,7 @@ def test_direct_product_action():
     rep = direct_product(left_shift(z2), left_shift(z2))
     assert check_axioms(rep).passed
     assert classify(rep).effective
-    e, a = z2.elements()
+    e, a = z2.store
     moved = rep.apply(a, (e, e))
     assert moved[0].eq_to(a) and moved[1].eq_to(a)
 
