@@ -18,6 +18,7 @@ the single transformation for the product ``b a``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
@@ -38,10 +39,13 @@ from .groups import AffineTransform, GroupElement, MatrixGroup
 from .matrices import Matrix, metric_dot, vec_eq, vec_max_diff, vector
 from .representations import (
     EXHAUSTIVE_WORK_CAP,
+    CoordCarrier,
     GridTransformation,
+    LinearTransformation,
     Representation,
     Verdict,
     _first_failure,
+    check_axioms,
 )
 from .sampling import random_vector, sample_group_element
 from .scalars import Backend, approx
@@ -61,6 +65,7 @@ __all__ = [
     "change_of_basis",
     "vector_coordinates",
     "coordinate_transformation",
+    "coordinate_representation",
     "coordinate_representation_check",
     "gram_schmidt",
     "basis_metric_signs",
@@ -308,7 +313,11 @@ def change_of_basis(b1: Basis, b2: Basis, group: MatrixGroup) -> GroupElement:
     """
     if b1.space != b2.space:
         raise GroupSpaceMismatch("bases live in different spaces")
-    if group.dim != b1.space.dim or group.backend != b1.space.backend:
+    if (
+        not isinstance(group, MatrixGroup)
+        or group.dim != b1.space.dim
+        or group.backend != b1.space.backend
+    ):
         raise GroupSpaceMismatch("group does not act on this space")
     try:
         grid = b2.rows().mul(b1.rows().inverse())
@@ -372,6 +381,23 @@ class CoordinateRepCheckReport:
         return self.composition.passed and self.effectiveness.passed
 
 
+def coordinate_representation(group: MatrixGroup) -> Representation:
+    """The coordinate law as a left representation on rows, ``f(g): x -> x grid(g)^-1``.
+
+    ``f(ab)`` inverts the product itself, never built from the steps.
+    """
+    if not isinstance(group, MatrixGroup):
+        raise GroupSpaceMismatch(f"{group!r} has no linear action on coordinates")
+    carrier = CoordCarrier(group.dim, "row", group.backend)
+    identity = LinearTransformation(carrier, Matrix.identity(group.dim, group.backend))
+
+    def assign(g: GroupElement) -> LinearTransformation:
+        # the inverse of a member's invertible grid needs no determinant
+        return identity.with_grid(_linear_grid(g).inverse())
+
+    return Representation(group, carrier, "left", assign, label="coordinates")
+
+
 def coordinate_representation_check(
     group: MatrixGroup,
     samples: int = 100,
@@ -380,98 +406,64 @@ def coordinate_representation_check(
 ) -> CoordinateRepCheckReport:
     """Verify the coordinate transformation behaves as a representation.
 
-    Composition: transforming coordinates for ``a`` and then for ``b``
-    must equal the single transformation for the product ``b a``.  A
-    stored group is checked on every ordered pair while
-    ``|store|**2 * vectors_per_pair`` stays within
-    :data:`EXHAUSTIVE_WORK_CAP`, and on ``samples`` seeded pairs of
-    stored elements above it; a group without a store is always sampled.
-    Each pair counts ``vectors_per_pair`` cases.  The independent side
-    ``(grid_b grid_a)^-1`` is inverted by elimination, never built from
-    the steps.
+    Composition is the side law of :func:`coordinate_representation`,
+    with witnesses ``(x, y, u)`` where ``f(xy) u != f(x)(f(y) u)``.  Over
+    the rationals it is :func:`check_axioms`.  In floating point each pair
+    is checked on ``vectors_per_pair`` seeded vectors, which give the
+    residuals: every ordered pair of a store while ``|store|**2 *
+    vectors_per_pair`` stays within :data:`EXHAUSTIVE_WORK_CAP`, otherwise
+    ``samples`` seeded pairs.
 
-    Over the rationals the law for a pair is decided on its grids: the
-    product of the two step inverses either equals the inverse of the
-    product, and then the pair holds for every vector, or it does not.
-    Equal products have equal inverses, so each distinct product is
-    inverted once per check.  Only a pair whose grids disagree draws its
-    seeded vectors, and it gets the same ones as if every pair before it
-    had drawn theirs, so its witness ``(a, b, v)`` is the one a check on
-    vectors alone would report.  In floating point every pair is checked
-    on its vectors, which give the residuals.
-
-    Effectiveness: every stored (or sampled) element other than the
-    identity moves at least one Kronecker coordinate tuple.
+    Effectiveness: every stored element, or ``samples`` seeded ones,
+    whose linear part is not the identity moves some coordinate tuple.
     """
-    rng = Random(seed)
-    n = group.dim
-    backend = group.backend
-    store = group.store
-    if store is not None and len(store) ** 2 * vectors_per_pair <= EXHAUSTIVE_WORK_CAP:
-        pairs = [(a, b) for a in store for b in store]
-        mode = f"exhaustive-pairs({len(pairs)})"
+    rep = coordinate_representation(group)
+    if group.backend.is_exact:
+        composition = check_axioms(rep, "auto", samples, seed)
     else:
-        pairs = [
-            (sample_group_element(group, rng), sample_group_element(group, rng))
-            for _ in range(samples)
-        ]
-        mode = f"sampled(k={samples}, seed={seed})"
-    elements = list(store) if store is not None else [a for a, _ in pairs]
+        composition = _float_composition(rep, samples, vectors_per_pair, seed)
+    elements = group.store
+    if elements is None:
+        rng = Random(seed)
+        elements = [sample_group_element(group, rng) for _ in range(samples)]
 
-    inverses: dict = {}
+    def effective(g):
+        moves = _linear_grid(g).is_identity() or not rep.transformation(g).is_identity()
+        return (g,), moves, 0.0
 
-    def inverse_grid(a):
-        # each element is inverted once per check, on first use
-        if id(a) not in inverses:
-            inverses[id(a)] = _linear_grid(a).inverse()
-        return inverses[id(a)]
-
-    def vector_outcomes(a, b, once, vectors):
-        step_a, step_b = inverse_grid(a), inverse_grid(b)
-        for v in vectors:
-            stepped = step_b.vecmat(step_a.vecmat(v))
-            direct = once.vecmat(v)
-            residual = 0.0 if backend.is_exact else vec_max_diff(stepped, direct)
-            yield (a, b, v), vec_eq(stepped, direct, backend), residual
-
-    def draw(count):
-        return (random_vector(rng, n, backend) for _ in range(count))
-
-    def float_outcomes():
-        for a, b in pairs:
-            grid_a, grid_b = _linear_grid(a), _linear_grid(b)
-            # the independent side of the law, never built from the steps
-            once = grid_b.mul(grid_a).inverse()
-            yield from vector_outcomes(a, b, once, draw(vectors_per_pair))
-
-    def exact_outcomes():
-        product_inverses: dict = {}
-        drawn = 0  # vectors of the seeded stream drawn so far
-        for i, (a, b) in enumerate(pairs):
-            product = _linear_grid(b).mul(_linear_grid(a))
-            if product not in product_inverses:
-                product_inverses[product] = product.inverse()
-            once = product_inverses[product]
-            if inverse_grid(a).mul(inverse_grid(b)) == once:
-                yield from [((a, b), True, 0.0)] * vectors_per_pair
-                continue
-            # the pair's own vectors come after the deferred ones of the pairs before it
-            for _ in draw(vectors_per_pair * i - drawn):
-                pass
-            drawn = vectors_per_pair * (i + 1)
-            yield from vector_outcomes(a, b, once, draw(vectors_per_pair))
-
-    kron = Matrix.identity(n, backend).entries
-
-    def effective(a):
-        moved = [inverse_grid(a).vecmat(e) for e in kron]
-        fixes_all = all(vec_eq(m, e, backend) for m, e in zip(moved, kron))
-        return (a,), not (fixes_all and not _linear_grid(a).is_identity()), 0.0
-
-    outcomes = exact_outcomes() if backend.is_exact else float_outcomes()
-    composition = _first_failure(mode, outcomes)
-    effectiveness = _first_failure(mode, map(effective, elements))
+    effectiveness = _first_failure(composition.mode, map(effective, elements))
     return CoordinateRepCheckReport(composition, effectiveness)
+
+
+def _float_composition(rep: Representation, samples, vectors_per_pair, seed) -> Verdict:
+    """The float side law: the pairs come first, then each draws its vectors."""
+    group, rng = rep.group, Random(seed)
+    store = group.store
+    exhaustive = store is not None and len(store) ** 2 * vectors_per_pair <= EXHAUSTIVE_WORK_CAP
+    elements = store
+    if not exhaustive:
+        elements = [sample_group_element(group, rng) for _ in range(2 * samples)]
+    # each step f(g), acting on rows as x -> x grid(g)^-1, is taken once
+    steps = [(g, rep.transformation(g).grid) for g in elements]
+    if exhaustive:
+        pairs = itertools.product(steps, steps)
+        mode = f"exhaustive-pairs({len(store) ** 2})"
+    else:
+        # consecutive draws pair up as (a, b), in the order they were drawn
+        pairs = zip(steps[::2], steps[1::2])
+        mode = f"sampled(k={samples}, seed={seed})"
+    backend = group.backend
+
+    def outcomes():
+        for (a, step_a), (b, step_b) in pairs:
+            # the independent side of the law, never built from the steps
+            once = _linear_grid(b).mul(_linear_grid(a)).inverse()
+            for _ in range(vectors_per_pair):
+                v = random_vector(rng, group.dim, backend)
+                stepped, direct = step_b.vecmat(step_a.vecmat(v)), once.vecmat(v)
+                yield (b, a, v), vec_eq(stepped, direct, backend), vec_max_diff(stepped, direct)
+
+    return _first_failure(mode, outcomes())
 
 
 def gram_schmidt(

@@ -61,6 +61,7 @@ from .representations import (
     orbit,
     orbit_closure_check,
     orbit_well_defined_check,
+    variance_claim_check,
 )
 from .scalars import EXACT, approx
 from .selftest import run_selftest
@@ -155,31 +156,11 @@ def _cmd_repcheck(args) -> int:
         load_json(args.input), _backend_override(args), args.tolerance, args.cap
     )
     report = RunReport("repcheck")
-    report.add_verdict(
-        "axioms", check_axioms(rep, args.sample, args.samples, args.seed)
-    )
-    report.add_verdict(
-        "inverse-law", inverse_law_check(rep, args.sample, args.samples, args.seed)
-    )
-    variance = check_variance(rep, args.sample, args.samples, args.seed)
-    if rep.variance_claim is None:
-        variance_ok = variance.verdict != "neither"
-        expected = "covariant or contravariant"
-    else:
-        variance_ok = getattr(variance, rep.variance_claim)
-        expected = rep.variance_claim
-    report.add(
-        CheckLine(
-            "variance",
-            passed=variance_ok,
-            mode=variance.mode,
-            checked=variance.checked,
-            counterexample=variance.homomorphism_witness
-            if not variance_ok
-            else None,
-            detail=f"verdict {variance.verdict}, expected {expected}",
-        )
-    )
+    plan = (args.sample, args.samples, args.seed)
+    report.add_verdict("axioms", check_axioms(rep, *plan))
+    report.add_verdict("inverse-law", inverse_law_check(rep, *plan))
+    variance = check_variance(rep, *plan)
+    report.add_verdict("variance", variance_claim_check(rep.variance_claim, variance))
     try:
         summary = classify(rep)
         report.data["classification"] = {

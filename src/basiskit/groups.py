@@ -380,6 +380,8 @@ class MatrixGroup:
         self.store: Optional[tuple] = None
         if elements is not None:
             self.store = tuple(self.element(p) for p in elements)
+            if not self.store:
+                raise BasiskitError("stored elements, when given, must not be empty")
 
     # -- family predicate ------------------------------------------------
 

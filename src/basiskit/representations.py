@@ -72,6 +72,7 @@ __all__ = [
     "apply",
     "check_axioms",
     "check_variance",
+    "variance_claim_check",
     "inverse_law_check",
     "left_shift",
     "right_shift",
@@ -614,14 +615,6 @@ class VarianceVerdict:
     antihomomorphism_witness: Optional[tuple] = None
     checked: int = 0
 
-    @property
-    def covariant(self) -> bool:
-        return self.verdict in ("covariant", "both")
-
-    @property
-    def contravariant(self) -> bool:
-        return self.verdict in ("contravariant", "both")
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -687,29 +680,36 @@ class SameSideWitness:
 # -- checks ------------------------------------------------------------------
 
 
-def _plan(
-    rep: Representation, sample, samples: int, seed: int, cost_fn, over_carrier=True
-):
-    """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store)``.
+def _plan(rep: Representation, sample, samples: int, seed: int, pairs: bool = True):
+    """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store, grids)``.
 
-    Exhaustive needs the group's store and, unless the check leaves the
-    carrier out (``over_carrier=False``), an enumerable carrier.
+    Exhaustive needs the group's store.  A law on pairs of elements runs
+    over the carrier's points too, at ``|G|^2 |X|``, unless ``grids``: two
+    exact grids agree on every point exactly when they are equal, so an
+    exact linear representation of a stored group is decided on its grids
+    at ``|G|^2 n`` in dimension ``n``.  A law on single elements
+    (``pairs=False``) leaves the carrier out, at ``|G|``.
     """
-    elements = rep.group.store
-    enumerable = elements is not None and (not over_carrier or rep.carrier.enumerable)
+    elements, carrier = rep.group.store, rep.carrier
+    grids = (
+        pairs
+        and elements is not None
+        and isinstance(carrier, CoordCarrier)
+        and carrier.backend.is_exact
+        and isinstance(rep.transformation(rep.group.identity), LinearTransformation)
+    )
+    enumerable = elements is not None and (grids or not pairs or carrier.enumerable)
+    if sample not in ("auto", "exhaustive", "sampled"):
+        raise BasiskitError(f"unknown sampling mode {sample!r}")
+    if sample == "exhaustive" and not enumerable:
+        raise InfeasibleExhaustive("exhaustive check requested over a non-enumerable domain")
+    if sample == "auto" and enumerable:
+        n = len(elements)
+        cost = n * n * (carrier.dim if grids else carrier.size) if pairs else n
+        sample = "exhaustive" if cost <= EXHAUSTIVE_WORK_CAP else "sampled"
     if sample == "exhaustive":
-        if not enumerable:
-            raise InfeasibleExhaustive(
-                "exhaustive check requested over a non-enumerable domain"
-            )
-        return True, "exhaustive", elements
-    if sample == "auto":
-        if enumerable and cost_fn(len(elements), rep.carrier.size) <= EXHAUSTIVE_WORK_CAP:
-            return True, "exhaustive", elements
-        return False, f"sampled(k={samples}, seed={seed})", elements
-    if sample == "sampled":
-        return False, f"sampled(k={samples}, seed={seed})", elements
-    raise BasiskitError(f"unknown sampling mode {sample!r}")
+        return True, "exhaustive", elements, grids
+    return False, f"sampled(k={samples}, seed={seed})", elements, grids
 
 
 def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
@@ -765,10 +765,12 @@ def check_axioms(
     cap, otherwise over seeded samples.  The first failing triple in
     enumeration order is reported, which for the exhaustive sweep is the
     lexicographically smallest one.
+
+    Exact grids agree on every point iff they are equal, so an exact linear
+    representation of a stored group is decided per pair on its grids, in
+    mode ``exhaustive(grids)``; the witness point is a Kronecker vector.
     """
-    exhaustive, mode, elements = _plan(
-        rep, sample, samples, seed, lambda ng, nm: ng * ng * nm
-    )
+    exhaustive, mode, elements, grids = _plan(rep, sample, samples, seed)
     carrier = rep.carrier
     table = rep._action_table()
     if table is not None:
@@ -783,6 +785,18 @@ def check_axioms(
             rhs = rep.apply(b, rep.apply(a, u))
         return (a, b, u), carrier.point_eq(lhs, rhs), _point_residual(carrier, lhs, rhs)
 
+    if exhaustive and grids:
+        f, kronecker = rep.transformation, Matrix.identity(carrier.dim, carrier.backend).entries
+
+        def decided(a, b):
+            outer, inner = (a, b) if rep.side == "left" else (b, a)
+            if f(compose(rep.group, a, b)).grid == f(outer).after(f(inner)).grid:
+                return (a, b), True, 0.0
+            # two different grids move some Kronecker vector differently
+            return next(o for o in (outcome(a, b, u) for u in kronecker) if not o[1])
+
+        pairs = itertools.starmap(decided, itertools.product(elements, elements))
+        return _first_failure("exhaustive(grids)", pairs, checked=1)
     if exhaustive:
         cases = itertools.product(elements, elements, carrier.points())
     else:
@@ -831,9 +845,7 @@ def check_variance(
     seed: int = DEFAULT_SEED,
 ) -> VarianceVerdict:
     """Classify the assignment as homomorphism, antihomomorphism, both or neither."""
-    exhaustive, mode, elements = _plan(
-        rep, sample, samples, seed, lambda ng, nm: ng * ng * max(nm or 1, 1)
-    )
+    exhaustive, mode, elements, _ = _plan(rep, sample, samples, seed)
     if exhaustive:
         pairs = list(itertools.product(elements, elements))
     else:
@@ -877,6 +889,21 @@ def check_variance(
     return VarianceVerdict(verdict, mode, homo_witness, anti_witness, len(pairs))
 
 
+def variance_claim_check(claim: Optional[str], vv: VarianceVerdict) -> Verdict:
+    """Does the classification ``vv`` bear out ``claim``, ``None`` meaning
+    covariant or contravariant?  The witness is the pair, or for ``None``
+    the two pairs, that refute the claim."""
+    homo, anti = vv.homomorphism_witness, vv.antihomomorphism_witness
+    witness = {
+        "covariant": homo,
+        "contravariant": anti,
+        "both": homo or anti,
+        None: homo and anti and (homo, anti),
+    }[claim]
+    detail = f"verdict {vv.verdict}, expected {claim or 'covariant or contravariant'}"
+    return Verdict(witness is None, vv.mode, vv.checked, witness, detail=detail)
+
+
 def inverse_law_check(
     rep: Representation,
     sample: str = "auto",
@@ -888,9 +915,7 @@ def inverse_law_check(
     A law of the group alone: exhaustive over a stored group, otherwise
     over ``samples`` seeded elements, whatever the carrier.
     """
-    exhaustive, mode, elements = _plan(
-        rep, sample, samples, seed, lambda ng, nm: ng, over_carrier=False
-    )
+    exhaustive, mode, elements, _ = _plan(rep, sample, samples, seed, pairs=False)
     if not exhaustive:
         rng = Random(seed)
         elements = [sample_group_element(rep.group, rng) for _ in range(samples)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from random import Random
 
 from .bases import (
@@ -53,6 +54,7 @@ from .representations import (
     shifts_commute_check,
     twin_representation,
     same_side_noncommuting_witness,
+    variance_claim_check,
 )
 from .reports import CheckLine, RunReport, sweep_line
 from .scalars import EXACT, approx
@@ -136,15 +138,8 @@ def _twin_battery(report: RunReport, name: str, group) -> None:
 def _variance_line(report: RunReport, prefix: str, rep, claim: str) -> None:
     """The line ``{prefix}-{claim}``: ``rep`` classifies as ``claim``."""
     var = check_variance(rep)
-    report.add(
-        CheckLine(
-            f"{prefix}-{claim}",
-            passed=getattr(var, claim),
-            mode=var.mode,
-            checked=var.checked,
-            detail=f"verdict {var.verdict}",
-        )
-    )
+    verdict = variance_claim_check(claim, var)
+    report.add_verdict(f"{prefix}-{claim}", replace(verdict, detail=f"verdict {var.verdict}"))
 
 
 def _invariance_battery(

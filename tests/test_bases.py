@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from basiskit import bases
+from basiskit import bases, representations
 from basiskit.bases import (
     Basis,
     BasisManifold,
@@ -18,6 +18,7 @@ from basiskit.bases import (
     active_transform,
     basis_metric_signs,
     change_of_basis,
+    coordinate_representation,
     coordinate_representation_check,
     coordinate_transformation,
     gram_schmidt,
@@ -34,9 +35,27 @@ from basiskit.errors import (
     NullVector,
 )
 from basiskit.descriptors import group_from_descriptor
-from basiskit.groups import AffineTransform, MatrixGroup, boost_2d, rotation_2d
+from basiskit.groups import (
+    AffineTransform,
+    MatrixGroup,
+    boost_2d,
+    compose,
+    cyclic_group,
+    dihedral_group,
+    permutation_matrix,
+    rotation_2d,
+    symmetric_group,
+)
 from basiskit.matrices import Matrix, vec_eq
-from basiskit.representations import Verdict, _first_failure, check_axioms, solve_transport
+from basiskit.representations import (
+    CoordCarrier,
+    LinearTransformation,
+    Representation,
+    Verdict,
+    check_axioms,
+    check_variance,
+    solve_transport,
+)
 from basiskit.sampling import random_vector, sample_group_element
 from basiskit.scalars import APPROX, EXACT, approx
 
@@ -332,13 +351,14 @@ def test_coordinate_rep_check_reports_its_first_failure():
 
 
 def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
-    # one inverse per element for the steps; for the products, one per pair
-    # in floating point and one per distinct product over the rationals
-    calls = [0]
+    # in floating point one inverse per element for the steps and one per
+    # pair for the products; over the rationals one per distinct element,
+    # a product included, stored or sampled
+    inverted = []
     inverse = Matrix.inverse
 
     def counted(self):
-        calls[0] += 1
+        inverted.append(self)
         return inverse(self)
 
     monkeypatch.setattr(Matrix, "inverse", counted)
@@ -346,44 +366,43 @@ def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
         2, 0, elements=[rotation_2d(k * math.pi / 5) for k in range(5)]
     )
     assert coordinate_representation_check(group, seed=7).passed
-    assert calls[0] == 25 + 5
-    calls[0] = 0
+    assert len(inverted) == 25 + 5
+    inverted.clear()
     assert coordinate_representation_check(MatrixGroup.general_linear(2), samples=9).passed
-    assert calls[0] == 9 + 2 * 9
-    # a closed group of order eight has eight distinct products in 64 pairs
-    calls[0] = 0
+    assert len(inverted) == len(set(inverted)) > 9
+    # a closed group of order eight: every product is one of its elements
+    inverted.clear()
     assert coordinate_representation_check(golden_gl3_order8(), seed=5).passed
-    assert calls[0] == 8 + 8
+    assert len(inverted) == len(set(inverted)) == 8
 
 
 # -- the exact law decided on grids ----------------------------------------------------
 
 
-def per_vector_composition(group, samples=100, vectors_per_pair=3, seed=42):
-    """The composition law on seeded vectors alone: every pair draws its own
-    vectors and is judged on them.  The oracle of the grid-decided check."""
-    rng = Random(seed)
-    n, backend = group.dim, group.backend
-    if group.store is not None:
-        pairs = [(a, b) for a in group.store for b in group.store]
-        mode = f"exhaustive-pairs({len(pairs)})"
-    else:
-        pairs = [
-            (sample_group_element(group, rng), sample_group_element(group, rng))
-            for _ in range(samples)
-        ]
-        mode = f"sampled(k={samples}, seed={seed})"
+def kronecker_oracle(rep):
+    """The side law one triple at a time, on every stored pair and every
+    Kronecker vector: ``(passed, checked, witness)``, where ``checked``
+    counts the identity law and the pairs run, as the grid engine does."""
+    group = rep.group
+    kronecker = Matrix.identity(rep.carrier.dim, rep.carrier.backend).entries
+    for i, (a, b) in enumerate(itertools.product(group.store, repeat=2)):
+        outer, inner = (a, b) if rep.side == "left" else (b, a)
+        for u in kronecker:
+            if rep.apply(compose(group, a, b), u) != rep.apply(outer, rep.apply(inner, u)):
+                return False, i + 2, (a, b, u)
+    return True, 1 + len(group.store) ** 2, None
 
-    def outcomes():
-        for a, b in pairs:
-            once = b.payload.mul(a.payload).inverse()
-            step_a, step_b = a.payload.inverse(), b.payload.inverse()
-            for _ in range(vectors_per_pair):
-                v = random_vector(rng, n, backend)
-                stepped = step_b.vecmat(step_a.vecmat(v))
-                yield (a, b, v), vec_eq(stepped, once.vecmat(v), backend), 0.0
 
-    return _first_failure(mode, outcomes())
+def engine_key(verdict):
+    return (verdict.passed, verdict.checked, verdict.counterexample)
+
+
+def assert_confirmed(rep, witness):
+    """The witness ``(a, b, u)`` breaks the side law, evaluated directly."""
+    a, b, u = witness
+    outer, inner = (a, b) if rep.side == "left" else (b, a)
+    assert rep.carrier.contains(u)
+    assert rep.apply(compose(rep.group, a, b), u) != rep.apply(outer, rep.apply(inner, u))
 
 
 def golden_gl3_order8():
@@ -425,30 +444,47 @@ CONJUGATED_GROUPS = {
 }
 
 
-def composition_key(verdict):
-    return (verdict.passed, verdict.checked, verdict.mode, verdict.counterexample)
-
-
 @pytest.mark.parametrize("seed", [1, 5, 42])
 @pytest.mark.parametrize("name", ["golden-gl3-order8", *CONJUGATED_GROUPS])
 def test_grid_decided_law_agrees_with_the_per_vector_oracle(name, seed):
     group = golden_gl3_order8() if name == "golden-gl3-order8" else CONJUGATED_GROUPS[name]()
     result = coordinate_representation_check(group, seed=seed)
     assert result.passed
-    assert composition_key(result.composition) == composition_key(
-        per_vector_composition(group, seed=seed)
-    )
-    assert result.composition.mode == f"exhaustive-pairs({len(group.store) ** 2})"
-    assert result.composition.checked == 3 * len(group.store) ** 2
+    composition = result.composition
+    assert engine_key(composition) == kronecker_oracle(coordinate_representation(group))
+    # decided on grids, so the seed plays no part
+    assert composition == coordinate_representation_check(group, seed=seed + 1).composition
+    assert composition.mode == result.effectiveness.mode == "exhaustive(grids)"
+    assert composition.checked == 1 + len(group.store) ** 2
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_grid_decided_law_agrees_with_the_oracle_when_sampled(seed):
+    # without a store the exact law is checked on seeded triples (a, b, u),
+    # here against x (ab)^-1 = (x b^-1) a^-1 worked out on the matrices
     gl3 = MatrixGroup.general_linear(3)
-    result = coordinate_representation_check(gl3, samples=12, seed=seed)
-    assert composition_key(result.composition) == composition_key(
-        per_vector_composition(gl3, samples=12, seed=seed)
-    )
+    composition = coordinate_representation_check(gl3, samples=12, seed=seed).composition
+    rng = Random(seed)
+    for _ in range(12):
+        a, b = sample_group_element(gl3, rng), sample_group_element(gl3, rng)
+        u = random_vector(rng, 3, EXACT)
+        once = a.payload.mul(b.payload).inverse().vecmat(u)
+        assert once == a.payload.inverse().vecmat(b.payload.inverse().vecmat(u))
+    assert engine_key(composition) == (True, 13, None)
+    assert composition.mode == f"sampled(k=12, seed={seed})"
+
+
+def test_exact_coordrep_above_the_work_cap_samples_triples(monkeypatch):
+    # 64 pairs on a three-dimensional carrier: 192 units of work on grids
+    group = golden_gl3_order8()
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 192)
+    assert coordinate_representation_check(group).composition.mode == "exhaustive(grids)"
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 191)
+    result = coordinate_representation_check(group, samples=7, seed=3)
+    assert result.passed
+    assert engine_key(result.composition) == (True, 8, None)
+    # effectiveness still runs over every stored element, in the same mode
+    assert (result.effectiveness.mode, result.effectiveness.checked) == ("sampled(k=7, seed=3)", 8)
 
 
 def patch_inverse_of(monkeypatch, value):
@@ -474,33 +510,19 @@ def test_a_wrong_inverse_of_an_element_gives_the_oracle_witness(monkeypatch, ind
     group = golden_gl3_order8()
     patch_inverse_of(monkeypatch, group.store[index].payload)
     composition = coordinate_representation_check(group, seed=seed).composition
-    oracle = per_vector_composition(group, seed=seed)
+    rep = coordinate_representation(group)
     assert not composition.passed
-    assert composition_key(composition) == composition_key(oracle)
+    assert engine_key(composition) == kronecker_oracle(rep)
+    assert_confirmed(rep, composition.counterexample)
     if index:
         # the pairs before the first failure were decided on their grids
-        assert composition.checked > 3
-
-
-@pytest.mark.parametrize("seed", [23, 119])
-def test_a_disagreeing_pair_that_passes_its_vectors_keeps_the_stream(monkeypatch, seed):
-    # with one vector per pair and these seeds, pair 0 disagrees on its grids
-    # but its vector has a zero first component and passes; a later pair fails
-    group = golden_gl3_order8()
-    patch_inverse_of(monkeypatch, group.store[1].payload)
-    composition = coordinate_representation_check(
-        group, vectors_per_pair=1, seed=seed
-    ).composition
-    oracle = per_vector_composition(group, vectors_per_pair=1, seed=seed)
-    assert not composition.passed
-    assert composition.checked > 1
-    assert composition_key(composition) == composition_key(oracle)
+        assert composition.checked > 2
 
 
 @pytest.mark.parametrize("seed", [4, 8])
 def test_a_wrong_inverse_of_a_product_gives_the_oracle_witness(monkeypatch, seed):
     # a store that is not closed: the wrong product is no element, so only
-    # the independent side goes wrong, first at pair 5 of 9
+    # the independent side goes wrong, at pair 8 of 9
     grids = [
         Matrix.from_rows(rows, EXACT)
         for rows in ([[1, 2], [0, 1]], [[F(1, 2), 0], [1, 3]], [[0, -1], [1, F(2, 3)]])
@@ -508,12 +530,42 @@ def test_a_wrong_inverse_of_a_product_gives_the_oracle_witness(monkeypatch, seed
     group = MatrixGroup.general_linear(2, elements=grids)
     patch_inverse_of(monkeypatch, grids[2].mul(grids[1]))
     composition = coordinate_representation_check(group, seed=seed).composition
-    oracle = per_vector_composition(group, seed=seed)
-    assert not composition.passed
-    assert composition_key(composition) == composition_key(oracle)
-    a, b, _ = composition.counterexample
-    assert (a, b) == (group.store[1], group.store[2])
-    assert composition.checked > 3 * 5
+    rep = coordinate_representation(group)
+    assert engine_key(composition) == kronecker_oracle(rep)
+    assert (composition.passed, composition.checked) == (False, 1 + 8)
+    assert composition.counterexample == (group.store[2], group.store[1], (1, 0))
+    assert_confirmed(rep, composition.counterexample)
+
+
+def test_float_and_exact_witnesses_name_the_same_pair(monkeypatch):
+    # the wrong inverse of the product x y breaks f(xy) on both backends;
+    # each reports (x, y, u) with f(xy) u != f(x)(f(y) u)
+    rows = ([[1, 2], [0, 1]], [[F(1, 2), 0], [1, 3]], [[0, -1], [1, F(3, 4)]])
+    for backend in (EXACT, approx(1e-9)):
+        grids = [Matrix.from_rows(r, backend) for r in rows]
+        group = MatrixGroup.general_linear(2, backend, elements=grids)
+        with monkeypatch.context() as patch:
+            patch_inverse_of(patch, grids[2].mul(grids[1]))
+            composition = coordinate_representation_check(group, seed=4).composition
+            rep = coordinate_representation(group)
+            x, y, u = composition.counterexample
+            assert (x, y) == (group.store[2], group.store[1])
+            moved = rep.apply(x, rep.apply(y, u))
+            assert not vec_eq(rep.apply(compose(group, x, y), u), moved, backend)
+
+
+def test_an_element_assigned_the_identity_fails_effectiveness(monkeypatch):
+    group = golden_gl3_order8()
+    target = group.store[3].payload
+    inverse = Matrix.inverse
+    monkeypatch.setattr(
+        Matrix,
+        "inverse",
+        lambda self: Matrix.identity(3, self.backend) if self == target else inverse(self),
+    )
+    effectiveness = coordinate_representation_check(group).effectiveness
+    assert (effectiveness.passed, effectiveness.checked) == (False, 4)
+    assert effectiveness.counterexample == (group.store[3],)
 
 
 def test_passing_exact_check_draws_no_vectors(monkeypatch):
@@ -524,8 +576,112 @@ def test_passing_exact_check_draws_no_vectors(monkeypatch):
         return random_vector(*args)
 
     monkeypatch.setattr(bases, "random_vector", counted)
+    monkeypatch.setattr(representations, "random_vector", counted)
     assert coordinate_representation_check(golden_gl3_order8(), seed=5).passed
     assert calls[0] == 0
+
+
+def permutation_rep(group, perms, side="left", layout="column", planted=None):
+    """The permutation matrices of ``perms`` as an exact linear representation
+    of ``group``, whose element ``i`` is ``perms[i]``; ``planted`` maps an
+    element index to a wrong matrix."""
+    carrier = CoordCarrier(len(perms[0]), layout, EXACT)
+    grids = [permutation_matrix(p) for p in perms]
+    for i, grid in (planted or {}).items():
+        grids[i] = grid
+    return Representation(
+        group, carrier, side, lambda g: LinearTransformation(carrier, grids[g.payload])
+    )
+
+
+def all_perms(n):
+    return list(itertools.permutations(range(n)))
+
+
+PERMUTATION_GROUPS = {
+    "S4": lambda: (symmetric_group(4), all_perms(4)),
+    "Z5": lambda: (cyclic_group(5), [tuple((x + k) % 5 for x in range(5)) for k in range(5)]),
+    "D4": lambda: (
+        dihedral_group(4),
+        [tuple((x + k) % 4 for x in range(4)) for k in range(4)]
+        + [tuple((k - x) % 4 for x in range(4)) for k in range(4)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "side, layout, planted",
+    [
+        ("left", "column", None),
+        ("right", "row", None),
+        ("left", "row", None),
+        ("right", "column", None),
+        ("left", "column", 3),
+    ],
+    ids=["left-column", "right-row", "left-row", "right-column", "planted"],
+)
+@pytest.mark.parametrize("name", PERMUTATION_GROUPS)
+def test_grid_engine_agrees_with_the_oracle_on_permutation_matrices(name, side, layout, planted):
+    # the natural action holds on either side with the matching layout; the
+    # mismatched layouts fail on a noncommuting pair, the planted matrix anywhere
+    group, perms = PERMUTATION_GROUPS[name]()
+    wrong = None if planted is None else {planted: permutation_matrix(perms[planted + 1])}
+    rep = permutation_rep(group, perms, side, layout, wrong)
+    verdict = check_axioms(rep)
+    assert verdict.mode == "exhaustive(grids)"
+    assert engine_key(verdict) == kronecker_oracle(rep)
+    if not verdict.passed:
+        assert_confirmed(rep, verdict.counterexample)
+    assert check_axioms(rep, "exhaustive") == verdict
+    variance = check_variance(rep)
+    assert (variance.mode, variance.checked) == ("exhaustive", len(group.store) ** 2)
+
+
+def test_grid_plan_costs_the_pairs_times_the_dimension(monkeypatch):
+    # S4 on four coordinates: 24 * 24 pairs * 4 = 2304 units of work
+    rep = permutation_rep(*PERMUTATION_GROUPS["S4"]())
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 2304)
+    assert check_axioms(rep).mode == "exhaustive(grids)"
+    assert check_variance(rep).mode == "exhaustive"
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 2303)
+    assert check_axioms(rep, samples=5, seed=1).mode == "sampled(k=5, seed=1)"
+    assert check_variance(rep, samples=5, seed=1).mode == "sampled(k=5, seed=1)"
+
+
+def test_a_planted_matrix_passes_a_sample_and_fails_the_grid_proof():
+    # S5 with one wrong permutation matrix: the 100 triples of seed 7 miss
+    # it, and the default plan decides every pair
+    perms = all_perms(5)
+    rep = permutation_rep(
+        symmetric_group(5), perms, planted={37: permutation_matrix(perms[38])}
+    )
+    assert check_axioms(rep, "sampled", 100, 7).passed
+    verdict = check_axioms(rep)
+    assert (verdict.passed, verdict.mode) == (False, "exhaustive(grids)")
+    assert_confirmed(rep, verdict.counterexample)
+
+
+def test_float_grids_are_sampled_on_coordinates():
+    # a grid match within the tolerance bounds no image, so float linear
+    # representations of a stored group keep the sampled plan
+    group = MatrixGroup.metric_preserving(
+        2, 0, elements=[rotation_2d(k * math.pi / 4) for k in range(8)]
+    )
+    carrier = CoordCarrier(2, "column", group.backend)
+    rep = Representation(group, carrier, "left", lambda g: LinearTransformation(carrier, g.payload))
+    assert check_axioms(rep, samples=20, seed=4).mode == "sampled(k=20, seed=4)"
+    assert check_variance(rep, samples=20, seed=4).mode == "sampled(k=20, seed=4)"
+
+
+def test_coordinate_representation_needs_a_matrix_group():
+    with pytest.raises(GroupSpaceMismatch):
+        coordinate_representation_check(cyclic_group(2))
+
+
+def test_change_of_basis_needs_a_matrix_group():
+    b = exact_basis([[1, 0], [0, 1]])
+    with pytest.raises(GroupSpaceMismatch):
+        change_of_basis(b, b, cyclic_group(2))
 
 
 def test_stored_group_above_the_work_cap_is_sampled(monkeypatch):

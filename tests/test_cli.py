@@ -275,6 +275,16 @@ def test_basis_change_not_connected(tmp_path, capsys):
     assert out["checks"][0]["passed"] is False
 
 
+def finite_z2_group(tmp_path):
+    return write(tmp_path, "z2.json", {"kind": "finite", "table": [[0, 1], [1, 0]]})
+
+
+def test_basis_change_with_a_cayley_table_group_is_exit_2(tmp_path, capsys):
+    b = euclid_basis(tmp_path, "b.json", [[1.0, 0.0], [0.0, 1.0]])
+    argv = ["basis", "change", "--source", b, "--target", b, "--group", finite_z2_group(tmp_path)]
+    assert_one_line_error(main(argv), capsys)
+
+
 def test_gram_schmidt_pass(tmp_path, capsys):
     path = write(
         tmp_path, "gs.json", {"signature": [2, 0], "vectors": [[1.0, 1.0], [0.0, 1.0]]}
@@ -324,6 +334,42 @@ def test_coordrep(tmp_path, capsys):
     assert code == 0
     names = [line["name"] for line in out["checks"]]
     assert names == ["coordinate-composition", "coordinate-effectiveness"]
+
+
+def test_coordrep_with_a_cayley_table_group_is_exit_2(tmp_path, capsys):
+    code = main(["basis", "coordrep", "--group", finite_z2_group(tmp_path)])
+    assert_one_line_error(code, capsys)
+
+
+def test_repcheck_decides_an_exact_linear_representation_on_grids(tmp_path, capsys):
+    # the permutation matrices of Z3 on column coordinates: every pair is
+    # decided on its grids, and an exhaustive demand is met
+    path = write(
+        tmp_path,
+        "z3_linear.json",
+        {
+            "group": {"kind": "finite", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+            "side": "left",
+            "carrier": {"kind": "coords", "dim": 3, "layout": "column"},
+            "assign": {
+                "kind": "linear",
+                "matrices": [
+                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                    [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                ],
+            },
+        },
+    )
+    for sample in ("auto", "exhaustive"):
+        assert main(["repcheck", "--input", path, "--sample", sample, "--report", "json"]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        modes = {line["name"]: (line["mode"], line["checked"]) for line in checks}
+        assert modes == {
+            "axioms": ("exhaustive(grids)", 1 + 9),
+            "inverse-law": ("exhaustive", 3),
+            "variance": ("exhaustive", 9),
+        }
 
 
 # -- object ------------------------------------------------------------------
@@ -708,6 +754,19 @@ def plane_basis():
             {"kind": "matrix", "family": "GL", "dim": 2, "generators": 5},
         ),
         (
+            ["basis", "coordrep", "--group", "DOC"],
+            {"kind": "matrix", "family": "GL", "dim": 2, "elements": []},
+        ),
+        (
+            ["repcheck", "--input", "DOC"],
+            {
+                "group": {"kind": "matrix", "family": "GL", "dim": 2, "elements": []},
+                "side": "left",
+                "carrier": {"kind": "coords", "dim": 2, "layout": "column"},
+                "assign": {"kind": "linear"},
+            },
+        ),
+        (
             ["object", "--input", "DOC"],
             {
                 "functor": {"tag": "tensor_power", "k": "2"},
@@ -747,6 +806,8 @@ def plane_basis():
         "signature-an-int",
         "elements-not-a-list",
         "generators-not-a-list",
+        "elements-empty",
+        "linear-rep-elements-empty",
         "tensor-power-k-a-string",
         "space-dim-a-string",
         "carrier-dim-a-string",

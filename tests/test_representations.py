@@ -59,6 +59,7 @@ from basiskit.representations import (
     solve_transport,
     transformations_equal,
     twin_representation,
+    variance_claim_check,
 )
 from basiskit.scalars import EXACT, approx
 from basiskit.selftest import finite_fixtures
@@ -331,6 +332,47 @@ def test_coordinate_style_action_is_contravariant():
     assert check_variance(rep).verdict == "contravariant"
 
 
+def test_a_refuted_variance_claim_reports_the_pair_that_refutes_it():
+    # the left shift of S3 is covariant; claimed contravariant, the witness
+    # is a pair with f(ba) != f(a) f(b), and no homomorphism witness exists
+    s3 = symmetric_group(3)
+    shift = left_shift(s3)
+    claimed = Representation(
+        s3, shift.carrier, "left", shift.transformation, variance_claim="contravariant"
+    )
+    vv = check_variance(claimed)
+    assert (vv.verdict, vv.homomorphism_witness) == ("covariant", None)
+    verdict = variance_claim_check(claimed.variance_claim, vv)
+    assert not verdict.passed
+    assert verdict.detail == "verdict covariant, expected contravariant"
+    a, b = verdict.counterexample
+    product = compose_transformations(shift.transformation(a), shift.transformation(b))
+    assert not transformations_equal(shift.transformation(b * a), product)
+    assert variance_claim_check("covariant", vv) == Verdict(
+        True, vv.mode, vv.checked, None, detail="verdict covariant, expected covariant"
+    )
+    # a contragredient of an abelian action claims both readings
+    assert variance_claim_check("both", vv).counterexample == (a, b)
+    abelian = contragredient(left_shift(cyclic_group(3)))
+    assert variance_claim_check(abelian.variance_claim, check_variance(abelian)).passed
+
+
+def test_a_variance_claim_of_none_needs_one_of_the_two_readings():
+    backend = approx(1e-9)
+    z2 = cyclic_group(2)
+    carrier = CoordCarrier(2, "column", backend)
+    squeeze = Matrix.from_rows([[1e-5, 0.0], [0.0, 1.0]], backend)
+    grids = [Matrix.identity(2, backend), squeeze]
+    rep = Representation(
+        z2, carrier, "left", lambda g: LinearTransformation(carrier, grids[g.payload])
+    )
+    verdict = variance_claim_check(None, check_variance(rep))
+    pair = (z2.element(1), z2.element(1))
+    assert (verdict.passed, verdict.counterexample) == (False, (pair, pair))
+    assert verdict.detail == "verdict neither, expected covariant or contravariant"
+    assert variance_claim_check(None, check_variance(left_shift(z2))).passed
+
+
 @pytest.mark.parametrize("backend", [EXACT, approx(1e-9)], ids=["exact", "float"])
 def test_linear_transformation_refuses_a_singular_grid(backend):
     carrier = CoordCarrier(2, "column", backend)
@@ -387,9 +429,16 @@ def test_a_float_variance_product_under_the_tolerance_is_a_verdict():
 
 
 def test_exhaustive_demand_on_coordinates_is_refused():
-    rep = natural_action(_stored_gl2(), "column")
-    with pytest.raises(InfeasibleExhaustive):
-        check_axioms(rep, sample="exhaustive")
+    # an exact stored group is decided on its grids; float grids and a group
+    # without a store leave only the coordinates, which do not enumerate
+    stored = natural_action(_stored_gl2(), "column")
+    assert check_axioms(stored, sample="exhaustive").mode == "exhaustive(grids)"
+    floats = MatrixGroup.general_linear(
+        2, approx(1e-9), elements=[g.payload.rows_as_lists() for g in _stored_gl2().store]
+    )
+    for group in (floats, MatrixGroup.general_linear(2)):
+        with pytest.raises(InfeasibleExhaustive):
+            check_axioms(natural_action(group, "column"), sample="exhaustive")
 
 
 def test_inverse_law_honours_the_sample_mode():
