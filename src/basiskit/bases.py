@@ -36,7 +36,7 @@ from .errors import (
     Singular,
 )
 from .groups import AffineTransform, GroupElement, MatrixGroup
-from .matrices import Matrix, metric_dot, vec_eq, vec_max_diff, vector
+from .matrices import Matrix, metric_dot, vector
 from .representations import (
     EXHAUSTIVE_WORK_CAP,
     CoordCarrier,
@@ -158,13 +158,9 @@ class Basis:
         return Matrix(self.vectors, self.space.backend)
 
     def eq(self, other: "Basis") -> bool:
-        if self.space != other.space:
-            return False
-        if not self.rows().eq(other.rows()):
-            return False
-        if self.origin is None and other.origin is None:
-            return True
-        return vec_eq(self.origin, other.origin, self.space.backend)
+        return self.space == other.space and self.space.backend.close(
+            _basis_entries(self), _basis_entries(other)
+        )
 
 
 @dataclass(frozen=True)
@@ -191,9 +187,9 @@ class CoordinateVector:
         return self.basis.rows().vecmat(self.components)
 
 
-def _basis_entries(b: Basis) -> list:
+def _basis_entries(b: Basis) -> tuple:
     """The vectors' entries in order, then the origin's."""
-    return [x for v in b.vectors for x in v] + list(b.origin or ())
+    return b.rows().flat + tuple(b.origin or ())
 
 
 def _linear_grid(g: GroupElement) -> Matrix:
@@ -215,6 +211,13 @@ def _check_acts(g: GroupElement, space: VectorSpace) -> None:
         raise GroupSpaceMismatch("element and space use different scalar backends")
     if isinstance(g.payload, AffineTransform) and space.kind != "affine":
         raise GroupSpaceMismatch("affine elements act only on affine spaces")
+
+
+def _require_acting(group, space: VectorSpace, where: str) -> None:
+    """Raise unless ``group`` is a matrix group of the space's dimension and backend."""
+    acts = isinstance(group, MatrixGroup) and group.dim == space.dim
+    if not (acts and group.backend == space.backend):
+        raise GroupSpaceMismatch(f"group does not act on {where}")
 
 
 def active_transform(b: Basis, g: GroupElement) -> Basis:
@@ -255,8 +258,8 @@ def active_coordinates_check(
         for v in probes:
             before = vector_coordinates(v, b).components
             after = vector_coordinates(linear.matvec(v), moved).components
-            residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
-            yield (v, before, after), vec_eq(before, after, backend), residual
+            residual = 0.0 if backend.is_exact else backend.residual(before, after)
+            yield (v, before, after), backend.close(before, after), residual
 
     return _first_failure("", outcomes())
 
@@ -313,12 +316,7 @@ def change_of_basis(b1: Basis, b2: Basis, group: MatrixGroup) -> GroupElement:
     """
     if b1.space != b2.space:
         raise GroupSpaceMismatch("bases live in different spaces")
-    if (
-        not isinstance(group, MatrixGroup)
-        or group.dim != b1.space.dim
-        or group.backend != b1.space.backend
-    ):
-        raise GroupSpaceMismatch("group does not act on this space")
+    _require_acting(group, b1.space, "this space")
     try:
         grid = b2.rows().mul(b1.rows().inverse())
     except Singular as exc:
@@ -331,9 +329,7 @@ def change_of_basis(b1: Basis, b2: Basis, group: MatrixGroup) -> GroupElement:
         )
         payload = AffineTransform(grid, shift)
     else:
-        if b1.origin is not None and not vec_eq(
-            b1.origin, b2.origin, b1.space.backend
-        ):
+        if b1.origin is not None and not b1.space.backend.close(b1.origin, b2.origin):
             raise NotInOrbit(
                 "linear transports cannot move the origin of an affine basis"
             )
@@ -461,7 +457,7 @@ def _float_composition(rep: Representation, samples, vectors_per_pair, seed) -> 
             for _ in range(vectors_per_pair):
                 v = random_vector(rng, group.dim, backend)
                 stepped, direct = step_b.vecmat(step_a.vecmat(v)), once.vecmat(v)
-                yield (b, a, v), vec_eq(stepped, direct, backend), vec_max_diff(stepped, direct)
+                yield (b, a, v), backend.close(stepped, direct), backend.residual(stepped, direct)
 
     return _first_failure(mode, outcomes())
 
@@ -474,10 +470,10 @@ def gram_schmidt(
     """Orthonormalise float vectors against the diagonal metric of ``signature``.
 
     Processes the input in order without pivoting.  Each residue is the
-    input vector minus its projections on the vectors already produced;
-    a residue below ``tolerance`` in max norm raises
-    :class:`DependentInput`, and a residue of vanishing scalar square in
-    a pseudo-euclid metric raises :class:`NullVector`.  The output basis
+    input vector minus its projections on the vectors already produced.
+    Under ``approx(tolerance)``, a residue whose entries all vanish raises
+    :class:`DependentInput`, and one of vanishing scalar square in a
+    pseudo-euclid metric raises :class:`NullVector`.  The output basis
     lives in the euclid or pseudo-euclid space of the signature, with
     each vector normalised to scalar square plus or minus one.
 
@@ -508,10 +504,10 @@ def gram_schmidt(
         for e, sigma in zip(produced, produced_signs):
             coeff = sigma * metric_dot(tuple(residue), e, signs)
             residue = [r - coeff * x for r, x in zip(residue, e)]
-        if max(abs(r) for r in residue) <= tolerance:
+        if all(map(backend.is_zero, residue)):
             raise DependentInput(i)
         square = metric_dot(tuple(residue), tuple(residue), signs)
-        if abs(square) <= tolerance:
+        if backend.is_zero(square):
             if q == 0:
                 raise DependentInput(i)
             raise NullVector(i)
@@ -551,9 +547,9 @@ def is_g_basis(b: Basis) -> GBasisReport:
     signs = b.space.metric_signs()
     eta = Matrix.diagonal(signs, b.space.backend)
     rows = b.rows()
-    gram = rows.mul(eta).mul(rows.transpose())
-    residual = float(gram.max_diff(eta))
-    if gram.eq(eta):
+    gram, want = rows.mul(eta).mul(rows.transpose()).flat, eta.flat
+    residual = b.space.backend.residual(gram, want)
+    if b.space.backend.close(gram, want):
         return GBasisReport(True, residual, "orthonormal")
     return GBasisReport(False, residual, "gram matrix differs from the metric")
 
@@ -608,8 +604,7 @@ class BasisManifold:
 
     def __init__(self, reference: Basis, group: MatrixGroup):
         space = reference.space
-        if group.dim != space.dim or group.backend != space.backend:
-            raise GroupSpaceMismatch("group does not act on the reference's space")
+        _require_acting(group, space, "the reference's space")
         if group.family == "AFFINE" and space.kind != "affine":
             raise GroupSpaceMismatch("affine structure group needs an affine space")
         if group.family == "SO":

@@ -44,6 +44,7 @@ from .errors import (
     NullVector,
     ParseError,
 )
+from .groups import DEFAULT_CLOSURE_CAP
 from .objects import (
     invariance_check,
     invariance_sweep,
@@ -92,6 +93,9 @@ def _backend_override(args):
     return None
 
 
+_CAP_HELP = "enumeration cap for closures and orbits"
+
+
 def _add_common(p, report=True, backend=True, sampling=False):
     if backend:
         mode = p.add_mutually_exclusive_group()
@@ -116,12 +120,7 @@ def _add_common(p, report=True, backend=True, sampling=False):
         )
         p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=100_000,
-            help="enumeration cap for closures and orbits",
-        )
+        p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help=_CAP_HELP)
     if report:
         p.add_argument("--report", choices=["text", "json"], default="text")
 
@@ -358,9 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="representation descriptor path")
     p.add_argument("--point", help="carrier point, inline JSON or @path")
     _add_common(p)
-    p.add_argument(
-        "--cap", type=int, default=100_000, help="enumeration cap for closures and orbits"
-    )
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help=_CAP_HELP)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("basis", help="basis transformations and checks")
@@ -407,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--group", required=True, help="group descriptor path")
     q.add_argument("--samples", type=int, default=100)
     q.add_argument("--seed", type=int, default=42)
-    q.add_argument("--cap", type=int, default=100_000)
+    q.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     _add_common(q)
     q.set_defaults(func=_cmd_basis, action="coordrep")
 
@@ -424,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     p.set_defaults(func=_cmd_object)
 
     p = sub.add_parser("selftest", help="run the built-in deterministic battery")

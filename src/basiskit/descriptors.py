@@ -15,6 +15,7 @@ from typing import Optional
 from .bases import Basis, VectorSpace
 from .errors import BasiskitError, CayleyTableError, MembershipError, ParseError
 from .groups import (
+    DEFAULT_CLOSURE_CAP,
     AffineTransform,
     FiniteGroup,
     GroupElement,
@@ -157,7 +158,7 @@ def group_from_descriptor(
     d: dict,
     backend: Optional[Backend] = None,
     tolerance: float = 1e-9,
-    cap: int = 100_000,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ):
     kind = _need(d, "kind", "group")
     if kind == "finite":
@@ -183,8 +184,8 @@ def group_from_descriptor(
             )
         return group
     if kind in ("matrix", "affine"):
-        dim = _need(d, "dim", f"{kind} group")
-        if not isinstance(dim, int) or dim < 1:
+        dim = _need_int(_need(d, "dim", f"{kind} group"), f"{kind} group: dim")
+        if dim < 1:
             raise ParseError(f"{kind} group: bad dimension {dim!r}")
         if kind == "affine":
             family = "AFFINE"
@@ -307,7 +308,7 @@ def representation_from_descriptor(
     d: dict,
     backend: Optional[Backend] = None,
     tolerance: float = 1e-9,
-    cap: int = 100_000,
+    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Representation:
     group = group_from_descriptor(
         _need(d, "group", "representation"), backend, tolerance, cap
@@ -333,8 +334,8 @@ def representation_from_descriptor(
         return rep
 
     if carrier_kind == "finite":
-        size = _need(carrier_d, "size", "carrier")
-        if not isinstance(size, int) or size < 1:
+        size = _need_int(_need(carrier_d, "size", "carrier"), "carrier: size")
+        if size < 1:
             raise ParseError(f"carrier: bad size {size!r}")
         carrier = FiniteCarrier(size)
     elif carrier_kind == "coords":

@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     MixedGroups,
     Singular,
 )
-from .matrices import Matrix, Vector, vec_add, vec_eq, vector
+from .matrices import Matrix, Vector, vec_add, vector
 from .scalars import APPROX, EXACT, Backend
 
 __all__ = [
@@ -326,10 +327,13 @@ class AffineTransform:
             inv, tuple(-x for x in inv.matvec(self.translation))
         )
 
+    @cached_property
+    def flat(self) -> tuple:
+        """The linear part's entries row by row, then the translation."""
+        return self.linear.flat + tuple(self.translation)
+
     def eq(self, other: "AffineTransform") -> bool:
-        return self.linear.eq(other.linear) and vec_eq(
-            self.translation, other.translation, self.backend
-        )
+        return self.backend.close(self.flat, other.flat)
 
 
 def affine_apply(t: AffineTransform, point: Sequence) -> Vector:
@@ -414,13 +418,11 @@ class MatrixGroup:
         if self.family == "GL":
             return payload.is_invertible(), 0.0
         if self.family == "SL":
-            det = payload.det()
-            residual = float(abs(det - self.backend.one()))
-            return self.backend.eq(det, self.backend.one()), residual
-        eta = Matrix.diagonal(self.metric_signs(), self.backend)
-        gram = payload.transpose().mul(eta).mul(payload)
-        residual = float(gram.max_diff(eta))
-        return gram.eq(eta), residual
+            got, want = (payload.det(),), (self.backend.one(),)
+        else:
+            eta = Matrix.diagonal(self.metric_signs(), self.backend)
+            got, want = payload.transpose().mul(eta).mul(payload).flat, eta.flat
+        return self.backend.close(got, want), self.backend.residual(got, want)
 
     # -- element handling --------------------------------------------------
 
@@ -459,13 +461,11 @@ class MatrixGroup:
         return GroupElement(self, inv)
 
     def payload_eq(self, p, q) -> bool:
-        return p.eq(q)
+        return self.backend.close(p.flat, q.flat)
 
-    def payload_entries(self, p) -> list:
+    def payload_entries(self, p) -> tuple:
         """Matrix entries row by row; for an affine map, then the translation."""
-        if isinstance(p, AffineTransform):
-            return [x for row in p.linear.entries for x in row] + list(p.translation)
-        return [x for row in p.entries for x in row]
+        return p.flat
 
     def payload_name(self, p) -> str:
         if self.family == "AFFINE":
@@ -512,7 +512,7 @@ class MatrixGroup:
         gens = [self.element(g) for g in generators]
         exact = self.backend.is_exact
 
-        def entries(element: GroupElement) -> list:
+        def entries(element: GroupElement) -> tuple:
             flat = self.payload_entries(element.payload)
             if not exact and not all(map(math.isfinite, flat)):
                 raise EnumerationCapExceeded(

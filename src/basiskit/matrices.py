@@ -5,8 +5,9 @@ tuple of scalars.  Sizes in this package stay tiny (dimension five or so,
 tensor squares up to 25).
 
 The two backends share the interface but not the arithmetic.  Float
-matrices use Gaussian elimination with partial pivoting, and a pivot at
-or below the tolerance counts as singular.  Exact matrices never do
+matrices use Gaussian elimination with partial pivoting, and a pivot the
+backend's :meth:`~basiskit.scalars.Backend.is_zero` calls zero counts as
+singular.  Exact matrices never do
 ``Fraction`` arithmetic inside a kernel: each operand is brought to
 integer rows over a common denominator, all the work happens on Python
 ints, and each output entry becomes one normalised ``Fraction`` at the
@@ -23,7 +24,8 @@ and the column tuples of a float one.  They are built from the matrix's
 own canonical entries, so a chain of products never carries unreduced
 denominators forward, and they are tuples, so no kernel can change them.
 A matrix used in many products, inversions or determinants is converted
-once.
+once.  So is :attr:`Matrix.flat`, the entries row by row, which is what
+the backend compares.
 
 A float dot product is a left fold from ``0.0``, term after term, so
 its bits do not depend on the Python version.  The builtin ``sum()`` is
@@ -37,6 +39,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from fractions import Fraction
+from itertools import chain
 from math import lcm, prod
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -50,8 +53,6 @@ __all__ = [
     "vector",
     "vec_add",
     "vec_scale",
-    "vec_eq",
-    "vec_max_diff",
     "metric_dot",
 ]
 
@@ -74,16 +75,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 def vec_scale(c: Scalar, u: Vector) -> Vector:
     return tuple(c * a for a in u)
-
-
-def vec_eq(u: Vector, v: Vector, backend: Backend) -> bool:
-    return len(u) == len(v) and all(backend.eq(a, b) for a, b in zip(u, v))
-
-
-def vec_max_diff(u: Vector, v: Vector) -> float:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return max((abs(a - b) for a, b in zip(u, v)), default=0.0)
 
 
 def metric_dot(u: Vector, v: Vector, signs: Sequence[int]) -> Scalar:
@@ -234,6 +225,11 @@ class Matrix:
         """The columns as tuples."""
         return tuple(zip(*self.entries))
 
+    @cached_property
+    def flat(self) -> tuple:
+        """The entries row by row."""
+        return tuple(chain.from_iterable(self.entries))
+
     @property
     def nrows(self) -> int:
         return len(self.entries)
@@ -366,7 +362,7 @@ class Matrix:
         ]
         for k in range(n):
             pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
-            if self._pivot_vanishes(aug[pivot_row][k]):
+            if self.backend.is_zero(aug[pivot_row][k]):
                 raise Singular(f"matrix is singular at column {k}")
             if pivot_row != k:
                 aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
@@ -379,17 +375,9 @@ class Matrix:
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[k])]
         return Matrix(tuple(tuple(row[n:]) for row in aug), self.backend)
 
-    def _pivot_vanishes(self, pivot) -> bool:
-        # A float pivot is only trusted when it clears the comparison
-        # tolerance; smaller pivots are treated as rank deficiency.
-        return abs(pivot) <= self.backend.tolerance
-
     def is_invertible(self) -> bool:
-        """Nonzero determinant: exactly, or beyond the float tolerance."""
-        det = self.det()
-        if self.backend.is_exact:
-            return det != 0
-        return abs(det) > self.backend.tolerance
+        """A determinant the backend does not call zero."""
+        return not self.backend.is_zero(self.det())
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, blocks of ``self[i][j] * other``."""
@@ -408,23 +396,14 @@ class Matrix:
         return Matrix(top + bottom, self.backend)
 
     def eq(self, other: "Matrix") -> bool:
-        """Entrywise equality under the backend's comparison."""
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(
-            self.backend.eq(a, b)
-            for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2)
-        )
+        """Equal shapes and entries close under the backend's comparison."""
+        return self.nrows == other.nrows and self.backend.close(self.flat, other.flat)
 
     def max_diff(self, other: "Matrix") -> float:
+        """The largest entrywise difference, as a float."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
-        return max(
-            abs(a - b)
-            for r1, r2 in zip(self.entries, other.entries)
-            for a, b in zip(r1, r2)
-        )
+        return self.backend.residual(self.flat, other.flat)
 
     def is_identity(self) -> bool:
         return self.is_square and self.eq(Matrix.identity(self.nrows, self.backend))

@@ -46,7 +46,7 @@ from .errors import (
     TypeMismatch,
 )
 from .groups import GroupElement, MatrixGroup, compose
-from .matrices import Matrix, vec_eq, vec_max_diff, vec_add, vec_scale, vector
+from .matrices import Matrix, vec_add, vec_scale, vector
 from .representations import (
     GridTransformation,
     Representation,
@@ -103,6 +103,8 @@ class TypeAFunctor:
             raise BasiskitError("tensor power needs a positive exponent")
         if self.tag == "direct_sum" and not self.parts:
             raise BasiskitError("direct sum needs at least one part")
+        if self.tag == "table" and not self.table:
+            raise BasiskitError("table functor needs its grids")
 
     def describe(self) -> str:
         if self.tag == "tensor_power":
@@ -247,13 +249,19 @@ class GeometricalObject:
         return cls(functor, row, anchor, w_basis)
 
     def eq(self, other: "GeometricalObject") -> bool:
-        backend = self.anchor.space.backend
+        space = self.anchor.space
         return (
             self.functor == other.functor
-            and vec_eq(self.coords, other.coords, backend)
-            and self.anchor.eq(other.anchor)
-            and self.w_basis.eq(other.w_basis)
+            and space == other.anchor.space
+            and space.backend.close(_object_entries(self), _object_entries(other))
         )
+
+
+def _object_entries(o: GeometricalObject) -> tuple:
+    """The anchor's entries, the coordinates, then the auxiliary basis.  The
+    anchor comes first: it moves under every element with a linear part
+    other than 1, which spreads float points over a point index's cells."""
+    return _basis_entries(o.anchor) + tuple(o.coords) + o.w_basis.flat
 
 
 class ObjectCarrier:
@@ -277,12 +285,7 @@ class ObjectCarrier:
         )
 
     point_eq = staticmethod(GeometricalObject.eq)
-
-    def entries(self, o: GeometricalObject) -> list:
-        # the anchor first: it moves under every element with a linear part
-        # other than 1, which spreads float points over the index cells
-        w = [x for row in o.w_basis.entries for x in row]
-        return _basis_entries(o.anchor) + list(o.coords) + w
+    entries = staticmethod(_object_entries)
 
     def sample(self, rng: Random) -> GeometricalObject:
         coords = random_vector(rng, self.weight_dim, self.space.backend)
@@ -376,11 +379,11 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
         if after is None:
             after = representative(transform_object(obj, g))
         backend = obj.anchor.space.backend
-        residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
+        residual = 0.0 if backend.is_exact else backend.residual(before, after)
         checked += 1
         worst = max(worst, residual)
         total += residual
-        if witness is None and not vec_eq(before, after, backend):
+        if witness is None and not backend.close(before, after):
             witness = (g, before, after)
     verdict = Verdict(witness is None, mode, checked, witness, worst)
     return verdict, total / max(checked, 1)

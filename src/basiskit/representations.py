@@ -44,8 +44,8 @@ from .errors import (
     SideMismatch,
     Singular,
 )
-from .groups import FiniteGroup, GroupElement, PointIndex, compose
-from .matrices import Matrix, vec_eq, vec_max_diff
+from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, GroupElement, PointIndex, compose
+from .matrices import Matrix
 from .sampling import random_vector, sample_group_element
 from .scalars import EXACT, Backend
 
@@ -154,7 +154,7 @@ class CoordCarrier:
         return isinstance(p, tuple) and len(p) == self.dim
 
     def point_eq(self, p, q) -> bool:
-        return vec_eq(p, q, self.backend)
+        return self.backend.close(p, q)
 
     def entries(self, p) -> tuple:
         return p
@@ -739,7 +739,7 @@ def _sampled_triples(rep: Representation, samples: int, seed: int):
 def _point_residual(carrier, x, y) -> float:
     if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
         try:
-            return vec_max_diff(x, y)
+            return carrier.backend.residual(x, y)
         except DimensionMismatch:
             return float("inf")
     if isinstance(carrier, ProductCarrier):
@@ -1010,7 +1010,7 @@ def contragredient(rep: Representation, sample: str = "auto") -> Representation:
 # -- orbits --------------------------------------------------------------------
 
 
-def orbit(rep: Representation, base, cap: int = 100_000) -> Orbit:
+def orbit(rep: Representation, base, cap: int = DEFAULT_CLOSURE_CAP) -> Orbit:
     """All images of ``base`` with one witness element per point.
 
     Points keep discovery order (the group's element order), so the

@@ -5,6 +5,10 @@ exact backend computes with :class:`fractions.Fraction` and compares with
 ``==``; the approximate backend computes with ``float`` and compares within
 a tolerance.  A single computation never mixes the two; binary operations
 check for agreement and raise :class:`~basiskit.errors.BackendMismatch`.
+
+Only the backend compares values, each as one flat tuple of its scalars:
+:meth:`Backend.close`, :meth:`Backend.residual` and :meth:`Backend.is_zero`.
+A NaN supports no claim: it is close to nothing, and it vanishes.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import BackendMismatch, ParseError
+from .errors import BackendMismatch, DimensionMismatch, ParseError
 
 __all__ = [
     "Scalar",
@@ -78,10 +82,26 @@ class Backend:
     def one(self) -> Scalar:
         return Fraction(1) if self.is_exact else 1.0
 
-    def eq(self, x: Scalar, y: Scalar) -> bool:
+    def close(self, xs: tuple, ys: tuple) -> bool:
+        """Equal tuples: ``xs == ys`` over the rationals; in floating point
+        equal lengths and ``|x - y| <= tolerance`` at every entry."""
         if self.is_exact:
-            return x == y
-        return abs(x - y) <= self.tolerance
+            return xs == ys
+        tol = self.tolerance
+        return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
+
+    def residual(self, xs: tuple, ys: tuple) -> float:
+        """The largest entrywise ``|x - y|`` as a float, 0.0 for empty tuples."""
+        if len(xs) != len(ys):
+            raise DimensionMismatch(f"vector lengths differ: {len(xs)} vs {len(ys)}")
+        return float(max((abs(x - y) for x, y in zip(xs, ys)), default=0.0))
+
+    def is_zero(self, x: Scalar) -> bool:
+        """``x == 0`` over the rationals; in floating point ``|x|`` does not
+        clear the tolerance, so a NaN vanishes."""
+        if self.is_exact:
+            return x == 0
+        return not abs(x) > self.tolerance
 
     def require_same(self, other: "Backend") -> None:
         if self != other:

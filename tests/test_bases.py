@@ -46,7 +46,7 @@ from basiskit.groups import (
     rotation_2d,
     symmetric_group,
 )
-from basiskit.matrices import Matrix, vec_eq
+from basiskit.matrices import Matrix
 from basiskit.representations import (
     CoordCarrier,
     LinearTransformation,
@@ -227,7 +227,7 @@ def test_active_coordinates_check_fails_at_the_unmoved_vector(backend, k):
     assert verdict.checked == k + 1
     v, before, after = verdict.counterexample
     assert v == b.vectors[k] == before
-    assert not vec_eq(before, after, backend)
+    assert not backend.close(before, after)
     assert (verdict.residual_max > 0.5) == (not backend.is_exact)
 
 
@@ -551,7 +551,7 @@ def test_float_and_exact_witnesses_name_the_same_pair(monkeypatch):
             x, y, u = composition.counterexample
             assert (x, y) == (group.store[2], group.store[1])
             moved = rep.apply(x, rep.apply(y, u))
-            assert not vec_eq(rep.apply(compose(group, x, y), u), moved, backend)
+            assert not backend.close(rep.apply(compose(group, x, y), u), moved)
 
 
 def test_an_element_assigned_the_identity_fails_effectiveness(monkeypatch):
@@ -800,6 +800,12 @@ def test_manifold_rejects_mismatched_reference():
     skew = Basis.make(space, [[1.0, 1.0], [0.0, 1.0]])
     with pytest.raises(GroupSpaceMismatch):
         BasisManifold(skew, MatrixGroup.metric_preserving(2, 0))
+
+
+def test_manifold_rejects_a_finite_group():
+    reference = Basis.make(linear_space(2, EXACT), [[1, 0], [0, 1]])
+    with pytest.raises(GroupSpaceMismatch):
+        BasisManifold(reference, cyclic_group(2))
 
 
 def test_manifold_boost_transport():

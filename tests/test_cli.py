@@ -791,6 +791,43 @@ def plane_basis():
                 "assign": {"kind": "linear"},
             },
         ),
+        (
+            ["object", "--input", "DOC"],
+            {"functor": {"tag": "table"}, "coords": [1], "anchor": plane_basis()},
+        ),
+        (
+            ["object", "--input", "DOC"],
+            {
+                "functor": {
+                    "tag": "direct_sum",
+                    "parts": [{"tag": "fundamental"}, {"tag": "table"}],
+                },
+                "coords": [1, 0, 1],
+                "anchor": plane_basis(),
+            },
+        ),
+        (
+            ["repcheck", "--input", "DOC"],
+            {
+                "group": {"kind": "matrix", "family": "GL", "dim": True, "elements": [[2]]},
+                "side": "left",
+                "carrier": {"kind": "coords", "dim": 1, "layout": "column"},
+                "assign": {"kind": "linear"},
+            },
+        ),
+        (
+            ["basis", "coordrep", "--group", "DOC"],
+            {"kind": "affine", "dim": True, "elements": [{"P": [[2]], "R": [0]}]},
+        ),
+        (
+            ["repcheck", "--input", "DOC"],
+            {
+                "group": {"kind": "finite", "table": [[0]]},
+                "side": "left",
+                "carrier": {"kind": "finite", "size": True},
+                "assign": {"kind": "permutation-table", "table": [[0]]},
+            },
+        ),
         (["basis", "gram-schmidt", "--input", "DOC"], [[1, 0], [0, 1]]),
         (
             ["basis", "gram-schmidt", "--input", "DOC"],
@@ -811,6 +848,11 @@ def plane_basis():
         "tensor-power-k-a-string",
         "space-dim-a-string",
         "carrier-dim-a-string",
+        "table-functor-without-grids",
+        "table-functor-without-grids-in-a-direct-sum",
+        "group-dim-true",
+        "affine-group-dim-true",
+        "carrier-size-true",
         "gram-schmidt-input-a-list",
         "gram-schmidt-signature-an-int",
         "gram-schmidt-vector-not-a-list",

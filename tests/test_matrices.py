@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from basiskit.errors import BackendMismatch, DimensionMismatch, Singular
-from basiskit.matrices import Matrix, _int_rows, metric_dot, vec_eq, vector
+from basiskit.matrices import Matrix, _int_rows, metric_dot, vector
 from basiskit.scalars import APPROX, EXACT
 
 F = Fraction
@@ -135,10 +135,10 @@ def test_transpose_reverses_products(a, b):
     assert a.mul(b).transpose().eq(b.transpose().mul(a.transpose()))
 
 
-def test_vec_eq_tolerance():
+def test_close_within_tolerance():
     u = vector([1.0, 2.0], APPROX)
     v = vector([1.0 + 1e-12, 2.0], APPROX)
-    assert vec_eq(u, v, APPROX)
+    assert APPROX.close(u, v)
 
 
 # -- exact kernels against Fraction elimination ---------------------------------

@@ -18,7 +18,7 @@ from basiskit.errors import (
 )
 from basiskit.groups import MatrixGroup, cyclic_group, rotation_2d
 from basiskit import objects
-from basiskit.matrices import Matrix, vec_eq, vec_max_diff
+from basiskit.matrices import Matrix
 from basiskit.objects import (
     GeometricalObject,
     ObjectCarrier,
@@ -472,11 +472,12 @@ def per_element_sweep(obj, group):
     failed, checked = None, 0
     for g in group.store:
         after = representative(objects.transform_object(obj, g))
-        residual = 0.0 if backend.is_exact else vec_max_diff(before, after)
+        diffs = [abs(x - y) for x, y in zip(before, after)]
+        residual = 0.0 if backend.is_exact else max(diffs, default=0.0)
         checked += 1
         worst = max(worst, residual)
         total += residual
-        if not vec_eq(before, after, backend) and failed is None:
+        if not all(d <= backend.tolerance for d in diffs) and failed is None:
             failed = (g, before, after)
     return failed, checked, worst, total / checked
 

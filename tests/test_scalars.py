@@ -33,11 +33,11 @@ def test_backend_validation():
 
 
 def test_eq_semantics():
-    assert EXACT.eq(Fraction(1, 3), Fraction(1, 3))
-    assert not EXACT.eq(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
+    assert EXACT.close((Fraction(1, 3),), (Fraction(1, 3),))
+    assert not EXACT.close((Fraction(1, 3),), (Fraction(1, 3) + Fraction(1, 10**12),))
     tol = approx(1e-6)
-    assert tol.eq(1.0, 1.0 + 1e-7)
-    assert not tol.eq(1.0, 1.0 + 1e-5)
+    assert tol.close((1.0,), (1.0 + 1e-7,))
+    assert not tol.close((1.0,), (1.0 + 1e-5,))
 
 
 def test_require_same():
