@@ -505,7 +505,7 @@ def functor_from_descriptor(d: dict) -> TypeAFunctor:
     tag = _need(d, "tag", "functor")
     try:
         if tag == "tensor_power":
-            return TypeAFunctor(tag, power=_need_int(_need(d, "k", "functor"), "k"))
+            return TypeAFunctor(tag, power=_need_int(_need(d, "k", "functor"), "functor: k"))
         if tag == "direct_sum":
             parts = _need(d, "parts", "functor")
             if not isinstance(parts, list):
@@ -514,6 +514,9 @@ def functor_from_descriptor(d: dict) -> TypeAFunctor:
                 tag, parts=tuple(functor_from_descriptor(p) for p in parts)
             )
         return TypeAFunctor(tag)
+    except ParseError:
+        # raised with its context already, here or by a part
+        raise
     except BasiskitError as exc:
         raise ParseError(f"functor: {exc}") from exc
 
@@ -523,6 +526,10 @@ def functor_to_descriptor(f: TypeAFunctor) -> dict:
         return {"tag": f.tag, "k": f.power}
     if f.tag == "direct_sum":
         return {"tag": f.tag, "parts": [functor_to_descriptor(p) for p in f.parts]}
+    if f.tag == "table":
+        # its grids are tied to one group's stored elements, which a
+        # descriptor does not carry
+        raise BasiskitError("a table functor has no descriptor: its grids belong to a stored group")
     return {"tag": f.tag}
 
 

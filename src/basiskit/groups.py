@@ -105,6 +105,10 @@ class FiniteGroup:
     Construct through :func:`validate_cayley_table`; the constructor here
     trusts its arguments.  ``store`` holds every element in table order,
     as :attr:`MatrixGroup.store` holds a matrix group's stored elements.
+    ``generators`` are element indices, the identity never among them:
+    right multiplication by them reaches every element from the identity
+    (see :func:`_generating_set`; they are derived from ``table``, so they
+    cannot disagree with it).
     """
 
     def __init__(
@@ -119,6 +123,7 @@ class FiniteGroup:
         self.inverses = inverses
         self.names = names
         self.store = tuple(GroupElement(self, i) for i in range(len(table)))
+        self.generators = tuple(_generating_set(table, identity_index))
 
     @property
     def order(self) -> int:
@@ -204,7 +209,8 @@ def validate_cayley_table(
             violations.append(("no-identity", None))
 
         rows = tuple(tuple(row) for row in table)
-        if _associativity_witness(rows, _generating_set(rows)) is not None:
+        generators = _generating_set(rows, identity_index)
+        if _associativity_witness(rows, generators) is not None:
             violations.append(
                 ("not-associative", _associativity_witness(rows, range(n)))
             )
@@ -234,17 +240,21 @@ def validate_cayley_table(
     )
 
 
-def _generating_set(rows: tuple) -> list:
-    """Greedy generators: every element is a left-nested product of them.
+def _generating_set(rows: tuple, identity: Optional[int] = None) -> list:
+    """Greedy generators: every element is a left-nested product of them,
+    or the identity followed by such a product when ``identity`` is given.
 
     Takes the smallest element not yet reached as the next generator and
     closes everything reached under right multiplication by all chosen
-    generators.  Only products of the table are used, so the result is
-    valid for any closed table, associative or not.
+    generators.  The identity starts out reached, so it is never chosen.
+    Only products of the table are used, so the result is valid for any
+    closed table, associative or not.
     """
     n = len(rows)
     gens: list = []
     reached = [False] * n
+    if identity is not None:
+        reached[identity] = True
     for x in range(n):
         if reached[x]:
             continue

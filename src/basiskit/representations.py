@@ -569,8 +569,9 @@ def _commuting(x: list, y: list) -> tuple:
     return _after(x, y), _after(y, x)
 
 
-def _sweep(n: int, rows: Callable) -> tuple:
-    """Compare the two rows ``rows(a, b)`` for every pair ``a, b < n`` in order.
+def _sweep(n: int, seconds, rows: Callable) -> tuple:
+    """Compare the two rows ``rows(a, b)`` for every ``a < n`` and ``b`` in
+    ``seconds``, in order.
 
     Returns ``(checked, None)``, or ``(checked, (a, b, j))`` at the first
     position ``j`` where they differ; ``checked`` counts the positions
@@ -578,7 +579,7 @@ def _sweep(n: int, rows: Callable) -> tuple:
     """
     checked = 0
     for a in range(n):
-        for b in range(n):
+        for b in seconds:
             lhs, rhs = rows(a, b)
             if lhs != rhs:
                 j = next(j for j, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
@@ -680,36 +681,69 @@ class SameSideWitness:
 # -- checks ------------------------------------------------------------------
 
 
-def _plan(rep: Representation, sample, samples: int, seed: int, pairs: bool = True):
-    """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store, grids)``.
+def _plan(
+    rep: Representation,
+    sample,
+    samples: int,
+    seed: int,
+    pairs: bool = True,
+    on_grids: bool = False,
+):
+    """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store,
+    seconds, grids)``.
 
     Exhaustive needs the group's store.  A law on pairs of elements runs
-    over the carrier's points too, at ``|G|^2 |X|``, unless ``grids``: two
+    over the carrier's points too, at ``|G| |S| |X|``, unless ``grids``: two
     exact grids agree on every point exactly when they are equal, so an
     exact linear representation of a stored group is decided on its grids
-    at ``|G|^2 n`` in dimension ``n``.  A law on single elements
+    at ``|G| |S| n`` in dimension ``n``.  A law on single elements
     (``pairs=False``) leaves the carrier out, at ``|G|``.
+
+    ``seconds`` are the second factors ``S`` of the pairs.  On a finite
+    group over a carrier that compares exactly they are the group's
+    generators: the side law and variance on the pairs ``(a, s)`` imply
+    them on all pairs, by induction on the length of ``b`` as a word
+    ``s1 s2 ... sk`` (``f(a b' s) = f(a b') f(s) = f(a) f(b') f(s) = f(a)
+    f(b' s)``, the factors of each composite swapped on the right side;
+    an antihomomorphism is argued in :func:`check_variance`), so every
+    failure is a real counterexample.
+    Rounding error grows with the word length, so float carriers run all
+    pairs, ``S = G``, as do groups without generators.
+
+    The exhaustive mode notes ``generators=k`` when the second factors
+    are ``k`` generators, and ``grids`` when the caller decides the pairs
+    on grids (``on_grids``) and the plan allows it.
     """
-    elements, carrier = rep.group.store, rep.carrier
+    group, carrier = rep.group, rep.carrier
+    elements = seconds = group.store
     grids = (
         pairs
         and elements is not None
         and isinstance(carrier, CoordCarrier)
         and carrier.backend.is_exact
-        and isinstance(rep.transformation(rep.group.identity), LinearTransformation)
+        and isinstance(rep.transformation(group.identity), LinearTransformation)
     )
     enumerable = elements is not None and (grids or not pairs or carrier.enumerable)
+    reduced = pairs and isinstance(group, FiniteGroup) and carrier.tolerance == 0
+    if reduced:
+        seconds = tuple(elements[s] for s in group.generators)
     if sample not in ("auto", "exhaustive", "sampled"):
         raise BasiskitError(f"unknown sampling mode {sample!r}")
     if sample == "exhaustive" and not enumerable:
         raise InfeasibleExhaustive("exhaustive check requested over a non-enumerable domain")
     if sample == "auto" and enumerable:
         n = len(elements)
-        cost = n * n * (carrier.dim if grids else carrier.size) if pairs else n
+        cost = n * len(seconds) * (carrier.dim if grids else carrier.size) if pairs else n
         sample = "exhaustive" if cost <= EXHAUSTIVE_WORK_CAP else "sampled"
     if sample == "exhaustive":
-        return True, "exhaustive", elements, grids
-    return False, f"sampled(k={samples}, seed={seed})", elements, grids
+        notes = []
+        if grids and on_grids:
+            notes.append("grids")
+        if reduced:
+            notes.append(f"generators={len(seconds)}")
+        mode = f"exhaustive({', '.join(notes)})" if notes else "exhaustive"
+        return True, mode, elements, seconds, grids
+    return False, f"sampled(k={samples}, seed={seed})", elements, seconds, grids
 
 
 def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
@@ -760,21 +794,25 @@ def check_axioms(
 
     The identity law ``f(e) = id`` is case 1: :class:`Representation`
     refuses to build without it, so it holds here and is not tested
-    again.  The side law is checked exhaustively over all triples when
-    the group and carrier are enumerable and the work stays under the
-    cap, otherwise over seeded samples.  The first failing triple in
-    enumeration order is reported, which for the exhaustive sweep is the
-    lexicographically smallest one.
+    again.  The side law is checked exhaustively when the group and
+    carrier are enumerable and the work stays under the cap, otherwise
+    over seeded samples.  The exhaustive sweep runs ``b`` over the second
+    factors of :func:`_plan`, the generators of a finite group on a
+    carrier that compares exactly (mode ``exhaustive(generators=k)``).
+    The first failing triple in enumeration order is reported, which for
+    the exhaustive sweep is the lexicographically smallest one, the
+    generators taken in their order.
 
     Exact grids agree on every point iff they are equal, so an exact linear
     representation of a stored group is decided per pair on its grids, in
-    mode ``exhaustive(grids)``; the witness point is a Kronecker vector.
+    mode ``exhaustive(grids)`` (``exhaustive(grids, generators=k)`` on a
+    finite group); the witness point is a Kronecker vector.
     """
-    exhaustive, mode, elements, grids = _plan(rep, sample, samples, seed)
+    exhaustive, mode, elements, seconds, grids = _plan(rep, sample, samples, seed, on_grids=True)
     carrier = rep.carrier
     table = rep._action_table()
     if table is not None:
-        return _table_axioms(rep, table, exhaustive, mode, elements, samples, seed)
+        return _table_axioms(rep, table, exhaustive, mode, seconds, samples, seed)
 
     def outcome(a, b, u):
         ab = compose(rep.group, a, b)
@@ -795,17 +833,17 @@ def check_axioms(
             # two different grids move some Kronecker vector differently
             return next(o for o in (outcome(a, b, u) for u in kronecker) if not o[1])
 
-        pairs = itertools.starmap(decided, itertools.product(elements, elements))
-        return _first_failure("exhaustive(grids)", pairs, checked=1)
+        pairs = itertools.starmap(decided, itertools.product(elements, seconds))
+        return _first_failure(mode, pairs, checked=1)
     if exhaustive:
-        cases = itertools.product(elements, elements, carrier.points())
+        cases = itertools.product(elements, seconds, carrier.points())
     else:
         cases = _sampled_triples(rep, samples, seed)
     # the identity law is case 1
     return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
 
 
-def _table_axioms(rep, table, exhaustive, mode, elements, samples, seed) -> Verdict:
+def _table_axioms(rep, table, exhaustive, mode, seconds, samples, seed) -> Verdict:
     """:func:`check_axioms` on the action table: row ``T[ab]`` against
     ``T[a]`` after ``T[b]`` on the left side, ``T[b]`` after ``T[a]`` on
     the right.  The count starts at 1 for the identity law, and the
@@ -822,7 +860,8 @@ def _table_axioms(rep, table, exhaustive, mode, elements, samples, seed) -> Verd
             ab, outer, inner = rows(a, b)
             return ab, _after(outer, inner)
 
-        checked, failure = _sweep(len(table), compared)
+        elements = rep.group.store
+        checked, failure = _sweep(len(table), [b.payload for b in seconds], compared)
         if failure is None:
             return Verdict(True, mode, 1 + checked, None, 0.0)
         a, b, j = failure
@@ -844,10 +883,18 @@ def check_variance(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> VarianceVerdict:
-    """Classify the assignment as homomorphism, antihomomorphism, both or neither."""
-    exhaustive, mode, elements, _ = _plan(rep, sample, samples, seed)
+    """Classify the assignment as homomorphism, antihomomorphism, both or neither.
+
+    Runs the pairs ``(a, b)`` of :func:`_plan`: ``f(ab)`` against
+    ``f(a) f(b)`` for a homomorphism, ``f(ba)`` against it for an
+    antihomomorphism.  With ``b`` over a finite group's generators the
+    second reads ``f(s a) = f(a) f(s)``, which decides the law by
+    induction on ``b`` written as ``s b'``, the new letter on the left:
+    ``f(s b' a) = f(b' a) f(s) = f(a) f(b') f(s) = f(a) f(s b')``.
+    """
+    exhaustive, mode, elements, seconds, _ = _plan(rep, sample, samples, seed)
     if exhaustive:
-        pairs = list(itertools.product(elements, elements))
+        pairs = list(itertools.product(elements, seconds))
     else:
         rng = Random(seed)
         pairs = [
@@ -915,7 +962,7 @@ def inverse_law_check(
     A law of the group alone: exhaustive over a stored group, otherwise
     over ``samples`` seeded elements, whatever the carrier.
     """
-    exhaustive, mode, elements, _ = _plan(rep, sample, samples, seed, pairs=False)
+    exhaustive, mode, elements, _, _ = _plan(rep, sample, samples, seed, pairs=False)
     if not exhaustive:
         rng = Random(seed)
         elements = [sample_group_element(rep.group, rng) for _ in range(samples)]
@@ -965,7 +1012,7 @@ def _shift(group, side: str, variance_claim: str) -> Representation:
             },
         )
 
-    return Representation(
+    rep = Representation(
         group,
         carrier,
         side,
@@ -973,6 +1020,12 @@ def _shift(group, side: str, variance_claim: str) -> Representation:
         variance_claim=variance_claim,
         label=f"{side}-shift",
     )
+    if isinstance(group, FiniteGroup):
+        # the action table is the Cayley table: row a on the left, column a
+        # on the right
+        mul = group.table
+        rep._table = list(map(list, mul if side == "left" else zip(*mul)))
+    return rep
 
 
 def contragredient(rep: Representation, sample: str = "auto") -> Representation:
@@ -1261,7 +1314,8 @@ def shifts_commute_check(group, sample: str = "auto") -> Verdict:
         # a (c b) = (a c) b for all c: row a commutes with column b
         mul = group.table
         columns = [[row[b] for row in mul] for b in range(len(mul))]
-        checked, failure = _sweep(len(mul), lambda a, b: _commuting(mul[a], columns[b]))
+        n = len(mul)
+        checked, failure = _sweep(n, range(n), lambda a, b: _commuting(mul[a], columns[b]))
         if failure is not None:
             witness = tuple(elements[i] for i in failure)
             return Verdict(False, "exhaustive", checked, witness)
@@ -1338,9 +1392,8 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
     points = carrier.points()
     table1, table2 = rep1._action_table(), rep2._action_table()
     if table1 is not None and table2 is not None:
-        checked, failure = _sweep(
-            len(elements), lambda a, b: _commuting(table1[a], table2[b])
-        )
+        n = len(elements)
+        checked, failure = _sweep(n, range(n), lambda a, b: _commuting(table1[a], table2[b]))
         if failure is not None:
             a, b, j = failure
             witness = (elements[a], elements[b], points[j])

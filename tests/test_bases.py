@@ -49,7 +49,9 @@ from basiskit.groups import (
 from basiskit.matrices import Matrix
 from basiskit.representations import (
     CoordCarrier,
+    FiniteCarrier,
     LinearTransformation,
+    MappingTransformation,
     Representation,
     Verdict,
     check_axioms,
@@ -379,18 +381,24 @@ def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
 # -- the exact law decided on grids ----------------------------------------------------
 
 
-def kronecker_oracle(rep):
-    """The side law one triple at a time, on every stored pair and every
+def kronecker_oracle(rep, seconds=None):
+    """The side law one triple at a time, on every pair ``(a, b)`` with
+    ``b`` in ``seconds`` (all stored elements by default) and every
     Kronecker vector: ``(passed, checked, witness)``, where ``checked``
     counts the identity law and the pairs run, as the grid engine does."""
     group = rep.group
+    seconds = group.store if seconds is None else seconds
     kronecker = Matrix.identity(rep.carrier.dim, rep.carrier.backend).entries
-    for i, (a, b) in enumerate(itertools.product(group.store, repeat=2)):
+    for i, (a, b) in enumerate(itertools.product(group.store, seconds)):
         outer, inner = (a, b) if rep.side == "left" else (b, a)
         for u in kronecker:
             if rep.apply(compose(group, a, b), u) != rep.apply(outer, rep.apply(inner, u)):
                 return False, i + 2, (a, b, u)
-    return True, 1 + len(group.store) ** 2, None
+    return True, 1 + len(group.store) * len(seconds), None
+
+
+def generator_elements(group):
+    return [group.store[s] for s in group.generators]
 
 
 def engine_key(verdict):
@@ -623,42 +631,74 @@ PERMUTATION_GROUPS = {
 @pytest.mark.parametrize("name", PERMUTATION_GROUPS)
 def test_grid_engine_agrees_with_the_oracle_on_permutation_matrices(name, side, layout, planted):
     # the natural action holds on either side with the matching layout; the
-    # mismatched layouts fail on a noncommuting pair, the planted matrix anywhere
+    # mismatched layouts fail on a noncommuting pair, the planted matrix anywhere.
+    # The engine runs the pairs (a, s) with s a generator; all pairs agree
     group, perms = PERMUTATION_GROUPS[name]()
     wrong = None if planted is None else {planted: permutation_matrix(perms[planted + 1])}
     rep = permutation_rep(group, perms, side, layout, wrong)
     verdict = check_axioms(rep)
-    assert verdict.mode == "exhaustive(grids)"
-    assert engine_key(verdict) == kronecker_oracle(rep)
+    k = len(group.generators)
+    assert verdict.mode == f"exhaustive(grids, generators={k})"
+    assert engine_key(verdict) == kronecker_oracle(rep, generator_elements(group))
+    assert verdict.passed == kronecker_oracle(rep)[0]
     if not verdict.passed:
         assert_confirmed(rep, verdict.counterexample)
     assert check_axioms(rep, "exhaustive") == verdict
     variance = check_variance(rep)
-    assert (variance.mode, variance.checked) == ("exhaustive", len(group.store) ** 2)
+    assert (variance.mode, variance.checked) == (f"exhaustive(generators={k})", len(group.store) * k)
+    # the same action on the indices of the Kronecker vectors takes the
+    # table path, and fails at the same pair and point
+    on_indices = kronecker_index_action(rep)
+    table_verdict = check_axioms(on_indices)
+    assert table_verdict.mode == f"exhaustive(generators={k})"
+    assert table_verdict.passed == verdict.passed
+    if not verdict.passed:
+        a, s, u = verdict.counterexample
+        assert table_verdict.counterexample == (a, s, u.index(1))
+    if layout == "column":
+        # grids are classified by their product, maps by composition; the
+        # two agree when grids multiply points from the left
+        assert check_variance(on_indices) == variance
+
+
+def kronecker_index_action(rep):
+    """``rep``, a representation by permutation matrices, acting on the
+    indices of the Kronecker vectors it permutes."""
+    dim = rep.carrier.dim
+    kronecker = Matrix.identity(dim, rep.carrier.backend).entries
+    carrier = FiniteCarrier(dim)
+
+    def assign(g):
+        return MappingTransformation(
+            carrier, {j: rep.apply(g, u).index(1) for j, u in enumerate(kronecker)}
+        )
+
+    return Representation(rep.group, carrier, rep.side, assign)
 
 
 def test_grid_plan_costs_the_pairs_times_the_dimension(monkeypatch):
-    # S4 on four coordinates: 24 * 24 pairs * 4 = 2304 units of work
+    # S4 on four coordinates: 24 elements * 3 generators * 4 = 288 units of work
     rep = permutation_rep(*PERMUTATION_GROUPS["S4"]())
-    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 2304)
-    assert check_axioms(rep).mode == "exhaustive(grids)"
-    assert check_variance(rep).mode == "exhaustive"
-    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 2303)
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 288)
+    assert check_axioms(rep).mode == "exhaustive(grids, generators=3)"
+    assert check_variance(rep).mode == "exhaustive(generators=3)"
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 287)
     assert check_axioms(rep, samples=5, seed=1).mode == "sampled(k=5, seed=1)"
     assert check_variance(rep, samples=5, seed=1).mode == "sampled(k=5, seed=1)"
 
 
 def test_a_planted_matrix_passes_a_sample_and_fails_the_grid_proof():
     # S5 with one wrong permutation matrix: the 100 triples of seed 7 miss
-    # it, and the default plan decides every pair
+    # it, and the default plan decides every pair (a, s) with s a generator
     perms = all_perms(5)
     rep = permutation_rep(
         symmetric_group(5), perms, planted={37: permutation_matrix(perms[38])}
     )
     assert check_axioms(rep, "sampled", 100, 7).passed
     verdict = check_axioms(rep)
-    assert (verdict.passed, verdict.mode) == (False, "exhaustive(grids)")
+    assert (verdict.passed, verdict.mode) == (False, "exhaustive(grids, generators=4)")
     assert_confirmed(rep, verdict.counterexample)
+    assert engine_key(verdict) == kronecker_oracle(rep, generator_elements(rep.group))
 
 
 def test_float_grids_are_sampled_on_coordinates():

@@ -341,9 +341,24 @@ def test_coordrep_with_a_cayley_table_group_is_exit_2(tmp_path, capsys):
     assert_one_line_error(code, capsys)
 
 
+def test_repcheck_proves_the_s5_left_shift_on_its_generators(capsys):
+    # all triples of S5 on itself are 1.7M cases, over the cap; the pairs
+    # (a, s) with s one of the 4 generators are 57,600, under it
+    path = Path(__file__).parent / "golden" / "exact" / "s5_left_shift.json"
+    assert main(["repcheck", "--input", str(path), "--report", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    modes = {line["name"]: (line["mode"], line["checked"]) for line in checks}
+    assert modes == {
+        "axioms": ("exhaustive(generators=4)", 1 + 120 * 4 * 120),
+        "inverse-law": ("exhaustive", 120),
+        "variance": ("exhaustive(generators=4)", 120 * 4),
+    }
+
+
 def test_repcheck_decides_an_exact_linear_representation_on_grids(tmp_path, capsys):
-    # the permutation matrices of Z3 on column coordinates: every pair is
-    # decided on its grids, and an exhaustive demand is met
+    # the permutation matrices of Z3 on column coordinates: every pair with
+    # the one generator second is decided on its grids, and an exhaustive
+    # demand is met
     path = write(
         tmp_path,
         "z3_linear.json",
@@ -366,9 +381,9 @@ def test_repcheck_decides_an_exact_linear_representation_on_grids(tmp_path, caps
         checks = json.loads(capsys.readouterr().out)["checks"]
         modes = {line["name"]: (line["mode"], line["checked"]) for line in checks}
         assert modes == {
-            "axioms": ("exhaustive(grids)", 1 + 9),
+            "axioms": ("exhaustive(grids, generators=1)", 1 + 3),
             "inverse-law": ("exhaustive", 3),
-            "variance": ("exhaustive", 9),
+            "variance": ("exhaustive(generators=1)", 3),
         }
 
 
@@ -636,6 +651,9 @@ def assert_one_line_error(code, capsys):
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    # each context prefixes the message once, not once per nesting level
+    contexts = captured.err.split(": ")[:-1]
+    assert len(contexts) == len(set(contexts)), captured.err
 
 
 @pytest.mark.parametrize(
@@ -807,6 +825,14 @@ def plane_basis():
             },
         ),
         (
+            ["object", "--input", "DOC"],
+            {
+                "functor": {"tag": "direct_sum", "parts": [{"tag": "table"}]},
+                "coords": [1, 0],
+                "anchor": plane_basis(),
+            },
+        ),
+        (
             ["repcheck", "--input", "DOC"],
             {
                 "group": {"kind": "matrix", "family": "GL", "dim": True, "elements": [[2]]},
@@ -850,6 +876,7 @@ def plane_basis():
         "carrier-dim-a-string",
         "table-functor-without-grids",
         "table-functor-without-grids-in-a-direct-sum",
+        "table-functor-alone-in-a-direct-sum",
         "group-dim-true",
         "affine-group-dim-true",
         "carrier-size-true",

@@ -22,13 +22,19 @@ from basiskit.descriptors import (
     to_jsonable,
 )
 from basiskit.errors import (
+    BasiskitError,
     CayleyTableError,
     MembershipError,
     ParseError,
 )
 from basiskit.groups import MatrixGroup, cyclic_group, quaternion_group
 from basiskit.matrices import Matrix
-from basiskit.objects import GeometricalObject, fundamental_functor
+from basiskit.objects import (
+    GeometricalObject,
+    direct_sum_functor,
+    fundamental_functor,
+    table_functor,
+)
 from basiskit.representations import check_axioms
 from basiskit.scalars import EXACT
 
@@ -400,6 +406,15 @@ def test_degenerate_basis_is_a_parse_error():
 )
 def test_functor_round_trip(d):
     assert functor_to_descriptor(functor_from_descriptor(d)) == d
+
+
+def test_a_table_functor_is_not_written_without_its_grids():
+    # {"tag": "table"} would not parse back; the emitter says so instead
+    z2 = cyclic_group(2)
+    table = table_functor(z2, [Matrix.identity(1, EXACT), Matrix.from_rows([[-1]], EXACT)])
+    for functor in (table, direct_sum_functor(fundamental_functor(), table)):
+        with pytest.raises(BasiskitError, match="table functor"):
+            functor_to_descriptor(functor)
 
 
 def test_unknown_functor_tag():

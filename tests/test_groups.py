@@ -35,6 +35,7 @@ from basiskit.groups import (
     validate_cayley_table,
 )
 from basiskit.matrices import Matrix
+from basiskit.representations import Verdict, check_axioms, left_shift, right_shift
 from basiskit.scalars import APPROX, EXACT, approx
 
 F = Fraction
@@ -258,6 +259,52 @@ def test_greedy_generators_reach_every_element():
             frontier = {group.table[r][g] for r in frontier for g in gens} - reached
             reached = reached | frontier
         assert reached == set(range(group.order))
+
+
+def relabelled(group, sigma):
+    """``group`` with element ``i`` renamed ``sigma[i]``, validated again."""
+    n = group.order
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[sigma[a]][sigma[b]] = sigma[group.table[a][b]]
+    return validate_cayley_table(table)
+
+
+GENERATED = {
+    "Z": lambda n: cyclic_group(n),
+    "D": lambda n: dihedral_group(max(n, 3)),
+    "S4": lambda n: symmetric_group(4),
+    "Q8": lambda n: quaternion_group(),
+}
+
+
+@given(st.sampled_from(sorted(GENERATED)), st.integers(1, 12), st.randoms(use_true_random=False))
+def test_generators_of_a_relabelled_group_reach_it_without_the_identity(family, n, rng):
+    base = GENERATED[family](n)
+    sigma = list(range(base.order))
+    rng.shuffle(sigma)
+    group = relabelled(base, sigma)
+    e, gens = group.identity_index, group.generators
+    assert e not in gens
+    assert all(0 <= s < group.order for s in gens)
+    # right multiplication by the generators reaches every element from e
+    reached, frontier = {e}, [e]
+    while frontier:
+        frontier = [group.table[x][s] for x in frontier for s in gens]
+        frontier = [x for x in dict.fromkeys(frontier) if x not in reached]
+        reached.update(frontier)
+    assert reached == set(range(group.order))
+    # each generator leaves the subgroup the earlier ones reach, so at
+    # least doubles it
+    assert 2 ** len(gens) <= group.order
+
+
+def test_the_trivial_group_has_no_generators_and_case_1_decides_its_side_law():
+    trivial = validate_cayley_table([[0]])
+    assert trivial.generators == ()
+    for shift in (left_shift(trivial), right_shift(trivial)):
+        assert check_axioms(shift) == Verdict(True, "exhaustive(generators=0)", 1, None, 0.0)
 
 
 def test_table_size_cap():

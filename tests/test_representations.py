@@ -38,6 +38,7 @@ from basiskit.representations import (
     Representation,
     SelfCarrier,
     Verdict,
+    _compile_action_table,
     _first_failure,
     _variance_product,
     check_axioms,
@@ -852,6 +853,184 @@ def test_planted_failures_are_caught():
     assert not classify(fixtures["Z6/not-effective"]).effective
     partition = orbit_well_defined_check(fixtures["Z2/not-an-action"])
     assert partition.failure == ("orbit-mismatch", 0, 1)
+
+
+def test_shift_tables_are_read_off_the_cayley_table():
+    # row a of the table on the left, column a on the right: what compiling
+    # the shift's mappings gives
+    shifts = [rep for name, rep in TABLE_FIXTURES if name.endswith("-shift")]
+    assert len(shifts) == 2 * len(finite_fixtures())
+    for rep in shifts:
+        assert rep._action_table() == _compile_action_table(rep)
+    # without building a mapping per element
+    for _, group in finite_fixtures():
+        for shift in (left_shift(group), right_shift(group)):
+            shift._action_table()
+            assert list(shift._cache) == [group.identity]
+
+
+# -- the laws on generators ----------------------------------------------------------
+#
+# On a finite group over an exact carrier the side law and variance run the
+# pairs (a, s), s a generator.  The oracles below run the laws one case at
+# a time, on all pairs or on the pairs with a generator second, by direct
+# evaluation.
+
+
+def generator_elements(group):
+    return [group.store[s] for s in group.generators]
+
+
+def side_law_holds(rep, a, b, u):
+    outer, inner = (a, b) if rep.side == "left" else (b, a)
+    return rep.apply(a * b, u) == rep.apply(outer, rep.apply(inner, u))
+
+
+def side_law_oracle(rep, seconds):
+    """The first ``(a, b, u)`` with ``b`` in ``seconds`` that breaks the side
+    law, in enumeration order, and the number of cases run up to it."""
+    cases = list(itertools.product(rep.group.store, seconds, rep.carrier.points()))
+    for i, (a, b, u) in enumerate(cases):
+        if not side_law_holds(rep, a, b, u):
+            return (a, b, u), i + 1
+    return None, len(cases)
+
+
+def variance_oracle(rep, seconds):
+    """``(homomorphism holds, antihomomorphism holds)`` on the pairs with ``b``
+    in ``seconds``, comparing ``f(ab)`` and ``f(ba)`` with ``f(a) f(b)``."""
+    f = rep.transformation
+    pairs = list(itertools.product(rep.group.store, seconds))
+    product = {(a, b): compose_transformations(f(a), f(b)) for a, b in pairs}
+    return (
+        all(transformations_equal(f(a * b), product[a, b]) for a, b in pairs),
+        all(transformations_equal(f(b * a), product[a, b]) for a, b in pairs),
+    )
+
+
+def test_reduced_side_law_agrees_with_all_pairs(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    group = rep.group
+    gens = generator_elements(group)
+    verdict = check_axioms(rep)
+    assert verdict.mode == f"exhaustive(generators={len(gens)})"
+    assert check_axioms(generic) == verdict
+    assert verdict.passed == (side_law_oracle(rep, group.store)[0] is None)
+    witness, cases = side_law_oracle(rep, gens)
+    assert (verdict.counterexample, verdict.checked) == (witness, 1 + cases)
+    if witness is not None:
+        a, s, u = witness
+        assert s.payload in group.generators
+        assert not side_law_holds(rep, a, s, u)
+
+
+def test_reduced_variance_agrees_with_all_pairs(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    group = rep.group
+    gens = generator_elements(group)
+    verdict = check_variance(rep)
+    assert (verdict.mode, verdict.checked) == (
+        f"exhaustive(generators={len(gens)})",
+        group.order * len(gens),
+    )
+    assert check_variance(generic) == verdict
+    full = variance_oracle(rep, group.store)
+    assert variance_oracle(rep, gens) == full
+    names = {(True, True): "both", (True, False): "covariant",
+             (False, True): "contravariant", (False, False): "neither"}
+    assert verdict.verdict == names[full]
+    f = rep.transformation
+    if verdict.homomorphism_witness is not None:
+        a, s = verdict.homomorphism_witness
+        assert not transformations_equal(f(a * s), compose_transformations(f(a), f(s)))
+    if verdict.antihomomorphism_witness is not None:
+        a, s = verdict.antihomomorphism_witness
+        assert not transformations_equal(f(s * a), compose_transformations(f(a), f(s)))
+
+
+def coset_twisted_action(group, dropped):
+    """A left action of ``group`` that is a homomorphism on the pairs
+    ``(a, t)`` for every generator ``t`` except ``generators[dropped]``,
+    and breaks the side law on some pair with it.
+
+    ``H`` is the subgroup the other generators reach.  The carrier is the
+    group's indices plus three points; ``f(x)`` is the left shift by ``x``
+    on the indices and turns the three points by the 3-cycle ``c`` when
+    ``x`` lies outside ``H``.  So ``f(x t) = f(x) f(t)`` for ``t`` in ``H``,
+    while for ``a, s`` outside ``H`` the right side turns by ``c^2`` and the
+    left side by ``c`` or not at all.  Returns ``None`` when the other
+    generators reach the whole group.
+    """
+    mul, e, n = group.table, group.identity_index, group.order
+    kept = [t for i, t in enumerate(group.generators) if i != dropped]
+    subgroup, frontier = {e}, [e]
+    while frontier:
+        frontier = [mul[x][t] for x in frontier for t in kept if mul[x][t] not in subgroup]
+        subgroup.update(frontier)
+    if len(subgroup) == n:
+        return None
+    carrier = FiniteCarrier(n + 3)
+    turn = {n: n + 1, n + 1: n + 2, n + 2: n}
+
+    def assign(g):
+        x = g.payload
+        mapping = dict(enumerate(mul[x]))
+        mapping.update((p, p if x in subgroup else turn[p]) for p in turn)
+        return MappingTransformation(carrier, mapping)
+
+    return Representation(group, carrier, "left", assign, label=f"twisted-{dropped}")
+
+
+COSET_GROUPS = [*finite_fixtures(), ("S4", symmetric_group(4)), ("D6", dihedral_group(6))]
+
+
+@pytest.mark.parametrize("name, group", COSET_GROUPS, ids=[n for n, _ in COSET_GROUPS])
+def test_every_generator_is_needed_to_catch_a_coset_twist(name, group):
+    # a sweep that left out one generator would pass the action that is
+    # twisted along it; the reduced sweep fails it, with a real witness
+    twisted = [coset_twisted_action(group, k) for k in range(len(group.generators))]
+    assert any(rep is not None for rep in twisted)
+    for k, rep in enumerate(twisted):
+        if rep is None:
+            continue
+        kept = [s for i, s in enumerate(generator_elements(group)) if i != k]
+        assert side_law_oracle(rep, kept)[0] is None
+        assert side_law_oracle(rep, group.store)[0] is not None
+        for checked in (rep, opaque(rep)):
+            verdict = check_axioms(checked)
+            assert not verdict.passed
+            a, s, u = verdict.counterexample
+            assert s.payload == group.generators[k]
+            assert not side_law_holds(rep, a, s, u)
+            assert check_variance(checked).homomorphism_witness[1] == s
+
+
+def test_reduced_sweep_of_a_right_action_composes_on_the_right():
+    # the right shift of S3 holds; the same maps claimed on the left fail
+    # at the first pair (a, s) that does not commute
+    s3 = symmetric_group(3)
+    h = right_shift(s3)
+    assert check_axioms(h).passed
+    claimed = Representation(s3, h.carrier, "left", h.transformation)
+    verdict = check_axioms(claimed)
+    witness, cases = side_law_oracle(claimed, generator_elements(s3))
+    assert (verdict.passed, verdict.counterexample, verdict.checked) == (False, witness, 1 + cases)
+    a, s, _ = witness
+    assert a * s != s * a
+
+
+def test_float_carriers_keep_all_pairs():
+    # a tolerance grows with the word length, so a finite group over float
+    # coordinates is not reduced to its generators
+    z4 = cyclic_group(4)
+    carrier = CoordCarrier(2, "column", approx(1e-9))
+    quarter = Matrix.from_rows([[0.0, -1.0], [1.0, 0.0]], carrier.backend)
+    powers = [Matrix.identity(2, carrier.backend)]
+    for _ in range(3):
+        powers.append(quarter.mul(powers[-1]))
+    rep = Representation(z4, carrier, "left", lambda g: LinearTransformation(carrier, powers[g.payload]))
+    assert check_axioms(rep, samples=30, seed=2).mode == "sampled(k=30, seed=2)"
+    assert check_variance(rep, samples=30, seed=2).mode == "sampled(k=30, seed=2)"
 
 
 @pytest.mark.parametrize(
