@@ -55,7 +55,6 @@ __all__ = [
     "Basis",
     "StandardCoordinates",
     "CoordinateVector",
-    "GBasisReport",
     "CoordinateRepCheckReport",
     "BasisManifold",
     "active_transform",
@@ -70,9 +69,13 @@ __all__ = [
     "gram_schmidt",
     "basis_metric_signs",
     "is_g_basis",
+    "transport_check",
 ]
 
 SPACE_KINDS = ("central_affine", "affine", "euclid", "pseudo_euclid")
+
+# Seeded vectors each pair of a float coordinate check is tried on.
+VECTORS_PER_PAIR = 3
 
 
 @dataclass(frozen=True)
@@ -258,7 +261,7 @@ def active_coordinates_check(
         for v in probes:
             before = vector_coordinates(v, b).components
             after = vector_coordinates(linear.matvec(v), moved).components
-            residual = 0.0 if backend.is_exact else backend.residual(before, after)
+            residual = None if backend.is_exact else backend.residual(before, after)
             yield (v, before, after), backend.close(before, after), residual
 
     return _first_failure("", outcomes())
@@ -342,6 +345,13 @@ def change_of_basis(b1: Basis, b2: Basis, group: MatrixGroup) -> GroupElement:
         ) from exc
 
 
+def transport_check(b1: Basis, b2: Basis, a: GroupElement) -> Verdict:
+    """The element ``a`` transports ``b1`` to ``b2``: the passive transform
+    of ``b1`` by ``a`` equals ``b2``."""
+    detail = "passive transform of the source reproduces the target"
+    return Verdict(passive_transform(b1, a).eq(b2), detail=detail)
+
+
 def vector_coordinates(v: Sequence, b: Basis) -> CoordinateVector:
     """Solve ``v = sum_k x[k] e_k`` for the component row ``x``."""
     ambient = vector(v, b.space.backend)
@@ -395,19 +405,16 @@ def coordinate_representation(group: MatrixGroup) -> Representation:
 
 
 def coordinate_representation_check(
-    group: MatrixGroup,
-    samples: int = 100,
-    vectors_per_pair: int = 3,
-    seed: int = 42,
+    group: MatrixGroup, samples: int = 100, seed: int = 42
 ) -> CoordinateRepCheckReport:
     """Verify the coordinate transformation behaves as a representation.
 
     Composition is the side law of :func:`coordinate_representation`,
     with witnesses ``(x, y, u)`` where ``f(xy) u != f(x)(f(y) u)``.  Over
     the rationals it is :func:`check_axioms`.  In floating point each pair
-    is checked on ``vectors_per_pair`` seeded vectors, which give the
+    is checked on :data:`VECTORS_PER_PAIR` seeded vectors, which give the
     residuals: every ordered pair of a store while ``|store|**2 *
-    vectors_per_pair`` stays within :data:`EXHAUSTIVE_WORK_CAP`, otherwise
+    VECTORS_PER_PAIR`` stays within :data:`EXHAUSTIVE_WORK_CAP`, otherwise
     ``samples`` seeded pairs.
 
     Effectiveness: every stored element, or ``samples`` seeded ones,
@@ -417,7 +424,7 @@ def coordinate_representation_check(
     if group.backend.is_exact:
         composition = check_axioms(rep, "auto", samples, seed)
     else:
-        composition = _float_composition(rep, samples, vectors_per_pair, seed)
+        composition = _float_composition(rep, samples, seed)
     elements = group.store
     if elements is None:
         rng = Random(seed)
@@ -425,17 +432,17 @@ def coordinate_representation_check(
 
     def effective(g):
         moves = _linear_grid(g).is_identity() or not rep.transformation(g).is_identity()
-        return (g,), moves, 0.0
+        return (g,), moves, None
 
     effectiveness = _first_failure(composition.mode, map(effective, elements))
     return CoordinateRepCheckReport(composition, effectiveness)
 
 
-def _float_composition(rep: Representation, samples, vectors_per_pair, seed) -> Verdict:
+def _float_composition(rep: Representation, samples, seed) -> Verdict:
     """The float side law: the pairs come first, then each draws its vectors."""
     group, rng = rep.group, Random(seed)
     store = group.store
-    exhaustive = store is not None and len(store) ** 2 * vectors_per_pair <= EXHAUSTIVE_WORK_CAP
+    exhaustive = store is not None and len(store) ** 2 * VECTORS_PER_PAIR <= EXHAUSTIVE_WORK_CAP
     elements = store
     if not exhaustive:
         elements = [sample_group_element(group, rng) for _ in range(2 * samples)]
@@ -454,7 +461,7 @@ def _float_composition(rep: Representation, samples, vectors_per_pair, seed) -> 
         for (a, step_a), (b, step_b) in pairs:
             # the independent side of the law, never built from the steps
             once = _linear_grid(b).mul(_linear_grid(a)).inverse()
-            for _ in range(vectors_per_pair):
+            for _ in range(VECTORS_PER_PAIR):
                 v = random_vector(rng, group.dim, backend)
                 stepped, direct = step_b.vecmat(step_a.vecmat(v)), once.vecmat(v)
                 yield (b, a, v), backend.close(stepped, direct), backend.residual(stepped, direct)
@@ -528,30 +535,23 @@ def basis_metric_signs(b: Basis) -> tuple:
     return tuple(metric_dot(v, v, signs) for v in b.vectors)
 
 
-@dataclass(frozen=True)
-class GBasisReport:
-    passed: bool
-    residual: float
-    detail: str
-
-
-def is_g_basis(b: Basis) -> GBasisReport:
+def is_g_basis(b: Basis) -> Verdict:
     """Does the basis satisfy its space's structure-group relationship?
 
     Metric spaces demand the Gram matrix equal the metric exactly (in
-    order); the affine kinds only demand independence, which holds by
-    construction.
+    order), with the float backend's residual; the affine kinds only
+    demand independence, which holds by construction.
     """
     if not b.space.has_metric:
-        return GBasisReport(True, 0.0, "independent")
-    signs = b.space.metric_signs()
-    eta = Matrix.diagonal(signs, b.space.backend)
+        return Verdict(True, detail="independent")
+    backend = b.space.backend
+    eta = Matrix.diagonal(b.space.metric_signs(), backend)
     rows = b.rows()
     gram, want = rows.mul(eta).mul(rows.transpose()).flat, eta.flat
-    residual = b.space.backend.residual(gram, want)
-    if b.space.backend.close(gram, want):
-        return GBasisReport(True, residual, "orthonormal")
-    return GBasisReport(False, residual, "gram matrix differs from the metric")
+    residual = None if backend.is_exact else backend.residual(gram, want)
+    if backend.close(gram, want):
+        return Verdict(True, residual_max=residual, detail="orthonormal")
+    return Verdict(False, residual_max=residual, detail="gram matrix differs from the metric")
 
 
 class PassiveBasisTransformation(GridTransformation):

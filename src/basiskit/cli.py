@@ -23,6 +23,7 @@ from .bases import (
     is_g_basis,
     passive_transform,
     standard_coordinates,
+    transport_check,
 )
 from .descriptors import (
     basis_from_descriptor,
@@ -53,8 +54,9 @@ from .objects import (
     transform_object,
     vector_space_axioms_check,
 )
-from .reports import CheckLine, RunReport, sweep_line
+from .reports import RunReport
 from .representations import (
+    Verdict,
     check_axioms,
     check_variance,
     classify,
@@ -221,9 +223,7 @@ def _cmd_basis(args) -> int:
         if args.mode == "active":
             # moving the vectors and the basis together must leave every
             # displacement's components alone
-            verdict = active_coordinates_check(b, g, moved)
-            exact = b.space.backend.is_exact
-            report.add(sweep_line("coordinates-preserved", verdict, exact))
+            report.add_verdict("coordinates-preserved", active_coordinates_check(b, g, moved))
     elif args.action == "change":
         b1 = basis_from_descriptor(load_json(args.source), override, args.tolerance)
         b2 = basis_from_descriptor(load_json(args.target), override, args.tolerance)
@@ -233,42 +233,20 @@ def _cmd_basis(args) -> int:
         try:
             a = change_of_basis(b1, b2, group)
         except NotInOrbit as exc:
-            report.add(
-                CheckLine("connected", passed=False, detail=str(exc))
-            )
+            report.add_verdict("connected", Verdict(False, detail=str(exc)))
             return _emit(report, args)
-        report.add(CheckLine("connected", passed=True))
-        moved = passive_transform(b1, a)
-        report.add(
-            CheckLine(
-                "transport-verified",
-                passed=moved.eq(b2),
-                detail="passive transform of the source reproduces the target",
-            )
-        )
+        report.add_verdict("connected", Verdict(True))
+        report.add_verdict("transport-verified", transport_check(b1, b2, a))
         report.data["element"] = a
     elif args.action == "gram-schmidt":
         vectors, signature = gram_schmidt_input_from_descriptor(load_json(args.input))
         try:
             result = gram_schmidt(vectors, signature, args.tolerance)
         except (DependentInput, NullVector) as exc:
-            report.add(
-                CheckLine(
-                    "orthonormalised",
-                    passed=False,
-                    detail=f"{type(exc).__name__} at input index {exc.index}",
-                )
-            )
+            detail = f"{type(exc).__name__} at input index {exc.index}"
+            report.add_verdict("orthonormalised", Verdict(False, detail=detail))
             return _emit(report, args)
-        gcheck = is_g_basis(result)
-        report.add(
-            CheckLine(
-                "orthonormalised",
-                passed=gcheck.passed,
-                residual=gcheck.residual,
-                detail=gcheck.detail,
-            )
-        )
+        report.add_verdict("orthonormalised", is_g_basis(result))
         report.data["result"] = result
     elif args.action == "standard-coords":
         b = basis_from_descriptor(load_json(args.input), override, args.tolerance)
@@ -311,10 +289,9 @@ def _cmd_object(args) -> int:
         report.data["result_representative"] = list(after)
         report.add_verdict("invariance", invariance_check(obj, g, before, after))
     elif group is not None and group.store is not None:
-        exact = obj.anchor.space.backend.is_exact
         verdict, mean = invariance_sweep((obj, g, before, None) for g in group.store)
-        report.add(sweep_line("invariance", verdict, exact))
-        if not exact:
+        report.add_verdict("invariance", verdict)
+        if verdict.residual_max is not None:
             report.data["residuals"] = {"max": verdict.residual_max, "mean": mean}
     if args.axioms:
         if group is None:

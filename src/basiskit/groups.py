@@ -25,6 +25,7 @@ from .errors import (
     CayleyTableError,
     DimensionMismatch,
     EnumerationCapExceeded,
+    InfeasibleExhaustive,
     MembershipError,
     MixedGroups,
     Singular,
@@ -134,6 +135,10 @@ class FiniteGroup:
             raise BasiskitError(f"element index {index} out of range 0..{self.order - 1}")
         return self.store[index]
 
+    def index_of(self, g: GroupElement) -> int:
+        """Position of ``g`` in ``store``: its payload."""
+        return self._own(g)
+
     @property
     def identity(self) -> GroupElement:
         return self.store[self.identity_index]
@@ -170,10 +175,13 @@ def validate_cayley_table(
     """Check a multiplication table against the group axioms.
 
     Runs every check and raises :class:`CayleyTableError` carrying one
-    witness per violated axiom.  Associativity is decided by Light's test
-    on a generating set and, when that fails, located by the scan over all
-    triples, so the reported witness is the lexicographically smallest
-    failing triple.
+    witness per violated axiom.  Associativity ``(ab)c = a(bc)`` is
+    compared row by row, ``row(ab)`` against row ``a`` read through row
+    ``b``, and decided by Light's test on a generating set (Clifford &
+    Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2): the
+    elements ``b`` satisfying the law for all ``a, c`` are closed under
+    products.  When that fails, the sweep over every ``b`` locates the
+    lexicographically smallest failing triple.
     """
     n = len(table)
     if n == 0:
@@ -209,11 +217,12 @@ def validate_cayley_table(
             violations.append(("no-identity", None))
 
         rows = tuple(tuple(row) for row in table)
-        generators = _generating_set(rows, identity_index)
-        if _associativity_witness(rows, generators) is not None:
-            violations.append(
-                ("not-associative", _associativity_witness(rows, range(n)))
-            )
+
+        def associative(a, b):
+            return list(rows[rows[a][b]]), _after(rows[a], rows[b])
+
+        if _sweep(n, _generating_set(rows, identity_index), associative)[1] is not None:
+            violations.append(("not-associative", _sweep(n, range(n), associative)[1]))
 
         inverses = [None] * n
         if identity_index is not None:
@@ -274,25 +283,28 @@ def _generating_set(rows: tuple, identity: Optional[int] = None) -> list:
     return gens
 
 
-def _associativity_witness(rows: tuple, middles) -> Optional[tuple]:
-    """First ``(a, b, c)`` with ``(ab)c != a(bc)``, ``b`` ranging over
-    ``middles``; ``None`` when there is none.
+def _after(outer, inner) -> list:
+    """Row of the map applying ``inner`` first, then ``outer``."""
+    return list(map(outer.__getitem__, inner))
 
-    Compares whole rows: ``row((ab))`` against row ``a`` read through row
-    ``b``.  With ``middles`` a generating set this is Light's test
-    (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
-    §1.2): the elements ``b`` satisfying the law for all ``a, c`` are
-    closed under products, so checking generators decides associativity.
+
+def _sweep(n: int, seconds, rows) -> tuple:
+    """Compare the two rows ``rows(a, b)`` for every ``a < n`` and ``b`` in
+    ``seconds``, in order.
+
+    Returns ``(checked, None)``, or ``(checked, (a, b, j))`` at the first
+    position ``j`` where they differ; ``checked`` counts the positions
+    compared, the failing one included.
     """
-    middles = tuple(middles)
-    for a, row_a in enumerate(rows):
-        for b in middles:
-            lhs = rows[row_a[b]]
-            rhs = tuple(row_a[x] for x in rows[b])
+    checked = 0
+    for a in range(n):
+        for b in seconds:
+            lhs, rhs = rows(a, b)
             if lhs != rhs:
-                c = next(c for c, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-                return (a, b, c)
-    return None
+                j = next(j for j, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
+                return checked + j + 1, (a, b, j)
+            checked += len(lhs)
+    return checked, None
 
 
 @dataclass(frozen=True)
@@ -392,6 +404,7 @@ class MatrixGroup:
         else:
             self._identity_payload = Matrix.identity(dim, backend)
         self.store: Optional[tuple] = None
+        self._index: Optional[PointIndex] = None
         if elements is not None:
             self.store = tuple(self.element(p) for p in elements)
             if not self.store:
@@ -455,6 +468,27 @@ class MatrixGroup:
         if not isinstance(a, GroupElement) or a.group is not self:
             raise MixedGroups("element does not belong to this group")
         return a.payload
+
+    def index_of(self, g: GroupElement) -> Optional[int]:
+        """Position of the first stored element equal to ``g``, or ``None``;
+        looked up in the point index of :meth:`close_over`, or in one built
+        over the stored list on first use."""
+        self._own(g)
+        if self.store is None:
+            raise InfeasibleExhaustive("group has no stored elements to look up")
+        if self._index is None:
+            self._index = self._point_index()
+            for h in self.store:
+                self._index.append(h)
+        return self._index.find(g)
+
+    def _point_index(self) -> "PointIndex":
+        """An empty point index of elements under this group's equality."""
+        return PointIndex(
+            GroupElement.eq_to,
+            lambda g: self.payload_entries(g.payload),
+            self.backend.tolerance,
+        )
 
     def compose_elements(self, a: GroupElement, b: GroupElement) -> GroupElement:
         pa, pb = self._own(a), self._own(b)
@@ -521,17 +555,7 @@ class MatrixGroup:
         """
         gens = [self.element(g) for g in generators]
         exact = self.backend.is_exact
-
-        def entries(element: GroupElement) -> tuple:
-            flat = self.payload_entries(element.payload)
-            if not exact and not all(map(math.isfinite, flat)):
-                raise EnumerationCapExceeded(
-                    "closure left the float range: a product has a non-finite "
-                    f"entry after {len(found.points)} elements"
-                )
-            return flat
-
-        found = PointIndex(GroupElement.eq_to, entries, self.backend.tolerance)
+        found = self._point_index()
         found.add(self.identity)
         frontier = [self.identity]
         while frontier:
@@ -539,6 +563,11 @@ class MatrixGroup:
             for current in frontier:
                 for g in gens:
                     candidate = self.compose_elements(current, g)
+                    if not exact and not all(map(math.isfinite, candidate.payload.flat)):
+                        raise EnumerationCapExceeded(
+                            "closure left the float range: a product has a non-finite "
+                            f"entry after {len(found.points)} elements"
+                        )
                     if not found.add(candidate):
                         continue
                     if len(found.points) > cap:
@@ -549,7 +578,7 @@ class MatrixGroup:
                         )
                     new_frontier.append(candidate)
             frontier = new_frontier
-        self.store = tuple(found.points)
+        self.store, self._index = tuple(found.points), found
 
 
 # Float points are filed in square cells this many tolerances wide.
@@ -593,6 +622,11 @@ class PointIndex:
         self._cells.setdefault(key, []).append(len(points))
         points.append(point)
         return True
+
+    def append(self, point) -> None:
+        """Append ``point`` whether or not an equal one is already in."""
+        self._cells.setdefault(self._key(point), []).append(len(self.points))
+        self.points.append(point)
 
     def _key(self, point) -> tuple:
         flat = self._entries(point)

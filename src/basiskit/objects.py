@@ -169,12 +169,10 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
 
 
 def _table_lookup(functor: TypeAFunctor, group, g: GroupElement) -> Matrix:
-    if group.store is None:
-        raise InfeasibleExhaustive("table functor needs stored elements")
-    for i, h in enumerate(group.store):
-        if g.eq_to(h):
-            return functor.table[i]
-    raise BasiskitError(f"element {g!r} is not in the stored enumeration")
+    i = group.index_of(g)
+    if i is None:
+        raise BasiskitError(f"element {g!r} is not in the stored enumeration")
+    return functor.table[i]
 
 
 def weight_dim(functor: TypeAFunctor, n: int) -> int:
@@ -368,21 +366,21 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
     representatives of ``obj`` and of ``transform_object(obj, g)``, or
     ``None`` for one the caller does not have yet.  Every case runs; the
     witness is the first failure's ``(g, before, after)`` and the
-    residual is the worst one seen.
+    residual is the worst float one seen, ``None`` over the rationals.
     """
-    witness = None
-    checked = 0
-    worst = total = 0.0
+    witness = worst = None
+    checked, total = 0, 0.0
     for obj, g, before, after in cases:
         if before is None:
             before = representative(obj)
         if after is None:
             after = representative(transform_object(obj, g))
         backend = obj.anchor.space.backend
-        residual = 0.0 if backend.is_exact else backend.residual(before, after)
         checked += 1
-        worst = max(worst, residual)
-        total += residual
+        if not backend.is_exact:
+            residual = backend.residual(before, after)
+            worst = residual if worst is None else max(worst, residual)
+            total += residual
         if witness is None and not backend.close(before, after):
             witness = (g, before, after)
     verdict = Verdict(witness is None, mode, checked, witness, worst)
@@ -496,6 +494,6 @@ def vector_space_axioms_check(
                 ),
             ]
             for name, lhs, rhs in laws:
-                yield (name, u.coords, v.coords, c), lhs.eq(rhs), 0.0
+                yield (name, u.coords, v.coords, c), lhs.eq(rhs), None
 
     return _first_failure(f"sampled(k={samples}, seed={seed})", outcomes())

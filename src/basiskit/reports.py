@@ -16,7 +16,7 @@ from .descriptors import to_jsonable
 
 SCHEMA = "basiskit/1"
 
-__all__ = ["SCHEMA", "CheckLine", "RunReport", "sweep_line"]
+__all__ = ["SCHEMA", "CheckLine", "RunReport"]
 
 
 @dataclass
@@ -44,15 +44,6 @@ class CheckLine:
         return d
 
 
-def sweep_line(name: str, verdict, exact: bool) -> CheckLine:
-    """A sweep's line: a float sweep reports its worst residual, 0.0
-    included, and an exact one none (unlike :meth:`RunReport.add_verdict`)."""
-    residual = None if exact else verdict.residual_max
-    return CheckLine(
-        name, verdict.passed, verdict.mode, verdict.checked, verdict.counterexample, residual
-    )
-
-
 @dataclass
 class RunReport:
     command: str
@@ -64,22 +55,17 @@ class RunReport:
         self.checks.append(line)
 
     def add_verdict(self, name: str, verdict) -> None:
-        """Record anything shaped like a check verdict."""
-        residual = getattr(verdict, "residual_max", None)
-        if residual == 0.0:
-            residual = None
-        witness = getattr(verdict, "counterexample", None)
-        if witness is None:
-            witness = getattr(verdict, "failure", None)
+        """Record a check's :class:`~basiskit.representations.Verdict`; the
+        line shows its residual when the check measured one."""
         self.add(
             CheckLine(
-                name=name,
-                passed=verdict.passed,
-                mode=getattr(verdict, "mode", ""),
-                checked=getattr(verdict, "checked", 0),
-                counterexample=witness,
-                residual=residual,
-                detail=getattr(verdict, "detail", ""),
+                name,
+                verdict.passed,
+                verdict.mode,
+                verdict.checked,
+                verdict.counterexample,
+                verdict.residual_max,
+                verdict.detail,
             )
         )
 

@@ -15,8 +15,10 @@ product, which reproduces the classical row/column vector conventions.
 
 How the checks run: :func:`_plan` picks exhaustive or sampled, and a law
 check is a stream of cases plus an ``outcome`` that returns ``(witness,
-holds, residual)``.  :func:`_first_failure` runs the outcomes lazily,
-counts them, keeps the worst residual and stops at the first witness.
+holds, residual)``, the residual ``None`` where the case measured none.
+:func:`_first_failure` runs the outcomes lazily, counts them, keeps the
+worst residual and stops at the first witness.  Every check returns a
+:class:`Verdict`.
 Groups are enumerated through one attribute, ``group.store``: every
 element of a finite group, the stored elements of a matrix group, or
 ``None`` for a group without an enumeration.
@@ -44,7 +46,15 @@ from .errors import (
     SideMismatch,
     Singular,
 )
-from .groups import DEFAULT_CLOSURE_CAP, FiniteGroup, GroupElement, PointIndex, compose
+from .groups import (
+    DEFAULT_CLOSURE_CAP,
+    FiniteGroup,
+    GroupElement,
+    PointIndex,
+    _after,
+    _sweep,
+    compose,
+)
 from .matrices import Matrix
 from .sampling import random_vector, sample_group_element
 from .scalars import EXACT, Backend
@@ -87,6 +97,9 @@ __all__ = [
     "shifts_commute_check",
     "twin_representation",
     "same_side_noncommuting_witness",
+    "same_side_witness_check",
+    "single_transitivity_check",
+    "store_membership_check",
 ]
 
 EXHAUSTIVE_WORK_CAP = 1_000_000
@@ -559,35 +572,6 @@ def _point_index(carrier, p) -> int:
     return p.payload if isinstance(carrier, SelfCarrier) else p
 
 
-def _after(outer: list, inner: list) -> list:
-    """Row of the map applying ``inner`` first, then ``outer``."""
-    return list(map(outer.__getitem__, inner))
-
-
-def _commuting(x: list, y: list) -> tuple:
-    """The rows of ``x`` after ``y`` and of ``y`` after ``x``."""
-    return _after(x, y), _after(y, x)
-
-
-def _sweep(n: int, seconds, rows: Callable) -> tuple:
-    """Compare the two rows ``rows(a, b)`` for every ``a < n`` and ``b`` in
-    ``seconds``, in order.
-
-    Returns ``(checked, None)``, or ``(checked, (a, b, j))`` at the first
-    position ``j`` where they differ; ``checked`` counts the positions
-    compared, the failing one included.
-    """
-    checked = 0
-    for a in range(n):
-        for b in seconds:
-            lhs, rhs = rows(a, b)
-            if lhs != rhs:
-                j = next(j for j, (p, q) in enumerate(zip(lhs, rhs)) if p != q)
-                return checked + j + 1, (a, b, j)
-            checked += len(lhs)
-    return checked, None
-
-
 def apply(rep: Representation, g: GroupElement, u):
     """Image of carrier point ``u`` under the transformation for ``g``."""
     return rep.apply(g, u)
@@ -598,13 +582,19 @@ def apply(rep: Representation, g: GroupElement, u):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a law check: what was checked, how, and any witness."""
+    """Outcome of a check: what was checked, how, and any witness.
+
+    ``residual_max`` is the worst residual the check measured, 0.0
+    included, and ``None`` when it measured none: on the exact backend,
+    for a law on any carrier but float coordinates, and for a law decided
+    by equality alone.  A report shows it exactly when it is not ``None``.
+    """
 
     passed: bool
-    mode: str
-    checked: int
+    mode: str = ""
+    checked: int = 0
     counterexample: Optional[tuple] = None
-    residual_max: float = 0.0
+    residual_max: Optional[float] = None
     detail: str = ""
 
 
@@ -652,10 +642,14 @@ class Orbit:
 
 
 @dataclass(frozen=True)
-class OrbitPartitionReport:
-    passed: bool
-    orbits: tuple
-    failure: Optional[tuple] = None
+class OrbitPartitionReport(Verdict):
+    """The partition verdict with the orbits found; ``failure`` is its witness."""
+
+    orbits: tuple = ()
+
+    @property
+    def failure(self) -> Optional[tuple]:
+        return self.counterexample
 
 
 @dataclass(frozen=True)
@@ -750,12 +744,13 @@ def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
     """Run ``(witness, holds, residual)`` outcomes lazily until one fails.
 
     ``checked`` counts up from its start value, the failing outcome
-    included; ``residual_max`` is the worst residual of the outcomes run.
+    included; ``residual_max`` is the worst residual of the outcomes run,
+    ``None`` when none of them measured one.
     """
-    residual = 0.0
+    residual = None
     for witness, holds, r in outcomes:
         checked += 1
-        residual = max(residual, r)
+        residual = _worst(residual, r)
         if not holds:
             return Verdict(False, mode, checked, witness, residual)
     return Verdict(True, mode, checked, None, residual)
@@ -770,18 +765,33 @@ def _sampled_triples(rep: Representation, samples: int, seed: int):
         yield a, b, rep.carrier.sample(rng)
 
 
-def _point_residual(carrier, x, y) -> float:
+def _swept(mode: str, swept: tuple, elements, points, checked: int = 0) -> Verdict:
+    """The verdict of a row sweep ``swept = (count, failure)``, counted from
+    ``checked``: the failure ``(a, b, j)`` is read as two elements and a point."""
+    count, failure = swept
+    witness = failure and (elements[failure[0]], elements[failure[1]], points[failure[2]])
+    return Verdict(failure is None, mode, checked + count, witness)
+
+
+def _worst(r: Optional[float], s: Optional[float]) -> Optional[float]:
+    """The larger of two residuals, ``None`` standing for none measured."""
+    return r if s is None else s if r is None else max(r, s)
+
+
+def _point_residual(carrier, x, y) -> Optional[float]:
+    """How far apart two points of a float coordinate carrier are; ``None``
+    for points of carriers that measure no distance."""
     if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
         try:
             return carrier.backend.residual(x, y)
         except DimensionMismatch:
             return float("inf")
     if isinstance(carrier, ProductCarrier):
-        return max(
+        return _worst(
             _point_residual(carrier.left, x[0], y[0]),
             _point_residual(carrier.right, x[1], y[1]),
         )
-    return 0.0
+    return None
 
 
 def check_axioms(
@@ -829,7 +839,7 @@ def check_axioms(
         def decided(a, b):
             outer, inner = (a, b) if rep.side == "left" else (b, a)
             if f(compose(rep.group, a, b)).grid == f(outer).after(f(inner)).grid:
-                return (a, b), True, 0.0
+                return (a, b), True, None
             # two different grids move some Kronecker vector differently
             return next(o for o in (outcome(a, b, u) for u in kronecker) if not o[1])
 
@@ -846,8 +856,8 @@ def check_axioms(
 def _table_axioms(rep, table, exhaustive, mode, seconds, samples, seed) -> Verdict:
     """:func:`check_axioms` on the action table: row ``T[ab]`` against
     ``T[a]`` after ``T[b]`` on the left side, ``T[b]`` after ``T[a]`` on
-    the right.  The count starts at 1 for the identity law, and the
-    residual is 0.0 because points of these carriers compare exactly.
+    the right.  The count starts at 1 for the identity law, and no
+    residual is measured: points of these carriers compare exactly.
     """
     mul = rep.group.table
 
@@ -860,18 +870,13 @@ def _table_axioms(rep, table, exhaustive, mode, seconds, samples, seed) -> Verdi
             ab, outer, inner = rows(a, b)
             return ab, _after(outer, inner)
 
-        elements = rep.group.store
-        checked, failure = _sweep(len(table), [b.payload for b in seconds], compared)
-        if failure is None:
-            return Verdict(True, mode, 1 + checked, None, 0.0)
-        a, b, j = failure
-        witness = (elements[a], elements[b], rep.carrier.points()[j])
-        return Verdict(False, mode, 1 + checked, witness, 0.0)
+        swept = _sweep(len(table), [b.payload for b in seconds], compared)
+        return _swept(mode, swept, rep.group.store, rep.carrier.points(), checked=1)
 
     def outcome(a, b, u):
         ab, outer, inner = rows(a.payload, b.payload)
         j = _point_index(rep.carrier, u)
-        return (a, b, u), ab[j] == outer[inner[j]], 0.0
+        return (a, b, u), ab[j] == outer[inner[j]], None
 
     cases = _sampled_triples(rep, samples, seed)
     return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
@@ -978,7 +983,7 @@ def inverse_law_check(
         else:
             expected = rep.transformation(rep.group.inverse_element(g))
             holds = transformations_equal(expected, rep.transformation(g).inverted())
-        return (g,), holds, 0.0
+        return (g,), holds, None
 
     return _first_failure(mode, map(outcome, elements))
 
@@ -988,18 +993,19 @@ def inverse_law_check(
 
 def left_shift(group) -> Representation:
     """``L(a): b -> a b`` on the group's own elements; left side."""
-    return _shift(group, "left", "covariant")
+    return _shift(group, "left")
 
 
 def right_shift(group) -> Representation:
     """``R(a): b -> b a`` on the group's own elements; right side."""
-    return _shift(group, "right", "contravariant")
+    return _shift(group, "right")
 
 
-def _shift(group, side: str, variance_claim: str) -> Representation:
+def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Representation:
     """The shift of ``group`` on its own elements that multiplies by the
-    acting element on ``side``."""
-    carrier = SelfCarrier(group)
+    acting element on ``side``, on ``carrier`` or a new one; covariant on
+    the left, contravariant on the right."""
+    carrier = carrier or SelfCarrier(group)
     if not carrier.enumerable:
         raise InfeasibleExhaustive("shift representations need enumerable elements")
 
@@ -1017,7 +1023,7 @@ def _shift(group, side: str, variance_claim: str) -> Representation:
         carrier,
         side,
         assign,
-        variance_claim=variance_claim,
+        variance_claim="covariant" if side == "left" else "contravariant",
         label=f"{side}-shift",
     )
     if isinstance(group, FiniteGroup):
@@ -1121,17 +1127,18 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
         closure = orbit_closure_check(rep, o)
         if not closure.passed:
             v = closure.counterexample[0]
-            return OrbitPartitionReport(
-                False, tuple(o.points for o in orbits), ("orbit-mismatch", u, v)
-            )
+            return _partition(tuple(o.points for o in orbits), ("orbit-mismatch", u, v))
         orbits.append(o)
     for u in all_points:
         hits = sum(1 for o in orbits if o.contains(carrier, u))
         if hits != 1:
-            return OrbitPartitionReport(
-                False, tuple(o.points for o in orbits), ("coverage", u, hits)
-            )
-    return OrbitPartitionReport(True, tuple(o.points for o in orbits))
+            return _partition(tuple(o.points for o in orbits), ("coverage", u, hits))
+    return _partition(tuple(o.points for o in orbits))
+
+
+def _partition(orbits: tuple, failure: Optional[tuple] = None) -> OrbitPartitionReport:
+    """The partition verdict: the orbits found, and the witness ``failure``."""
+    return OrbitPartitionReport(failure is None, counterexample=failure, orbits=orbits)
 
 
 def orbit_closure_check(rep: Representation, o: Orbit) -> Verdict:
@@ -1146,11 +1153,11 @@ def orbit_closure_check(rep: Representation, o: Orbit) -> Verdict:
     def outcome(point):
         other = orbit(rep, point)
         if len(other.points) != len(o.points):
-            return (point,), False, 0.0
+            return (point,), False, None
         for q in other.points:
             if not o.contains(rep.carrier, q):
-                return (point, q), False, 0.0
-        return (point,), True, 0.0
+                return (point, q), False, None
+        return (point,), True, None
 
     return _first_failure("exhaustive", map(outcome, o.points))
 
@@ -1169,15 +1176,13 @@ def _table_orbit_partition(table: list, points: tuple) -> OrbitPartitionReport:
         o = _table_orbit(table, u)
         for v in o:
             if _table_orbit(table, v).keys() != o.keys():
-                return OrbitPartitionReport(
-                    False, as_points(), ("orbit-mismatch", points[u], points[v])
-                )
+                return _partition(as_points(), ("orbit-mismatch", points[u], points[v]))
         orbits.append(o)
         covered.update(o)
     # no coverage failure is possible here: each point lies in its own
     # orbit (f(e) is the identity), and orbits that passed the comparison
     # above are disjoint
-    return OrbitPartitionReport(True, as_points())
+    return _partition(as_points())
 
 
 def direct_product(r1: Representation, r2: Representation) -> Representation:
@@ -1239,7 +1244,7 @@ def classify(rep: Representation) -> ClassificationReport:
 
     unique: Optional[bool] = None
     if len(all_points) ** 2 * len(elements) <= EXHAUSTIVE_WORK_CAP:
-        unique = _unique_transport(rep, rep._action_table(), all_points, elements)
+        unique = _transport_clash(rep) is None
     agrees = None if unique is None else (unique == single)
     return ClassificationReport(
         kernel=kernel,
@@ -1252,19 +1257,45 @@ def classify(rep: Representation) -> ClassificationReport:
     )
 
 
-def _unique_transport(rep, table, points, elements) -> bool:
-    """Exactly one element carries ``u`` to ``v``, for every ordered pair."""
-    if table is not None:
-        # every column of the table is a permutation of the points
-        m = len(points)
-        return len(table) == m and all(
-            len({row[j] for row in table}) == m for j in range(m)
-        )
-    return all(
-        sum(1 for g in elements if rep.carrier.point_eq(rep.apply(g, u), v)) == 1
-        for u in points
-        for v in points
-    )
+def _transport_clash(rep) -> Optional[tuple]:
+    """The first ordered pair of points ``(u, v)`` that not exactly one
+    element carries ``u`` to ``v``, as ``(u, v, carriers)`` with the
+    elements that do; ``None`` when transport is unique."""
+    elements, points, table = rep.group.store, rep.carrier.points(), rep._action_table()
+    for j, u in enumerate(points):
+        if table is None:
+            images = [rep.apply(g, u) for g in elements]
+        elif len(table) == len(points) == len({row[j] for row in table}):
+            continue  # column j is a permutation of the points
+        else:
+            images = [points[row[j]] for row in table]
+        for v in points:
+            carriers = tuple(g for g, w in zip(elements, images) if rep.carrier.point_eq(w, v))
+            if len(carriers) != 1:
+                return u, v, carriers
+    return None
+
+
+def single_transitivity_check(rep: Representation) -> Verdict:
+    """Exactly one element carries each carrier point to each other one:
+    :func:`classify`'s transitivity and effectiveness, then its transport
+    count, run here too where its cost kept :func:`classify` from it.  The
+    witness is the first of ``("unreachable", u, v)``, ``u`` the first
+    point; ``("kernel", g)``, ``g`` not the identity; ``("transports", u,
+    v, carriers)``, the elements, none or several, that carry ``u`` to ``v``.
+    """
+    summary = classify(rep)
+    witness = None
+    if summary.unreachable_pair is not None:
+        witness = ("unreachable", *summary.unreachable_pair)
+    elif not summary.effective:
+        identity = rep.group.identity
+        witness = ("kernel", next(g for g in summary.kernel if not g.eq_to(identity)))
+    elif not summary.unique_transport:
+        clash = _transport_clash(rep)
+        witness = clash and ("transports", *clash)
+    detail = "orbit reaches every element and the kernel is trivial"
+    return Verdict(witness is None, "exhaustive", counterexample=witness, detail=detail)
 
 
 def solve_transport(rep: Representation, u, v) -> GroupElement:
@@ -1311,20 +1342,14 @@ def shifts_commute_check(group, sample: str = "auto") -> Verdict:
     if elements is None:
         raise InfeasibleExhaustive("shift commutation needs enumerable elements")
     if isinstance(group, FiniteGroup):
-        # a (c b) = (a c) b for all c: row a commutes with column b
-        mul = group.table
-        columns = [[row[b] for row in mul] for b in range(len(mul))]
-        n = len(mul)
-        checked, failure = _sweep(n, range(n), lambda a, b: _commuting(mul[a], columns[b]))
-        if failure is not None:
-            witness = tuple(elements[i] for i in failure)
-            return Verdict(False, "exhaustive", checked, witness)
-        return Verdict(True, "exhaustive", checked, None)
+        # commutation_check compares carriers by identity
+        carrier = SelfCarrier(group)
+        return commutation_check(_shift(group, "left", carrier), _shift(group, "right", carrier))
 
     def outcome(a, b, c):
         lhs = compose(group, a, compose(group, c, b))
         rhs = compose(group, compose(group, a, c), b)
-        return (a, b, c), lhs.eq_to(rhs), 0.0
+        return (a, b, c), lhs.eq_to(rhs), None
 
     cases = itertools.product(elements, repeat=3)
     return _first_failure("exhaustive", itertools.starmap(outcome, cases))
@@ -1392,13 +1417,13 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
     points = carrier.points()
     table1, table2 = rep1._action_table(), rep2._action_table()
     if table1 is not None and table2 is not None:
+
+        def rows(a, b):
+            x, y = table1[a], table2[b]
+            return _after(x, y), _after(y, x)
+
         n = len(elements)
-        checked, failure = _sweep(n, range(n), lambda a, b: _commuting(table1[a], table2[b]))
-        if failure is not None:
-            a, b, j = failure
-            witness = (elements[a], elements[b], points[j])
-            return Verdict(False, "exhaustive", checked, witness, 0.0)
-        return Verdict(True, "exhaustive", checked, None, 0.0)
+        return _swept("exhaustive", _sweep(n, range(n), rows), elements, points)
 
     def outcome(a, b, w):
         lhs = rep1.apply(a, rep2.apply(b, w))
@@ -1438,3 +1463,28 @@ def same_side_noncommuting_witness(group) -> Optional[SameSideWitness]:
                     conjugate=conjugate,
                 )
     return None
+
+
+def same_side_witness_check(group) -> Verdict:
+    """A noncommutative group has no same-side commuting twin.
+
+    Passes with the obstruction of :func:`same_side_noncommuting_witness`
+    as its witness, and fails on an abelian group, which has none.
+    """
+    w = same_side_noncommuting_witness(group)
+    # its fields in order, all but the origin, which is the identity
+    witness = None if w is None else {k: v for k, v in vars(w).items() if k != "origin"}
+    detail = "same-side composite disagrees with the required one"
+    return Verdict(w is not None, counterexample=witness, detail=detail)
+
+
+def store_membership_check(group) -> Verdict:
+    """Every stored element of a matrix group passes the family predicate,
+    with the worst defect ``group.membership`` measures: the float ``SL``
+    and ``SO`` families have one, invertibility tests none."""
+    if group.store is None:
+        raise InfeasibleExhaustive("membership check needs stored elements")
+    results = [group.membership(g.payload) for g in group.store]
+    measured = not group.backend.is_exact and group.family in ("SL", "SO")
+    residual = max(r for _, r in results) if measured else None
+    return Verdict(all(ok for ok, _ in results), checked=len(results), residual_max=residual)

@@ -45,18 +45,19 @@ from .objects import (
 from .representations import (
     check_axioms,
     check_variance,
-    classify,
     commutation_check,
     inverse_law_check,
     left_shift,
     orbit_well_defined_check,
     right_shift,
+    same_side_witness_check,
     shifts_commute_check,
+    single_transitivity_check,
+    store_membership_check,
     twin_representation,
-    same_side_noncommuting_witness,
     variance_claim_check,
 )
-from .reports import CheckLine, RunReport, sweep_line
+from .reports import RunReport
 from .scalars import EXACT, approx
 
 __all__ = ["run_selftest", "finite_fixtures", "so2_octant", "s3_matrix_group"]
@@ -112,19 +113,7 @@ def _shift_battery(report: RunReport, name: str, group) -> None:
     report.add_verdict(f"{name}/inverse-law", inverse_law_check(f))
     report.add_verdict(f"{name}/shifts-commute", shifts_commute_check(group))
     report.add_verdict(f"{name}/orbit-partition", orbit_well_defined_check(f))
-
-    classification = classify(f)
-    report.add(
-        CheckLine(
-            f"{name}/single-transitive",
-            passed=bool(
-                classification.single_transitive
-                and classification.uniqueness_agrees is not False
-            ),
-            mode="exhaustive",
-            detail="orbit reaches every element and the kernel is trivial",
-        )
-    )
+    report.add_verdict(f"{name}/single-transitive", single_transitivity_check(f))
 
 
 def _twin_battery(report: RunReport, name: str, group) -> None:
@@ -159,21 +148,7 @@ def _invariance_battery(
             for _ in range(objects_per_element)
         )
         verdict, _ = invariance_sweep(cases)
-        name = f"{label}/invariance/{functor.describe()}"
-        report.add(sweep_line(name, verdict, anchor.space.backend.is_exact))
-
-
-def _membership_line(report: RunReport, label: str, group: MatrixGroup) -> None:
-    """Every stored element passes membership; the line reports the worst residual."""
-    verdicts = [group.membership(g.payload) for g in group.store]
-    report.add(
-        CheckLine(
-            f"{label}/membership-residual",
-            passed=all(ok for ok, _ in verdicts),
-            checked=len(verdicts),
-            residual=max(residual for _, residual in verdicts),
-        )
-    )
+        report.add_verdict(f"{label}/invariance/{functor.describe()}", verdict)
 
 
 def run_selftest(
@@ -189,34 +164,15 @@ def run_selftest(
         if name in ("S3", "D4"):
             _twin_battery(report, name, group)
 
-    witness = same_side_noncommuting_witness(symmetric_group(3))
-    report.add(
-        CheckLine(
-            "S3/same-side-witness",
-            passed=witness is not None
-            and not witness.same_side_value.eq_to(witness.required_value),
-            detail="same-side composite disagrees with the required one",
-            counterexample=None
-            if witness is None
-            else {
-                "a": witness.a,
-                "b": witness.b,
-                "point": witness.point,
-                "same_side_value": witness.same_side_value,
-                "required_value": witness.required_value,
-                "conjugate": witness.conjugate,
-            },
-        )
-    )
+    report.add_verdict("S3/same-side-witness", same_side_witness_check(symmetric_group(3)))
 
     so2 = so2_octant(tolerance)
-    _membership_line(report, "SO2", so2)
+    report.add_verdict("SO2/membership-residual", store_membership_check(so2))
     coord = coordinate_representation_check(so2, seed=seed)
     report.add_verdict("SO2/coordinate-composition", coord.composition)
     report.add_verdict("SO2/coordinate-effectiveness", coord.effectiveness)
 
-    so11 = so11_boosts(tolerance)
-    _membership_line(report, "SO11", so11)
+    report.add_verdict("SO11/membership-residual", store_membership_check(so11_boosts(tolerance)))
 
     s3m = s3_matrix_group()
     coord = coordinate_representation_check(s3m, seed=seed)
@@ -229,15 +185,7 @@ def run_selftest(
     while abs(Matrix.from_rows(gs_inputs, approx(tolerance)).det()) < 0.1:
         gs_inputs = [[rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in range(3)]
     gs_result = gram_schmidt(gs_inputs, (3, 0), tolerance)
-    gcheck = is_g_basis(gs_result)
-    report.add(
-        CheckLine(
-            "gram-schmidt/euclid-3",
-            passed=gcheck.passed,
-            residual=gcheck.residual,
-            detail=gcheck.detail,
-        )
-    )
+    report.add_verdict("gram-schmidt/euclid-3", is_g_basis(gs_result))
 
     space2 = VectorSpace("euclid", 2, approx(tolerance))
     anchor2 = Basis.make(space2, [[1.0, 0.0], [0.0, 1.0]])

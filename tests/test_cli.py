@@ -336,6 +336,19 @@ def test_coordrep(tmp_path, capsys):
     assert names == ["coordinate-composition", "coordinate-effectiveness"]
 
 
+def test_a_measured_zero_residual_is_reported(tmp_path, capsys):
+    # float quarter turns permute coordinates, so every product is exact:
+    # the float composition measures a residual of 0.0 and reports it, while
+    # effectiveness and the exact backend measure none
+    group = quarter_turn_group(tmp_path)
+    for backend, residual in (["--approx"], [0.0]), (["--exact"], [None]):
+        code = main(["basis", "coordrep", "--group", group, "--report", "json", *backend])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert [line.get("residual") for line in out["checks"]] == residual + [None]
+        assert "residual" not in out["checks"][1]
+
+
 def test_coordrep_with_a_cayley_table_group_is_exit_2(tmp_path, capsys):
     code = main(["basis", "coordrep", "--group", finite_z2_group(tmp_path)])
     assert_one_line_error(code, capsys)

@@ -12,6 +12,7 @@ from basiskit.errors import (
     BasiskitError,
     CayleyTableError,
     EnumerationCapExceeded,
+    InfeasibleExhaustive,
     MembershipError,
     MixedGroups,
 )
@@ -35,7 +36,13 @@ from basiskit.groups import (
     validate_cayley_table,
 )
 from basiskit.matrices import Matrix
-from basiskit.representations import Verdict, check_axioms, left_shift, right_shift
+from basiskit.representations import (
+    Verdict,
+    check_axioms,
+    left_shift,
+    right_shift,
+    store_membership_check,
+)
 from basiskit.scalars import APPROX, EXACT, approx
 
 F = Fraction
@@ -304,7 +311,7 @@ def test_the_trivial_group_has_no_generators_and_case_1_decides_its_side_law():
     trivial = validate_cayley_table([[0]])
     assert trivial.generators == ()
     for shift in (left_shift(trivial), right_shift(trivial)):
-        assert check_axioms(shift) == Verdict(True, "exhaustive(generators=0)", 1, None, 0.0)
+        assert check_axioms(shift) == Verdict(True, "exhaustive(generators=0)", 1, None, None)
 
 
 def test_table_size_cap():
@@ -354,6 +361,23 @@ def test_lorentz_boost_membership():
     so11 = MatrixGroup.metric_preserving(1, 1)
     ok, residual = membership_check(so11, boost_2d(0.7))
     assert ok and residual < 1e-12
+
+
+def test_store_membership_check_reports_the_worst_measured_defect():
+    boosts = MatrixGroup.metric_preserving(
+        1, 1, elements=[boost_2d(r) for r in (0.0, 0.5, 1.0)]
+    )
+    verdict = store_membership_check(boosts)
+    assert verdict.passed and verdict.checked == 3
+    assert verdict.residual_max == max(boosts.membership(g.payload)[1] for g in boosts.store)
+    assert verdict.residual_max > 0.0
+    # exact stores and plain invertibility tests measure no defect
+    sl2 = MatrixGroup.special_linear(2, EXACT, elements=[[[1, 1], [0, 1]]])
+    assert store_membership_check(sl2) == Verdict(True, checked=1)
+    gl2 = MatrixGroup.general_linear(2, APPROX, elements=[[[2.0, 0.0], [0.0, 1.0]]])
+    assert store_membership_check(gl2).residual_max is None
+    with pytest.raises(InfeasibleExhaustive):
+        store_membership_check(MatrixGroup.general_linear(2))
 
 
 def test_element_constructor_raises_with_residual():
@@ -670,6 +694,62 @@ def test_closure_cap_error_says_how_far_it_got():
         gl1.close_over([Matrix.from_rows([[2]], EXACT)], cap=50)
     with pytest.raises(EnumerationCapExceeded, match=r"\(1 found, frontier of 1\)"):
         gl1.close_over([Matrix.from_rows([[2]], EXACT)], cap=0)
+
+
+# -- looking up stored elements ------------------------------------------------------
+
+
+def scan_index(group, g):
+    """Oracle: the position of the first stored element equal to ``g``, by scan."""
+    return next((i for i, h in enumerate(group.store) if g.eq_to(h)), None)
+
+
+def test_index_of_a_finite_group_element_is_its_payload():
+    for group in (symmetric_group(4), quaternion_group()):
+        assert [group.index_of(g) for g in group.store] == list(range(group.order))
+    with pytest.raises(MixedGroups):
+        cyclic_group(3).index_of(cyclic_group(3).store[1])
+
+
+def test_index_of_an_exact_store_is_the_first_equal_element():
+    grids = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[F(2, 2), 0], [0, 1]], [[-1, 0], [0, -1]]]
+    group = MatrixGroup.general_linear(2, EXACT, elements=grids)
+    assert [group.index_of(g) for g in group.store] == [0, 1, 0, 3]
+    turn = group.store[1]
+    assert group.index_of(turn * turn) == 3 == scan_index(group, turn * turn)
+    assert group.index_of(group.element([[0, 1], [1, 0]])) is None
+    with pytest.raises(MixedGroups):
+        group.index_of(MatrixGroup.general_linear(2, EXACT, elements=grids).store[0])
+    unstored = MatrixGroup.general_linear(2)
+    with pytest.raises(InfeasibleExhaustive):
+        unstored.index_of(unstored.identity)
+
+
+def test_index_of_a_closed_store_reuses_the_closure_index():
+    group = MatrixGroup.general_linear(2, EXACT)
+    group.close_over([[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
+    index = group._index
+    assert [group.index_of(g) for g in group.store] == list(range(8))
+    assert group._index is index
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_index_of_a_float_store_matches_the_scan(tol):
+    # stored near-duplicates and queries up to 1.5 tolerances off a rotation:
+    # the lookup returns the first stored element within the tolerance
+    rng = Random(5)
+    backend = approx(tol)
+    turns = [rotation_2d(2 * math.pi * k / 6, backend) for k in range(6)]
+
+    def jitter(m):
+        rows = [[x + rng.uniform(-1.5, 1.5) * tol for x in row] for row in m.entries]
+        return Matrix.from_rows(rows, backend)
+
+    group = MatrixGroup.general_linear(2, backend, elements=[jitter(rng.choice(turns)) for _ in range(30)])
+    queries = [group.element(jitter(rng.choice(turns))) for _ in range(200)]
+    found = [group.index_of(g) for g in queries]
+    assert found == [scan_index(group, g) for g in queries]
+    assert None in found and len(set(found)) > 7
 
 
 @pytest.mark.parametrize("family", ["GL", "AFFINE"])

@@ -1,6 +1,8 @@
 """Geometrical objects: transformation law, invariance, orbits, linear structure."""
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -187,6 +189,37 @@ def test_table_functor_rejects_wrong_count():
         table_functor(z2, [Matrix.identity(2, EXACT)])
 
 
+def signed_permutation_grids(n):
+    """The signed permutation matrices of size ``n``, the identity first."""
+    return [
+        Matrix.from_rows(
+            [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)], EXACT
+        )
+        for perm in itertools.permutations(range(n))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+
+
+def test_table_functor_on_b3_names_the_pair_a_wrong_grid_breaks():
+    grids = signed_permutation_grids(3)
+    b3 = MatrixGroup.general_linear(3, EXACT, elements=grids)
+    assert table_functor(b3, grids).table == tuple(grids)
+    wrong = list(grids)
+    wrong[5], wrong[6] = grids[6], grids[5]
+
+    def scanned(g):
+        return wrong[next(i for i, h in enumerate(b3.store) if g.eq_to(h))]
+
+    a, b = next(
+        (a, b)
+        for a in b3.store
+        for b in b3.store
+        if not scanned(a * b).eq(scanned(a).mul(scanned(b)))
+    )
+    with pytest.raises(BasiskitError, match=re.escape(f"breaks the product at ({a!r}, {b!r})")):
+        table_functor(b3, wrong)
+
+
 # -- objects ---------------------------------------------------------------------
 
 
@@ -244,7 +277,7 @@ def test_invariance_across_functors(functor):
         verdict = invariance_check(obj, elem(rows))
         assert verdict.passed
         assert verdict.mode == "direct"
-        assert verdict.residual_max == 0.0
+        assert verdict.residual_max is None
 
 
 def test_transforms_compose_through_the_product():
@@ -285,11 +318,11 @@ def object_orbit_well_defined_check(obj, group, move=transform_object):
     def outcome(point):
         other, _ = object_orbit(point, group, move)
         if len(other) != len(base):
-            return (point,), False, 0.0
+            return (point,), False, None
         for q in other:
             if not any(q.eq(p) for p in base):
-                return (point, q), False, 0.0
-        return (point,), True, 0.0
+                return (point, q), False, None
+        return (point,), True, None
 
     return _first_failure("exhaustive", map(outcome, base))
 
@@ -479,7 +512,7 @@ def per_element_sweep(obj, group):
         total += residual
         if not all(d <= backend.tolerance for d in diffs) and failed is None:
             failed = (g, before, after)
-    return failed, checked, worst, total / checked
+    return failed, checked, None if backend.is_exact else worst, total / checked
 
 
 @pytest.mark.parametrize("planted", [(), (2, 5)], ids=["holds", "planted"])
@@ -512,7 +545,10 @@ def test_invariance_sweep_matches_the_per_element_loop(
     assert (failed is None) == (not planted)
     if planted:
         assert failed[0] == targets[0]
-        assert (worst > 0.1) == (not obj.anchor.space.backend.is_exact)
+        if obj.anchor.space.backend.is_exact:
+            assert worst is None
+        else:
+            assert worst > 0.1
 
 
 def test_invariance_check_takes_both_representatives():
@@ -520,7 +556,7 @@ def test_invariance_check_takes_both_representatives():
     g = elem([[2, 1], [1, 1]])
     wrong = (F(5), F(8))
     assert invariance_check(obj, g, after=wrong) == Verdict(
-        False, "direct", 1, (g, (F(5), F(7)), wrong), 0.0
+        False, "direct", 1, (g, (F(5), F(7)), wrong), None
     )
 
 
@@ -616,5 +652,5 @@ def test_vector_space_axioms_report_the_first_failing_law():
             (1.582647713859684, -1.4695858455634698),
             0.9095578363365777,
         ),
-        0.0,
+        None,
     )

@@ -1,14 +1,18 @@
 """Side laws, variance, orbits, transports, twins."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from basiskit.descriptors import to_jsonable
 from basiskit.errors import (
     BasiskitError,
     CarrierMismatch,
+    CayleyTableError,
     InfeasibleExhaustive,
     MixedGroups,
     NoSolution,
@@ -27,6 +31,7 @@ from basiskit.groups import (
     quaternion_group,
     rotation_2d,
     symmetric_group,
+    validate_cayley_table,
 )
 from basiskit.matrices import Matrix
 from basiskit.representations import (
@@ -56,7 +61,9 @@ from basiskit.representations import (
     orbit_well_defined_check,
     right_shift,
     same_side_noncommuting_witness,
+    same_side_witness_check,
     shifts_commute_check,
+    single_transitivity_check,
     solve_transport,
     transformations_equal,
     twin_representation,
@@ -217,6 +224,58 @@ def test_shifts_commute_refuses_a_sample_it_cannot_take(sample):
         shifts_commute_check(cyclic_group(4), sample)
 
 
+def shift_commutation_oracle(group):
+    """The shifts' commutation one triple ``(a, b, w)`` at a time, ``a (w b)``
+    against ``(a w) b`` on the Cayley table, counting every case run."""
+    mul, store = group.table, group.store
+    checked = 0
+    for a, b, w in itertools.product(range(group.order), repeat=3):
+        checked += 1
+        if mul[a][mul[w][b]] != mul[mul[a][w]][b]:
+            return Verdict(False, "exhaustive", checked, (store[a], store[b], store[w]))
+    return Verdict(True, "exhaustive", checked)
+
+
+def non_associative_loop():
+    """A loop of order 5 (identity 0, each element its own inverse) that is
+    not associative: (1 2) 2 = 4 but 1 (2 2) = 1.  Built past validation."""
+    table = (
+        (0, 1, 2, 3, 4),
+        (1, 0, 3, 4, 2),
+        (2, 4, 0, 1, 3),
+        (3, 2, 4, 0, 1),
+        (4, 3, 1, 2, 0),
+    )
+    with pytest.raises(CayleyTableError):
+        validate_cayley_table(table)
+    return FiniteGroup(table, 0, (0, 1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda group=group: group for _, group in finite_fixtures()]
+    + [
+        lambda: symmetric_group(4),
+        lambda: dihedral_group(6),
+        lambda: cyclic_group(1),
+        lambda: symmetric_group(5),
+        non_associative_loop,
+    ],
+    ids=[name for name, _ in finite_fixtures()] + ["S4", "D6", "Z1", "S5", "loop"],
+)
+def test_shift_commutation_matches_the_triple_oracle(make_group):
+    group = make_group()
+    assert shifts_commute_check(group) == shift_commutation_oracle(group)
+
+
+def test_shift_commutation_fails_on_a_non_associative_table():
+    loop = non_associative_loop()
+    verdict = shifts_commute_check(loop)
+    a, b, w = verdict.counterexample
+    assert not verdict.passed
+    assert not (a * (w * b)).eq_to((a * w) * b)
+
+
 # -- the first-failure loop -------------------------------------------------------
 
 
@@ -237,7 +296,7 @@ def test_first_failure_counts_the_failing_case_and_stops_there():
 def test_first_failure_passes_with_the_worst_residual():
     cases = [((1,), True, 0.0), ((2,), True, 3.0), ((3,), True, 1.0)]
     assert _first_failure("m", iter(cases)) == Verdict(True, "m", 3, None, 3.0)
-    assert _first_failure("m", iter([])) == Verdict(True, "m", 0, None, 0.0)
+    assert _first_failure("m", iter([])) == Verdict(True, "m", 0, None, None)
 
 
 # -- the natural matrix action ---------------------------------------------------
@@ -855,6 +914,78 @@ def test_planted_failures_are_caught():
     assert partition.failure == ("orbit-mismatch", 0, 1)
 
 
+def test_single_transitivity_witnesses_an_unreachable_pair():
+    rep = dict(TABLE_FIXTURES)["S3/not-transitive"]
+    verdict = single_transitivity_check(rep)
+    assert not verdict.passed
+    assert verdict.counterexample == ("unreachable", 0, 3)
+
+
+def test_single_transitivity_witnesses_a_kernel_element():
+    rep = dict(TABLE_FIXTURES)["Z6/not-effective"]
+    verdict = single_transitivity_check(rep)
+    assert not verdict.passed
+    assert verdict.counterexample == ("kernel", rep.group.store[3])
+
+
+def test_single_transitivity_witnesses_a_pair_with_two_transports():
+    # S3 on three points is transitive and effective, yet the identity and
+    # the transposition (1 2) both carry 0 to 0
+    s3 = symmetric_group(3)
+    rep = permutation_action(s3, symmetric_perms(3))
+    summary = classify(rep)
+    assert summary.transitive and summary.effective
+    verdict = single_transitivity_check(rep)
+    assert not verdict.passed
+    assert verdict.counterexample == ("transports", 0, 0, (s3.store[0], s3.store[1]))
+    assert all(rep.apply(g, 0) == 0 for g in verdict.counterexample[3])
+
+
+def test_single_transitivity_counts_transports_that_classify_leaves_out():
+    # D80 on the 80 vertices of its polygon is transitive and effective,
+    # but each reflection fixes a vertex; |X|^2 |G| = 1,024,000 is over the
+    # cap, so classify does not count transports, and the check still does
+    d80 = dihedral_group(80)
+    rep = permutation_action(d80, dihedral_perms(80))
+    assert classify(rep).unique_transport is None
+    verdict = single_transitivity_check(rep)
+    assert not verdict.passed
+    assert verdict.counterexample == ("transports", 0, 0, (d80.store[0], d80.store[80]))
+
+
+def test_single_transitivity_passes_on_every_shift():
+    for _, group in finite_fixtures():
+        for shift in (left_shift(group), right_shift(group)):
+            assert single_transitivity_check(shift) == Verdict(
+                True,
+                "exhaustive",
+                detail="orbit reaches every element and the kernel is trivial",
+            )
+
+
+def test_table_single_transitivity_matches_generic(compiled_and_generic):
+    rep, generic = compiled_and_generic
+    assert single_transitivity_check(rep) == single_transitivity_check(generic)
+
+
+SELFTEST_GOLDEN = Path(__file__).parent / "golden" / "selftest_seed42.json"
+
+
+def test_same_side_witness_check_passes_on_s3_with_the_golden_witness():
+    verdict = same_side_witness_check(symmetric_group(3))
+    golden = json.loads(SELFTEST_GOLDEN.read_text(encoding="utf-8"))
+    (line,) = [c for c in golden["checks"] if c["name"] == "S3/same-side-witness"]
+    assert verdict.passed
+    assert json.loads(json.dumps(to_jsonable(verdict.counterexample))) == line["counterexample"]
+    assert verdict.detail == line["detail"]
+
+
+def test_same_side_witness_check_fails_on_an_abelian_group():
+    verdict = same_side_witness_check(cyclic_group(4))
+    assert not verdict.passed
+    assert verdict.counterexample is None
+
+
 def test_shift_tables_are_read_off_the_cayley_table():
     # row a of the table on the left, column a on the right: what compiling
     # the shift's mappings gives
@@ -1183,6 +1314,6 @@ def test_orbit_closure_check_witnesses_a_re_enumeration_of_another_size():
     rep = Representation(z2, carrier, "left", lambda g: FunctionTransformation(carrier, maps[g.payload]))
     o = orbit(rep, 0)
     assert o.points == (0, 1)
-    assert orbit_closure_check(rep, o) == Verdict(False, "exhaustive", 2, (1,), 0.0)
+    assert orbit_closure_check(rep, o) == Verdict(False, "exhaustive", 2, (1,), None)
     assert orbit_well_defined_check(rep).failure == ("orbit-mismatch", 0, 1)
-    assert orbit_closure_check(rep, orbit(rep, 1)) == Verdict(True, "exhaustive", 1, None, 0.0)
+    assert orbit_closure_check(rep, orbit(rep, 1)) == Verdict(True, "exhaustive", 1, None, None)
