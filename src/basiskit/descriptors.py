@@ -356,9 +356,7 @@ def representation_from_descriptor(
                 return LinearTransformation(
                     _carrier, Matrix.identity(_carrier.dim, _carrier.backend)
                 )
-            return MappingTransformation(
-                _carrier, {p: p for p in _carrier.points()}
-            )
+            return MappingTransformation(_carrier, list(range(len(_carrier.points()))))
 
         rep = Representation(group, carrier, side, assign, label="trivial")
     elif assign_kind == "permutation-table":
@@ -382,10 +380,10 @@ def representation_from_descriptor(
                 raise ParseError(
                     f"assign: row {i} is not a permutation of the carrier"
                 )
-        mappings = [dict(enumerate(perm)) for perm in perms]
 
-        def assign(g, _carrier=carrier, _mappings=mappings):
-            return MappingTransformation(_carrier, _mappings[g.payload])
+        def assign(g, _carrier=carrier, _perms=perms):
+            # each row was checked above to be a permutation of the carrier
+            return MappingTransformation.trusted(_carrier, _perms[g.payload])
 
         rep = Representation(group, carrier, side, assign, label="permutation-table")
     elif assign_kind == "linear":

@@ -67,9 +67,15 @@ class CayleyTableError(BasiskitError):
 
 
 class MembershipError(BasiskitError):
-    """A matrix or affine map does not satisfy its family's predicate."""
+    """A matrix or affine map does not satisfy its family's predicate.
+
+    The message ends with the defect the predicate measured, when it
+    measured one.
+    """
 
     def __init__(self, message: str, residual: float | None = None):
+        if residual is not None:
+            message += f" (residual {residual:.3g})"
         super().__init__(message)
         self.residual = residual
 

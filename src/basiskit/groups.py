@@ -421,25 +421,26 @@ class MatrixGroup:
 
         The residual is the size of the defect for the families that have
         one: the max-norm of ``M^T eta M - eta`` for ``SO`` and
-        ``|det - 1|`` for ``SL``.  It is 0.0 where the predicate is a
-        plain invertibility test.
+        ``|det - 1|`` for ``SL``.  It is ``None`` where nothing was
+        measured: for the plain invertibility test of ``GL`` and
+        ``AFFINE``, and for a value of the wrong type, shape or backend.
         """
         if self.family == "AFFINE":
             if not isinstance(payload, AffineTransform):
-                return False, 0.0
+                return False, None
             if payload.dim != self.dim or payload.backend != self.backend:
-                return False, 0.0
-            return payload.linear.is_invertible(), 0.0
+                return False, None
+            return payload.linear.is_invertible(), None
         if not isinstance(payload, Matrix):
-            return False, 0.0
+            return False, None
         if (
             not payload.is_square
             or payload.nrows != self.dim
             or payload.backend != self.backend
         ):
-            return False, 0.0
+            return False, None
         if self.family == "GL":
-            return payload.is_invertible(), 0.0
+            return payload.is_invertible(), None
         if self.family == "SL":
             got, want = (payload.det(),), (self.backend.one(),)
         else:
@@ -454,10 +455,7 @@ class MatrixGroup:
             payload = Matrix.from_rows(payload, self.backend)
         ok, residual = self.membership(payload)
         if not ok:
-            raise MembershipError(
-                f"value is not in {self.describe()} (residual {residual:.3g})",
-                residual=residual,
-            )
+            raise MembershipError(f"value is not in {self.describe()}", residual=residual)
         return GroupElement(self, payload)
 
     @property
@@ -477,12 +475,12 @@ class MatrixGroup:
         if self.store is None:
             raise InfeasibleExhaustive("group has no stored elements to look up")
         if self._index is None:
-            self._index = self._point_index()
+            self._index = self._empty_index()
             for h in self.store:
                 self._index.append(h)
         return self._index.find(g)
 
-    def _point_index(self) -> "PointIndex":
+    def _empty_index(self) -> "PointIndex":
         """An empty point index of elements under this group's equality."""
         return PointIndex(
             GroupElement.eq_to,
@@ -555,7 +553,7 @@ class MatrixGroup:
         """
         gens = [self.element(g) for g in generators]
         exact = self.backend.is_exact
-        found = self._point_index()
+        found = self._empty_index()
         found.add(self.identity)
         frontier = [self.identity]
         while frontier:
@@ -682,11 +680,6 @@ def cyclic_group(n: int) -> FiniteGroup:
     return validate_cayley_table(table, names=[str(i) for i in range(n)])
 
 
-def _perm_compose(p: tuple, q: tuple) -> tuple:
-    """Composite permutation applying ``q`` first, then ``p``."""
-    return tuple(p[q[x]] for x in range(len(p)))
-
-
 def _perm_cycle_name(p: tuple) -> str:
     seen = [False] * len(p)
     parts = []
@@ -707,7 +700,7 @@ def _perm_cycle_name(p: tuple) -> str:
 
 def _table_from_perms(perms: Sequence[tuple]) -> FiniteGroup:
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
+    table = [[index[tuple(_after(p, q))] for q in perms] for p in perms]
     return validate_cayley_table(table, names=[_perm_cycle_name(p) for p in perms])
 
 

@@ -111,7 +111,9 @@ DEFAULT_SEED = 42
 #
 # Besides ``contains``, ``point_eq`` and ``sample``, a carrier gives the
 # point index of orbits (:class:`~basiskit.groups.PointIndex`) a point's
-# scalars, ``entries(p)``, and the ``tolerance`` of its equality.
+# scalars, ``entries(p)``, and the ``tolerance`` of its equality.  An
+# enumerable carrier also gives ``index(p)``, the position of ``p`` in
+# ``points()``, or ``None`` for a point outside it.
 
 
 class FiniteCarrier:
@@ -124,12 +126,16 @@ class FiniteCarrier:
         if size < 1:
             raise BasiskitError("carrier needs at least one point")
         self.size = size
+        self._points = tuple(range(size))
 
     def points(self) -> tuple:
-        return tuple(range(self.size))
+        return self._points
 
     def contains(self, p) -> bool:
         return isinstance(p, int) and 0 <= p < self.size
+
+    def index(self, p) -> Optional[int]:
+        return p if self.contains(p) else None
 
     def point_eq(self, p, q) -> bool:
         return p == q
@@ -201,6 +207,9 @@ class SelfCarrier:
     def contains(self, p) -> bool:
         return isinstance(p, GroupElement) and p.group is self.group
 
+    def index(self, p) -> Optional[int]:
+        return self.group.index_of(p) if self.contains(p) else None
+
     def point_eq(self, p, q) -> bool:
         return p.eq_to(q)
 
@@ -248,6 +257,12 @@ class ProductCarrier:
             and self.right.contains(p[1])
         )
 
+    def index(self, p) -> Optional[int]:
+        """Row-major, as ``points()`` lists the pairs."""
+        if not self.contains(p):
+            return None
+        return self.left.index(p[0]) * self.right.size + self.right.index(p[1])
+
     def point_eq(self, p, q) -> bool:
         return self.left.point_eq(p[0], q[0]) and self.right.point_eq(p[1], q[1])
 
@@ -284,37 +299,50 @@ class Transformation:
 
 
 class MappingTransformation(Transformation):
-    """Explicit bijection of an enumerable carrier."""
+    """Bijection of an enumerable carrier, built as ``(carrier, row)``:
+    entry ``j`` of the list ``row`` is the index in ``carrier.points()`` of
+    the image of point ``j``.
 
-    def __init__(self, carrier, mapping: dict):
+    The constructor checks that the row is a permutation of the indices.
+    A row that is one by construction (a row or column of a Cayley table,
+    a composite or an inverse of rows) is taken as it is by :meth:`trusted`.
+    """
+
+    def __init__(self, carrier, row: list):
         if not carrier.enumerable:
             raise InfeasibleExhaustive("mapping needs an enumerable carrier")
-        if len(mapping) != carrier.size:
-            raise BasiskitError(
-                f"mapping covers {len(mapping)} of {carrier.size} points"
-            )
-        if len(set(mapping.values())) != len(mapping):
+        if len(row) != carrier.size:
+            raise BasiskitError(f"mapping covers {len(row)} of {carrier.size} points")
+        outside = (j for j, i in enumerate(row) if type(i) is not int or not 0 <= i < len(row))
+        j = next(outside, None)
+        if j is not None:
+            raise CarrierMismatch(f"mapping sends point {carrier.points()[j]!r} outside the carrier")
+        if len(set(row)) != len(row):
             raise Singular("mapping is not injective")
         self.carrier = carrier
-        self.mapping = dict(mapping)
+        self.row = list(row)
+
+    @classmethod
+    def trusted(cls, carrier, row: list) -> "MappingTransformation":
+        """The mapping of ``row``, a permutation by construction, unchecked."""
+        t = cls.__new__(cls)
+        t.carrier, t.row = carrier, row
+        return t
 
     def apply(self, p):
-        try:
-            return self.mapping[p]
-        except (KeyError, TypeError):
-            pass
-        for k, v in self.mapping.items():
-            if self.carrier.point_eq(k, p):
-                return v
-        raise CarrierMismatch(f"point {p!r} is outside the mapping's domain")
+        j = self.carrier.index(p)
+        if j is None:
+            raise CarrierMismatch(f"point {p!r} is outside the mapping's domain")
+        return self.carrier.points()[self.row[j]]
 
     def inverted(self) -> "MappingTransformation":
-        return MappingTransformation(
-            self.carrier, {v: k for k, v in self.mapping.items()}
-        )
+        inverse = [0] * len(self.row)
+        for j, image in enumerate(self.row):
+            inverse[image] = j
+        return MappingTransformation.trusted(self.carrier, inverse)
 
     def is_identity(self) -> bool:
-        return all(self.carrier.point_eq(k, v) for k, v in self.mapping.items())
+        return self.row == list(range(len(self.row)))
 
 
 class GridTransformation(Transformation):
@@ -426,9 +454,7 @@ def compose_transformations(t1: Transformation, t2: Transformation) -> Transform
     if isinstance(t1, GridTransformation) and type(t1) is type(t2):
         return t1.after(t2)
     if isinstance(t1, MappingTransformation) and isinstance(t2, MappingTransformation):
-        return MappingTransformation(
-            t1.carrier, {k: t1.apply(v) for k, v in t2.mapping.items()}
-        )
+        return MappingTransformation.trusted(t1.carrier, _after(t1.row, t2.row))
     if isinstance(t1, PairTransformation) and isinstance(t2, PairTransformation):
         return PairTransformation(
             t1.carrier,
@@ -442,6 +468,8 @@ def transformations_equal(t1: Transformation, t2: Transformation) -> bool:
     """Extensional equality; structural where the form allows it."""
     if isinstance(t1, GridTransformation) and type(t1) is type(t2):
         return t1.grid.eq(t2.grid)
+    if isinstance(t1, MappingTransformation) and isinstance(t2, MappingTransformation):
+        return t1.row == t2.row
     if isinstance(t1, PairTransformation) and isinstance(t2, PairTransformation):
         return transformations_equal(t1.first, t2.first) and transformations_equal(
             t1.second, t2.second
@@ -512,10 +540,22 @@ class Representation:
         return self.transformation(g).apply(u)
 
     def _action_table(self) -> Optional[list]:
-        """The action as integer rows, compiled on first use; see
-        :func:`_compile_action_table`."""
+        """``T[i][j]``: index of the image of carrier point ``j`` under
+        element ``i``, the rows of the mappings of a finite group.
+
+        ``None`` when the group is not a :class:`FiniteGroup` or some
+        assigned transformation is not a mapping; the checks then run their
+        generic code, which is also the reference the table path must match.
+        """
         if self._table is _NOT_COMPILED:
-            self._table = _compile_action_table(self)
+            self._table = None
+            if isinstance(self.group, FiniteGroup):
+                try:
+                    maps = [self.transformation(g) for g in self.group.store]
+                except BasiskitError:
+                    maps = ()
+                if maps and all(isinstance(t, MappingTransformation) for t in maps):
+                    self._table = [t.row for t in maps]
         return self._table
 
     def __repr__(self) -> str:
@@ -523,53 +563,6 @@ class Representation:
 
 
 _NOT_COMPILED = object()
-
-
-def _compile_action_table(rep: Representation) -> Optional[list]:
-    """``T[i][j]``: index of the image of carrier point ``j`` under element ``i``.
-
-    Compiles a finite group acting on a finite carrier or on the elements
-    of a finite group, when every assigned transformation is a mapping
-    onto carrier points; points are indexed as in ``carrier.points()``.
-    Returns ``None`` for anything else, and the checks then run their
-    generic code, which is also the reference the table path must match.
-    """
-    group, carrier = rep.group, rep.carrier
-    if not isinstance(group, FiniteGroup):
-        return None
-    if isinstance(carrier, FiniteCarrier):
-        size = carrier.size
-
-        def index(p):
-            return p if type(p) is int and 0 <= p < size else None
-
-    elif isinstance(carrier, SelfCarrier) and isinstance(carrier.group, FiniteGroup):
-        own = carrier.group
-
-        def index(p):
-            return p.payload if isinstance(p, GroupElement) and p.group is own else None
-
-    else:
-        return None
-    points = carrier.points()
-    table = []
-    for g in group.store:
-        try:
-            t = rep.transformation(g)
-            if not isinstance(t, MappingTransformation):
-                return None
-            row = [index(t.apply(p)) for p in points]
-        except BasiskitError:
-            return None
-        if None in row:
-            return None
-        table.append(row)
-    return table
-
-
-def _point_index(carrier, p) -> int:
-    """Row position of a point of a carrier that has an action table."""
-    return p.payload if isinstance(carrier, SelfCarrier) else p
 
 
 def apply(rep: Representation, g: GroupElement, u):
@@ -617,8 +610,8 @@ class ClassificationReport:
     transitive: bool
     unreachable_pair: Optional[tuple]
     single_transitive: bool
-    unique_transport: Optional[bool]
-    uniqueness_agrees: Optional[bool]
+    unique_transport: bool
+    uniqueness_agrees: bool
 
 
 @dataclass(frozen=True)
@@ -821,8 +814,8 @@ def check_axioms(
     exhaustive, mode, elements, seconds, grids = _plan(rep, sample, samples, seed, on_grids=True)
     carrier = rep.carrier
     table = rep._action_table()
-    if table is not None:
-        return _table_axioms(rep, table, exhaustive, mode, seconds, samples, seed)
+    if exhaustive and table is not None:
+        return _table_axioms(rep, table, mode, seconds)
 
     def outcome(a, b, u):
         ab = compose(rep.group, a, b)
@@ -853,33 +846,21 @@ def check_axioms(
     return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
 
 
-def _table_axioms(rep, table, exhaustive, mode, seconds, samples, seed) -> Verdict:
-    """:func:`check_axioms` on the action table: row ``T[ab]`` against
-    ``T[a]`` after ``T[b]`` on the left side, ``T[b]`` after ``T[a]`` on
-    the right.  The count starts at 1 for the identity law, and no
-    residual is measured: points of these carriers compare exactly.
+def _table_axioms(rep, table, mode, seconds) -> Verdict:
+    """The exhaustive sweep of :func:`check_axioms` on the action table: row
+    ``T[ab]`` against ``T[a]`` after ``T[b]`` on the left side, ``T[b]``
+    after ``T[a]`` on the right.  The count starts at 1 for the identity
+    law, and no residual is measured: points of these carriers compare
+    exactly.
     """
     mul = rep.group.table
 
-    def rows(a, b):
+    def compared(a, b):
         outer, inner = (a, b) if rep.side == "left" else (b, a)
-        return table[mul[a][b]], table[outer], table[inner]
+        return table[mul[a][b]], _after(table[outer], table[inner])
 
-    if exhaustive:
-        def compared(a, b):
-            ab, outer, inner = rows(a, b)
-            return ab, _after(outer, inner)
-
-        swept = _sweep(len(table), [b.payload for b in seconds], compared)
-        return _swept(mode, swept, rep.group.store, rep.carrier.points(), checked=1)
-
-    def outcome(a, b, u):
-        ab, outer, inner = rows(a.payload, b.payload)
-        j = _point_index(rep.carrier, u)
-        return (a, b, u), ab[j] == outer[inner[j]], None
-
-    cases = _sampled_triples(rep, samples, seed)
-    return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
+    swept = _sweep(len(table), [b.payload for b in seconds], compared)
+    return _swept(mode, swept, rep.group.store, rep.carrier.points(), checked=1)
 
 
 def check_variance(
@@ -971,18 +952,10 @@ def inverse_law_check(
     if not exhaustive:
         rng = Random(seed)
         elements = [sample_group_element(rep.group, rng) for _ in range(samples)]
-    table = rep._action_table()
 
     def outcome(g):
-        if table is not None:
-            row = table[g.payload]
-            inverted = [0] * len(row)
-            for j, image in enumerate(row):
-                inverted[image] = j
-            holds = table[rep.group.inverses[g.payload]] == inverted
-        else:
-            expected = rep.transformation(rep.group.inverse_element(g))
-            holds = transformations_equal(expected, rep.transformation(g).inverted())
+        expected = rep.transformation(rep.group.inverse_element(g))
+        holds = transformations_equal(expected, rep.transformation(g).inverted())
         return (g,), holds, None
 
     return _first_failure(mode, map(outcome, elements))
@@ -1009,16 +982,21 @@ def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Represent
     if not carrier.enumerable:
         raise InfeasibleExhaustive("shift representations need enumerable elements")
 
-    def assign(a: GroupElement) -> MappingTransformation:
-        return MappingTransformation(
-            carrier,
-            {
-                b: compose(group, a, b) if side == "left" else compose(group, b, a)
-                for b in carrier.points()
-            },
-        )
+    if isinstance(group, FiniteGroup):
+        # row a of the Cayley table on the left, column a on the right
+        rows = list(map(list, group.table if side == "left" else zip(*group.table)))
 
-    rep = Representation(
+        def assign(a: GroupElement) -> MappingTransformation:
+            return MappingTransformation.trusted(carrier, rows[a.payload])
+
+    else:
+
+        def assign(a: GroupElement) -> MappingTransformation:
+            products = (compose(group, a, b) if side == "left" else compose(group, b, a)
+                        for b in carrier.points())
+            return MappingTransformation(carrier, list(map(carrier.index, products)))
+
+    return Representation(
         group,
         carrier,
         side,
@@ -1026,12 +1004,6 @@ def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Represent
         variance_claim="covariant" if side == "left" else "contravariant",
         label=f"{side}-shift",
     )
-    if isinstance(group, FiniteGroup):
-        # the action table is the Cayley table: row a on the left, column a
-        # on the right
-        mul = group.table
-        rep._table = list(map(list, mul if side == "left" else zip(*mul)))
-    return rep
 
 
 def contragredient(rep: Representation, sample: str = "auto") -> Representation:
@@ -1087,7 +1059,7 @@ def orbit(rep: Representation, base, cap: int = DEFAULT_CLOSURE_CAP) -> Orbit:
         raise CarrierMismatch(f"base point {base!r} is not in the carrier")
     table = rep._action_table()
     if table is not None:
-        points, j = carrier.points(), _point_index(carrier, base)
+        points, j = carrier.points(), carrier.index(base)
         images = ((points[row[j]], g) for row, g in zip(table, elements))
     else:
         images = ((rep.apply(g, base), g) for g in elements)
@@ -1212,10 +1184,6 @@ def kernel_of_inefficiency(rep: Representation) -> tuple:
     elements = rep.group.store
     if elements is None:
         raise InfeasibleExhaustive("kernel needs an enumerable group")
-    table = rep._action_table()
-    if table is not None:
-        natural = list(range(len(table[0])))
-        return tuple(g for g, row in zip(elements, table) if row == natural)
     return tuple(g for g in elements if rep.transformation(g).is_identity())
 
 
@@ -1241,11 +1209,7 @@ def classify(rep: Representation) -> ClassificationReport:
     unreachable = next(((all_points[0], v) for v in missed), None)
     transitive = unreachable is None
     single = transitive and effective
-
-    unique: Optional[bool] = None
-    if len(all_points) ** 2 * len(elements) <= EXHAUSTIVE_WORK_CAP:
-        unique = _transport_clash(rep) is None
-    agrees = None if unique is None else (unique == single)
+    unique = _transport_clash(rep) is None
     return ClassificationReport(
         kernel=kernel,
         effective=effective,
@@ -1253,33 +1217,40 @@ def classify(rep: Representation) -> ClassificationReport:
         unreachable_pair=unreachable,
         single_transitive=single,
         unique_transport=unique,
-        uniqueness_agrees=agrees,
+        uniqueness_agrees=unique == single,
     )
 
 
 def _transport_clash(rep) -> Optional[tuple]:
     """The first ordered pair of points ``(u, v)`` that not exactly one
     element carries ``u`` to ``v``, as ``(u, v, carriers)`` with the
-    elements that do; ``None`` when transport is unique."""
+    elements that do; ``None`` when transport is unique.
+
+    The images of each ``u`` are filed by their index in the carrier, at
+    ``|X| |G|`` in all; on the action table a column that is a permutation
+    of the points is passed over.
+    """
     elements, points, table = rep.group.store, rep.carrier.points(), rep._action_table()
     for j, u in enumerate(points):
         if table is None:
-            images = [rep.apply(g, u) for g in elements]
+            images = [rep.carrier.index(rep.apply(g, u)) for g in elements]
         elif len(table) == len(points) == len({row[j] for row in table}):
             continue  # column j is a permutation of the points
         else:
-            images = [points[row[j]] for row in table]
-        for v in points:
-            carriers = tuple(g for g, w in zip(elements, images) if rep.carrier.point_eq(w, v))
-            if len(carriers) != 1:
-                return u, v, carriers
+            images = [row[j] for row in table]
+        carriers: list = [[] for _ in points]
+        for g, k in zip(elements, images):
+            if k is not None:
+                carriers[k].append(g)
+        for v, found in zip(points, carriers):
+            if len(found) != 1:
+                return u, v, tuple(found)
     return None
 
 
 def single_transitivity_check(rep: Representation) -> Verdict:
     """Exactly one element carries each carrier point to each other one:
-    :func:`classify`'s transitivity and effectiveness, then its transport
-    count, run here too where its cost kept :func:`classify` from it.  The
+    :func:`classify`'s transitivity, effectiveness and transport count.  The
     witness is the first of ``("unreachable", u, v)``, ``u`` the first
     point; ``("kernel", g)``, ``g`` not the identity; ``("transports", u,
     v, carriers)``, the elements, none or several, that carry ``u`` to ``v``.
@@ -1365,10 +1336,11 @@ def twin_representation(rep: Representation, origin=None) -> Representation:
     recorded on the result.
     """
     report = classify(rep)
-    if not report.single_transitive:
+    if not (report.single_transitive and report.unique_transport):
         raise NotSingleTransitive(
             f"twin needs a single transitive representation "
-            f"(transitive={report.transitive}, effective={report.effective})"
+            f"(transitive={report.transitive}, effective={report.effective}, "
+            f"unique transport={report.unique_transport})"
         )
     carrier = rep.carrier
     points = carrier.points()
@@ -1376,17 +1348,17 @@ def twin_representation(rep: Representation, origin=None) -> Representation:
         origin = points[0]
     if not carrier.contains(origin):
         raise CarrierMismatch(f"origin {origin!r} is not in the carrier")
-    transports = [(w, solve_transport(rep, origin, w)) for w in points]
+    reached = orbit(rep, origin)
+    transports = [reached.witness_for(carrier, w) for w in points]
 
     def assign(a: GroupElement) -> MappingTransformation:
-        mapping = {}
-        for w, c_w in transports:
-            if rep.side == "left":
-                moved = compose(rep.group, c_w, a)
-            else:
-                moved = compose(rep.group, a, c_w)
-            mapping[w] = rep.apply(moved, origin)
-        return MappingTransformation(carrier, mapping)
+        if rep.side == "left":
+            moved = (compose(rep.group, c_w, a) for c_w in transports)
+        else:
+            moved = (compose(rep.group, a, c_w) for c_w in transports)
+        return MappingTransformation(
+            carrier, [carrier.index(rep.apply(m, origin)) for m in moved]
+        )
 
     return Representation(
         rep.group,
@@ -1480,11 +1452,12 @@ def same_side_witness_check(group) -> Verdict:
 
 def store_membership_check(group) -> Verdict:
     """Every stored element of a matrix group passes the family predicate,
-    with the worst defect ``group.membership`` measures: the float ``SL``
-    and ``SO`` families have one, invertibility tests none."""
+    with the worst defect ``group.membership`` measures in floating point;
+    invertibility tests measure none."""
     if group.store is None:
         raise InfeasibleExhaustive("membership check needs stored elements")
     results = [group.membership(g.payload) for g in group.store]
-    measured = not group.backend.is_exact and group.family in ("SL", "SO")
-    residual = max(r for _, r in results) if measured else None
+    residual = None
+    if not group.backend.is_exact:
+        residual = max((r for _, r in results if r is not None), default=None)
     return Verdict(all(ok for ok, _ in results), checked=len(results), residual_max=residual)

@@ -171,8 +171,8 @@ def test_04_orbits_partition():
     # a non-transitive action must partition as well
     z2 = cyclic_group(2)
     carrier = FiniteCarrier(3)
-    swap = {0: 1, 1: 0, 2: 2}
-    ident = {0: 0, 1: 1, 2: 2}
+    swap = [1, 0, 2]
+    ident = [0, 1, 2]
     rep = Representation(
         z2, carrier, "left",
         lambda g: MappingTransformation(carrier, swap if g.payload else ident),
@@ -197,9 +197,7 @@ def test_05_single_transitivity_cross_check():
     carrier = FiniteCarrier(3)
     triangle = Representation(
         z6, carrier, "left",
-        lambda g: MappingTransformation(
-            carrier, {x: (x + g.payload) % 3 for x in range(3)}
-        ),
+        lambda g: MappingTransformation(carrier, [(x + g.payload) % 3 for x in range(3)]),
     )
     summary = classify(triangle)
     assert not summary.single_transitive

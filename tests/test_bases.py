@@ -672,9 +672,7 @@ def kronecker_index_action(rep):
     carrier = FiniteCarrier(dim)
 
     def assign(g):
-        return MappingTransformation(
-            carrier, {j: rep.apply(g, u).index(1) for j, u in enumerate(kronecker)}
-        )
+        return MappingTransformation(carrier, [rep.apply(g, u).index(1) for u in kronecker])
 
     return Representation(rep.group, carrier, rep.side, assign)
 

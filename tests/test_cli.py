@@ -569,6 +569,54 @@ def test_trivial_representation_reports_its_kernel(tmp_path, capsys):
     assert out["data"]["classification"]["effective"] is False
 
 
+def self_shift(group):
+    return {"group": group, "side": "left", "carrier": {"kind": "self"}, "assign": {"kind": "shift-left"}}
+
+
+def test_shift_of_a_store_that_is_not_closed_is_exit_2(tmp_path, capsys):
+    # the square of [[1, 1], [0, 1]] is not stored, so that element's shift
+    # sends a stored element outside the carrier
+    group = {"kind": "matrix", "family": "GL", "dim": 2, "elements": [[1, 0, 0, 1], [1, 1, 0, 1]]}
+    path = write(tmp_path, "gl2_shift.json", self_shift(group))
+    code = main(["repcheck", "--input", path, "--report", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: CarrierMismatch: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_shift_of_a_float_closure_passes(tmp_path, capsys):
+    # the images are looked up among the stored rotations, within the
+    # tolerance, and every fact is the one the element-by-element
+    # comparison of products gives
+    golden = Path(__file__).parent / "golden" / "float" / "so2_order12_group.json"
+    path = write(tmp_path, "so2_shift.json", self_shift(json.loads(golden.read_text())))
+    code = main(["repcheck", "--input", path, "--report", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["checks"] == [
+        {"checked": 1729, "mode": "exhaustive", "name": "axioms", "passed": True},
+        {"checked": 12, "mode": "exhaustive", "name": "inverse-law", "passed": True},
+        {
+            "checked": 144,
+            "detail": "verdict both, expected covariant",
+            "mode": "exhaustive",
+            "name": "variance",
+            "passed": True,
+        },
+    ]
+    assert out["data"]["classification"] == {
+        "effective": True,
+        "kernel_size": 1,
+        "side": "left",
+        "single_transitive": True,
+        "transitive": True,
+        "uniqueness_agrees": True,
+        "variance": "both",
+    }
+
+
 def test_runaway_closure_is_exit_1(tmp_path, capsys):
     group = write(
         tmp_path,

@@ -43,7 +43,6 @@ from basiskit.representations import (
     Representation,
     SelfCarrier,
     Verdict,
-    _compile_action_table,
     _first_failure,
     _variance_product,
     check_axioms,
@@ -87,9 +86,7 @@ def rotation_action_of_z6_on_triangle():
     carrier = FiniteCarrier(3)
 
     def assign(g):
-        return MappingTransformation(
-            carrier, {x: (x + g.payload) % 3 for x in range(3)}
-        )
+        return MappingTransformation(carrier, [(x + g.payload) % 3 for x in range(3)])
 
     return Representation(z6, carrier, "left", assign, label="triangle-turn")
 
@@ -98,8 +95,8 @@ def swap_action_of_z2():
     """Z2 swapping two of three points, fixing the third."""
     z2 = cyclic_group(2)
     carrier = FiniteCarrier(3)
-    swap = {0: 1, 1: 0, 2: 2}
-    ident = {0: 0, 1: 1, 2: 2}
+    swap = [1, 0, 2]
+    ident = [0, 1, 2]
 
     def assign(g):
         return MappingTransformation(carrier, swap if g.payload else ident)
@@ -113,7 +110,7 @@ def swap_action_of_z2():
 def test_identity_must_map_to_identity():
     z2 = cyclic_group(2)
     carrier = FiniteCarrier(2)
-    swap = {0: 1, 1: 0}
+    swap = [1, 0]
     with pytest.raises(Exception):
         Representation(z2, carrier, "left", lambda g: MappingTransformation(carrier, swap))
 
@@ -135,9 +132,9 @@ def test_foreign_elements_rejected():
 def test_mapping_transformation_validation():
     carrier = FiniteCarrier(3)
     with pytest.raises(Singular):
-        MappingTransformation(carrier, {0: 1, 1: 1, 2: 2})
+        MappingTransformation(carrier, [1, 1, 2])
     with pytest.raises(Exception):
-        MappingTransformation(carrier, {0: 0})
+        MappingTransformation(carrier, [0])
 
 
 # -- shift representations -------------------------------------------------------
@@ -177,12 +174,12 @@ def test_variance_verdicts():
 def test_variance_neither_with_witnesses():
     z4 = cyclic_group(4)
     carrier = FiniteCarrier(3)
-    ident = {0: 0, 1: 1, 2: 2}
+    ident = [0, 1, 2]
     crooked = {
         0: ident,
-        1: {0: 1, 1: 0, 2: 2},
-        2: {0: 0, 1: 2, 2: 1},
-        3: {0: 2, 1: 1, 2: 0},
+        1: [1, 0, 2],
+        2: [0, 2, 1],
+        3: [2, 1, 0],
     }
     rep = Representation(
         z4,
@@ -200,8 +197,8 @@ def test_variance_neither_with_witnesses():
 def test_inverse_law_failure_is_witnessed():
     z4 = cyclic_group(4)
     carrier = FiniteCarrier(4)
-    cycle = {0: 1, 1: 2, 2: 3, 3: 0}
-    ident = {x: x for x in range(4)}
+    cycle = [1, 2, 3, 0]
+    ident = list(range(4))
 
     def assign(g):
         return MappingTransformation(carrier, cycle if g.payload == 1 else ident)
@@ -543,10 +540,10 @@ def test_contragredient_rejects_unclassifiable():
     z4 = cyclic_group(4)
     carrier = FiniteCarrier(3)
     crooked = {
-        0: {0: 0, 1: 1, 2: 2},
-        1: {0: 1, 1: 0, 2: 2},
-        2: {0: 0, 1: 2, 2: 1},
-        3: {0: 2, 1: 1, 2: 0},
+        0: [0, 1, 2],
+        1: [1, 0, 2],
+        2: [0, 2, 1],
+        3: [2, 1, 0],
     }
     rep = Representation(
         z4,
@@ -681,6 +678,17 @@ def test_twin_needs_single_transitivity():
         twin_representation(rep)
 
 
+def test_twin_needs_a_unique_transport():
+    # S3 on three points is transitive and effective, but the identity and
+    # the transposition (1 2) both fix point 0
+    s3 = symmetric_group(3)
+    rep = permutation_action(s3, symmetric_perms(3))
+    summary = classify(rep)
+    assert summary.single_transitive and not summary.unique_transport
+    with pytest.raises(NotSingleTransitive):
+        twin_representation(rep)
+
+
 def test_twin_respects_chosen_origin():
     s3 = symmetric_group(3)
     f = left_shift(s3)
@@ -756,12 +764,12 @@ def test_compose_transformations_row_layout_order():
     assert combined.apply(u) == a.apply(b.apply(u))
 
 
-# -- compiled action tables against the generic path ------------------------------
+# -- action tables against the generic path ---------------------------------------
 #
-# A finite group acting on a finite or self carrier through mappings is
-# checked on an integer table.  Wrapping the same assignment in opaque
-# FunctionTransformations (with an explicit inverse) keeps it from
-# compiling, so every check takes the generic path; both must return
+# A finite group acting through mappings is checked on the table of their
+# integer rows.  Wrapping the same assignment in opaque
+# FunctionTransformations (with an explicit inverse) leaves it without a
+# table, so every check takes the generic path; both must return
 # identical verdicts, witnesses included.
 
 
@@ -780,7 +788,7 @@ def permutation_action(group, perms, side="left", points=None):
     def assign(g):
         perm = perms[g.payload]
         return MappingTransformation(
-            carrier, {x: perm[x] if x < len(perm) else x for x in range(carrier.size)}
+            carrier, [perm[x] if x < len(perm) else x for x in range(carrier.size)]
         )
 
     return Representation(group, carrier, side, assign, label="natural")
@@ -801,10 +809,10 @@ def three_cycle_of_z2():
     different points differ (0 reaches {0, 1}, 1 reaches {1, 2})."""
     z2 = cyclic_group(2)
     carrier = FiniteCarrier(3)
-    cycle = {0: 1, 1: 2, 2: 0}
+    cycle = [1, 2, 0]
 
     def assign(g):
-        return MappingTransformation(carrier, cycle if g.payload else {0: 0, 1: 1, 2: 2})
+        return MappingTransformation(carrier, cycle if g.payload else [0, 1, 2])
 
     return Representation(z2, carrier, "left", assign, label="three-cycle")
 
@@ -944,10 +952,14 @@ def test_single_transitivity_witnesses_a_pair_with_two_transports():
 def test_single_transitivity_counts_transports_that_classify_leaves_out():
     # D80 on the 80 vertices of its polygon is transitive and effective,
     # but each reflection fixes a vertex; |X|^2 |G| = 1,024,000 is over the
-    # cap, so classify does not count transports, and the check still does
+    # cap that used to keep classify from counting transports, and the
+    # count, at |X| |G|, now runs whatever the size
     d80 = dihedral_group(80)
     rep = permutation_action(d80, dihedral_perms(80))
-    assert classify(rep).unique_transport is None
+    summary = classify(rep)
+    assert summary.single_transitive
+    assert summary.unique_transport is False
+    assert summary.uniqueness_agrees is False
     verdict = single_transitivity_check(rep)
     assert not verdict.passed
     assert verdict.counterexample == ("transports", 0, 0, (d80.store[0], d80.store[80]))
@@ -986,18 +998,17 @@ def test_same_side_witness_check_fails_on_an_abelian_group():
     assert verdict.counterexample is None
 
 
-def test_shift_tables_are_read_off_the_cayley_table():
-    # row a of the table on the left, column a on the right: what compiling
-    # the shift's mappings gives
-    shifts = [rep for name, rep in TABLE_FIXTURES if name.endswith("-shift")]
-    assert len(shifts) == 2 * len(finite_fixtures())
-    for rep in shifts:
-        assert rep._action_table() == _compile_action_table(rep)
-    # without building a mapping per element
+def test_shift_tables_are_read_off_the_cayley_table(monkeypatch):
+    # row a of the table on the left, column a on the right, without a
+    # single product of elements
+    def refused(self, a, b):
+        raise AssertionError("a shift row was built from products")
+
+    monkeypatch.setattr(FiniteGroup, "compose_elements", refused)
     for _, group in finite_fixtures():
-        for shift in (left_shift(group), right_shift(group)):
-            shift._action_table()
-            assert list(shift._cache) == [group.identity]
+        mul = [list(row) for row in group.table]
+        assert left_shift(group)._action_table() == mul
+        assert right_shift(group)._action_table() == [list(col) for col in zip(*mul)]
 
 
 # -- the laws on generators ----------------------------------------------------------
@@ -1101,13 +1112,11 @@ def coset_twisted_action(group, dropped):
     if len(subgroup) == n:
         return None
     carrier = FiniteCarrier(n + 3)
-    turn = {n: n + 1, n + 1: n + 2, n + 2: n}
+    fixed, turned = [n, n + 1, n + 2], [n + 1, n + 2, n]
 
     def assign(g):
         x = g.payload
-        mapping = dict(enumerate(mul[x]))
-        mapping.update((p, p if x in subgroup else turn[p]) for p in turn)
-        return MappingTransformation(carrier, mapping)
+        return MappingTransformation(carrier, [*mul[x], *(fixed if x in subgroup else turned)])
 
     return Representation(group, carrier, "left", assign, label=f"twisted-{dropped}")
 
@@ -1303,6 +1312,19 @@ def test_orbit_of_product_and_self_carrier_points_over_a_matrix_group():
         assert o.witness_for(both.carrier, near) is g
     assert not o.contains(both.carrier, ((1.0, 0.5 + 1e-6), so2.identity))
     assert orbit_closure_check(both, o).passed
+
+
+def test_shift_of_a_float_closure_sends_stored_elements_to_stored_elements():
+    so2 = MatrixGroup.metric_preserving(2, 0)
+    so2.close_over([rotation_2d(2 * math.pi / 12)])
+    f = left_shift(so2)
+    assert check_axioms(f).passed
+    for a in so2.store:
+        for b in so2.store:
+            image = f.apply(a, b)
+            # the stored representative of the product, not the product
+            assert image is so2.store[so2.index_of(a * b)]
+            assert image.eq_to(a * b)
 
 
 def test_orbit_closure_check_witnesses_a_re_enumeration_of_another_size():
