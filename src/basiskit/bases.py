@@ -45,6 +45,7 @@ from .representations import (
     Representation,
     Verdict,
     _first_failure,
+    _single_elements,
     check_axioms,
 )
 from .sampling import random_vector, sample_group_element
@@ -417,24 +418,22 @@ def coordinate_representation_check(
     VECTORS_PER_PAIR`` stays within :data:`EXHAUSTIVE_WORK_CAP`, otherwise
     ``samples`` seeded pairs.
 
-    Effectiveness: every stored element, or ``samples`` seeded ones,
-    whose linear part is not the identity moves some coordinate tuple.
+    Effectiveness, a law on single elements with a mode of its own: every
+    stored element, or ``samples`` seeded ones, whose linear part is not
+    the identity moves some coordinate tuple.
     """
     rep = coordinate_representation(group)
     if group.backend.is_exact:
         composition = check_axioms(rep, "auto", samples, seed)
     else:
         composition = _float_composition(rep, samples, seed)
-    elements = group.store
-    if elements is None:
-        rng = Random(seed)
-        elements = [sample_group_element(group, rng) for _ in range(samples)]
+    mode, elements = _single_elements(rep, "auto", samples, seed)
 
     def effective(g):
         moves = _linear_grid(g).is_identity() or not rep.transformation(g).is_identity()
         return (g,), moves, None
 
-    effectiveness = _first_failure(composition.mode, map(effective, elements))
+    effectiveness = _first_failure(mode, map(effective, elements))
     return CoordinateRepCheckReport(composition, effectiveness)
 
 

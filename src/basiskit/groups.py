@@ -109,7 +109,8 @@ class FiniteGroup:
     ``generators`` are element indices, the identity never among them:
     right multiplication by them reaches every element from the identity
     (see :func:`_generating_set`; they are derived from ``table``, so they
-    cannot disagree with it).
+    cannot disagree with it).  ``edges[i][k]`` is the index of element
+    ``i`` times generator ``k``.
     """
 
     def __init__(
@@ -125,6 +126,10 @@ class FiniteGroup:
         self.names = names
         self.store = tuple(GroupElement(self, i) for i in range(len(table)))
         self.generators = tuple(_generating_set(table, identity_index))
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(tuple(row[s] for s in self.generators) for row in self.table)
 
     @property
     def order(self) -> int:
@@ -249,15 +254,20 @@ def validate_cayley_table(
     )
 
 
-def _generating_set(rows: tuple, identity: Optional[int] = None) -> list:
+def _generating_set(rows, identity: Optional[int] = None) -> Optional[list]:
     """Greedy generators: every element is a left-nested product of them,
     or the identity followed by such a product when ``identity`` is given.
+    ``None`` when some product is no element.
 
-    Takes the smallest element not yet reached as the next generator and
-    closes everything reached under right multiplication by all chosen
-    generators.  The identity starts out reached, so it is never chosen.
-    Only products of the table are used, so the result is valid for any
-    closed table, associative or not.
+    ``rows[r][g]`` is the index of the product of elements ``r`` and
+    ``g``, or ``None``: a Cayley table, or the lazily filled rows of a
+    store (:class:`_StoreRow`).  Takes the smallest element not yet reached
+    as the next generator and closes everything reached under right
+    multiplication by all chosen generators; what was reached before is
+    closed under the earlier ones already, so each product of a reached
+    element and a generator is read exactly once.  The identity starts
+    out reached, so it is never chosen.  Only the products read are used,
+    so the result is valid for any closed table, associative or not.
     """
     n = len(rows)
     gens: list = []
@@ -267,19 +277,23 @@ def _generating_set(rows: tuple, identity: Optional[int] = None) -> list:
     for x in range(n):
         if reached[x]:
             continue
+        steps = [([r for r in range(n) if reached[r]], (x,))]
         gens.append(x)
         reached[x] = True
-        frontier = [r for r in range(n) if reached[r]]
-        while frontier:
+        steps.append(([x], gens))
+        while steps:
             grown = []
-            for r in frontier:
-                row = rows[r]
-                for g in gens:
-                    p = row[g]
-                    if not reached[p]:
-                        reached[p] = True
-                        grown.append(p)
-            frontier = grown
+            for frontier, by in steps:
+                for r in frontier:
+                    row = rows[r]
+                    for g in by:
+                        p = row[g]
+                        if p is None:
+                            return None
+                        if not reached[p]:
+                            reached[p] = True
+                            grown.append(p)
+            steps = [(grown, gens)] if grown else []
     return gens
 
 
@@ -373,6 +387,16 @@ class MatrixGroup:
     - ``SO``: grids preserving the diagonal metric of the signature, i.e.
       ``M^T eta M = eta`` within the backend comparison;
     - ``AFFINE``: affine maps with invertible linear part.
+
+    The stored elements are distinct under the backend comparison, so a
+    lookup (:meth:`index_of`) names one position per element.  An exact
+    store that is a group also has ``generators``, store indices without
+    the identity, from which right multiplication reaches every element,
+    and ``edges[i][k]``, the index of element ``i`` times generator ``k``:
+    kept by :meth:`close_over` from the products it forms, or found on
+    first use by :func:`_generating_set` for a store given as elements.
+    Both are ``None`` for a store that is not closed under products, and
+    on the float backend, where a product only lands near an element.
     """
 
     def __init__(
@@ -406,9 +430,16 @@ class MatrixGroup:
         self.store: Optional[tuple] = None
         self._index: Optional[PointIndex] = None
         if elements is not None:
-            self.store = tuple(self.element(p) for p in elements)
-            if not self.store:
+            store = tuple(self.element(p) for p in elements)
+            if not store:
                 raise BasiskitError("stored elements, when given, must not be empty")
+            index = self._empty_index()
+            for j, g in enumerate(store):
+                i = index.add(g)
+                if i < j:
+                    within = f" within the tolerance {backend.tolerance}" if backend.tolerance else ""
+                    raise BasiskitError(f"stored elements {i} and {j} are equal{within}")
+            self.store, self._index = store, index
 
     # -- family predicate ------------------------------------------------
 
@@ -469,16 +500,35 @@ class MatrixGroup:
 
     def index_of(self, g: GroupElement) -> Optional[int]:
         """Position of the first stored element equal to ``g``, or ``None``;
-        looked up in the point index of :meth:`close_over`, or in one built
-        over the stored list on first use."""
+        looked up in the point index built with the store."""
         self._own(g)
         if self.store is None:
             raise InfeasibleExhaustive("group has no stored elements to look up")
-        if self._index is None:
-            self._index = self._empty_index()
-            for h in self.store:
-                self._index.append(h)
         return self._index.find(g)
+
+    @property
+    def generators(self) -> Optional[tuple]:
+        return self._schreier[0]
+
+    @property
+    def edges(self) -> Optional[tuple]:
+        return self._schreier[1]
+
+    @cached_property
+    def _schreier(self) -> tuple:
+        """``(generators, edges)`` of a store given as elements (a closure
+        sets them itself): each product of a stored element and a
+        generator is looked up once, and the first one that is no element
+        leaves both ``None``."""
+        store = self.store
+        identity = None if store is None or not self.backend.is_exact else self.index_of(self.identity)
+        if identity is None:
+            return None, None
+        rows = [_StoreRow(self, a) for a in store]
+        gens = _generating_set(rows, identity)
+        if gens is None:
+            return None, None
+        return tuple(gens), tuple(tuple(row[g] for g in gens) for row in rows)
 
     def _empty_index(self) -> "PointIndex":
         """An empty point index of elements under this group's equality."""
@@ -549,16 +599,21 @@ class MatrixGroup:
         Breadth-first products until nothing new appears; raises
         :class:`EnumerationCapExceeded` rather than truncating when the
         closure grows past ``cap``, and, on the float backend, at the first
-        product with a non-finite entry.
+        product with a non-finite entry.  Elements are taken from the
+        frontier in store order, so the position each product lands on is
+        a row of ``edges``; over the rationals the distinct generators
+        other than the identity become ``generators``.
         """
         gens = [self.element(g) for g in generators]
         exact = self.backend.is_exact
         found = self._empty_index()
         found.add(self.identity)
         frontier = [self.identity]
+        edges = []
         while frontier:
             new_frontier = []
             for current in frontier:
+                row = []
                 for g in gens:
                     candidate = self.compose_elements(current, g)
                     if not exact and not all(map(math.isfinite, candidate.payload.flat)):
@@ -566,17 +621,39 @@ class MatrixGroup:
                             "closure left the float range: a product has a non-finite "
                             f"entry after {len(found.points)} elements"
                         )
-                    if not found.add(candidate):
+                    n = len(found.points)
+                    i = found.add(candidate)
+                    row.append(i)
+                    if i < n:
                         continue
-                    if len(found.points) > cap:
+                    if n >= cap:
                         raise EnumerationCapExceeded(
                             f"closure exceeded the cap of {cap} elements "
-                            f"({len(found.points) - 1} found, "
-                            f"frontier of {len(frontier)})"
+                            f"({n} found, frontier of {len(frontier)})"
                         )
                     new_frontier.append(candidate)
+                edges.append(row)
             frontier = new_frontier
         self.store, self._index = tuple(found.points), found
+        if exact:
+            # the identity's row holds the generators' positions; the
+            # identity (position 0) and repeats are dropped with their columns
+            positions = tuple(dict.fromkeys(i for i in edges[0] if i))
+            columns = [edges[0].index(i) for i in positions]
+            self._schreier = positions, tuple(tuple(row[k] for k in columns) for row in edges)
+
+
+class _StoreRow(dict):
+    """Row ``a`` of a store's product table: entry ``g`` is the position of
+    ``a`` times stored element ``g``, or ``None``, looked up on first read."""
+
+    def __init__(self, group: MatrixGroup, a: GroupElement):
+        self.group, self.a = group, a
+
+    def __missing__(self, g: int) -> Optional[int]:
+        group = self.group
+        self[g] = i = group.index_of(group.compose_elements(self.a, group.store[g]))
+        return i
 
 
 # Float points are filed in square cells this many tolerances wide.
@@ -612,19 +689,16 @@ class PointIndex:
         near, eq, points = self._near(self._key(point)), self._eq, self.points
         return min((i for i in near if eq(point, points[i])), default=None)
 
-    def add(self, point) -> bool:
-        """Append ``point`` unless an equal one is already in; True when it was new."""
+    def add(self, point) -> int:
+        """Position of a point equal to ``point``, appended when none is in
+        yet: the new position is the number of points before."""
         key, eq, points = self._key(point), self._eq, self.points
-        if any(eq(point, points[i]) for i in self._near(key)):
-            return False
+        found = next((i for i in self._near(key) if eq(point, points[i])), None)
+        if found is not None:
+            return found
         self._cells.setdefault(key, []).append(len(points))
         points.append(point)
-        return True
-
-    def append(self, point) -> None:
-        """Append ``point`` whether or not an equal one is already in."""
-        self._cells.setdefault(self._key(point), []).append(len(self.points))
-        self.points.append(point)
+        return len(points) - 1
 
     def _key(self, point) -> tuple:
         flat = self._entries(point)

@@ -137,8 +137,12 @@ def direct_sum_functor(*parts: TypeAFunctor) -> TypeAFunctor:
 def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     """Explicit grid per stored element, verified to respect the product.
 
-    The homomorphism property ``A(ab) = A(a) A(b)`` and ``A(e) = 1`` are
-    checked over all stored pairs before the functor is accepted.
+    ``A(e) = 1`` and the homomorphism property ``A(ab) = A(a) A(b)`` are
+    checked before the functor is accepted.  On a group with generators
+    and exact grids ``b`` runs over the generators, ``ab`` read off the
+    group's ``edges``: ``A(a b' s) = A(a b') A(s) = A(a) A(b') A(s) =
+    A(a) A(b' s)`` gives every pair by induction.  Float grids, and
+    stores that are not closed, are checked over all stored pairs.
     """
     elements = group.store
     if elements is None:
@@ -155,16 +159,21 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     identity_grid = _table_lookup(functor, group, group.identity)
     if not identity_grid.is_identity():
         raise BasiskitError("table functor does not send the identity to the identity")
-    for a in elements:
-        for b in elements:
-            left = _table_lookup(functor, group, compose(group, a, b))
-            right = _table_lookup(functor, group, a).mul(
-                _table_lookup(functor, group, b)
-            )
-            if not left.eq(right):
-                raise BasiskitError(
-                    f"table functor breaks the product at ({a!r}, {b!r})"
-                )
+    if group.generators is not None and all(grid.backend.is_exact for grid in grids):
+        pairs = (
+            (a, elements[s], grids[i], grids[s], grids[j])
+            for (i, a), row in zip(enumerate(elements), group.edges)
+            for s, j in zip(group.generators, row)
+        )
+    else:
+        pairs = (
+            (a, b, grids[i], grids[k], _table_lookup(functor, group, compose(group, a, b)))
+            for i, a in enumerate(elements)
+            for k, b in enumerate(elements)
+        )
+    for a, b, grid_a, grid_b, grid_ab in pairs:
+        if not grid_ab.eq(grid_a.mul(grid_b)):
+            raise BasiskitError(f"table functor breaks the product at ({a!r}, {b!r})")
     return functor
 
 

@@ -677,7 +677,7 @@ def _plan(
     on_grids: bool = False,
 ):
     """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store,
-    seconds, grids)``.
+    seconds, grids)``, ``seconds`` as positions in the store.
 
     Exhaustive needs the group's store.  A law on pairs of elements runs
     over the carrier's points too, at ``|G| |S| |X|``, unless ``grids``: two
@@ -686,8 +686,9 @@ def _plan(
     at ``|G| |S| n`` in dimension ``n``.  A law on single elements
     (``pairs=False``) leaves the carrier out, at ``|G|``.
 
-    ``seconds`` are the second factors ``S`` of the pairs.  On a finite
-    group over a carrier that compares exactly they are the group's
+    ``seconds`` are the second factors ``S`` of the pairs.  On a group
+    with generators (a finite group, or an exact matrix group whose store
+    is closed) over a carrier that compares exactly they are the group's
     generators: the side law and variance on the pairs ``(a, s)`` imply
     them on all pairs, by induction on the length of ``b`` as a word
     ``s1 s2 ... sk`` (``f(a b' s) = f(a b') f(s) = f(a) f(b') f(s) = f(a)
@@ -702,7 +703,7 @@ def _plan(
     on grids (``on_grids``) and the plan allows it.
     """
     group, carrier = rep.group, rep.carrier
-    elements = seconds = group.store
+    elements = group.store
     grids = (
         pairs
         and elements is not None
@@ -711,9 +712,8 @@ def _plan(
         and isinstance(rep.transformation(group.identity), LinearTransformation)
     )
     enumerable = elements is not None and (grids or not pairs or carrier.enumerable)
-    reduced = pairs and isinstance(group, FiniteGroup) and carrier.tolerance == 0
-    if reduced:
-        seconds = tuple(elements[s] for s in group.generators)
+    reduced = pairs and carrier.tolerance == 0 and group.generators is not None
+    seconds = group.generators if reduced else range(len(elements or ()))
     if sample not in ("auto", "exhaustive", "sampled"):
         raise BasiskitError(f"unknown sampling mode {sample!r}")
     if sample == "exhaustive" and not enumerable:
@@ -800,8 +800,8 @@ def check_axioms(
     again.  The side law is checked exhaustively when the group and
     carrier are enumerable and the work stays under the cap, otherwise
     over seeded samples.  The exhaustive sweep runs ``b`` over the second
-    factors of :func:`_plan`, the generators of a finite group on a
-    carrier that compares exactly (mode ``exhaustive(generators=k)``).
+    factors of :func:`_plan`, the generators of a group that has them on
+    a carrier that compares exactly (mode ``exhaustive(generators=k)``).
     The first failing triple in enumeration order is reported, which for
     the exhaustive sweep is the lexicographically smallest one, the
     generators taken in their order.
@@ -809,7 +809,7 @@ def check_axioms(
     Exact grids agree on every point iff they are equal, so an exact linear
     representation of a stored group is decided per pair on its grids, in
     mode ``exhaustive(grids)`` (``exhaustive(grids, generators=k)`` on a
-    finite group); the witness point is a Kronecker vector.
+    group with generators); the witness point is a Kronecker vector.
     """
     exhaustive, mode, elements, seconds, grids = _plan(rep, sample, samples, seed, on_grids=True)
     carrier = rep.carrier
@@ -827,23 +827,41 @@ def check_axioms(
         return (a, b, u), carrier.point_eq(lhs, rhs), _point_residual(carrier, lhs, rhs)
 
     if exhaustive and grids:
-        f, kronecker = rep.transformation, Matrix.identity(carrier.dim, carrier.backend).entries
-
-        def decided(a, b):
-            outer, inner = (a, b) if rep.side == "left" else (b, a)
-            if f(compose(rep.group, a, b)).grid == f(outer).after(f(inner)).grid:
-                return (a, b), True, None
-            # two different grids move some Kronecker vector differently
-            return next(o for o in (outcome(a, b, u) for u in kronecker) if not o[1])
-
-        pairs = itertools.starmap(decided, itertools.product(elements, seconds))
-        return _first_failure(mode, pairs, checked=1)
+        return _first_failure(mode, _grid_outcomes(rep, elements, seconds, outcome), checked=1)
     if exhaustive:
-        cases = itertools.product(elements, seconds, carrier.points())
+        cases = itertools.product(elements, [elements[j] for j in seconds], carrier.points())
     else:
         cases = _sampled_triples(rep, samples, seed)
     # the identity law is case 1
     return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
+
+
+def _grid_outcomes(rep, elements, seconds, outcome):
+    """The pairs ``(a, b)`` of an exact linear representation, decided on
+    grids: ``f(ab)`` against ``f(a)`` after ``f(b)`` on the left side,
+    ``f(b)`` after ``f(a)`` on the right.  Each element's grid is listed
+    once.  With ``b`` over the generators, ``f(ab)`` is the listed grid of
+    the element ``edges`` names; otherwise ``ab`` may lie outside the
+    store and ``f`` is evaluated on it.  Two different grids move some
+    Kronecker vector differently, and ``outcome`` names the first.
+    """
+    f, carrier = rep.transformation, rep.carrier
+    listed = [f(g).grid for g in elements]
+    # on an exact carrier the plan's second factors are the generators
+    # exactly when the group has them
+    edges = rep.group.edges
+    # ``x`` after ``y`` is the grid product ``x y`` in column layout, ``y x`` in row layout
+    swap = (rep.side == "left") != (carrier.layout == "column")
+    kronecker = Matrix.identity(carrier.dim, carrier.backend).entries
+    for i, a in enumerate(elements):
+        for k, j in enumerate(seconds):
+            b = elements[j]
+            ab = listed[edges[i][k]] if edges is not None else f(compose(rep.group, a, b)).grid
+            x, y = (listed[j], listed[i]) if swap else (listed[i], listed[j])
+            if ab == x.mul(y):
+                yield (a, b), True, None
+            else:
+                yield next(o for o in (outcome(a, b, u) for u in kronecker) if not o[1])
 
 
 def _table_axioms(rep, table, mode, seconds) -> Verdict:
@@ -859,7 +877,7 @@ def _table_axioms(rep, table, mode, seconds) -> Verdict:
         outer, inner = (a, b) if rep.side == "left" else (b, a)
         return table[mul[a][b]], _after(table[outer], table[inner])
 
-    swept = _sweep(len(table), [b.payload for b in seconds], compared)
+    swept = _sweep(len(table), seconds, compared)
     return _swept(mode, swept, rep.group.store, rep.carrier.points(), checked=1)
 
 
@@ -873,14 +891,14 @@ def check_variance(
 
     Runs the pairs ``(a, b)`` of :func:`_plan`: ``f(ab)`` against
     ``f(a) f(b)`` for a homomorphism, ``f(ba)`` against it for an
-    antihomomorphism.  With ``b`` over a finite group's generators the
+    antihomomorphism.  With ``b`` over a group's generators the
     second reads ``f(s a) = f(a) f(s)``, which decides the law by
     induction on ``b`` written as ``s b'``, the new letter on the left:
     ``f(s b' a) = f(b' a) f(s) = f(a) f(b') f(s) = f(a) f(s b')``.
     """
     exhaustive, mode, elements, seconds, _ = _plan(rep, sample, samples, seed)
     if exhaustive:
-        pairs = list(itertools.product(elements, seconds))
+        pairs = [(a, elements[j]) for a in elements for j in seconds]
     else:
         rng = Random(seed)
         pairs = [
@@ -937,6 +955,17 @@ def variance_claim_check(claim: Optional[str], vv: VarianceVerdict) -> Verdict:
     return Verdict(witness is None, vv.mode, vv.checked, witness, detail=detail)
 
 
+def _single_elements(rep: Representation, sample, samples: int, seed: int) -> tuple:
+    """``(mode, elements)`` of a law on single elements: the store when
+    :func:`_plan` runs it exhaustively, otherwise ``samples`` seeded
+    elements."""
+    exhaustive, mode, elements, _, _ = _plan(rep, sample, samples, seed, pairs=False)
+    if not exhaustive:
+        rng = Random(seed)
+        elements = [sample_group_element(rep.group, rng) for _ in range(samples)]
+    return mode, elements
+
+
 def inverse_law_check(
     rep: Representation,
     sample: str = "auto",
@@ -948,10 +977,7 @@ def inverse_law_check(
     A law of the group alone: exhaustive over a stored group, otherwise
     over ``samples`` seeded elements, whatever the carrier.
     """
-    exhaustive, mode, elements, _, _ = _plan(rep, sample, samples, seed, pairs=False)
-    if not exhaustive:
-        rng = Random(seed)
-        elements = [sample_group_element(rep.group, rng) for _ in range(samples)]
+    mode, elements = _single_elements(rep, sample, samples, seed)
 
     def outcome(g):
         expected = rep.transformation(rep.group.inverse_element(g))
@@ -1064,8 +1090,11 @@ def orbit(rep: Representation, base, cap: int = DEFAULT_CLOSURE_CAP) -> Orbit:
     else:
         images = ((rep.apply(g, base), g) for g in elements)
     index = PointIndex(carrier.point_eq, carrier.entries, carrier.tolerance)
-    witnesses = tuple((w, g) for w, g in images if index.add(w))
-    return Orbit(base, tuple(index.points), witnesses, index)
+    witnesses = []
+    for w, g in images:
+        if index.add(w) == len(witnesses):
+            witnesses.append((w, g))
+    return Orbit(base, tuple(index.points), tuple(witnesses), index)
 
 
 def _table_orbit(table: list, j: int) -> dict:

@@ -352,7 +352,7 @@ def test_coordinate_rep_check_reports_its_first_failure():
     assert a is group.store[1] and b is group.store[1]
     assert v == (1.9764279855179687, 0.7111185141854763)
     assert composition.residual_max == 2.220446049250313e-16
-    assert result.effectiveness == Verdict(True, "exhaustive-pairs(25)", 5, None, None)
+    assert result.effectiveness == Verdict(True, "exhaustive", 5, None, None)
 
 
 def test_coordinate_rep_check_inverts_each_element_once(monkeypatch):
@@ -458,15 +458,20 @@ CONJUGATED_GROUPS = {
 @pytest.mark.parametrize("seed", [1, 5, 42])
 @pytest.mark.parametrize("name", ["golden-gl3-order8", *CONJUGATED_GROUPS])
 def test_grid_decided_law_agrees_with_the_per_vector_oracle(name, seed):
+    # each store is closed, so the pairs run are (a, s) with s a generator
     group = golden_gl3_order8() if name == "golden-gl3-order8" else CONJUGATED_GROUPS[name]()
     result = coordinate_representation_check(group, seed=seed)
     assert result.passed
     composition = result.composition
-    assert engine_key(composition) == kronecker_oracle(coordinate_representation(group))
+    rep = coordinate_representation(group)
+    assert engine_key(composition) == kronecker_oracle(rep, generator_elements(group))
+    assert kronecker_oracle(rep)[0]
     # decided on grids, so the seed plays no part
     assert composition == coordinate_representation_check(group, seed=seed + 1).composition
-    assert composition.mode == result.effectiveness.mode == "exhaustive(grids)"
-    assert composition.checked == 1 + len(group.store) ** 2
+    k = len(group.generators)
+    assert composition.mode == f"exhaustive(grids, generators={k})"
+    assert composition.checked == 1 + len(group.store) * k
+    assert (result.effectiveness.mode, result.effectiveness.checked) == ("exhaustive", len(group.store))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -486,16 +491,78 @@ def test_grid_decided_law_agrees_with_the_oracle_when_sampled(seed):
 
 
 def test_exact_coordrep_above_the_work_cap_samples_triples(monkeypatch):
-    # 64 pairs on a three-dimensional carrier: 192 units of work on grids
+    # 8 elements * 3 generators on a three-dimensional carrier: 72 units of
+    # work on grids
     group = golden_gl3_order8()
-    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 192)
-    assert coordinate_representation_check(group).composition.mode == "exhaustive(grids)"
-    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 191)
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 72)
+    assert coordinate_representation_check(group).composition.mode == "exhaustive(grids, generators=3)"
+    monkeypatch.setattr(representations, "EXHAUSTIVE_WORK_CAP", 71)
     result = coordinate_representation_check(group, samples=7, seed=3)
     assert result.passed
     assert engine_key(result.composition) == (True, 8, None)
-    # effectiveness still runs over every stored element, in the same mode
-    assert (result.effectiveness.mode, result.effectiveness.checked) == ("sampled(k=7, seed=3)", 8)
+    # effectiveness is a law on single elements: 8 units, still exhaustive
+    assert (result.effectiveness.mode, result.effectiveness.checked) == ("exhaustive", 8)
+
+
+def stored_linear_rep(group, side, layout, planted=None):
+    """The stored grids of ``group`` acting on coordinates; ``planted``
+    maps a store position to the position whose grid it is given instead."""
+    carrier = CoordCarrier(group.dim, layout, EXACT)
+
+    def assign(g):
+        i = group.index_of(g)
+        grid = group.store[planted[i]].payload if planted and i in planted else g.payload
+        return LinearTransformation(carrier, grid)
+
+    return Representation(group, carrier, side, assign)
+
+
+def all_pairs_variance(rep):
+    """``check_variance``'s classification over every stored pair."""
+    f, store = rep.transformation, rep.group.store
+    homo = all(f(a * b).grid == f(a).grid.mul(f(b).grid) for a in store for b in store)
+    anti = all(f(b * a).grid == f(a).grid.mul(f(b).grid) for a in store for b in store)
+    return {(True, True): "both", (True, False): "covariant", (False, True): "contravariant"}.get(
+        (homo, anti), "neither"
+    )
+
+
+@pytest.mark.parametrize("planted", [None, 3], ids=["natural", "planted"])
+@pytest.mark.parametrize(
+    "side, layout", [("left", "column"), ("right", "row"), ("left", "row"), ("right", "column")]
+)
+@pytest.mark.parametrize("name", ["golden-gl3-order8", *CONJUGATED_GROUPS])
+def test_reduced_grid_law_on_a_closed_store_agrees_with_all_pairs(name, side, layout, planted):
+    # a closed exact store has generators, so the side law runs the pairs
+    # (a, s); it must fail exactly when some pair (a, b) fails, and name a
+    # triple that does
+    group = golden_gl3_order8() if name == "golden-gl3-order8" else CONJUGATED_GROUPS[name]()
+    rep = stored_linear_rep(group, side, layout, planted and {planted: planted + 1})
+    verdict = check_axioms(rep)
+    k = len(group.generators)
+    assert verdict.mode == f"exhaustive(grids, generators={k})"
+    assert engine_key(verdict) == kronecker_oracle(rep, generator_elements(group))
+    assert verdict.passed == kronecker_oracle(rep)[0]
+    if planted:
+        assert not verdict.passed
+    if not verdict.passed:
+        assert_confirmed(rep, verdict.counterexample)
+    variance = check_variance(rep)
+    assert (variance.mode, variance.checked) == (f"exhaustive(generators={k})", len(group.store) * k)
+    assert variance.verdict == all_pairs_variance(rep)
+
+
+def test_a_store_that_is_not_closed_keeps_every_pair():
+    group = MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]]])
+    assert group.generators is None
+    for side, layout in [("left", "column"), ("left", "row")]:
+        rep = stored_linear_rep(group, side, layout)
+        verdict = check_axioms(rep)
+        assert (verdict.mode, verdict.checked) == ("exhaustive(grids)", 1 + 4)
+        assert engine_key(verdict) == kronecker_oracle(rep)
+        assert check_variance(rep).mode == "exhaustive"
+    composition = coordinate_representation_check(group).composition
+    assert (composition.passed, composition.mode, composition.checked) == (True, "exhaustive(grids)", 5)
 
 
 def patch_inverse_of(monkeypatch, value):
@@ -523,7 +590,8 @@ def test_a_wrong_inverse_of_an_element_gives_the_oracle_witness(monkeypatch, ind
     composition = coordinate_representation_check(group, seed=seed).composition
     rep = coordinate_representation(group)
     assert not composition.passed
-    assert engine_key(composition) == kronecker_oracle(rep)
+    assert engine_key(composition) == kronecker_oracle(rep, generator_elements(group))
+    assert not kronecker_oracle(rep)[0]
     assert_confirmed(rep, composition.counterexample)
     if index:
         # the pairs before the first failure were decided on their grids

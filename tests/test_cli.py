@@ -586,6 +586,30 @@ def test_shift_of_a_store_that_is_not_closed_is_exit_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "group, positions",
+    [
+        # equal within the tolerance: no lookup could tell them apart
+        ({"kind": "matrix", "family": "SO", "dim": 2,
+          "elements": [[1, 0, 0, 1], [1, 1e-12, -1e-12, 1]]}, (0, 1)),
+        # the identity listed twice
+        ({"kind": "matrix", "family": "GL", "dim": 2,
+          "elements": [[1, 0, 0, 1], [0, -1, 1, 0], ["2/2", 0, 0, 1]]}, (0, 2)),
+    ],
+    ids=["float", "exact"],
+)
+def test_a_store_with_equal_elements_is_exit_2_naming_both(tmp_path, capsys, group, positions):
+    path = write(tmp_path, "shift.json", self_shift(group))
+    code = main(["repcheck", "--input", path, "--report", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: matrix group: stored elements %d and %d are equal" % positions
+    )
+    assert captured.err.count("\n") == 1
+
+
 def test_shift_of_a_float_closure_passes(tmp_path, capsys):
     # the images are looked up among the stored rotations, within the
     # tolerance, and every fact is the one the element-by-element

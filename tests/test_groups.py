@@ -1,13 +1,16 @@
 """Multiplication tables, matrix families, and the affine composition rule."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from basiskit.descriptors import group_from_descriptor
 from basiskit.errors import (
     BasiskitError,
     CayleyTableError,
@@ -20,6 +23,7 @@ from basiskit.groups import (
     DEFAULT_CLOSURE_CAP,
     AffineTransform,
     GroupElement,
+    PointIndex,
     _generating_set,
     MatrixGroup,
     affine_apply,
@@ -713,11 +717,12 @@ def test_index_of_a_finite_group_element_is_its_payload():
 
 
 def test_index_of_an_exact_store_is_the_first_equal_element():
-    grids = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[F(2, 2), 0], [0, 1]], [[-1, 0], [0, -1]]]
+    grids = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]]]
     group = MatrixGroup.general_linear(2, EXACT, elements=grids)
-    assert [group.index_of(g) for g in group.store] == [0, 1, 0, 3]
+    assert [group.index_of(g) for g in group.store] == [0, 1, 2]
+    assert group.index_of(group.element([[F(2, 2), 0], [0, 1]])) == 0
     turn = group.store[1]
-    assert group.index_of(turn * turn) == 3 == scan_index(group, turn * turn)
+    assert group.index_of(turn * turn) == 2 == scan_index(group, turn * turn)
     assert group.index_of(group.element([[0, 1], [1, 0]])) is None
     with pytest.raises(MixedGroups):
         group.index_of(MatrixGroup.general_linear(2, EXACT, elements=grids).store[0])
@@ -746,7 +751,15 @@ def test_index_of_a_float_store_matches_the_scan(tol):
         rows = [[x + rng.uniform(-1.5, 1.5) * tol for x in row] for row in m.entries]
         return Matrix.from_rows(rows, backend)
 
-    group = MatrixGroup.general_linear(2, backend, elements=[jitter(rng.choice(turns)) for _ in range(30)])
+    # a store holds no two elements within the tolerance, but a query can
+    # lie within it of two stored elements
+    probe = MatrixGroup.general_linear(2, backend)
+    stored = []
+    for _ in range(30):
+        m = jitter(rng.choice(turns))
+        if not any(probe.payload_eq(m, s) for s in stored):
+            stored.append(m)
+    group = MatrixGroup.general_linear(2, backend, elements=stored)
     queries = [group.element(jitter(rng.choice(turns))) for _ in range(200)]
     found = [group.index_of(g) for g in queries]
     assert found == [scan_index(group, g) for g in queries]
@@ -820,3 +833,153 @@ def test_a_float_special_linear_sample_keeps_its_membership_test(monkeypatch):
     drawn = [sampling.sample_group_element(sl2, rng) for _ in range(4)]
     assert len(tested) == 4
     assert all(abs(g.payload.det() - 1.0) <= 1e-9 for g in drawn)
+
+
+# -- generators and edges of stored groups ---------------------------------------------
+
+
+def golden_group(name):
+    path = Path(__file__).parent / "golden" / "exact" / name
+    return group_from_descriptor(json.loads(path.read_text(encoding="utf-8")))
+
+
+def signed_permutation_matrices(n):
+    return [
+        Matrix.from_rows([[signs[i] if j == p[i] else 0 for j in range(n)] for i in range(n)], EXACT)
+        for p in itertools.permutations(range(n))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+
+
+QUARTER = [[0, -1], [1, 0]]
+FLIP = [[1, 0], [0, -1]]
+B3_GENERATORS = [
+    permutation_matrix((1, 2, 0)),
+    permutation_matrix((1, 0, 2)),
+    Matrix.diagonal((-1, 1, 1), EXACT),
+]
+
+
+def closed_over(group, generators):
+    group.close_over(generators)
+    return group
+
+
+def shuffled(grids, seed):
+    grids = list(grids)
+    Random(seed).shuffle(grids)
+    return grids
+
+
+EXACT_CLOSED_STORES = {
+    # closures: an identity and a repeat among the generators are dropped
+    "gl2-closure": lambda: closed_over(
+        MatrixGroup.general_linear(2), [QUARTER, [[1, 0], [0, 1]], QUARTER, FLIP]
+    ),
+    "b3-closure": lambda: closed_over(MatrixGroup.general_linear(3), B3_GENERATORS),
+    "sl3-golden-closure": lambda: golden_group("sl3_generated_group.json"),
+    "affine-closure": lambda: closed_over(
+        MatrixGroup.affine(2),
+        [AffineTransform(Matrix.from_rows(QUARTER, EXACT), (F(1), F(0)))],
+    ),
+    # stores given as elements
+    "gl3-order8-golden": lambda: golden_group("gl3_order8_group.json"),
+    "b3-shuffled": lambda: MatrixGroup.general_linear(
+        3, elements=shuffled(signed_permutation_matrices(3), 7)
+    ),
+    "s3-permutation-matrices": lambda: MatrixGroup.general_linear(
+        3, elements=[permutation_matrix(p) for p in itertools.permutations(range(3))]
+    ),
+    "trivial": lambda: MatrixGroup.special_linear(2, elements=[[[1, 0], [0, 1]]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CLOSED_STORES))
+def test_edges_of_a_closed_exact_store_agree_with_compose_elements(name):
+    group = EXACT_CLOSED_STORES[name]()
+    store, gens, edges = group.store, group.generators, group.edges
+    e = group.index_of(group.identity)
+    assert e not in gens and len(set(gens)) == len(gens)
+    assert len(edges) == len(store) and all(len(row) == len(gens) for row in edges)
+    for i, row in enumerate(edges):
+        for s, j in zip(gens, row):
+            assert store[j].payload == compose(group, store[i], store[s]).payload
+    # right multiplication by the generators reaches every element from e
+    reached, frontier = {e}, [e]
+    while frontier:
+        frontier = [j for x in frontier for j in edges[x] if j not in reached]
+        reached.update(frontier)
+    assert reached == set(range(len(store)))
+
+
+def test_a_closure_keeps_its_distinct_generators_in_order(monkeypatch):
+    group = EXACT_CLOSED_STORES["gl2-closure"]()
+    assert len(group.store) == 8
+    assert [group.store[s].payload for s in group.generators] == [
+        Matrix.from_rows(QUARTER, EXACT),
+        Matrix.from_rows(FLIP, EXACT),
+    ]
+    b3 = EXACT_CLOSED_STORES["b3-closure"]()
+    assert [b3.store[s].payload for s in b3.generators] == B3_GENERATORS
+    # the closure forms no product beyond those it always formed: one per
+    # element and generator given
+    products = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(1) or mul(self, other))
+    group = closed_over(MatrixGroup.general_linear(2), [QUARTER, QUARTER, FLIP])
+    assert len(products) == 8 * 3
+    assert len(group.generators) == 2
+
+
+def test_finite_group_edges_read_the_table_at_the_generators():
+    for group in (symmetric_group(4), quaternion_group(), cyclic_group(6)):
+        assert group.edges == tuple(
+            tuple(group.table[i][s] for s in group.generators) for i in range(group.order)
+        )
+
+
+def test_stores_that_are_not_closed_or_not_exact_have_no_generators():
+    stores = [
+        MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]]]),
+        # closed under products but without the identity: -I squared is I
+        MatrixGroup.general_linear(2, elements=[[[-1, 0], [0, -1]]]),
+        MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], QUARTER]),
+        MatrixGroup.general_linear(2),
+        closed_over(MatrixGroup.metric_preserving(2, 0), [rotation_2d(math.pi / 3)]),
+        MatrixGroup.metric_preserving(
+            2, 0, elements=[rotation_2d(k * math.pi / 2) for k in range(4)]
+        ),
+    ]
+    for group in stores:
+        assert (group.generators, group.edges) == (None, None)
+
+
+def test_a_store_that_is_not_closed_stops_at_its_first_missing_product(monkeypatch):
+    looked_up = []
+    index_of = MatrixGroup.index_of
+    monkeypatch.setattr(
+        MatrixGroup, "index_of", lambda self, g: looked_up.append(g) or index_of(self, g)
+    )
+    group = MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]], FLIP])
+    assert group.generators is None
+    # the identity, then e * g and g * g for g = diag(2, 1), which is no element
+    assert len(looked_up) == 3
+    assert looked_up[-1].payload == Matrix.diagonal((4, 1), EXACT)
+
+
+def test_a_store_with_equal_elements_is_rejected_with_both_positions():
+    identity_twice = [[[1, 0], [0, 1]], QUARTER, [[F(2, 2), 0], [0, 1]]]
+    with pytest.raises(BasiskitError, match=r"^stored elements 0 and 2 are equal$"):
+        MatrixGroup.general_linear(2, elements=identity_twice)
+    near = [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1e-12], [-1e-12, 1.0]]]
+    with pytest.raises(BasiskitError, match=r"^stored elements 0 and 1 are equal within the tolerance"):
+        MatrixGroup.metric_preserving(2, 0, elements=near)
+    # one tolerance and a half apart they are two elements
+    apart = [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.5e-9], [0.0, 1.0]]]
+    assert len(MatrixGroup.general_linear(2, approx(1e-9), elements=apart).store) == 2
+
+
+def test_point_index_add_returns_the_position_found_or_appended():
+    index = PointIndex(lambda p, q: abs(p[0] - q[0]) <= 0.1, lambda p: p, 0.1)
+    assert [index.add(p) for p in [(0.0,), (1.0,), (0.05,), (2.0,), (0.95,)]] == [0, 1, 0, 2, 1]
+    assert index.points == [(0.0,), (1.0,), (2.0,)]

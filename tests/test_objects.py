@@ -205,19 +205,64 @@ def test_table_functor_on_b3_names_the_pair_a_wrong_grid_breaks():
     b3 = MatrixGroup.general_linear(3, EXACT, elements=grids)
     assert table_functor(b3, grids).table == tuple(grids)
     wrong = list(grids)
-    wrong[5], wrong[6] = grids[6], grids[5]
+    wrong[20], wrong[21] = grids[21], grids[20]
 
     def scanned(g):
         return wrong[next(i for i, h in enumerate(b3.store) if g.eq_to(h))]
 
+    # the store is closed and the grids exact, so the pairs run are (a, s)
+    # with s a generator, in store order, each s in the order of the generators
     a, b = next(
         (a, b)
         for a in b3.store
-        for b in b3.store
+        for b in (b3.store[s] for s in b3.generators)
         if not scanned(a * b).eq(scanned(a).mul(scanned(b)))
     )
+    # the named pair breaks the product, evaluated on the matrices directly;
+    # every pair would first fail at (store[2], store[20])
+    x, y = a.payload, b.payload
+    assert wrong[grids.index(x.mul(y))] != wrong[grids.index(x)].mul(wrong[grids.index(y)])
+    assert (b3.index_of(a), b3.index_of(b)) == (4, 16)
     with pytest.raises(BasiskitError, match=re.escape(f"breaks the product at ({a!r}, {b!r})")):
         table_functor(b3, wrong)
+
+
+def test_table_functor_on_a_closed_exact_store_runs_the_generator_pairs(monkeypatch):
+    grids = signed_permutation_grids(3)
+    b3 = MatrixGroup.general_linear(3, EXACT, elements=grids)
+    products = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(1) or mul(self, other))
+    table_functor(b3, grids)
+    # |G| |S| products to find the edges, as many to check them; all pairs are 48 * 48
+    assert len(products) == 2 * 48 * len(b3.generators) < 48 * 48
+
+
+def test_table_functor_with_float_grids_runs_every_pair():
+    # a float grid product only lands near a grid, so nothing is induced
+    grids = signed_permutation_grids(3)
+    b3 = MatrixGroup.general_linear(3, EXACT, elements=grids)
+    floats = [Matrix.from_rows(g.rows_as_lists(), APPROX) for g in grids]
+    assert table_functor(b3, floats).table == tuple(floats)
+    wrong = list(floats)
+    wrong[20], wrong[21] = floats[21], floats[20]
+    a, b = next(
+        (a, b)
+        for i, a in enumerate(b3.store)
+        for j, b in enumerate(b3.store)
+        if not wrong[b3.index_of(a * b)].eq(wrong[i].mul(wrong[j]))
+    )
+    # the generator pairs would first fail at (store[4], store[16])
+    assert (b3.index_of(a), b3.index_of(b)) == (2, 20)
+    with pytest.raises(BasiskitError, match=re.escape(f"breaks the product at ({a!r}, {b!r})")):
+        table_functor(b3, wrong)
+
+
+def test_table_functor_on_a_store_that_is_not_closed_names_the_missing_product():
+    grids = [Matrix.identity(2, EXACT), Matrix.from_rows([[2, 0], [0, 1]], EXACT)]
+    group = MatrixGroup.general_linear(2, EXACT, elements=grids)
+    with pytest.raises(BasiskitError, match="is not in the stored enumeration"):
+        table_functor(group, grids)
 
 
 # -- objects ---------------------------------------------------------------------

@@ -28,6 +28,7 @@ from basiskit.groups import (
     PointIndex,
     cyclic_group,
     dihedral_group,
+    permutation_matrix,
     quaternion_group,
     rotation_2d,
     symmetric_group,
@@ -1090,6 +1091,44 @@ def test_reduced_variance_agrees_with_all_pairs(compiled_and_generic):
         assert not transformations_equal(f(s * a), compose_transformations(f(a), f(s)))
 
 
+def exact_closed_matrix_stores():
+    quarter, flip = [[0, -1], [1, 0]], [[1, 0], [0, -1]]
+    d4 = MatrixGroup.general_linear(2)
+    d4.close_over([quarter, flip])
+    perms = sorted(itertools.permutations(range(3)))
+    s3 = MatrixGroup.general_linear(3, elements=[permutation_matrix(p) for p in perms])
+    return {"d4-closure": d4, "s3-stored": s3}
+
+
+@pytest.mark.parametrize("name", ["d4-closure", "s3-stored"])
+@pytest.mark.parametrize("shift, side", [(left_shift, "left"), (right_shift, "right"),
+                                         (left_shift, "right"), (right_shift, "left")])
+def test_reduced_laws_of_an_exact_matrix_store_agree_with_all_pairs(name, shift, side):
+    # a closed exact store has generators too; its shifts, and the shifts
+    # put on the wrong side, are decided on the pairs (a, s)
+    group = exact_closed_matrix_stores()[name]
+    gens = generator_elements(group)
+    proper = shift(group)
+    rep = Representation(group, proper.carrier, side, proper.transformation)
+    verdict = check_axioms(rep)
+    assert verdict.mode == f"exhaustive(generators={len(gens)})"
+    assert verdict.passed == (side_law_oracle(rep, group.store)[0] is None)
+    witness, cases = side_law_oracle(rep, gens)
+    assert (verdict.counterexample, verdict.checked) == (witness, 1 + cases)
+    if witness is not None:
+        a, s, u = witness
+        assert group.index_of(s) in group.generators
+        assert not side_law_holds(rep, a, s, u)
+    variance = check_variance(rep)
+    assert (variance.mode, variance.checked) == (
+        f"exhaustive(generators={len(gens)})", len(group.store) * len(gens)
+    )
+    assert variance_oracle(rep, gens) == variance_oracle(rep, group.store)
+    names = {(True, True): "both", (True, False): "covariant",
+             (False, True): "contravariant", (False, False): "neither"}
+    assert variance.verdict == names[variance_oracle(rep, group.store)]
+
+
 def coset_twisted_action(group, dropped):
     """A left action of ``group`` that is a homomorphism on the pairs
     ``(a, t)`` for every generator ``t`` except ``generators[dropped]``,
@@ -1244,13 +1283,18 @@ def test_table_shifts_commute_matches_generic(table):
 
 def shear_orbit(base, shifts, tolerance):
     """The carrier and the orbit of a column point under the stored shears
-    ``[[1, s], [0, 1]]``: the point ``(x, 1)`` goes to ``(x + s, 1)``."""
+    ``[[1, s, 0], [0, 1, 0], [0, 0, k]]``: the point ``(x, 1, 0)`` goes to
+    ``(x + s, 1, 0)``.  Each shear has its own ``k``, so the stored
+    elements stay distinct however close their shifts are."""
     backend = approx(tolerance)
-    elements = [[[1.0, s], [0.0, 1.0]] for s in (0.0, *shifts)]
-    group = MatrixGroup.general_linear(2, backend, elements=elements)
-    carrier = CoordCarrier(2, "column", backend)
+    elements = [
+        [[1.0, s, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, float(k)]]
+        for k, s in enumerate((0.0, *shifts), start=1)
+    ]
+    group = MatrixGroup.general_linear(3, backend, elements=elements)
+    carrier = CoordCarrier(3, "column", backend)
     rep = Representation(group, carrier, "left", lambda g: LinearTransformation(carrier, g.payload))
-    return carrier, orbit(rep, (base, 1.0))
+    return carrier, orbit(rep, (base, 1.0, 0.0))
 
 
 def test_orbit_dedupes_equal_points_in_adjacent_cells():
@@ -1260,7 +1304,7 @@ def test_orbit_dedupes_equal_points_in_adjacent_cells():
     assert math.floor(x / 4e-9) + 1 == math.floor((x + s) / 4e-9)
     carrier, o = shear_orbit(x, [s], 1e-9)
     assert len(o.points) == 1
-    assert o.witness_for(carrier, (x + s, 1.0)) == o.witnesses[0][1]
+    assert o.witness_for(carrier, (x + s, 1.0, 0.0)) == o.witnesses[0][1]
     assert len(shear_orbit(x, [3 * s], 1e-9)[1].points) == 2
 
 
@@ -1272,9 +1316,9 @@ def test_orbit_lookup_returns_the_first_equal_point():
     assert len(o.points) == 2
     (p, first), (q, second) = o.witnesses
     assert math.floor(p[0] / 4e-9) == math.floor(q[0] / 4e-9) + 1
-    assert o.witness_for(carrier, (x - 0.75e-9, 1.0)) is first
-    assert o.witness_for(carrier, (x - 1.6e-9, 1.0)) is second
-    assert not o.contains(carrier, (x - 2.6e-9, 1.0))
+    assert o.witness_for(carrier, (x - 0.75e-9, 1.0, 0.0)) is first
+    assert o.witness_for(carrier, (x - 1.6e-9, 1.0, 0.0)) is second
+    assert not o.contains(carrier, (x - 2.6e-9, 1.0, 0.0))
 
 
 def test_orbit_cells_past_the_rounding_limit_are_exact():
