@@ -57,8 +57,7 @@ from .objects import (
 from .reports import RunReport
 from .representations import (
     Verdict,
-    check_axioms,
-    check_variance,
+    check_laws,
     classify,
     inverse_law_check,
     orbit,
@@ -158,9 +157,9 @@ def _cmd_repcheck(args) -> int:
     )
     report = RunReport("repcheck")
     plan = (args.sample, args.samples, args.seed)
-    report.add_verdict("axioms", check_axioms(rep, *plan))
+    axioms, variance = check_laws(rep, *plan)
+    report.add_verdict("axioms", axioms)
     report.add_verdict("inverse-law", inverse_law_check(rep, *plan))
-    variance = check_variance(rep, *plan)
     report.add_verdict("variance", variance_claim_check(rep.variance_claim, variance))
     try:
         summary = classify(rep)
@@ -424,8 +423,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if getattr(args, "samples", 1) < 1:
-            raise ParseError(f"--samples must be at least 1, got {args.samples}")
+        for name in ("samples", "cap"):
+            if getattr(args, name, 1) < 1:
+                raise ParseError(f"--{name} must be at least 1, got {getattr(args, name)}")
         tolerance = getattr(args, "tolerance", 1e-9)
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ParseError(

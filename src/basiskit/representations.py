@@ -7,11 +7,12 @@ throughout:
 - left side:  ``f(ab) u = f(a)(f(b) u)``
 - right side: ``u f(ab) = (u f(a)) f(b)``
 
-Variance is a separate question and is classified by
-:func:`check_variance`: a covariant assignment is a homomorphism, a
-contravariant one an antihomomorphism.  Point mappings are classified
-against map composition; matrix-valued assignments against the grid
-product, which reproduces the classical row/column vector conventions.
+Variance is a separate question: a covariant assignment is a
+homomorphism, a contravariant one an antihomomorphism.  Point mappings
+are classified against map composition; matrix-valued assignments
+against the grid product, which reproduces the classical row/column
+vector conventions.  Both laws are about the same pairs of elements, and
+:func:`check_laws` decides them in one pass over those pairs.
 
 How the checks run: :func:`_plan` picks exhaustive or sampled, and a law
 check is a stream of cases plus an ``outcome`` that returns ``(witness,
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
@@ -80,6 +82,7 @@ __all__ = [
     "OrbitPartitionReport",
     "SameSideWitness",
     "apply",
+    "check_laws",
     "check_axioms",
     "check_variance",
     "variance_claim_check",
@@ -603,7 +606,7 @@ class VarianceVerdict:
 @dataclass(frozen=True)
 class ClassificationReport:
     """The structure of a representation; the laws are checked apart, by
-    :func:`check_axioms` and :func:`check_variance`."""
+    :func:`check_laws`."""
 
     kernel: tuple
     effective: bool
@@ -668,15 +671,8 @@ class SameSideWitness:
 # -- checks ------------------------------------------------------------------
 
 
-def _plan(
-    rep: Representation,
-    sample,
-    samples: int,
-    seed: int,
-    pairs: bool = True,
-    on_grids: bool = False,
-):
-    """Decide exhaustive vs sampled; returns ``(exhaustive, mode, store,
+def _plan(rep: Representation, sample, samples: int, seed: int, pairs: bool = True):
+    """Decide exhaustive vs sampled; returns ``(exhaustive, modes, store,
     seconds, grids)``, ``seconds`` as positions in the store.
 
     Exhaustive needs the group's store.  A law on pairs of elements runs
@@ -693,14 +689,15 @@ def _plan(
     them on all pairs, by induction on the length of ``b`` as a word
     ``s1 s2 ... sk`` (``f(a b' s) = f(a b') f(s) = f(a) f(b') f(s) = f(a)
     f(b' s)``, the factors of each composite swapped on the right side;
-    an antihomomorphism is argued in :func:`check_variance`), so every
+    an antihomomorphism is argued in :func:`check_laws`), so every
     failure is a real counterexample.
     Rounding error grows with the word length, so float carriers run all
     pairs, ``S = G``, as do groups without generators.
 
-    The exhaustive mode notes ``generators=k`` when the second factors
-    are ``k`` generators, and ``grids`` when the caller decides the pairs
-    on grids (``on_grids``) and the plan allows it.
+    ``modes`` names the plan twice: for a law decided on grids where the
+    plan allows it, and for any other law.  The exhaustive mode notes
+    ``grids`` in the first, and ``generators=k`` in both when the second
+    factors are ``k`` generators.
     """
     group, carrier = rep.group, rep.carrier
     elements = group.store
@@ -723,14 +720,14 @@ def _plan(
         cost = n * len(seconds) * (carrier.dim if grids else carrier.size) if pairs else n
         sample = "exhaustive" if cost <= EXHAUSTIVE_WORK_CAP else "sampled"
     if sample == "exhaustive":
-        notes = []
-        if grids and on_grids:
-            notes.append("grids")
-        if reduced:
-            notes.append(f"generators={len(seconds)}")
-        mode = f"exhaustive({', '.join(notes)})" if notes else "exhaustive"
-        return True, mode, elements, seconds, grids
-    return False, f"sampled(k={samples}, seed={seed})", elements, seconds, grids
+        notes = [f"generators={len(seconds)}"] if reduced else []
+        modes = tuple(
+            f"exhaustive({', '.join(n)})" if n else "exhaustive"
+            for n in ((["grids"] if grids else []) + notes, notes)
+        )
+        return True, modes, elements, seconds, grids
+    mode = f"sampled(k={samples}, seed={seed})"
+    return False, (mode, mode), elements, seconds, grids
 
 
 def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
@@ -747,23 +744,6 @@ def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
         if not holds:
             return Verdict(False, mode, checked, witness, residual)
     return Verdict(True, mode, checked, None, residual)
-
-
-def _sampled_triples(rep: Representation, samples: int, seed: int):
-    """``samples`` seeded triples ``(a, b, u)``, drawn in that order."""
-    rng = Random(seed)
-    for _ in range(samples):
-        a = sample_group_element(rep.group, rng)
-        b = sample_group_element(rep.group, rng)
-        yield a, b, rep.carrier.sample(rng)
-
-
-def _swept(mode: str, swept: tuple, elements, points, checked: int = 0) -> Verdict:
-    """The verdict of a row sweep ``swept = (count, failure)``, counted from
-    ``checked``: the failure ``(a, b, j)`` is read as two elements and a point."""
-    count, failure = swept
-    witness = failure and (elements[failure[0]], elements[failure[1]], points[failure[2]])
-    return Verdict(failure is None, mode, checked + count, witness)
 
 
 def _worst(r: Optional[float], s: Optional[float]) -> Optional[float]:
@@ -787,98 +767,155 @@ def _point_residual(carrier, x, y) -> Optional[float]:
     return None
 
 
+def check_laws(
+    rep: Representation,
+    sample: str = "auto",
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    side: bool = True,
+    variance: bool = True,
+) -> tuple:
+    """The side law and the variance of ``rep`` from one pass over the
+    pairs of :func:`_plan`: ``(axioms, classification)``, a :class:`Verdict`
+    and a :class:`VarianceVerdict`, ``None`` for a law not asked for.
+
+    The side law runs on triples ``(a, b, u)``, its case 1 the identity law,
+    which :class:`Representation` refuses to build without.  Variance tells
+    a homomorphism, ``f(ab) = f(a) f(b)``, from an antihomomorphism, ``f(ba)
+    = f(a) f(b)``.  With ``b`` over a group's generators the second reads
+    ``f(s a) = f(a) f(s)``, which decides the law by induction on ``b``
+    written as ``s b'``: ``f(s b' a) = f(b' a) f(s) = f(a) f(b') f(s) =
+    f(a) f(s b')``.  Exhaustively, each pair ``(a, s)`` forms ``f(a) f(s)``
+    once (:func:`_pair_outcomes`) and the side law names the first failing
+    triple in enumeration order; an exact linear representation is decided
+    on its grids (mode ``exhaustive(grids)``), its witness point a Kronecker
+    vector.  Otherwise ``samples`` seeded triples run, variance on the pair
+    of each (:func:`_triple_outcomes`).  The side law counts cases from 1 up
+    to its first failure, variance the pairs it runs until both halves have
+    failed, and the pass stops when neither has anything left to decide.
+    """
+    exhaustive, modes, elements, seconds, grids = _plan(rep, sample, samples, seed)
+    # the side law and the two halves of variance, while undecided; the
+    # outcomes evaluate only these
+    undecided = [side, variance, variance]
+    if exhaustive:
+        outcomes = _pair_outcomes(rep, undecided, elements, seconds, grids)
+    else:
+        outcomes = _triple_outcomes(rep, undecided, samples, seed)
+    checked, residual, failure, pairs, witnesses = 1, None, None, 0, [None, None]
+    for pair, (count, point, r), (homo, anti) in outcomes:
+        side_open, homo_open, anti_open = undecided
+        if side_open:
+            checked, residual = checked + count, _worst(residual, r)
+            if point is not None:
+                failure, undecided[0] = (*pair, point), False
+        if homo_open or anti_open:
+            pairs += 1
+            if homo_open and not homo:
+                witnesses[0], undecided[1] = pair, False
+            if anti_open and not anti:
+                witnesses[1], undecided[2] = pair, False
+        if not any(undecided):
+            break
+    axioms = Verdict(failure is None, modes[0], checked, failure, residual) if side else None
+    homo, anti = witnesses
+    kinds = {(True, True): "both", (True, False): "covariant", (False, True): "contravariant"}
+    kind = kinds.get((homo is None, anti is None), "neither")
+    return axioms, VarianceVerdict(kind, modes[1], homo, anti, pairs) if variance else None
+
+
+def _pair_outcomes(rep, undecided, elements, seconds, grids):
+    """The pairs ``(a, s)`` of an exhaustive plan, in order, as ``((a, s),
+    (cases, witness point or None, None), (homomorphism, antihomomorphism))``,
+    leaving out the laws no longer ``undecided``.
+
+    ``f(g)`` is listed once per element: as an integer row for mappings, a
+    grid on the grid plan, a transformation otherwise.  ``f(a s)`` and ``f(s
+    a)`` are read off the Cayley table, ``f(a s)`` off ``edges`` when ``s``
+    runs over generators, or evaluated.  The side law compares ``f(a s)``
+    with ``f(a)`` after ``f(s)`` on the left, ``f(s)`` after ``f(a)`` on the
+    right: the product ``f(a) f(s)`` of variance for mappings and column
+    grids on the left and for row grids on the right, the product in the
+    other order otherwise.  Only a failing pair looks for its witness, the
+    first carrier point or Kronecker vector moved wrongly.
+    """
+    group, carrier, f = rep.group, rep.carrier, rep.transformation
+    maps = [f(g) for g in elements]
+    if grids:
+        values, value = [t.grid for t in maps], lambda g: f(g).grid
+        mul, eq = Matrix.mul, operator.eq
+    elif all(isinstance(t, MappingTransformation) for t in maps):
+        values, value = [t.row for t in maps], lambda g: f(g).row
+        mul, eq = _after, operator.eq
+    else:
+        values, value = maps, f
+        mul, eq = _variance_product, transformations_equal
+    probes = Matrix.identity(carrier.dim, carrier.backend).entries if grids else carrier.points()
+    table = group.table if isinstance(group, FiniteGroup) else None
+    # the plan's second factors are the generators exactly when it reduced
+    edges = group.edges if table is None and seconds == group.generators else None
+    shared = (rep.side == "left") != (grids and carrier.layout == "row")
+    # the grid plan counts one case a pair, the others one a point
+    holds = (1 if grids else len(probes), None, None)
+    for i, a in enumerate(elements):
+        x = values[i]
+        for k, j in enumerate(seconds):
+            s, y = elements[j], values[j]
+            side_open, homo_open, anti_open = undecided
+            product = mul(x, y) if homo_open or anti_open or shared else None
+            if table is not None:
+                fas, fsa = values[table[i][j]], values[table[j][i]]
+            else:
+                fas = (side_open or homo_open) and (
+                    values[edges[i][k]] if edges else value(compose(group, a, s))
+                )
+                fsa = anti_open and value(compose(group, s, a))
+            homo = (homo_open or shared and side_open) and eq(fas, product)
+            side = holds
+            if side_open and not (homo if shared else eq(fas, mul(y, x))):
+                fab = f(compose(group, a, s))
+                moved = (n for n, u in enumerate(probes, 1) if not _side_case(rep, a, s, u, fab)[0])
+                n = next(moved)
+                side = (1 if grids else n, probes[n - 1], None)
+            yield (a, s), side, (homo, anti_open and eq(fsa, product))
+
+
+def _side_case(rep, a, b, u, fab) -> tuple:
+    """``(holds, residual)`` of the side law at ``(a, b, u)``, ``fab`` being ``f(ab)``."""
+    outer, inner = (a, b) if rep.side == "left" else (b, a)
+    lhs, rhs = fab.apply(u), rep.apply(outer, rep.apply(inner, u))
+    return rep.carrier.point_eq(lhs, rhs), _point_residual(rep.carrier, lhs, rhs)
+
+
+def _triple_outcomes(rep, undecided, samples: int, seed: int):
+    """``samples`` seeded triples ``(a, b, u)``, drawn in that order, as in
+    :func:`_pair_outcomes`: the side law at ``u``, with its residual, and
+    variance on ``(a, b)``, both reading the one ``f(ab)``."""
+    group, f = rep.group, rep.transformation
+    rng = Random(seed)
+    for _ in range(samples):
+        a, b = sample_group_element(group, rng), sample_group_element(group, rng)
+        u = rep.carrier.sample(rng)
+        side_open, homo_open, anti_open = undecided
+        fab = (side_open or homo_open) and f(compose(group, a, b))
+        side = (1, None, None)
+        if side_open:
+            holds, residual = _side_case(rep, a, b, u, fab)
+            side = (1, None if holds else u, residual)
+        product = (homo_open or anti_open) and _variance_product(f(a), f(b))
+        homo = homo_open and transformations_equal(fab, product)
+        anti = anti_open and transformations_equal(f(compose(group, b, a)), product)
+        yield (a, b), side, (homo, anti)
+
+
 def check_axioms(
     rep: Representation,
     sample: str = "auto",
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> Verdict:
-    """Verify the identity law and the side law on triples ``(a, b, u)``.
-
-    The identity law ``f(e) = id`` is case 1: :class:`Representation`
-    refuses to build without it, so it holds here and is not tested
-    again.  The side law is checked exhaustively when the group and
-    carrier are enumerable and the work stays under the cap, otherwise
-    over seeded samples.  The exhaustive sweep runs ``b`` over the second
-    factors of :func:`_plan`, the generators of a group that has them on
-    a carrier that compares exactly (mode ``exhaustive(generators=k)``).
-    The first failing triple in enumeration order is reported, which for
-    the exhaustive sweep is the lexicographically smallest one, the
-    generators taken in their order.
-
-    Exact grids agree on every point iff they are equal, so an exact linear
-    representation of a stored group is decided per pair on its grids, in
-    mode ``exhaustive(grids)`` (``exhaustive(grids, generators=k)`` on a
-    group with generators); the witness point is a Kronecker vector.
-    """
-    exhaustive, mode, elements, seconds, grids = _plan(rep, sample, samples, seed, on_grids=True)
-    carrier = rep.carrier
-    table = rep._action_table()
-    if exhaustive and table is not None:
-        return _table_axioms(rep, table, mode, seconds)
-
-    def outcome(a, b, u):
-        ab = compose(rep.group, a, b)
-        lhs = rep.apply(ab, u)
-        if rep.side == "left":
-            rhs = rep.apply(a, rep.apply(b, u))
-        else:
-            rhs = rep.apply(b, rep.apply(a, u))
-        return (a, b, u), carrier.point_eq(lhs, rhs), _point_residual(carrier, lhs, rhs)
-
-    if exhaustive and grids:
-        return _first_failure(mode, _grid_outcomes(rep, elements, seconds, outcome), checked=1)
-    if exhaustive:
-        cases = itertools.product(elements, [elements[j] for j in seconds], carrier.points())
-    else:
-        cases = _sampled_triples(rep, samples, seed)
-    # the identity law is case 1
-    return _first_failure(mode, itertools.starmap(outcome, cases), checked=1)
-
-
-def _grid_outcomes(rep, elements, seconds, outcome):
-    """The pairs ``(a, b)`` of an exact linear representation, decided on
-    grids: ``f(ab)`` against ``f(a)`` after ``f(b)`` on the left side,
-    ``f(b)`` after ``f(a)`` on the right.  Each element's grid is listed
-    once.  With ``b`` over the generators, ``f(ab)`` is the listed grid of
-    the element ``edges`` names; otherwise ``ab`` may lie outside the
-    store and ``f`` is evaluated on it.  Two different grids move some
-    Kronecker vector differently, and ``outcome`` names the first.
-    """
-    f, carrier = rep.transformation, rep.carrier
-    listed = [f(g).grid for g in elements]
-    # on an exact carrier the plan's second factors are the generators
-    # exactly when the group has them
-    edges = rep.group.edges
-    # ``x`` after ``y`` is the grid product ``x y`` in column layout, ``y x`` in row layout
-    swap = (rep.side == "left") != (carrier.layout == "column")
-    kronecker = Matrix.identity(carrier.dim, carrier.backend).entries
-    for i, a in enumerate(elements):
-        for k, j in enumerate(seconds):
-            b = elements[j]
-            ab = listed[edges[i][k]] if edges is not None else f(compose(rep.group, a, b)).grid
-            x, y = (listed[j], listed[i]) if swap else (listed[i], listed[j])
-            if ab == x.mul(y):
-                yield (a, b), True, None
-            else:
-                yield next(o for o in (outcome(a, b, u) for u in kronecker) if not o[1])
-
-
-def _table_axioms(rep, table, mode, seconds) -> Verdict:
-    """The exhaustive sweep of :func:`check_axioms` on the action table: row
-    ``T[ab]`` against ``T[a]`` after ``T[b]`` on the left side, ``T[b]``
-    after ``T[a]`` on the right.  The count starts at 1 for the identity
-    law, and no residual is measured: points of these carriers compare
-    exactly.
-    """
-    mul = rep.group.table
-
-    def compared(a, b):
-        outer, inner = (a, b) if rep.side == "left" else (b, a)
-        return table[mul[a][b]], _after(table[outer], table[inner])
-
-    swept = _sweep(len(table), seconds, compared)
-    return _swept(mode, swept, rep.group.store, rep.carrier.points(), checked=1)
+    """The identity law and the side law: the side verdict of :func:`check_laws`."""
+    return check_laws(rep, sample, samples, seed, variance=False)[0]
 
 
 def check_variance(
@@ -887,57 +924,9 @@ def check_variance(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> VarianceVerdict:
-    """Classify the assignment as homomorphism, antihomomorphism, both or neither.
-
-    Runs the pairs ``(a, b)`` of :func:`_plan`: ``f(ab)`` against
-    ``f(a) f(b)`` for a homomorphism, ``f(ba)`` against it for an
-    antihomomorphism.  With ``b`` over a group's generators the
-    second reads ``f(s a) = f(a) f(s)``, which decides the law by
-    induction on ``b`` written as ``s b'``, the new letter on the left:
-    ``f(s b' a) = f(b' a) f(s) = f(a) f(b') f(s) = f(a) f(s b')``.
-    """
-    exhaustive, mode, elements, seconds, _ = _plan(rep, sample, samples, seed)
-    if exhaustive:
-        pairs = [(a, elements[j]) for a in elements for j in seconds]
-    else:
-        rng = Random(seed)
-        pairs = [
-            (sample_group_element(rep.group, rng), sample_group_element(rep.group, rng))
-            for _ in range(samples)
-        ]
-
-    homo_ok, anti_ok = True, True
-    homo_witness, anti_witness = None, None
-    table = rep._action_table()
-    mul = rep.group.table if table is not None else None
-    for a, b in pairs:
-        if table is not None:
-            i, k = a.payload, b.payload
-            product = _after(table[i], table[k])
-            homo = not homo_ok or table[mul[i][k]] == product
-            anti = not anti_ok or table[mul[k][i]] == product
-        else:
-            fa, fb = rep.transformation(a), rep.transformation(b)
-            product = _variance_product(fa, fb)
-            homo = not homo_ok or transformations_equal(
-                rep.transformation(compose(rep.group, a, b)), product
-            )
-            anti = not anti_ok or transformations_equal(
-                rep.transformation(compose(rep.group, b, a)), product
-            )
-        if not homo:
-            homo_ok, homo_witness = False, (a, b)
-        if not anti:
-            anti_ok, anti_witness = False, (a, b)
-        if not homo_ok and not anti_ok:
-            break
-    verdict = {
-        (True, True): "both",
-        (True, False): "covariant",
-        (False, True): "contravariant",
-        (False, False): "neither",
-    }[(homo_ok, anti_ok)]
-    return VarianceVerdict(verdict, mode, homo_witness, anti_witness, len(pairs))
+    """Homomorphism, antihomomorphism, both or neither: the variance verdict
+    of :func:`check_laws`."""
+    return check_laws(rep, sample, samples, seed, side=False)[1]
 
 
 def variance_claim_check(claim: Optional[str], vv: VarianceVerdict) -> Verdict:
@@ -959,7 +948,7 @@ def _single_elements(rep: Representation, sample, samples: int, seed: int) -> tu
     """``(mode, elements)`` of a law on single elements: the store when
     :func:`_plan` runs it exhaustively, otherwise ``samples`` seeded
     elements."""
-    exhaustive, mode, elements, _, _ = _plan(rep, sample, samples, seed, pairs=False)
+    exhaustive, (_, mode), elements, _, _ = _plan(rep, sample, samples, seed, pairs=False)
     if not exhaustive:
         rng = Random(seed)
         elements = [sample_group_element(rep.group, rng) for _ in range(samples)]
@@ -1223,7 +1212,7 @@ def classify(rep: Representation) -> ClassificationReport:
     independently cross-checked by counting transports for every ordered
     pair of carrier points; the report records whether the two agree.
     The side law and variance are not part of it: a caller that needs
-    them runs :func:`check_axioms` and :func:`check_variance`.
+    them runs :func:`check_laws`.
     """
     elements = rep.group.store
     if elements is None or not rep.carrier.enumerable:
@@ -1423,8 +1412,9 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
             x, y = table1[a], table2[b]
             return _after(x, y), _after(y, x)
 
-        n = len(elements)
-        return _swept("exhaustive", _sweep(n, range(n), rows), elements, points)
+        count, failure = _sweep(len(elements), range(len(elements)), rows)
+        witness = failure and (elements[failure[0]], elements[failure[1]], points[failure[2]])
+        return Verdict(failure is None, "exhaustive", count, witness)
 
     def outcome(a, b, w):
         lhs = rep1.apply(a, rep2.apply(b, w))

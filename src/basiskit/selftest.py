@@ -43,8 +43,7 @@ from .objects import (
     vector_space_axioms_check,
 )
 from .representations import (
-    check_axioms,
-    check_variance,
+    check_laws,
     commutation_check,
     inverse_law_check,
     left_shift,
@@ -105,10 +104,11 @@ def s3_matrix_group() -> MatrixGroup:
 def _shift_battery(report: RunReport, name: str, group) -> None:
     f = left_shift(group)
     h = right_shift(group)
-    report.add_verdict(f"{name}/left-shift-axioms", check_axioms(f))
-    report.add_verdict(f"{name}/right-shift-axioms", check_axioms(h))
-    _variance_line(report, f"{name}/left-shift", f, "covariant")
-    _variance_line(report, f"{name}/right-shift", h, "contravariant")
+    (f_axioms, f_variance), (h_axioms, h_variance) = check_laws(f), check_laws(h)
+    report.add_verdict(f"{name}/left-shift-axioms", f_axioms)
+    report.add_verdict(f"{name}/right-shift-axioms", h_axioms)
+    _variance_line(report, f"{name}/left-shift", f_variance, "covariant")
+    _variance_line(report, f"{name}/right-shift", h_variance, "contravariant")
 
     report.add_verdict(f"{name}/inverse-law", inverse_law_check(f))
     report.add_verdict(f"{name}/shifts-commute", shifts_commute_check(group))
@@ -119,16 +119,16 @@ def _shift_battery(report: RunReport, name: str, group) -> None:
 def _twin_battery(report: RunReport, name: str, group) -> None:
     f = left_shift(group)
     h = twin_representation(f)
-    report.add_verdict(f"{name}/twin-axioms", check_axioms(h))
+    axioms, variance = check_laws(h)
+    report.add_verdict(f"{name}/twin-axioms", axioms)
     report.add_verdict(f"{name}/twin-commutes", commutation_check(f, h))
-    _variance_line(report, f"{name}/twin", h, "contravariant")
+    _variance_line(report, f"{name}/twin", variance, "contravariant")
 
 
-def _variance_line(report: RunReport, prefix: str, rep, claim: str) -> None:
-    """The line ``{prefix}-{claim}``: ``rep`` classifies as ``claim``."""
-    var = check_variance(rep)
-    verdict = variance_claim_check(claim, var)
-    report.add_verdict(f"{prefix}-{claim}", replace(verdict, detail=f"verdict {var.verdict}"))
+def _variance_line(report: RunReport, prefix: str, variance, claim: str) -> None:
+    """The line ``{prefix}-{claim}``: the classification ``variance`` is ``claim``."""
+    verdict = variance_claim_check(claim, variance)
+    report.add_verdict(f"{prefix}-{claim}", replace(verdict, detail=f"verdict {variance.verdict}"))
 
 
 def _invariance_battery(

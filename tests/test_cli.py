@@ -86,7 +86,8 @@ def test_repcheck_passes(tmp_path, capsys):
 
 
 def test_repcheck_classification_carries_the_variance_verdict(tmp_path, capsys):
-    # two sampled pairs of S3 do not tell the sides apart: the variance line
+    # two sampled pairs of S3 do not tell the sides apart: at seed 6 the
+    # pairs of the side law's two triples commute, so the variance line
     # says "both", and the classification repeats that verdict
     from basiskit.groups import symmetric_group
 
@@ -101,11 +102,37 @@ def test_repcheck_classification_carries_the_variance_verdict(tmp_path, capsys):
         },
     )
     argv = ["repcheck", "--input", path, "--sample", "sampled", "--samples", "2"]
-    assert main(argv + ["--seed", "2", "--report", "json"]) == 0
+    assert main(argv + ["--seed", "6", "--report", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     variance = next(c for c in out["checks"] if c["name"] == "variance")
     assert variance["detail"] == "verdict both, expected covariant"
     assert out["data"]["classification"]["variance"] == "both"
+
+
+@pytest.mark.parametrize("side, per_pair", [("left", 1), ("right", 2)])
+def test_repcheck_forms_each_composite_once(tmp_path, monkeypatch, side, per_pair):
+    # one pass decides the side law and variance: on the left the side
+    # law's composite, f(a) after f(s), is the product of variance, so each
+    # pair forms one row; the right side law needs the other order too
+    from basiskit import representations
+    from basiskit.groups import symmetric_group
+
+    s4 = symmetric_group(4)
+    path = write(
+        tmp_path,
+        f"s4_{side}.json",
+        {
+            "group": {"kind": "finite", "table": [list(r) for r in s4.table]},
+            "side": side,
+            "carrier": {"kind": "self"},
+            "assign": {"kind": f"shift-{side}"},
+        },
+    )
+    formed = []
+    after = representations._after
+    monkeypatch.setattr(representations, "_after", lambda x, y: formed.append(1) or after(x, y))
+    assert main(["repcheck", "--input", path, "--report", "json"]) == 0
+    assert len(formed) == per_pair * s4.order * len(s4.generators)
 
 
 def test_repcheck_with_a_singular_linear_matrix_is_exit_2(tmp_path, capsys):
@@ -813,6 +840,30 @@ def test_samples_below_one_is_exit_2(tmp_path, capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: --samples must be at least 1, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["repcheck", "--input", "REP", "--cap", "-5"],
+        ["orbit", "--input", "REP", "--cap", "0"],
+        ["basis", "coordrep", "--group", "GROUP", "--cap", "0"],
+        ["object", "--input", "OBJ", "--group", "GROUP", "--orbit", "--cap", "0"],
+    ],
+)
+def test_cap_below_one_is_exit_2(tmp_path, capsys, argv):
+    # a cap below one would refuse every closure and orbit, or on a Cayley
+    # table go unread; either way it is a setting that checks nothing
+    files = {
+        "REP": shift_rep(tmp_path),
+        "OBJ": vector_object(tmp_path),
+        "GROUP": quarter_turn_group(tmp_path),
+    }
+    code = main([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --cap must be at least 1, got {argv[-1]}\n"
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -47,6 +48,7 @@ from basiskit.representations import (
     _first_failure,
     _variance_product,
     check_axioms,
+    check_laws,
     check_variance,
     classify,
     commutation_check,
@@ -69,6 +71,7 @@ from basiskit.representations import (
     twin_representation,
     variance_claim_check,
 )
+from basiskit.sampling import sample_group_element
 from basiskit.scalars import EXACT, approx
 from basiskit.selftest import finite_fixtures
 
@@ -886,6 +889,16 @@ def test_table_variance_matches_generic(compiled_and_generic):
         assert fast == check_variance(generic, "sampled", samples=40, seed=seed)
 
 
+def test_one_pass_matches_generic_and_its_two_views(compiled_and_generic):
+    # integer rows and opaque maps give the same pass, exhaustive and
+    # sampled, and each view is its half of the pass
+    rep, generic = compiled_and_generic
+    for plan in (("auto",), ("exhaustive",), ("sampled", 40, 0), ("sampled", 40, 7)):
+        laws = check_laws(rep, *plan)
+        assert check_laws(generic, *plan) == laws
+        assert (check_axioms(rep, *plan), check_variance(rep, *plan)) == laws
+
+
 def test_table_inverse_law_and_kernel_match_generic(compiled_and_generic):
     rep, generic = compiled_and_generic
     assert inverse_law_check(rep) == inverse_law_check(generic)
@@ -921,6 +934,30 @@ def test_planted_failures_are_caught():
     assert not classify(fixtures["Z6/not-effective"]).effective
     partition = orbit_well_defined_check(fixtures["Z2/not-an-action"])
     assert partition.failure == ("orbit-mismatch", 0, 1)
+
+
+def test_variance_counts_the_pairs_it_ran():
+    # "neither" is settled once both halves have failed, and the count
+    # stops there, exhaustive or sampled
+    rep = dict(TABLE_FIXTURES)["S4/swapped-rows"]
+    exhaustive = check_variance(rep)
+    assert (exhaustive.verdict, exhaustive.checked) == ("neither", 6)
+    assert exhaustive.checked == variance_pairs_run(rep, generator_elements(rep.group))
+    # sampled variance runs the pair (a, b) of each triple (a, b, u) that
+    # the side law draws
+    sampled = check_variance(rep, "sampled", samples=200, seed=3)
+    rng, f, failed = Random(3), rep.transformation, {}
+    for n in range(1, 201):
+        a, b = sample_group_element(rep.group, rng), sample_group_element(rep.group, rng)
+        rep.carrier.sample(rng)
+        product = compose_transformations(f(a), f(b))
+        for half, ab in (("homo", a * b), ("anti", b * a)):
+            if not transformations_equal(f(ab), product):
+                failed.setdefault(half, (n, (a, b)))
+    (n_homo, homo), (n_anti, anti) = failed["homo"], failed["anti"]
+    assert (sampled.verdict, sampled.checked) == ("neither", max(n_homo, n_anti))
+    assert (sampled.homomorphism_witness, sampled.antihomomorphism_witness) == (homo, anti)
+    assert sampled.checked < 200
 
 
 def test_single_transitivity_witnesses_an_unreachable_pair():
@@ -1051,11 +1088,25 @@ def variance_oracle(rep, seconds):
     )
 
 
+def variance_pairs_run(rep, seconds):
+    """How many pairs ``(a, b)``, ``b`` in ``seconds``, variance runs: all of
+    them, or up to the first at which both halves have failed."""
+    f, homo, anti = rep.transformation, True, True
+    pairs = list(itertools.product(rep.group.store, seconds))
+    for n, (a, b) in enumerate(pairs, 1):
+        product = compose_transformations(f(a), f(b))
+        homo = homo and transformations_equal(f(a * b), product)
+        anti = anti and transformations_equal(f(b * a), product)
+        if not (homo or anti):
+            return n
+    return len(pairs)
+
+
 def test_reduced_side_law_agrees_with_all_pairs(compiled_and_generic):
     rep, generic = compiled_and_generic
     group = rep.group
     gens = generator_elements(group)
-    verdict = check_axioms(rep)
+    verdict, _ = check_laws(rep)
     assert verdict.mode == f"exhaustive(generators={len(gens)})"
     assert check_axioms(generic) == verdict
     assert verdict.passed == (side_law_oracle(rep, group.store)[0] is None)
@@ -1071,10 +1122,10 @@ def test_reduced_variance_agrees_with_all_pairs(compiled_and_generic):
     rep, generic = compiled_and_generic
     group = rep.group
     gens = generator_elements(group)
-    verdict = check_variance(rep)
+    _, verdict = check_laws(rep)
     assert (verdict.mode, verdict.checked) == (
         f"exhaustive(generators={len(gens)})",
-        group.order * len(gens),
+        variance_pairs_run(rep, gens),
     )
     assert check_variance(generic) == verdict
     full = variance_oracle(rep, group.store)
@@ -1089,6 +1140,28 @@ def test_reduced_variance_agrees_with_all_pairs(compiled_and_generic):
     if verdict.antihomomorphism_witness is not None:
         a, s = verdict.antihomomorphism_witness
         assert not transformations_equal(f(s * a), compose_transformations(f(a), f(s)))
+
+
+def test_a_float_self_shift_agrees_with_the_point_by_point_oracle():
+    # a float store has no generators, so the pass runs all 900 pairs of
+    # the right shift of an order-30 closure, comparing whole rows; the
+    # oracle evaluates the 27,000 triples one point at a time
+    so2 = MatrixGroup.metric_preserving(2, 0)
+    so2.close_over([rotation_2d(2 * math.pi / 30)])
+    h = right_shift(so2)
+    moved = so2.store[4]
+    planted = Representation(
+        so2, h.carrier, "right", lambda g: h.transformation(moved if so2.index_of(g) == 3 else g)
+    )
+    for rep in (h, planted):
+        axioms, variance = check_laws(rep)
+        witness, cases = side_law_oracle(rep, so2.store)
+        assert (axioms.mode, axioms.checked) == ("exhaustive", 1 + cases)
+        assert (axioms.counterexample, axioms.residual_max) == (witness, None)
+        names = {(True, True): "both", (False, False): "neither"}
+        assert variance.verdict == names[variance_oracle(rep, so2.store)]
+        assert variance.checked == variance_pairs_run(rep, so2.store)
+    assert axioms.counterexample is not None and variance.checked < 900
 
 
 def exact_closed_matrix_stores():
