@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -662,12 +663,25 @@ _CELL_TOLERANCES = 4
 _CELL_LIMIT = 2.0**50
 
 
+_numerators = operator.attrgetter("numerator")
+_denominators = operator.attrgetter("denominator")
+
+
+def _rational_key(flat: tuple) -> tuple:
+    """The numerators and the denominators of an exact point's entries.
+    Rationals are canonical, and an int is its own numerator over 1, so
+    equal points get equal keys, and hashing them skips ``Fraction.__hash__``."""
+    return tuple(map(_numerators, flat)), tuple(map(_denominators, flat))
+
+
 class PointIndex:
     """Points in the order added, with a lookup under a given equality.
 
     Closures, orbits and the orbit checks deduplicate through it.
     ``entries(p)`` flattens a point to its scalars.  With ``tolerance``
-    zero a point is filed under all its entries, hashed.  Otherwise it is
+    zero a point is filed under all its entries, as integers: an index
+    whose first point has integer entries files every point under its
+    entries, any other under :func:`_rational_key`.  Otherwise it is
     filed in the cell ``(floor(x0 / w), floor(x1 / w))`` of its first two
     entries, ``w`` a fixed multiple of the tolerance: a point equal to it
     lies within the tolerance entrywise, hence in one of the nine cells
@@ -683,6 +697,7 @@ class PointIndex:
         self._entries = entries
         self._width = _CELL_TOLERANCES * tolerance
         self._cells: dict = {}
+        self._exact_key = None
 
     def find(self, point) -> Optional[int]:
         """Position of the first point added that equals ``point``, or ``None``."""
@@ -702,9 +717,13 @@ class PointIndex:
 
     def _key(self, point) -> tuple:
         flat = self._entries(point)
-        if not self._width:
-            return tuple(flat)
-        return tuple(map(self._cell, flat[:2]))
+        if self._width:
+            return tuple(map(self._cell, flat[:2]))
+        if self._exact_key is None:
+            # either key gives equal points equal keys; the first point
+            # picks the cheaper one for the points like it
+            self._exact_key = tuple if all(type(x) is int for x in flat) else _rational_key
+        return self._exact_key(flat)
 
     def _near(self, key) -> list:
         """Positions of the points filed under ``key`` and, for float

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from fractions import Fraction
 from itertools import chain
 from math import lcm, prod
@@ -191,7 +191,11 @@ class Matrix:
         return cls(coerced, backend)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, n: int, backend: Backend) -> "Matrix":
+        """The ``n``-by-``n`` identity, shared by every caller asking for
+        that size and backend, so its operand forms are built once and a
+        frame at the default auxiliary basis can be recognised by identity."""
         one, zero = backend.one(), backend.zero()
         return cls(
             tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),

@@ -25,6 +25,7 @@ re-enumerating it from any of its points gives it again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from random import Random
 from typing import Optional, Sequence
 
@@ -199,28 +200,54 @@ def weight_dim(functor: TypeAFunctor, n: int) -> int:
 
 def functor_eval(functor: TypeAFunctor, g: GroupElement) -> Matrix:
     """The grid ``A(g)``."""
-    payload = g.payload
+    return _functor_grids(functor, g)[0]
+
+
+def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
+    """``(A(g), A(g)^-1)``; the inverse is ``None`` unless exact.
+
+    ``A(g)^-1 = A(g^-1)``, evaluated from the parts at ``g^-1``: Kronecker
+    powers of ``g^-1``, ``g^T`` for a dual, block diagonals of the parts.
+    The one ``n``-by-``n`` inverse ``g^-1`` is all it inverts.  Rationals
+    are canonical, so the entries are those of ``A(g).inverse()``.  A
+    float grid, whose inverse's bits the residuals depend on, and a table
+    grid are inverted whole by the caller.
+    """
     if functor.tag == "table":
-        return _table_lookup(functor, g.group, g)
+        return _table_lookup(functor, g.group, g), None
+    payload = g.payload
     if not isinstance(payload, Matrix):
         raise GroupSpaceMismatch(
             f"functor {functor.describe()} needs a matrix group element"
         )
+    backend = payload.backend
+    if not backend.is_exact:
+        return _grid_at(functor, backend, lambda: payload, payload.inverse), None
+    inverses = []
+
+    def inverse() -> Matrix:
+        if not inverses:
+            inverses.append(payload.inverse())
+        return inverses[0]
+
+    grid = _grid_at(functor, backend, lambda: payload, inverse)
+    return grid, _grid_at(functor, backend, inverse, lambda: payload)
+
+
+def _grid_at(functor: TypeAFunctor, backend, m, m_inv) -> Matrix:
+    """The grid of ``functor`` at the element whose matrix is ``m()`` and
+    its inverse ``m_inv()``; each is asked for only when a part needs it."""
     if functor.tag == "identity":
-        return Matrix.identity(1, payload.backend)
+        return Matrix.identity(1, backend)
     if functor.tag == "fundamental":
-        return payload
+        return m()
     if functor.tag == "dual":
-        return payload.inverse().transpose()
+        return m_inv().transpose()
     if functor.tag == "tensor_power":
-        result = payload
-        for _ in range(functor.power - 1):
-            result = result.kron(payload)
-        return result
-    result = functor_eval(functor.parts[0], g)
-    for part in functor.parts[1:]:
-        result = result.block_diag(functor_eval(part, g))
-    return result
+        return reduce(Matrix.kron, [m()] * functor.power)
+    return reduce(
+        Matrix.block_diag, [_grid_at(p, backend, m, m_inv) for p in functor.parts]
+    )
 
 
 @dataclass(frozen=True)
@@ -256,12 +283,19 @@ class GeometricalObject:
         return cls(functor, row, anchor, w_basis)
 
     def eq(self, other: "GeometricalObject") -> bool:
+        """Same type and space, and close entries.  Over the rationals two
+        objects at the very same frame compare their coordinates alone."""
         space = self.anchor.space
-        return (
-            self.functor == other.functor
-            and space == other.anchor.space
-            and space.backend.close(_object_entries(self), _object_entries(other))
-        )
+        if self.functor != other.functor or space != other.anchor.space:
+            return False
+        if space.backend.is_exact and _same_frame(self, other):
+            return self.coords == other.coords
+        return space.backend.close(_object_entries(self), _object_entries(other))
+
+
+def _same_frame(o1: "GeometricalObject", o2: "GeometricalObject") -> bool:
+    """The anchor and the auxiliary basis are the same objects."""
+    return o1.anchor is o2.anchor and o1.w_basis is o2.w_basis
 
 
 def _object_entries(o: GeometricalObject) -> tuple:
@@ -305,25 +339,37 @@ class ObjectCarrier:
 class ObjectTransformation(GridTransformation):
     """The object law of one element ``g``: ``A(g)`` moves the coordinates
     and the auxiliary basis, the linear part ``L(g)`` moves the anchor
-    passively.  ``A(g)^-1`` is computed once, on construction.
+    passively.  ``A(g)^-1`` is given or formed on first use.
 
     As a grid it is ``A(g) ⊕ L(g)``, which composes, inverts and compares
     like any other grid.
     """
 
     def __init__(
-        self, carrier: ObjectCarrier, functor_grid: Matrix, anchor_grid: Matrix
+        self,
+        carrier: ObjectCarrier,
+        functor_grid: Matrix,
+        anchor_grid: Matrix,
+        functor_inverse: Optional[Matrix] = None,
     ):
         self.carrier = carrier
         self.functor_grid = functor_grid
-        self.functor_inverse = functor_grid.inverse()
         self.anchor_grid = anchor_grid
+        self._functor_inverse = functor_inverse
+        # the last frame moved: (anchor, w_basis, moved anchor, moved w_basis)
+        self._frame = None
 
     @classmethod
     def of(cls, carrier: ObjectCarrier, g: GroupElement) -> "ObjectTransformation":
-        functor_grid = functor_eval(carrier.functor, g)
+        functor_grid, functor_inverse = _functor_grids(carrier.functor, g)
         _check_acts(g, carrier.space)
-        return cls(carrier, functor_grid, _linear_grid(g))
+        return cls(carrier, functor_grid, _linear_grid(g), functor_inverse)
+
+    @property
+    def functor_inverse(self) -> Matrix:
+        if self._functor_inverse is None:
+            self._functor_inverse = self.functor_grid.inverse()
+        return self._functor_inverse
 
     @property
     def grid(self) -> Matrix:
@@ -335,13 +381,19 @@ class ObjectTransformation(GridTransformation):
         return type(self)(self.carrier, *(Matrix(b, grid.backend) for b in blocks))
 
     def apply(self, obj: GeometricalObject) -> GeometricalObject:
-        """Move coordinates, auxiliary basis and anchor together."""
-        return GeometricalObject(
-            obj.functor,
-            self.functor_inverse.vecmat(obj.coords),
-            _recombine(obj.anchor, self.anchor_grid),
-            self.functor_grid.mul(obj.w_basis),
-        )
+        """Move coordinates, auxiliary basis and anchor together.  The frame,
+        anchor and auxiliary basis, is moved once for the last frame seen:
+        objects at one frame share the moved one."""
+        coords = self.functor_inverse.vecmat(obj.coords)
+        frame = self._frame
+        if frame is None or frame[0] is not obj.anchor or frame[1] is not obj.w_basis:
+            frame = self._frame = (
+                obj.anchor,
+                obj.w_basis,
+                _recombine(obj.anchor, self.anchor_grid),
+                self.functor_grid.mul(obj.w_basis),
+            )
+        return GeometricalObject(obj.functor, coords, frame[2], frame[3])
 
 
 def object_representation(obj: GeometricalObject, group) -> Representation:
@@ -416,6 +468,8 @@ def _require_compatible(o1: GeometricalObject, o2: GeometricalObject) -> None:
         raise TypeMismatch(
             f"functors differ: {o1.functor.describe()} vs {o2.functor.describe()}"
         )
+    if o1.anchor.space.backend.is_exact and _same_frame(o1, o2):
+        return
     if not o1.anchor.eq(o2.anchor) or not o1.w_basis.eq(o2.w_basis):
         raise AnchorMismatch(
             "objects are anchored at different bases; rebase one of them first"
@@ -477,6 +531,7 @@ def vector_space_axioms_check(
             u, v, w = (carrier.sample(rng) for _ in range(3))
             c = random_vector(rng, 1, backend)[0]
             move = ObjectTransformation.of(carrier, sample_group_element(group, rng)).apply
+            moved_u = move(u)
             laws = [
                 ("commutative", add_objects(u, v), add_objects(v, u)),
                 (
@@ -494,12 +549,12 @@ def vector_space_axioms_check(
                 (
                     "transform-additive",
                     move(add_objects(u, v)),
-                    add_objects(move(u), move(v)),
+                    add_objects(moved_u, move(v)),
                 ),
                 (
                     "transform-homogeneous",
                     move(scale_object(c, u)),
-                    scale_object(c, move(u)),
+                    scale_object(c, moved_u),
                 ),
             ]
             for name, lhs, rhs in laws:

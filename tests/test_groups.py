@@ -10,6 +10,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from basiskit.bases import Basis, VectorSpace
 from basiskit.descriptors import group_from_descriptor
 from basiskit.errors import (
     BasiskitError,
@@ -24,6 +25,7 @@ from basiskit.groups import (
     AffineTransform,
     GroupElement,
     PointIndex,
+    _rational_key,
     _generating_set,
     MatrixGroup,
     affine_apply,
@@ -40,10 +42,18 @@ from basiskit.groups import (
     validate_cayley_table,
 )
 from basiskit.matrices import Matrix
+from basiskit.objects import (
+    GeometricalObject,
+    ObjectCarrier,
+    object_representation,
+    tensor_power_functor,
+    transform_object,
+)
 from basiskit.representations import (
     Verdict,
     check_axioms,
     left_shift,
+    orbit,
     right_shift,
     store_membership_check,
 )
@@ -983,3 +993,104 @@ def test_point_index_add_returns_the_position_found_or_appended():
     index = PointIndex(lambda p, q: abs(p[0] - q[0]) <= 0.1, lambda p: p, 0.1)
     assert [index.add(p) for p in [(0.0,), (1.0,), (0.05,), (2.0,), (0.95,)]] == [0, 1, 0, 2, 1]
     assert index.points == [(0.0,), (1.0,), (2.0,)]
+
+
+# -- integer keys of exact points ----------------------------------------------------
+
+
+class FractionTupleIndex:
+    """An exact point index that files a point under the tuple of its
+    entries, ``Fraction`` hashes and all: the reference for the integer keys."""
+
+    def __init__(self, eq, entries):
+        self.points, self._eq, self._entries, self._cells = [], eq, entries, {}
+
+    def find(self, point):
+        near = self._cells.get(tuple(self._entries(point)), [])
+        return min((i for i in near if self._eq(point, self.points[i])), default=None)
+
+    def add(self, point):
+        key = tuple(self._entries(point))
+        near = self._cells.get(key, [])
+        found = next((i for i in near if self._eq(point, self.points[i])), None)
+        if found is not None:
+            return found
+        self._cells.setdefault(key, []).append(len(self.points))
+        self.points.append(point)
+        return len(self.points) - 1
+
+
+def assert_integer_keys_keep_positions(points, eq, entries, probes=()):
+    index, reference = PointIndex(eq, entries, 0.0), FractionTupleIndex(eq, entries)
+    assert [index.add(p) for p in points] == [reference.add(p) for p in points]
+    assert index.points == reference.points
+    for p in [*points, *probes]:
+        assert index.find(p) == reference.find(p)
+
+
+def element_entries(g):
+    return g.group.payload_entries(g.payload)
+
+
+def products(group, elements):
+    return [compose(group, a, b) for a in elements for b in elements]
+
+
+def test_integer_keys_keep_the_positions_of_an_exact_closure():
+    group = MatrixGroup.general_linear(2, EXACT)
+    group.close_over([[[0, F(1, 2)], [-2, 0]], [[1, 0], [0, -1]]])
+    assert len(group.store) == 8
+    points = products(group, group.store)
+    assert_integer_keys_keep_positions(points, GroupElement.eq_to, element_entries)
+    reference = FractionTupleIndex(GroupElement.eq_to, element_entries)
+    for g in group.store:
+        reference.add(g)
+    assert [group.index_of(p) for p in points] == [reference.find(p) for p in points]
+
+
+def test_integer_keys_keep_the_positions_of_stores():
+    shear = [[1, F(1, 2)], [0, 1]]
+    stored = [[[1, 0], [0, 1]], shear, [[F(2, 3), 0], [0, F(3, 2)]], [[0, -1], [1, 0]]]
+    group = MatrixGroup.general_linear(2, EXACT, elements=stored)
+    # products mostly leave the store: lookups that miss are compared too
+    points = products(group, group.store)
+    assert_integer_keys_keep_positions([*group.store, *points], GroupElement.eq_to, element_entries)
+    assert [group.index_of(g) for g in group.store] == [0, 1, 2, 3]
+    assert group.index_of(compose(group, group.store[1], group.store[1])) is None
+
+
+def test_integer_keys_keep_the_positions_of_affine_stores():
+    linear = [Matrix.from_rows(m, EXACT) for m in ([[1, 0], [0, 1]], [[0, -1], [1, 0]], [[2, 1], [1, 1]])]
+    shifts = [(F(0), F(0)), (F(1, 2), F(-3)), (F(5), F(2, 7))]
+    group = MatrixGroup.affine(
+        2, EXACT, elements=[AffineTransform(m, t) for m in linear for t in shifts]
+    )
+    points = products(group, group.store[:5])
+    assert_integer_keys_keep_positions([*group.store, *points], GroupElement.eq_to, element_entries)
+    assert [group.index_of(g) for g in group.store] == list(range(9))
+
+
+def test_integer_keys_keep_the_positions_of_an_object_orbit():
+    group = MatrixGroup.general_linear(2, EXACT)
+    group.close_over([[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
+    anchor = Basis.make(VectorSpace("central_affine", 2, EXACT), [[4, F(1, 2)], [F(1, 3), 4]])
+    obj = GeometricalObject.make(tensor_power_functor(2), [2, 0, F(-3, 2), 1], anchor)
+    carrier = ObjectCarrier(obj.functor, anchor)
+    found = orbit(object_representation(obj, group), obj).points
+    assert len(found) == 8
+    moved = [transform_object(o, g) for o in found for g in group.store]
+    assert_integer_keys_keep_positions(moved, GeometricalObject.eq, carrier.entries)
+
+
+def test_an_integer_point_is_its_own_key():
+    # finite carriers and Cayley-table elements keep the keys they had
+    index = PointIndex(lambda p, q: p == q, lambda p: p, 0.0)
+    assert [index.add(p) for p in [(3, 0), (1, 2), (3, 0), (F(1, 2), 1), (F(3), 0)]] == [0, 1, 0, 2, 0]
+    assert list(index._cells) == [(3, 0), (1, 2), (F(1, 2), 1)]
+    # a rational point is filed under integers; a whole rational and its
+    # integer file together
+    index = PointIndex(lambda p, q: p == q, lambda p: p, 0.0)
+    assert [index.add(p) for p in [(F(1, 2), 4), (F(3), 0), (3, F(0)), (1, 2)]] == [0, 1, 1, 2]
+    assert list(index._cells) == [((1, 4), (2, 1)), ((3, 0), (1, 1)), ((1, 2), (1, 1))]
+    assert _rational_key((F(3), 0)) == _rational_key((3, F(0))) == ((3, 0), (1, 1))
+    assert _rational_key(()) == ((), ())

@@ -1,13 +1,17 @@
 """Geometrical objects: transformation law, invariance, orbits, linear structure."""
 
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
 from basiskit.bases import Basis, VectorSpace, passive_transform
+from basiskit.descriptors import group_from_descriptor
 from basiskit.errors import (
     AnchorMismatch,
     BasiskitError,
@@ -54,6 +58,7 @@ from basiskit.representations import (
     orbit,
     orbit_closure_check,
 )
+from basiskit.sampling import sample_group_element
 from basiskit.scalars import APPROX, EXACT, approx
 
 F = Fraction
@@ -699,3 +704,201 @@ def test_vector_space_axioms_report_the_first_failing_law():
         ),
         None,
     )
+
+
+# -- rational work done once ---------------------------------------------------------
+
+def gl3_order8():
+    """The stored exact GL(3) group of order 8 of the golden files."""
+    path = Path(__file__).parent / "golden" / "exact" / "gl3_order8_group.json"
+    return group_from_descriptor(json.loads(path.read_text(encoding="utf-8")), EXACT)
+
+FAST_PATH_FUNCTORS = {
+    "identity": identity_functor(),
+    "fundamental": fundamental_functor(),
+    "dual": dual_functor(),
+    "tensor2": tensor_power_functor(2),
+    "tensor3": tensor_power_functor(3),
+    "fundamental+dual": direct_sum_functor(fundamental_functor(), dual_functor()),
+    "nested-sum": direct_sum_functor(
+        identity_functor(),
+        direct_sum_functor(dual_functor(), tensor_power_functor(2)),
+        fundamental_functor(),
+    ),
+}
+
+
+def reference_functor_eval(functor, g):
+    """``A(g)`` evaluated part by part as the object law first did, each
+    dual inverting ``g`` again: the oracle for the grids' entries and bits."""
+    m = g.payload
+    if functor.tag == "identity":
+        return Matrix.from_rows([[1]], m.backend)
+    if functor.tag == "fundamental":
+        return m
+    if functor.tag == "dual":
+        return m.inverse().transpose()
+    if functor.tag == "tensor_power":
+        result = m
+        for _ in range(functor.power - 1):
+            result = result.kron(m)
+        return result
+    result = reference_functor_eval(functor.parts[0], g)
+    for part in functor.parts[1:]:
+        result = result.block_diag(reference_functor_eval(part, g))
+    return result
+
+
+def exact_fast_path_elements():
+    """Stored elements of two exact groups and sampled GL and SL elements."""
+    rng = Random(11)
+    sampled = [MatrixGroup.general_linear(n, EXACT) for n in (2, 3)]
+    sampled += [MatrixGroup.special_linear(n, EXACT) for n in (2, 3)]
+    return [
+        *dihedral_8().store,
+        *gl3_order8().store,
+        *(sample_group_element(group, rng) for group in sampled for _ in range(3)),
+    ]
+
+
+def float_fast_path_elements():
+    rng = Random(12)
+    sampled = [MatrixGroup.general_linear(n, APPROX) for n in (2, 3)]
+    sampled += [MatrixGroup.special_linear(n, APPROX) for n in (2, 3)]
+    return [
+        *so2_order_12().store,
+        *(sample_group_element(group, rng) for group in sampled for _ in range(3)),
+    ]
+
+
+def transformation_of(functor, g):
+    n = g.payload.nrows
+    backend = g.payload.backend
+    anchor = Basis.make(VectorSpace("central_affine", n, backend), Matrix.identity(n, backend).entries)
+    return ObjectTransformation.of(ObjectCarrier(functor, anchor), g)
+
+
+def float_bits(m):
+    return tuple(map(float.hex, m.flat))
+
+
+@pytest.mark.parametrize("name", FAST_PATH_FUNCTORS)
+def test_the_exact_inverse_from_the_parts_is_the_inverse_of_the_grid(name):
+    functor = FAST_PATH_FUNCTORS[name]
+    elements = exact_fast_path_elements()
+    if functor.tag == "tensor_power" and functor.power == 3:
+        elements = elements[::4]  # a 27-by-27 reference inverse is slow
+    for g in elements:
+        t = transformation_of(functor, g)
+        grid = functor_eval(functor, g)
+        assert t.functor_grid.entries == grid.entries == reference_functor_eval(functor, g).entries
+        assert t.functor_inverse.entries == grid.inverse().entries
+
+
+@pytest.mark.parametrize("name", FAST_PATH_FUNCTORS)
+def test_float_grids_and_inverses_keep_their_bits(name):
+    # the float law inverts the whole grid, as it always has: the printed
+    # residuals depend on those bits
+    functor = FAST_PATH_FUNCTORS[name]
+    for g in float_fast_path_elements():
+        t = transformation_of(functor, g)
+        reference = reference_functor_eval(functor, g)
+        assert float_bits(t.functor_grid) == float_bits(functor_eval(functor, g))
+        assert float_bits(t.functor_grid) == float_bits(reference)
+        assert float_bits(t.functor_inverse) == float_bits(reference.inverse())
+
+
+def counted_inverses(monkeypatch):
+    """The size of every matrix inverted from now on."""
+    sizes = []
+    inverse = Matrix.inverse
+
+    def counted(self):
+        sizes.append(self.nrows)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "functor, inverted",
+    [
+        (tensor_power_functor(2), [3] * 8),
+        (direct_sum_functor(fundamental_functor(), dual_functor()), [3] * 8),
+        (identity_functor(), []),
+    ],
+    ids=["tensor-square", "fundamental+dual", "identity"],
+)
+def test_an_exact_sweep_inverts_one_n_by_n_grid_per_element(functor, inverted, monkeypatch):
+    # the identity functor's grid [1] is its own inverse: nothing is inverted
+    group = gl3_order8()
+    anchor = Basis.make(VectorSpace("central_affine", 3, EXACT), [[2, 1, 0], [0, 1, 0], [1, 0, 3]])
+    coords = [F(k, 3) for k in range(weight_dim(functor, 3))]
+    obj = GeometricalObject.make(functor, coords, anchor)
+    sizes = counted_inverses(monkeypatch)
+    verdict, _ = invariance_sweep((obj, g, None, None) for g in group.store)
+    assert verdict.passed and verdict.checked == 8
+    assert sizes == inverted
+
+
+def test_objects_at_one_frame_share_the_moved_frame():
+    anchor = anchor_2d()
+    t = ObjectTransformation.of(ObjectCarrier(tensor_power_functor(2), anchor), elem([[2, 1], [1, 1]]))
+    u, v = (GeometricalObject.make(tensor_power_functor(2), c, anchor) for c in ([1, 2, 3, 4], [0, 5, 0, 1]))
+    moved_u, moved_v = t.apply(u), t.apply(v)
+    assert moved_u.anchor is moved_v.anchor and moved_u.w_basis is moved_v.w_basis
+    assert moved_u.anchor.eq(passive_transform(anchor, elem([[2, 1], [1, 1]])))
+    assert add_objects(moved_u, moved_v).eq(t.apply(add_objects(u, v)))
+    assert representative(moved_v) == representative(v)
+
+
+def test_two_auxiliary_bases_at_one_anchor_move_to_two_frames():
+    anchor, g = anchor_2d(), elem([[2, 1], [1, 1]])
+    t = ObjectTransformation.of(ObjectCarrier(fundamental_functor(), anchor), g)
+    swap = Matrix.from_rows([[0, 1], [1, 0]], EXACT)
+    u = GeometricalObject.make(fundamental_functor(), [1, 2], anchor)
+    v = GeometricalObject.make(fundamental_functor(), [1, 2], anchor, w_basis=swap)
+    for first, second in ((u, v), (v, u), (u, u), (v, v)):
+        moved = t.apply(first), t.apply(second)
+        for obj, after in zip((first, second), moved):
+            assert after.w_basis == g.payload.mul(obj.w_basis)
+            assert after.eq(transform_object(obj, g))
+            assert representative(after) == representative(obj)
+    assert not t.apply(u).eq(t.apply(v))
+
+
+def test_a_float_frame_holding_a_nan_still_fails_add_objects():
+    # a NaN is close to nothing, not even at the very same frame
+    anchor = float_anchor()
+    nan_basis = Matrix(((math.nan, 0.0), (0.0, 1.0)), APPROX)
+    obj = GeometricalObject(fundamental_functor(), (1.0, 2.0), anchor, nan_basis)
+    with pytest.raises(AnchorMismatch):
+        add_objects(obj, obj)
+    assert not obj.eq(obj)
+    # over the rationals the same frame is the same
+    exact = GeometricalObject.make(fundamental_functor(), [1, 2], anchor_2d())
+    assert add_objects(exact, exact).coords == (F(2), F(4)) and exact.eq(exact)
+
+
+def test_vector_space_axioms_move_one_frame_and_u_once_per_sample(monkeypatch):
+    applied, framed = [0], [0]
+    apply, recombine = ObjectTransformation.apply, objects._recombine
+
+    def counted_apply(self, obj):
+        applied[0] += 1
+        return apply(self, obj)
+
+    def counted_recombine(*args):
+        framed[0] += 1
+        return recombine(*args)
+
+    monkeypatch.setattr(ObjectTransformation, "apply", counted_apply)
+    monkeypatch.setattr(objects, "_recombine", counted_recombine)
+    verdict = vector_space_axioms_check(
+        tensor_power_functor(2), anchor_2d(), quarter_turns(), samples=40, seed=5
+    )
+    assert verdict.passed and verdict.checked == 280
+    # u + v, u, v and c u are moved; all four sit at the sample's one frame
+    assert applied[0] == 4 * 40
+    assert framed[0] == 40

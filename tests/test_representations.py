@@ -1,5 +1,6 @@
 """Side laws, variance, orbits, transports, twins."""
 
+import functools
 import itertools
 import json
 import math
@@ -821,26 +822,28 @@ def three_cycle_of_z2():
     return Representation(z2, carrier, "left", assign, label="three-cycle")
 
 
-def table_fixtures():
-    fixtures = []
+def table_fixture_builders():
+    """``(name, build)`` of each table fixture.  Nothing is built at import:
+    a contragredient runs the variance check, and a fault there must fail
+    the tests that use it, not the collection of this module."""
+    builders = []
     for name, group in finite_fixtures():
-        f, h = left_shift(group), right_shift(group)
-        fixtures += [
-            (f"{name}/left-shift", f),
-            (f"{name}/right-shift", h),
-            (f"{name}/contragredient-left", contragredient(f)),
-            (f"{name}/contragredient-right", contragredient(h)),
+        builders += [
+            (f"{name}/left-shift", lambda g=group: left_shift(g)),
+            (f"{name}/right-shift", lambda g=group: right_shift(g)),
+            (f"{name}/contragredient-left", lambda g=group: contragredient(left_shift(g))),
+            (f"{name}/contragredient-right", lambda g=group: contragredient(right_shift(g))),
         ]
     for name, group in (("S3", symmetric_group(3)), ("D4", dihedral_group(4))):
-        fixtures += [
-            (f"{name}/twin-left", twin_representation(left_shift(group))),
-            (f"{name}/twin-right", twin_representation(right_shift(group))),
+        builders += [
+            (f"{name}/twin-left", lambda g=group: twin_representation(left_shift(g))),
+            (f"{name}/twin-right", lambda g=group: twin_representation(right_shift(g))),
         ]
     s4, d5, d6 = symmetric_group(4), dihedral_group(5), dihedral_group(6)
-    fixtures += [
-        ("S4/natural", permutation_action(s4, symmetric_perms(4))),
-        ("D5/natural", permutation_action(d5, dihedral_perms(5))),
-        ("D6/natural", permutation_action(d6, dihedral_perms(6))),
+    builders += [
+        ("S4/natural", lambda: permutation_action(s4, symmetric_perms(4))),
+        ("D5/natural", lambda: permutation_action(d5, dihedral_perms(5))),
+        ("D6/natural", lambda: permutation_action(d6, dihedral_perms(6))),
     ]
     # planted failures
     perms = symmetric_perms(4)
@@ -848,24 +851,30 @@ def table_fixtures():
     swapped[1], swapped[2] = swapped[2], swapped[1]
     inverted = [perms[s4.inverses[i]] for i in range(s4.order)]
     s3 = symmetric_group(3)
-    fixtures += [
-        ("S4/swapped-rows", permutation_action(s4, swapped)),
-        ("S4/antihomomorphic", permutation_action(s4, inverted)),
-        ("S4/natural-claimed-right", permutation_action(s4, perms, "right")),
-        ("S3/not-transitive", permutation_action(s3, symmetric_perms(3), points=5)),
-        ("Z6/not-effective", rotation_action_of_z6_on_triangle()),
-        ("Z2/swap", swap_action_of_z2()),
-        ("Z2/not-an-action", three_cycle_of_z2()),
+    builders += [
+        ("S4/swapped-rows", lambda: permutation_action(s4, swapped)),
+        ("S4/antihomomorphic", lambda: permutation_action(s4, inverted)),
+        ("S4/natural-claimed-right", lambda: permutation_action(s4, perms, "right")),
+        ("S3/not-transitive", lambda: permutation_action(s3, symmetric_perms(3), points=5)),
+        ("Z6/not-effective", rotation_action_of_z6_on_triangle),
+        ("Z2/swap", swap_action_of_z2),
+        ("Z2/not-an-action", three_cycle_of_z2),
     ]
-    return fixtures
+    return builders
 
 
-TABLE_FIXTURES = table_fixtures()
+TABLE_FIXTURE_BUILDERS = dict(table_fixture_builders())
 
 
-@pytest.fixture(params=TABLE_FIXTURES, ids=[name for name, _ in TABLE_FIXTURES])
+@functools.cache
+def table_fixture(name):
+    """The table fixture ``name``, built on first use."""
+    return TABLE_FIXTURE_BUILDERS[name]()
+
+
+@pytest.fixture(params=list(TABLE_FIXTURE_BUILDERS), ids=list(TABLE_FIXTURE_BUILDERS))
 def compiled_and_generic(request):
-    rep = request.param[1]
+    rep = table_fixture(request.param)
     generic = opaque(rep)
     assert rep._action_table() is not None
     assert generic._action_table() is None
@@ -925,21 +934,20 @@ def test_table_classification_matches_generic(compiled_and_generic):
 
 
 def test_planted_failures_are_caught():
-    fixtures = dict(TABLE_FIXTURES)
     for name in ("S4/swapped-rows", "S4/antihomomorphic", "S4/natural-claimed-right"):
-        assert not check_axioms(fixtures[name]).passed
-    assert check_variance(fixtures["S4/antihomomorphic"]).verdict == "contravariant"
-    assert check_variance(fixtures["S4/swapped-rows"]).verdict == "neither"
-    assert not classify(fixtures["S3/not-transitive"]).transitive
-    assert not classify(fixtures["Z6/not-effective"]).effective
-    partition = orbit_well_defined_check(fixtures["Z2/not-an-action"])
+        assert not check_axioms(table_fixture(name)).passed
+    assert check_variance(table_fixture("S4/antihomomorphic")).verdict == "contravariant"
+    assert check_variance(table_fixture("S4/swapped-rows")).verdict == "neither"
+    assert not classify(table_fixture("S3/not-transitive")).transitive
+    assert not classify(table_fixture("Z6/not-effective")).effective
+    partition = orbit_well_defined_check(table_fixture("Z2/not-an-action"))
     assert partition.failure == ("orbit-mismatch", 0, 1)
 
 
 def test_variance_counts_the_pairs_it_ran():
     # "neither" is settled once both halves have failed, and the count
     # stops there, exhaustive or sampled
-    rep = dict(TABLE_FIXTURES)["S4/swapped-rows"]
+    rep = table_fixture("S4/swapped-rows")
     exhaustive = check_variance(rep)
     assert (exhaustive.verdict, exhaustive.checked) == ("neither", 6)
     assert exhaustive.checked == variance_pairs_run(rep, generator_elements(rep.group))
@@ -961,14 +969,14 @@ def test_variance_counts_the_pairs_it_ran():
 
 
 def test_single_transitivity_witnesses_an_unreachable_pair():
-    rep = dict(TABLE_FIXTURES)["S3/not-transitive"]
+    rep = table_fixture("S3/not-transitive")
     verdict = single_transitivity_check(rep)
     assert not verdict.passed
     assert verdict.counterexample == ("unreachable", 0, 3)
 
 
 def test_single_transitivity_witnesses_a_kernel_element():
-    rep = dict(TABLE_FIXTURES)["Z6/not-effective"]
+    rep = table_fixture("Z6/not-effective")
     verdict = single_transitivity_check(rep)
     assert not verdict.passed
     assert verdict.counterexample == ("kernel", rep.group.store[3])
