@@ -27,10 +27,25 @@ A matrix used in many products, inversions or determinants is converted
 once.  So is :attr:`Matrix.flat`, the entries row by row, which is what
 the backend compares.
 
-A float dot product is a left fold from ``0.0``, term after term, so
-its bits do not depend on the Python version.  The builtin ``sum()`` is
-such a fold before Python 3.12; from 3.12 on it adds floats with
-compensated summation, so there :func:`functools.reduce` folds instead.
+Float kernels are bit for bit the textbook loops: a dot product is a
+left fold from ``0.0``, term after term, and elimination uses partial
+pivoting, ties going to the first row.  The fold makes the bits
+independent of the Python version: the builtin ``sum()`` is such a fold
+before Python 3.12, and from 3.12 on it adds floats with compensated
+summation, so there :func:`functools.reduce` folds instead.  Products,
+``matvec`` and ``vecmat`` of 2-by-2 and 3-by-3 matrices, and ``det``
+and ``inverse`` of 2-by-2 ones, are written out straight-line; every
+other float ``det`` and ``inverse`` runs one elimination that keeps
+only the columns still to be read.  Straight-line or not, each kernel
+does the same IEEE operations in the same order: a dot product is
+``0.0 + a*e + b*g``; the pivot row is divided by the pivot; ``x - f*y``
+is applied only to rows whose factor is not ``0``; ``det`` stops at a
+pivot equal to ``0`` and ``inverse`` raises :class:`Singular` at one
+with ``not abs(p) > tol``.  The order is fixed because floats are not
+associative and zeros are signed: ``0.0 + -0.0`` is ``+0.0`` and
+``0.0 / -2.0`` is ``-0.0``, so a reordered or shortened sum can flip
+the sign of a zero or the last bit of a residual, and reports print
+both.
 """
 
 from __future__ import annotations
@@ -173,6 +188,180 @@ def _fraction_free_inverse(ints: tuple, dens: tuple) -> tuple:
     return tuple(tuple(Fraction(x, prev) for x in row) for row in aug)
 
 
+def _float_mul2(a: tuple, b: tuple) -> tuple:
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        (0.0 + a00 * b00 + a01 * b10, 0.0 + a00 * b01 + a01 * b11),
+        (0.0 + a10 * b00 + a11 * b10, 0.0 + a10 * b01 + a11 * b11),
+    )
+
+
+def _float_mul3(a: tuple, b: tuple) -> tuple:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (
+            0.0 + a00 * b00 + a01 * b10 + a02 * b20,
+            0.0 + a00 * b01 + a01 * b11 + a02 * b21,
+            0.0 + a00 * b02 + a01 * b12 + a02 * b22,
+        ),
+        (
+            0.0 + a10 * b00 + a11 * b10 + a12 * b20,
+            0.0 + a10 * b01 + a11 * b11 + a12 * b21,
+            0.0 + a10 * b02 + a11 * b12 + a12 * b22,
+        ),
+        (
+            0.0 + a20 * b00 + a21 * b10 + a22 * b20,
+            0.0 + a20 * b01 + a21 * b11 + a22 * b21,
+            0.0 + a20 * b02 + a21 * b12 + a22 * b22,
+        ),
+    )
+
+
+def _float_matvec2(a: tuple, u: Sequence) -> tuple:
+    (a00, a01), (a10, a11) = a
+    u0, u1 = u
+    return (0.0 + a00 * u0 + a01 * u1, 0.0 + a10 * u0 + a11 * u1)
+
+
+def _float_matvec3(a: tuple, u: Sequence) -> tuple:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    u0, u1, u2 = u
+    return (
+        0.0 + a00 * u0 + a01 * u1 + a02 * u2,
+        0.0 + a10 * u0 + a11 * u1 + a12 * u2,
+        0.0 + a20 * u0 + a21 * u1 + a22 * u2,
+    )
+
+
+def _float_vecmat2(a: tuple, u: Sequence) -> tuple:
+    (a00, a01), (a10, a11) = a
+    u0, u1 = u
+    return (0.0 + u0 * a00 + u1 * a10, 0.0 + u0 * a01 + u1 * a11)
+
+
+def _float_vecmat3(a: tuple, u: Sequence) -> tuple:
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    u0, u1, u2 = u
+    return (
+        0.0 + u0 * a00 + u1 * a10 + u2 * a20,
+        0.0 + u0 * a01 + u1 * a11 + u2 * a21,
+        0.0 + u0 * a02 + u1 * a12 + u2 * a22,
+    )
+
+
+# Straight-line float products, by the shape of the operands
+_FLOAT_MUL = {(2, 2, 2): _float_mul2, (3, 3, 3): _float_mul3}
+_FLOAT_MATVEC = {(2, 2): _float_matvec2, (3, 3): _float_matvec3}
+_FLOAT_VECMAT = {(2, 2): _float_vecmat2, (3, 3): _float_vecmat3}
+
+
+def _float_det2(a: tuple) -> float:
+    """:func:`_float_det` written out for a 2-by-2 matrix."""
+    (a00, a01), (a10, a11) = a
+    # the pivot row (p, x) and the other row (q, y)
+    if abs(a10) > abs(a00):
+        det, p, x, q, y = -1.0, a10, a11, a00, a01
+    else:
+        det, p, x, q, y = 1.0, a00, a01, a10, a11
+    if p == 0:
+        return 0.0
+    det = det * p
+    f = q / p
+    if f != 0:
+        y = y - f * x
+    if y == 0:
+        return 0.0
+    return det * y
+
+
+def _float_det(rows: Sequence) -> float:
+    """Determinant by Gaussian elimination with partial pivoting.
+
+    Each step drops the pivot's column, which no later step reads, so the
+    rows hold only the columns still to be eliminated.
+    """
+    rows, det = list(rows), 1.0
+    while rows:
+        k, best = 0, abs(rows[0][0])
+        for r in range(1, len(rows)):
+            v = abs(rows[r][0])
+            if v > best:
+                k, best = r, v
+        pivot_row = rows[k]
+        p = pivot_row[0]
+        if p == 0:
+            return 0.0
+        if k:
+            rows[k] = rows[0]
+            det = -det
+        det = det * p
+        tail = pivot_row[1:]
+        rows = [
+            row[1:]
+            if (f := row[0] / p) == 0
+            else [x - f * y for x, y in zip(row[1:], tail)]
+            for row in rows[1:]
+        ]
+    return det
+
+
+def _float_inverse2(a: tuple, tol: float) -> tuple:
+    """:func:`_float_inverse` written out for a 2-by-2 matrix."""
+    (a00, a01), (a10, a11) = a
+    # the pivot row (p, x | e0, e1) and the other row (q, y | o0, o1)
+    if abs(a10) > abs(a00):
+        p, x, e0, e1, q, y, o0, o1 = a10, a11, 0.0, 1.0, a00, a01, 1.0, 0.0
+    else:
+        p, x, e0, e1, q, y, o0, o1 = a00, a01, 1.0, 0.0, a10, a11, 0.0, 1.0
+    if not abs(p) > tol:
+        raise Singular("matrix is singular at column 0")
+    x, e0, e1 = x / p, e0 / p, e1 / p
+    if q != 0:
+        y, o0, o1 = y - q * x, o0 - q * e0, o1 - q * e1
+    if not abs(y) > tol:
+        raise Singular("matrix is singular at column 1")
+    o0, o1 = o0 / y, o1 / y
+    if x != 0:
+        e0, e1 = e0 - x * o0, e1 - x * o1
+    return ((e0, e1), (o0, o1))
+
+
+def _float_inverse(rows: Sequence, tol: float) -> tuple:
+    """Inverse by Gauss-Jordan elimination with partial pivoting on
+    ``[A | I]``; a pivot with ``not abs(p) > tol`` raises :class:`Singular`.
+
+    As in :func:`_float_det`, each step drops the pivot's column, so after
+    the last one every row holds its row of the inverse.
+    """
+    n = len(rows)
+    aug = [
+        [*row, *(1.0 if i == j else 0.0 for j in range(n))]
+        for i, row in enumerate(rows)
+    ]
+    for k in range(n):
+        pivot, best = k, abs(aug[k][0])
+        for r in range(k + 1, n):
+            v = abs(aug[r][0])
+            if v > best:
+                pivot, best = r, v
+        if not best > tol:
+            raise Singular(f"matrix is singular at column {k}")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        p = aug[k][0]
+        tail = [x / p for x in aug[k][1:]]
+        for r, row in enumerate(aug):
+            f = row[0]
+            if r == k:
+                aug[r] = tail
+            elif f == 0:
+                aug[r] = row[1:]
+            else:
+                aug[r] = [x - f * y for x, y in zip(row[1:], tail)]
+    return tuple(map(tuple, aug))
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Row-major dense matrix tied to a scalar backend."""
@@ -267,6 +456,10 @@ class Matrix:
         if self.backend.is_exact:
             products = _exact_products(self._exact_rows, other._exact_cols)
             return Matrix(products, self.backend)
+        a, b = self.entries, other.entries
+        kernel = _FLOAT_MUL.get((len(a), len(b), len(b[0])))
+        if kernel is not None:
+            return Matrix(kernel(a, b), self.backend)
         cols = other._float_cols
         return Matrix(
             tuple(
@@ -314,6 +507,9 @@ class Matrix:
             return tuple(
                 row[0] for row in _exact_products(self._exact_rows, _int_rows((u,)))
             )
+        kernel = _FLOAT_MATVEC.get((len(self.entries), len(u)))
+        if kernel is not None:
+            return kernel(self.entries, u)
         return tuple(_fold(map(mul, row, u), 0.0) for row in self.entries)
 
     def vecmat(self, u: Vector) -> Vector:
@@ -322,6 +518,9 @@ class Matrix:
             raise DimensionMismatch(f"expected length {self.nrows}, got {len(u)}")
         if self.backend.is_exact:
             return _exact_products(_int_rows((u,)), self._exact_cols)[0]
+        kernel = _FLOAT_VECMAT.get((len(u), len(self.entries[0])))
+        if kernel is not None:
+            return kernel(self.entries, u)
         return tuple(_fold(map(mul, u, col), 0.0) for col in self._float_cols)
 
     def det(self) -> Scalar:
@@ -331,25 +530,9 @@ class Matrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         if self.backend.is_exact:
             return _bareiss_det(*self._exact_rows)
-        n = self.nrows
-        rows = [list(r) for r in self.entries]
-        det = self.backend.one()
-        for k in range(n):
-            pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
-            if rows[pivot_row][k] == 0:
-                return self.backend.zero()
-            if pivot_row != k:
-                rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-                det = -det
-            pivot = rows[k][k]
-            det = det * pivot
-            for r in range(k + 1, n):
-                factor = rows[r][k] / pivot
-                if factor == 0:
-                    continue
-                for c in range(k, n):
-                    rows[r][c] = rows[r][c] - factor * rows[k][c]
-        return det
+        if self.nrows == 2:
+            return _float_det2(self.entries)
+        return _float_det(self.entries)
 
     def inverse(self) -> "Matrix":
         """Inverse by Gauss-Jordan elimination, fraction-free when exact;
@@ -358,34 +541,28 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.backend.is_exact:
             return Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
-        n = self.nrows
-        one, zero = self.backend.one(), self.backend.zero()
-        aug = [
-            list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(self.entries)
-        ]
-        for k in range(n):
-            pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
-            if self.backend.is_zero(aug[pivot_row][k]):
-                raise Singular(f"matrix is singular at column {k}")
-            if pivot_row != k:
-                aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
-            pivot = aug[k][k]
-            aug[k] = [x / pivot for x in aug[k]]
-            for r in range(n):
-                if r == k or aug[r][k] == 0:
-                    continue
-                factor = aug[r][k]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[k])]
-        return Matrix(tuple(tuple(row[n:]) for row in aug), self.backend)
+        kernel = _float_inverse2 if self.nrows == 2 else _float_inverse
+        return Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
 
     def is_invertible(self) -> bool:
         """A determinant the backend does not call zero."""
         return not self.backend.is_zero(self.det())
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, blocks of ``self[i][j] * other``."""
+        """Kronecker product, blocks of ``self[i][j] * other``; exact
+        entries are one ``Fraction`` each from the integer rows."""
         self.backend.require_same(other.backend)
+        if self.backend.is_exact:
+            (a_ints, a_dens), (b_ints, b_dens) = self._exact_rows, other._exact_rows
+            return Matrix(
+                tuple(
+                    tuple(Fraction(x * y, d) for x in arow for y in brow)
+                    for arow, da in zip(a_ints, a_dens)
+                    for brow, db in zip(b_ints, b_dens)
+                    for d in (da * db,)
+                ),
+                self.backend,
+            )
         rows = []
         for arow in self.entries:
             for brow in other.entries:

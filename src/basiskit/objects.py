@@ -199,8 +199,19 @@ def weight_dim(functor: TypeAFunctor, n: int) -> int:
 
 
 def functor_eval(functor: TypeAFunctor, g: GroupElement) -> Matrix:
-    """The grid ``A(g)``."""
-    return _functor_grids(functor, g)[0]
+    """The grid ``A(g)``; only a dual inverts ``g``."""
+    if functor.tag == "table":
+        return _table_lookup(functor, g.group, g)
+    payload = _matrix_payload(functor, g)
+    return _grid_at(functor, payload.backend, lambda: payload, payload.inverse)
+
+
+def _matrix_payload(functor: TypeAFunctor, g: GroupElement) -> Matrix:
+    if not isinstance(g.payload, Matrix):
+        raise GroupSpaceMismatch(
+            f"functor {functor.describe()} needs a matrix group element"
+        )
+    return g.payload
 
 
 def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
@@ -213,16 +224,9 @@ def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
     float grid, whose inverse's bits the residuals depend on, and a table
     grid are inverted whole by the caller.
     """
-    if functor.tag == "table":
-        return _table_lookup(functor, g.group, g), None
-    payload = g.payload
-    if not isinstance(payload, Matrix):
-        raise GroupSpaceMismatch(
-            f"functor {functor.describe()} needs a matrix group element"
-        )
-    backend = payload.backend
-    if not backend.is_exact:
-        return _grid_at(functor, backend, lambda: payload, payload.inverse), None
+    payload = None if functor.tag == "table" else _matrix_payload(functor, g)
+    if payload is None or not payload.backend.is_exact:
+        return functor_eval(functor, g), None
     inverses = []
 
     def inverse() -> Matrix:
@@ -230,8 +234,8 @@ def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
             inverses.append(payload.inverse())
         return inverses[0]
 
-    grid = _grid_at(functor, backend, lambda: payload, inverse)
-    return grid, _grid_at(functor, backend, inverse, lambda: payload)
+    grid = _grid_at(functor, payload.backend, lambda: payload, inverse)
+    return grid, _grid_at(functor, payload.backend, inverse, lambda: payload)
 
 
 def _grid_at(functor: TypeAFunctor, backend, m, m_inv) -> Matrix:
@@ -391,9 +395,18 @@ class ObjectTransformation(GridTransformation):
                 obj.anchor,
                 obj.w_basis,
                 _recombine(obj.anchor, self.anchor_grid),
-                self.functor_grid.mul(obj.w_basis),
+                self._moved_w_basis(obj.w_basis),
             )
         return GeometricalObject(obj.functor, coords, frame[2], frame[3])
+
+    def _moved_w_basis(self, w_basis: Matrix) -> Matrix:
+        """``A(g) E``; over the rationals ``A(g)`` itself at the shared
+        identity.  A float product keeps its bits: ``0.0 + x * 1.0`` turns
+        a ``-0.0`` of ``A(g)`` into ``0.0``."""
+        grid, backend = self.functor_grid, w_basis.backend
+        if backend.is_exact and w_basis is Matrix.identity(w_basis.nrows, backend):
+            return grid
+        return grid.mul(w_basis)
 
 
 def object_representation(obj: GeometricalObject, group) -> Representation:

@@ -1,11 +1,12 @@
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm, nextafter
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from basiskit.errors import BackendMismatch, DimensionMismatch, Singular
+from basiskit.groups import rotation_2d
 from basiskit.matrices import Matrix, _int_rows, metric_dot, vector
 from basiskit.scalars import APPROX, EXACT
 
@@ -433,3 +434,148 @@ def test_float_kernels_fold_left_with_cancelling_terms(data):
     assert row.matvec(ones)[0].hex() == expected
     assert column.vecmat(ones)[0].hex() == expected
     assert row.mul(Matrix(tuple((1.0,) for _ in u), APPROX)).entries[0][0].hex() == expected
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_exact_kron_is_the_entrywise_fraction_product(data):
+    a = data.draw(rational_rows(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))))
+    b = data.draw(rational_rows(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))))
+    k = m(a).kron(m(b))
+    assert k.entries == tuple(
+        tuple(x * y for x in arow for y in brow) for arow in a for brow in b
+    )
+    assert all(type(x) is Fraction for x in k.flat)
+
+
+# -- float elimination against the loops it replaced ---------------------------
+#
+# The references are the Gaussian and Gauss-Jordan loops with partial
+# pivoting that the float backend ran before its straight-line 2-by-2
+# kernels and its column-dropping elimination; results must match bit for
+# bit, and a singular matrix must fail at the same column.
+
+
+def reference_float_det(rows):
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = 1.0
+    for k in range(n):
+        pivot_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        if rows[pivot_row][k] == 0:
+            return 0.0
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            det = -det
+        pivot = rows[k][k]
+        det = det * pivot
+        for r in range(k + 1, n):
+            factor = rows[r][k] / pivot
+            if factor == 0:
+                continue
+            for c in range(k, n):
+                rows[r][c] = rows[r][c] - factor * rows[k][c]
+    return det
+
+
+def reference_float_inverse(rows, backend=APPROX):
+    n = len(rows)
+    aug = [
+        list(row) + [1.0 if i == j else 0.0 for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for k in range(n):
+        pivot_row = max(range(k, n), key=lambda r: abs(aug[r][k]))
+        if backend.is_zero(aug[pivot_row][k]):
+            raise Singular(f"matrix is singular at column {k}")
+        if pivot_row != k:
+            aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        pivot = aug[k][k]
+        aug[k] = [x / pivot for x in aug[k]]
+        for r in range(n):
+            if r == k or aug[r][k] == 0:
+                continue
+            factor = aug[r][k]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[k])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def inverse_bits(invert):
+    """The bits of the inverse's rows, or the message of its ``Singular``."""
+    try:
+        return [bits(row) for row in invert()]
+    except Singular as exc:
+        return str(exc)
+
+
+def assert_elimination_bits(rows):
+    a = Matrix(tuple(map(tuple, rows)), APPROX)
+    for _ in range(2):
+        assert a.det().hex() == reference_float_det(rows).hex(), rows
+        assert inverse_bits(lambda: a.inverse().entries) == inverse_bits(
+            lambda: reference_float_inverse(rows)
+        ), rows
+
+
+TOL = APPROX.tolerance
+NEAR_TOLERANCE = (TOL, -TOL, nextafter(TOL, inf), -nextafter(TOL, inf), nextafter(TOL, 0.0))
+pivots = st.one_of(floats, st.sampled_from(NEAR_TOLERANCE), st.sampled_from([2.0, -2.0, 3.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_float_elimination_is_bit_identical_to_the_loops_it_replaced(data):
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(pivots, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert_elimination_bits(rows)
+
+
+def test_float_pivot_ties_go_to_the_first_row():
+    # |1| == |-1|: the first row stays the pivot row, so no swap, no sign flip
+    tie = Matrix(((1.0, 2.0), (-1.0, 3.0)), APPROX)
+    assert tie.det() == 5.0
+    assert_elimination_bits([[1.0, 2.0], [-1.0, 3.0]])
+    assert_elimination_bits([[-1.0, 2.0], [1.0, 3.0]])
+    assert_elimination_bits([[2.0, 1.0, 0.5], [-2.0, 0.0, 1.0], [2.0, -1.0, 3.0]])
+    assert_elimination_bits([[0.0, 1.0, 1.0], [-0.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+
+
+def test_float_pivots_just_above_and_below_the_tolerance():
+    above, below = nextafter(TOL, inf), nextafter(TOL, 0.0)
+    for size in (2, 3):
+        for column in range(size):
+            for pivot in (above, -above, TOL, -TOL, below):
+                a = Matrix.diagonal([pivot if k == column else 1.0 for k in range(size)], APPROX)
+                assert_elimination_bits(a.rows_as_lists())
+                if pivot in (above, -above):
+                    assert a.inverse().entries[column][column] == 1 / pivot
+                else:
+                    with pytest.raises(Singular, match=f"at column {column}$"):
+                        a.inverse()
+
+
+def test_float_quarter_turns_keep_their_signed_zeros():
+    quarter = ((-0.0, -1.0), (1.0, -0.0))
+    about_z = ((-0.0, -1.0, 0.0), (1.0, -0.0, 0.0), (0.0, 0.0, 1.0))
+    for rows in (quarter, about_z):
+        assert_elimination_bits(rows)
+        a = Matrix(rows, APPROX)
+        assert a.det() == 1.0
+        assert [bits(r) for r in a.mul(a).entries] == [bits(r) for r in generator_mul(a, a)]
+    # the second row is the pivot row; the first row's factor -0.0 counts as
+    # 0, so it is left alone, and the identity's 0.0 over its pivot -1.0 is -0.0
+    assert bits(Matrix(quarter, APPROX).inverse().entries[0]) == ["0x0.0p+0", "0x1.0000000000000p+0"]
+    assert bits(Matrix(quarter, APPROX).inverse().entries[1]) == ["-0x1.0000000000000p+0", "-0x0.0p+0"]
+
+
+def test_a_float_rotation_times_its_inverse_matches_the_loops():
+    planar = rotation_2d(0.3)
+    c, s = planar.entries[0][0], planar.entries[1][0]
+    spatial = Matrix(((c, 0.0, -s), (0.0, 1.0, 0.0), (s, 0.0, c)), APPROX)
+    for r in (planar, spatial):
+        inverse = Matrix(reference_float_inverse(r.entries), APPROX)
+        assert [bits(row) for row in r.inverse().entries] == [bits(row) for row in inverse.entries]
+        product = r.mul(r.inverse())
+        assert [bits(row) for row in product.entries] == [bits(row) for row in generator_mul(r, inverse)]
+        assert product.is_identity()
+        assert r.det().hex() == reference_float_det(r.entries).hex()

@@ -902,3 +902,49 @@ def test_vector_space_axioms_move_one_frame_and_u_once_per_sample(monkeypatch):
     # u + v, u, v and c u are moved; all four sit at the sample's one frame
     assert applied[0] == 4 * 40
     assert framed[0] == 40
+
+
+@pytest.mark.parametrize(
+    "functor, inverted",
+    [
+        (fundamental_functor(), []),
+        (tensor_power_functor(2), []),
+        (tensor_power_functor(3), []),
+        (dual_functor(), [2]),
+    ],
+    ids=["fundamental", "tensor2", "tensor3", "dual"],
+)
+def test_functor_eval_inverts_g_only_for_a_dual(functor, inverted, monkeypatch):
+    sizes = counted_inverses(monkeypatch)
+    for g in (elem([[2, 1], [1, 1]]), so2_order_12().store[1]):
+        del sizes[:]
+        grid = functor_eval(functor, g)
+        assert sizes == inverted
+        assert grid.entries == reference_functor_eval(functor, g).entries
+
+
+def test_an_exact_frame_at_the_shared_identity_moves_to_the_grid_itself():
+    g = elem([[2, 1], [1, 1]])
+    for functor, coords in ((fundamental_functor(), [1, 2]), (tensor_power_functor(2), [1, 2, 3, 4])):
+        t = ObjectTransformation.of(ObjectCarrier(functor, anchor_2d()), g)
+        obj = GeometricalObject.make(functor, coords, anchor_2d())
+        assert obj.w_basis is Matrix.identity(len(coords), EXACT)
+        moved = t.apply(obj)
+        assert moved.w_basis is t.functor_grid
+        assert moved.w_basis == t.functor_grid.mul(obj.w_basis)
+        assert moved.eq(transform_object(obj, g))
+        assert representative(moved) == representative(obj)
+
+
+def test_a_float_frame_at_the_identity_keeps_the_product_and_its_bits():
+    # 0.0 + (-0.0 * 1.0) + (-1.0 * 0.0) is +0.0: the product is not A(g)
+    group = MatrixGroup.general_linear(2, APPROX)
+    g = group.element(Matrix(((-0.0, -1.0), (1.0, -0.0)), APPROX))
+    t = ObjectTransformation.of(ObjectCarrier(fundamental_functor(), float_anchor()), g)
+    obj = GeometricalObject.make(fundamental_functor(), [1.0, 2.0], float_anchor())
+    assert obj.w_basis is Matrix.identity(2, APPROX)
+    moved = t.apply(obj)
+    assert moved.w_basis is not t.functor_grid
+    assert float_bits(moved.w_basis) == float_bits(t.functor_grid.mul(obj.w_basis))
+    assert moved.w_basis.entries[0][0].hex() == "0x0.0p+0"
+    assert t.functor_grid.entries[0][0].hex() == "-0x0.0p+0"
