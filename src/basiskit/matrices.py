@@ -30,9 +30,11 @@ the backend compares.
 Float kernels are bit for bit the textbook loops: a dot product is a
 left fold from ``0.0``, term after term, and elimination uses partial
 pivoting, ties going to the first row.  The fold makes the bits
-independent of the Python version: the builtin ``sum()`` is such a fold
-before Python 3.12, and from 3.12 on it adds floats with compensated
-summation, so there :func:`functools.reduce` folds instead.  Products,
+independent of the Python version, NaN signs excepted: the builtin
+``sum()`` is such a fold before Python 3.12, and from 3.12 on it adds
+floats with compensated summation, so there :func:`functools.reduce`
+folds instead.  The C loop of ``sum()`` may give ``+nan`` where ``+``
+gives ``-nan``; reports print every NaN alike.  Products,
 ``matvec`` and ``vecmat`` of 2-by-2 and 3-by-3 matrices, and ``det``
 and ``inverse`` of 2-by-2 ones, are written out straight-line; every
 other float ``det`` and ``inverse`` runs one elimination that keeps

@@ -200,18 +200,25 @@ def weight_dim(functor: TypeAFunctor, n: int) -> int:
 
 def functor_eval(functor: TypeAFunctor, g: GroupElement) -> Matrix:
     """The grid ``A(g)``; only a dual inverts ``g``."""
+    return _functor_grid(functor, g, _matrix_payload(functor, g))
+
+
+def _matrix_payload(functor: TypeAFunctor, g: GroupElement) -> Optional[Matrix]:
+    """The matrix of ``g``, or ``None`` for a table functor."""
     if functor.tag == "table":
-        return _table_lookup(functor, g.group, g)
-    payload = _matrix_payload(functor, g)
-    return _grid_at(functor, payload.backend, lambda: payload, payload.inverse)
-
-
-def _matrix_payload(functor: TypeAFunctor, g: GroupElement) -> Matrix:
+        return None
     if not isinstance(g.payload, Matrix):
         raise GroupSpaceMismatch(
             f"functor {functor.describe()} needs a matrix group element"
         )
     return g.payload
+
+
+def _functor_grid(functor: TypeAFunctor, g: GroupElement, payload) -> Matrix:
+    """``A(g)``, given ``payload = _matrix_payload(functor, g)``."""
+    if payload is None:
+        return _table_lookup(functor, g.group, g)
+    return _grid_at(functor, payload.backend, lambda: payload, payload.inverse)
 
 
 def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
@@ -224,9 +231,9 @@ def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
     float grid, whose inverse's bits the residuals depend on, and a table
     grid are inverted whole by the caller.
     """
-    payload = None if functor.tag == "table" else _matrix_payload(functor, g)
+    payload = _matrix_payload(functor, g)
     if payload is None or not payload.backend.is_exact:
-        return functor_eval(functor, g), None
+        return _functor_grid(functor, g, payload), None
     inverses = []
 
     def inverse() -> Matrix:
