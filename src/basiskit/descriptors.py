@@ -177,7 +177,9 @@ def group_from_descriptor(
         except BasiskitError as exc:
             raise ParseError(f"finite group: {exc}") from exc
         declared = d.get("identity")
-        if declared is not None and declared != group.identity_index:
+        if declared is not None and (
+            _need_int(declared, "finite group: identity") != group.identity_index
+        ):
             raise ParseError(
                 f"finite group: declared identity {declared}, "
                 f"table gives {group.identity_index}"
@@ -195,6 +197,8 @@ def group_from_descriptor(
             if family not in ("GL", "SL", "SO"):
                 raise ParseError(f"matrix group: unknown family {family!r}")
             signature = _signature_from(d.get("signature"), "matrix group: signature")
+        if "elements" in d and "generators" in d:
+            raise ParseError(f"{kind} group: give elements or generators, not both")
         if backend is None:
             backend = approx(tolerance) if family == "SO" else EXACT
         payloads = None

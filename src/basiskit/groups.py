@@ -107,11 +107,11 @@ class FiniteGroup:
     Construct through :func:`validate_cayley_table`; the constructor here
     trusts its arguments.  ``store`` holds every element in table order,
     as :attr:`MatrixGroup.store` holds a matrix group's stored elements.
+    ``table[i][j]`` is the index of element ``i`` times element ``j``.
     ``generators`` are element indices, the identity never among them:
     right multiplication by them reaches every element from the identity
     (see :func:`_generating_set`; they are derived from ``table``, so they
-    cannot disagree with it).  ``edges[i][k]`` is the index of element
-    ``i`` times generator ``k``.
+    cannot disagree with it).
     """
 
     def __init__(
@@ -127,10 +127,6 @@ class FiniteGroup:
         self.names = names
         self.store = tuple(GroupElement(self, i) for i in range(len(table)))
         self.generators = tuple(_generating_set(table, identity_index))
-
-    @cached_property
-    def edges(self) -> tuple:
-        return tuple(tuple(row[s] for s in self.generators) for row in self.table)
 
     @property
     def order(self) -> int:
@@ -393,11 +389,13 @@ class MatrixGroup:
     lookup (:meth:`index_of`) names one position per element.  An exact
     store that is a group also has ``generators``, store indices without
     the identity, from which right multiplication reaches every element,
-    and ``edges[i][k]``, the index of element ``i`` times generator ``k``:
-    kept by :meth:`close_over` from the products it forms, or found on
-    first use by :func:`_generating_set` for a store given as elements.
-    Both are ``None`` for a store that is not closed under products, and
-    on the float backend, where a product only lands near an element.
+    and a product table like a :class:`FiniteGroup`'s: ``table[i][j]`` is
+    the index of element ``i`` times element ``j``, looked up on first
+    read and kept.  :meth:`close_over` fills it with the products it
+    forms; a store given as elements finds its generators on first use
+    with :func:`_generating_set`.  Both are ``None`` for a store that is
+    not closed under products, and on the float backend, where a product
+    only lands near an element.
     """
 
     def __init__(
@@ -512,12 +510,12 @@ class MatrixGroup:
         return self._schreier[0]
 
     @property
-    def edges(self) -> Optional[tuple]:
+    def table(self) -> Optional[tuple]:
         return self._schreier[1]
 
     @cached_property
     def _schreier(self) -> tuple:
-        """``(generators, edges)`` of a store given as elements (a closure
+        """``(generators, table)`` of a store given as elements (a closure
         sets them itself): each product of a stored element and a
         generator is looked up once, and the first one that is no element
         leaves both ``None``."""
@@ -525,11 +523,9 @@ class MatrixGroup:
         identity = None if store is None or not self.backend.is_exact else self.index_of(self.identity)
         if identity is None:
             return None, None
-        rows = [_StoreRow(self, a) for a in store]
+        rows = tuple(_StoreRow(self, a) for a in store)
         gens = _generating_set(rows, identity)
-        if gens is None:
-            return None, None
-        return tuple(gens), tuple(tuple(row[g] for g in gens) for row in rows)
+        return (None, None) if gens is None else (tuple(gens), rows)
 
     def _empty_index(self) -> "PointIndex":
         """An empty point index of elements under this group's equality."""
@@ -601,16 +597,16 @@ class MatrixGroup:
         :class:`EnumerationCapExceeded` rather than truncating when the
         closure grows past ``cap``, and, on the float backend, at the first
         product with a non-finite entry.  Elements are taken from the
-        frontier in store order, so the position each product lands on is
-        a row of ``edges``; over the rationals the distinct generators
-        other than the identity become ``generators``.
+        frontier in store order; over the rationals the distinct generators
+        other than the identity become ``generators``, and each product
+        formed fills its entry of ``table``.
         """
         gens = [self.element(g) for g in generators]
         exact = self.backend.is_exact
         found = self._empty_index()
         found.add(self.identity)
         frontier = [self.identity]
-        edges = []
+        formed = []
         while frontier:
             new_frontier = []
             for current in frontier:
@@ -633,20 +629,23 @@ class MatrixGroup:
                             f"({n} found, frontier of {len(frontier)})"
                         )
                     new_frontier.append(candidate)
-                edges.append(row)
+                formed.append(row)
             frontier = new_frontier
         self.store, self._index = tuple(found.points), found
         if exact:
-            # the identity's row holds the generators' positions; the
-            # identity (position 0) and repeats are dropped with their columns
-            positions = tuple(dict.fromkeys(i for i in edges[0] if i))
-            columns = [edges[0].index(i) for i in positions]
-            self._schreier = positions, tuple(tuple(row[k] for k in columns) for row in edges)
+            # the identity's products are the generators' positions; the
+            # identity (position 0) and repeats are no generators
+            table = tuple(_StoreRow(self, a) for a in self.store)
+            for row, products in zip(table, formed):
+                row.update(zip(formed[0], products))
+            self._schreier = tuple(dict.fromkeys(i for i in formed[0] if i)), table
 
 
 class _StoreRow(dict):
     """Row ``a`` of a store's product table: entry ``g`` is the position of
     ``a`` times stored element ``g``, or ``None``, looked up on first read."""
+
+    __slots__ = ("group", "a")
 
     def __init__(self, group: MatrixGroup, a: GroupElement):
         self.group, self.a = group, a

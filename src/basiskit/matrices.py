@@ -435,7 +435,7 @@ class Matrix:
 
     @property
     def is_square(self) -> bool:
-        return self.nrows == self.ncols
+        return len(self.entries) == len(self.entries[0])
 
     def row(self, i: int) -> Vector:
         return self.entries[i]
@@ -451,7 +451,7 @@ class Matrix:
 
     def mul(self, other: "Matrix") -> "Matrix":
         self.backend.require_same(other.backend)
-        if self.ncols != other.nrows:
+        if len(self.entries[0]) != len(other.entries):
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
@@ -503,7 +503,7 @@ class Matrix:
 
     def matvec(self, u: Vector) -> Vector:
         """Apply to a column vector: ``(M u)_r = sum_c M[r][c] u[c]``."""
-        if len(u) != self.ncols:
+        if len(u) != len(self.entries[0]):
             raise DimensionMismatch(f"expected length {self.ncols}, got {len(u)}")
         if self.backend.is_exact:
             return tuple(
@@ -516,7 +516,7 @@ class Matrix:
 
     def vecmat(self, u: Vector) -> Vector:
         """Apply to a row vector: ``(u M)_c = sum_r u[r] M[r][c]``."""
-        if len(u) != self.nrows:
+        if len(u) != len(self.entries):
             raise DimensionMismatch(f"expected length {self.nrows}, got {len(u)}")
         if self.backend.is_exact:
             return _exact_products(_int_rows((u,)), self._exact_cols)[0]
@@ -532,7 +532,7 @@ class Matrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         if self.backend.is_exact:
             return _bareiss_det(*self._exact_rows)
-        if self.nrows == 2:
+        if len(self.entries) == 2:
             return _float_det2(self.entries)
         return _float_det(self.entries)
 
@@ -543,7 +543,7 @@ class Matrix:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.backend.is_exact:
             return Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
-        kernel = _float_inverse2 if self.nrows == 2 else _float_inverse
+        kernel = _float_inverse2 if len(self.entries) == 2 else _float_inverse
         return Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
 
     def is_invertible(self) -> bool:
@@ -580,7 +580,7 @@ class Matrix:
 
     def eq(self, other: "Matrix") -> bool:
         """Equal shapes and entries close under the backend's comparison."""
-        return self.nrows == other.nrows and self.backend.close(self.flat, other.flat)
+        return len(self.entries) == len(other.entries) and self.backend.close(self.flat, other.flat)
 
     def max_diff(self, other: "Matrix") -> float:
         """The largest entrywise difference, as a float."""
@@ -589,7 +589,7 @@ class Matrix:
         return self.backend.residual(self.flat, other.flat)
 
     def is_identity(self) -> bool:
-        return self.is_square and self.eq(Matrix.identity(self.nrows, self.backend))
+        return self.is_square and self.eq(Matrix.identity(len(self.entries), self.backend))
 
     def rows_as_lists(self) -> list:
         return [list(row) for row in self.entries]

@@ -141,8 +141,8 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     ``A(e) = 1`` and the homomorphism property ``A(ab) = A(a) A(b)`` are
     checked before the functor is accepted.  On a group with generators
     and exact grids ``b`` runs over the generators, ``ab`` read off the
-    group's ``edges``: ``A(a b' s) = A(a b') A(s) = A(a) A(b') A(s) =
-    A(a) A(b' s)`` gives every pair by induction.  Float grids, and
+    group's product ``table``: ``A(a b' s) = A(a b') A(s) = A(a) A(b') A(s)
+    = A(a) A(b' s)`` gives every pair by induction.  Float grids, and
     stores that are not closed, are checked over all stored pairs.
     """
     elements = group.store
@@ -162,9 +162,9 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
         raise BasiskitError("table functor does not send the identity to the identity")
     if group.generators is not None and all(grid.backend.is_exact for grid in grids):
         pairs = (
-            (a, elements[s], grids[i], grids[s], grids[j])
-            for (i, a), row in zip(enumerate(elements), group.edges)
-            for s, j in zip(group.generators, row)
+            (a, elements[s], grids[i], grids[s], grids[group.table[i][s]])
+            for i, a in enumerate(elements)
+            for s in group.generators
         )
     else:
         pairs = (

@@ -544,15 +544,16 @@ class Representation:
 
     def _action_table(self) -> Optional[list]:
         """``T[i][j]``: index of the image of carrier point ``j`` under
-        element ``i``, the rows of the mappings of a finite group.
+        stored element ``i``, the rows of the mappings.
 
-        ``None`` when the group is not a :class:`FiniteGroup` or some
-        assigned transformation is not a mapping; the checks then run their
-        generic code, which is also the reference the table path must match.
+        ``None`` when the group has no store, the carrier is not enumerable
+        or some assigned transformation is not a mapping; the checks then
+        run their generic code, which is also the reference the table path
+        must match.
         """
         if self._table is _NOT_COMPILED:
             self._table = None
-            if isinstance(self.group, FiniteGroup):
+            if self.group.store is not None and self.carrier.enumerable:
                 try:
                     maps = [self.transformation(g) for g in self.group.store]
                 except BasiskitError:
@@ -830,14 +831,14 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
     leaving out the laws no longer ``undecided``.
 
     ``f(g)`` is listed once per element: as an integer row for mappings, a
-    grid on the grid plan, a transformation otherwise.  ``f(a s)`` and ``f(s
-    a)`` are read off the Cayley table, ``f(a s)`` off ``edges`` when ``s``
-    runs over generators, or evaluated.  The side law compares ``f(a s)``
-    with ``f(a)`` after ``f(s)`` on the left, ``f(s)`` after ``f(a)`` on the
-    right: the product ``f(a) f(s)`` of variance for mappings and column
-    grids on the left and for row grids on the right, the product in the
-    other order otherwise.  Only a failing pair looks for its witness, the
-    first carrier point or Kronecker vector moved wrongly.
+    grid on the grid plan, a transformation otherwise.  ``f(a s)`` is read
+    off the group's product table, and ``f(s a)`` while the antihomomorphism
+    half is open; without a table both are evaluated.  The side law compares
+    ``f(a s)`` with ``f(a)`` after ``f(s)`` on the left, ``f(s)`` after
+    ``f(a)`` on the right: the product ``f(a) f(s)`` of variance for
+    mappings and column grids on the left and for row grids on the right,
+    the product in the other order otherwise.  Only a failing pair looks for
+    its witness, the first carrier point or Kronecker vector moved wrongly.
     """
     group, carrier, f = rep.group, rep.carrier, rep.transformation
     maps = [f(g) for g in elements]
@@ -851,24 +852,21 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
         values, value = maps, f
         mul, eq = _variance_product, transformations_equal
     probes = Matrix.identity(carrier.dim, carrier.backend).entries if grids else carrier.points()
-    table = group.table if isinstance(group, FiniteGroup) else None
-    # the plan's second factors are the generators exactly when it reduced
-    edges = group.edges if table is None and seconds == group.generators else None
+    table = group.table
     shared = (rep.side == "left") != (grids and carrier.layout == "row")
     # the grid plan counts one case a pair, the others one a point
     holds = (1 if grids else len(probes), None, None)
     for i, a in enumerate(elements):
         x = values[i]
-        for k, j in enumerate(seconds):
+        for j in seconds:
             s, y = elements[j], values[j]
             side_open, homo_open, anti_open = undecided
             product = mul(x, y) if homo_open or anti_open or shared else None
             if table is not None:
-                fas, fsa = values[table[i][j]], values[table[j][i]]
+                fas = (side_open or homo_open) and values[table[i][j]]
+                fsa = anti_open and values[table[j][i]]
             else:
-                fas = (side_open or homo_open) and (
-                    values[edges[i][k]] if edges else value(compose(group, a, s))
-                )
+                fas = (side_open or homo_open) and value(compose(group, a, s))
                 fsa = anti_open and value(compose(group, s, a))
             homo = (homo_open or shared and side_open) and eq(fas, product)
             side = holds
@@ -1317,31 +1315,17 @@ def solve_transport(rep: Representation, u, v) -> GroupElement:
     return matches[0]
 
 
-def shifts_commute_check(group, sample: str = "auto") -> Verdict:
-    """Left and right shifts commute: ``a (c b) = (a c) b`` over all triples.
+def shifts_commute_check(group) -> Verdict:
+    """Left and right shifts commute: ``a (w b) = (a w) b`` over all
+    triples ``(a, b, w)``, always exhaustively.
 
-    Always exhaustive: there is no seed to sample with, so a ``sample``
-    other than ``"auto"`` or ``"exhaustive"`` is rejected.
+    It is :func:`commutation_check` of the two shifts on one shared
+    carrier, which compares their integer rows.  A store that is not
+    closed under products has no shifts, and building them raises.
     """
-    if sample not in ("auto", "exhaustive"):
-        raise BasiskitError(
-            f"shift commutation runs exhaustively only, got sample mode {sample!r}"
-        )
-    elements = group.store
-    if elements is None:
-        raise InfeasibleExhaustive("shift commutation needs enumerable elements")
-    if isinstance(group, FiniteGroup):
-        # commutation_check compares carriers by identity
-        carrier = SelfCarrier(group)
-        return commutation_check(_shift(group, "left", carrier), _shift(group, "right", carrier))
-
-    def outcome(a, b, c):
-        lhs = compose(group, a, compose(group, c, b))
-        rhs = compose(group, compose(group, a, c), b)
-        return (a, b, c), lhs.eq_to(rhs), None
-
-    cases = itertools.product(elements, repeat=3)
-    return _first_failure("exhaustive", itertools.starmap(outcome, cases))
+    # commutation_check compares carriers by identity
+    carrier = SelfCarrier(group)
+    return commutation_check(_shift(group, "left", carrier), _shift(group, "right", carrier))
 
 
 def twin_representation(rep: Representation, origin=None) -> Representation:

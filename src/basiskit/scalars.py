@@ -14,7 +14,7 @@ A NaN supports no claim: it is close to nothing, and it vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -41,6 +41,7 @@ class Backend:
 
     kind: str
     tolerance: float = 0.0
+    is_exact: bool = field(init=False, repr=False, compare=False)  # set from ``kind``
 
     def __post_init__(self):
         if self.kind not in ("exact", "approx"):
@@ -49,10 +50,7 @@ class Backend:
             raise ValueError("exact backend takes no tolerance")
         if self.kind == "approx" and self.tolerance <= 0.0:
             raise ValueError("approximate backend needs a positive tolerance")
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
+        object.__setattr__(self, "is_exact", self.kind == "exact")
 
     def coerce(self, value) -> Scalar:
         """Convert a number to this backend's scalar type.

@@ -158,7 +158,7 @@ def test_02_inverse_law():
 def test_03_shifts_commute():
     checked = 0
     for name, group in FIXTURES:
-        verdict = shifts_commute_check(group, "exhaustive")
+        verdict = shifts_commute_check(group)
         assert verdict.passed, name
         checked += verdict.checked
     _line(3, "left and right shifts commute", True, f"{checked} triples, exact")

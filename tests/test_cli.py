@@ -990,6 +990,38 @@ def plane_basis():
                 "assign": {"kind": "permutation-table", "table": [[0]]},
             },
         ),
+        *(
+            (
+                ["repcheck", "--input", "DOC"],
+                {
+                    # the identity of this table is element 1, which true and 1.0 equal
+                    "group": {"kind": "finite", "table": [[1, 0], [0, 1]], "identity": identity},
+                    "side": "left",
+                    "carrier": {"kind": "self"},
+                    "assign": {"kind": "shift-left"},
+                },
+            )
+            for identity in (True, 1.0)
+        ),
+        (
+            ["basis", "coordrep", "--group", "DOC"],
+            {
+                "kind": "matrix",
+                "family": "GL",
+                "dim": 2,
+                "elements": [[1, 0, 0, 1], [2, 0, 0, 1]],
+                "generators": [[0, -1, 1, 0]],
+            },
+        ),
+        (
+            ["basis", "coordrep", "--group", "DOC"],
+            {
+                "kind": "affine",
+                "dim": 1,
+                "elements": [{"P": [[1]], "R": [0]}],
+                "generators": [{"P": [[1]], "R": [1]}],
+            },
+        ),
         (["basis", "gram-schmidt", "--input", "DOC"], [[1, 0], [0, 1]]),
         (
             ["basis", "gram-schmidt", "--input", "DOC"],
@@ -1016,6 +1048,10 @@ def plane_basis():
         "group-dim-true",
         "affine-group-dim-true",
         "carrier-size-true",
+        "finite-identity-true",
+        "finite-identity-a-float",
+        "matrix-elements-and-generators",
+        "affine-elements-and-generators",
         "gram-schmidt-input-a-list",
         "gram-schmidt-signature-an-int",
         "gram-schmidt-vector-not-a-list",

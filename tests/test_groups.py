@@ -845,7 +845,7 @@ def test_a_float_special_linear_sample_keeps_its_membership_test(monkeypatch):
     assert all(abs(g.payload.det() - 1.0) <= 1e-9 for g in drawn)
 
 
-# -- generators and edges of stored groups ---------------------------------------------
+# -- generators and tables of stored groups --------------------------------------------
 
 
 def golden_group(name):
@@ -904,20 +904,28 @@ EXACT_CLOSED_STORES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EXACT_CLOSED_STORES))
-def test_edges_of_a_closed_exact_store_agree_with_compose_elements(name):
-    group = EXACT_CLOSED_STORES[name]()
-    store, gens, edges = group.store, group.generators, group.edges
+TABLE_GROUPS = {
+    **EXACT_CLOSED_STORES,
+    "S4": lambda: symmetric_group(4),
+    "Q8": quaternion_group,
+    "Z6": lambda: cyclic_group(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_GROUPS))
+def test_the_product_table_agrees_with_compose_elements(name):
+    group = TABLE_GROUPS[name]()
+    store, gens, table = group.store, group.generators, group.table
     e = group.index_of(group.identity)
     assert e not in gens and len(set(gens)) == len(gens)
-    assert len(edges) == len(store) and all(len(row) == len(gens) for row in edges)
-    for i, row in enumerate(edges):
-        for s, j in zip(gens, row):
-            assert store[j].payload == compose(group, store[i], store[s]).payload
+    assert len(table) == len(store)
+    for i, row in enumerate(table):
+        for j in range(len(store)):
+            assert store[row[j]].payload == compose(group, store[i], store[j]).payload
     # right multiplication by the generators reaches every element from e
     reached, frontier = {e}, [e]
     while frontier:
-        frontier = [j for x in frontier for j in edges[x] if j not in reached]
+        frontier = [j for x in frontier for j in (table[x][s] for s in gens) if j not in reached]
         reached.update(frontier)
     assert reached == set(range(len(store)))
 
@@ -937,15 +945,11 @@ def test_a_closure_keeps_its_distinct_generators_in_order(monkeypatch):
     mul = Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(1) or mul(self, other))
     group = closed_over(MatrixGroup.general_linear(2), [QUARTER, QUARTER, FLIP])
-    assert len(products) == 8 * 3
     assert len(group.generators) == 2
-
-
-def test_finite_group_edges_read_the_table_at_the_generators():
-    for group in (symmetric_group(4), quaternion_group(), cyclic_group(6)):
-        assert group.edges == tuple(
-            tuple(group.table[i][s] for s in group.generators) for i in range(group.order)
-        )
+    # and its table holds them: reading it at the generators forms none
+    by_generators = [[row[s] for s in group.generators] for row in group.table]
+    assert len(products) == 8 * 3
+    assert by_generators[0] == list(group.generators)
 
 
 def test_stores_that_are_not_closed_or_not_exact_have_no_generators():
@@ -961,7 +965,7 @@ def test_stores_that_are_not_closed_or_not_exact_have_no_generators():
         ),
     ]
     for group in stores:
-        assert (group.generators, group.edges) == (None, None)
+        assert (group.generators, group.table) == (None, None)
 
 
 def test_a_store_that_is_not_closed_stops_at_its_first_missing_product(monkeypatch):

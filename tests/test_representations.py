@@ -220,18 +220,19 @@ def test_shifts_commute():
         assert shifts_commute_check(group).passed
 
 
-@pytest.mark.parametrize("sample", ["sampled", "bogus"])
-def test_shifts_commute_refuses_a_sample_it_cannot_take(sample):
-    with pytest.raises(BasiskitError):
-        shifts_commute_check(cyclic_group(4), sample)
-
-
 def shift_commutation_oracle(group):
     """The shifts' commutation one triple ``(a, b, w)`` at a time, ``a (w b)``
-    against ``(a w) b`` on the Cayley table, counting every case run."""
-    mul, store = group.table, group.store
+    against ``(a w) b``, counting every case run.  Each product of two
+    stored elements is formed once with ``compose_elements`` and named by
+    the first stored element it is ``eq_to``."""
+    store = group.store
+
+    def position(g):
+        return next(k for k, x in enumerate(store) if x.eq_to(g))
+
+    mul = [[position(group.compose_elements(a, b)) for b in store] for a in store]
     checked = 0
-    for a, b, w in itertools.product(range(group.order), repeat=3):
+    for a, b, w in itertools.product(range(len(store)), repeat=3):
         checked += 1
         if mul[a][mul[w][b]] != mul[mul[a][w]][b]:
             return Verdict(False, "exhaustive", checked, (store[a], store[b], store[w]))
@@ -253,6 +254,36 @@ def non_associative_loop():
     return FiniteGroup(table, 0, (0, 1, 2, 3, 4))
 
 
+def unvalidated(table):
+    """A :class:`FiniteGroup` on ``table``, identity 0, built past validation."""
+    return FiniteGroup(tuple(map(tuple, table)), 0, tuple(range(len(table))))
+
+
+def closed_group(group, generators):
+    group.close_over(generators)
+    return group
+
+
+def b3_closure():
+    """The signed permutation matrices of order 48, closed from three generators."""
+    generators = [
+        permutation_matrix((1, 2, 0)),
+        permutation_matrix((1, 0, 2)),
+        Matrix.diagonal((-1, 1, 1), EXACT),
+    ]
+    return closed_group(MatrixGroup.general_linear(3), generators)
+
+
+def d4_matrix_closure():
+    """The eight exact symmetries of the square, closed from a quarter turn and a flip."""
+    return closed_group(MatrixGroup.general_linear(2), [[[0, -1], [1, 0]], [[1, 0], [0, -1]]])
+
+
+def so2_closure(n):
+    """The float rotations by multiples of ``2 pi / n``, closed from one."""
+    return closed_group(MatrixGroup.metric_preserving(2, 0), [rotation_2d(2 * math.pi / n)])
+
+
 @pytest.mark.parametrize(
     "make_group",
     [lambda group=group: group for _, group in finite_fixtures()]
@@ -261,13 +292,39 @@ def non_associative_loop():
         lambda: dihedral_group(6),
         lambda: cyclic_group(1),
         lambda: symmetric_group(5),
+        lambda: cyclic_group(5),
+        lambda: dihedral_group(5),
         non_associative_loop,
+        # not associative: (1*1)*2 != 1*(1*2)
+        lambda: unvalidated(((0, 1, 2), (1, 2, 2), (2, 2, 1))),
+        lambda: unvalidated(((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1))),
+        b3_closure,
+        lambda: so2_closure(12),
     ],
-    ids=[name for name, _ in finite_fixtures()] + ["S4", "D6", "Z1", "S5", "loop"],
+    ids=[name for name, _ in finite_fixtures()]
+    + ["S4", "D6", "Z1", "S5", "Z5", "D5", "loop", "magma3", "magma4", "B3-closure", "SO2-order12"],
 )
 def test_shift_commutation_matches_the_triple_oracle(make_group):
     group = make_group()
     assert shifts_commute_check(group) == shift_commutation_oracle(group)
+
+
+def test_b3_shift_commutation_forms_only_the_rows_of_the_shifts(monkeypatch):
+    # a triple loop would form four exact products for each of 48^3 triples
+    b3 = b3_closure()
+    products = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(1) or mul(self, other))
+    verdict = shifts_commute_check(b3)
+    assert verdict == Verdict(True, "exhaustive", 48**3)
+    assert len(products) == 2 * 48 * 48
+
+
+def test_shift_commutation_refuses_a_store_that_is_not_closed():
+    # diag(2, 1) squared is not stored, so neither shift exists
+    group = MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]]])
+    with pytest.raises(BasiskitError, match="outside the carrier"):
+        shifts_commute_check(group)
 
 
 def test_shift_commutation_fails_on_a_non_associative_table():
@@ -840,6 +897,11 @@ def table_fixture_builders():
             (f"{name}/twin-right", lambda g=group: twin_representation(right_shift(g))),
         ]
     s4, d5, d6 = symmetric_group(4), dihedral_group(5), dihedral_group(6)
+    # matrix groups: a shift's rows are read through the store's point index
+    builders += [
+        ("GL2-D4/left-shift", lambda: left_shift(d4_matrix_closure())),
+        ("SO2-order12/right-shift", lambda: right_shift(so2_closure(12))),
+    ]
     builders += [
         ("S4/natural", lambda: permutation_action(s4, symmetric_perms(4))),
         ("D5/natural", lambda: permutation_action(d5, dihedral_perms(5))),
@@ -1059,14 +1121,24 @@ def test_shift_tables_are_read_off_the_cayley_table(monkeypatch):
 
 # -- the laws on generators ----------------------------------------------------------
 #
-# On a finite group over an exact carrier the side law and variance run the
-# pairs (a, s), s a generator.  The oracles below run the laws one case at
-# a time, on all pairs or on the pairs with a generator second, by direct
-# evaluation.
+# On a group with generators over an exact carrier the side law and variance
+# run the pairs (a, s), s a generator; a float store has none and runs all
+# pairs.  The oracles below run the laws one case at a time, on all pairs or
+# on the pairs with a generator second, by direct evaluation.
 
 
 def generator_elements(group):
+    """The generators as elements; every stored element for a group without them."""
+    if group.generators is None:
+        return list(group.store)
     return [group.store[s] for s in group.generators]
+
+
+def pair_mode(group):
+    """The mode of an exhaustive pass over the pairs of ``group``."""
+    if group.generators is None:
+        return "exhaustive"
+    return f"exhaustive(generators={len(group.generators)})"
 
 
 def side_law_holds(rep, a, b, u):
@@ -1115,7 +1187,7 @@ def test_reduced_side_law_agrees_with_all_pairs(compiled_and_generic):
     group = rep.group
     gens = generator_elements(group)
     verdict, _ = check_laws(rep)
-    assert verdict.mode == f"exhaustive(generators={len(gens)})"
+    assert verdict.mode == pair_mode(group)
     assert check_axioms(generic) == verdict
     assert verdict.passed == (side_law_oracle(rep, group.store)[0] is None)
     witness, cases = side_law_oracle(rep, gens)
@@ -1131,10 +1203,7 @@ def test_reduced_variance_agrees_with_all_pairs(compiled_and_generic):
     group = rep.group
     gens = generator_elements(group)
     _, verdict = check_laws(rep)
-    assert (verdict.mode, verdict.checked) == (
-        f"exhaustive(generators={len(gens)})",
-        variance_pairs_run(rep, gens),
-    )
+    assert (verdict.mode, verdict.checked) == (pair_mode(group), variance_pairs_run(rep, gens))
     assert check_variance(generic) == verdict
     full = variance_oracle(rep, group.store)
     assert variance_oracle(rep, gens) == full
@@ -1295,7 +1364,15 @@ def test_float_carriers_keep_all_pairs():
 
 @pytest.mark.parametrize(
     "group",
-    [symmetric_group(3), dihedral_group(4), quaternion_group(), cyclic_group(6)],
+    [
+        symmetric_group(3),
+        dihedral_group(4),
+        quaternion_group(),
+        cyclic_group(6),
+        d4_matrix_closure(),
+        so2_closure(12),
+    ],
+    ids=["S3", "D4", "Q8", "Z6", "GL2-D4", "SO2-order12"],
 )
 def test_table_commutation_matches_generic(group):
     f = left_shift(group)
@@ -1305,58 +1382,6 @@ def test_table_commutation_matches_generic(group):
     # same-side shifts commute only on an abelian group
     abelian = same_side_noncommuting_witness(group) is None
     assert commutation_check(f, f).passed == abelian
-
-
-class StoredGroup:
-    """A finite group seen only through a store and a product, the way the
-    generic checks see a matrix group; it never takes the table path."""
-
-    def __init__(self, table, identity_index=0):
-        self._table = table
-        self.store = tuple(GroupElement(self, i) for i in range(len(table)))
-        self.identity = self.store[identity_index]
-
-    def compose_elements(self, a, b):
-        return self.store[self._table[a.payload][b.payload]]
-
-    def payload_eq(self, p, q):
-        return p == q
-
-
-def payloads(verdict):
-    witness = verdict.counterexample
-    return (
-        verdict.passed,
-        verdict.mode,
-        verdict.checked,
-        None if witness is None else tuple(g.payload for g in witness),
-    )
-
-
-@pytest.mark.parametrize(
-    "table",
-    [
-        cyclic_group(5).table,
-        symmetric_group(3).table,
-        dihedral_group(5).table,
-        quaternion_group().table,
-        # not associative: (1*1)*2 != 1*(1*2)
-        ((0, 1, 2), (1, 2, 2), (2, 2, 1)),
-        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 1, 0), (3, 2, 0, 1)),
-    ],
-)
-def test_table_shifts_commute_matches_generic(table):
-    group = FiniteGroup(tuple(map(tuple, table)), 0, tuple(range(len(table))))
-    fast = shifts_commute_check(group)
-    assert payloads(fast) == payloads(shifts_commute_check(StoredGroup(table)))
-    n = len(table)
-    associative = all(
-        table[a][table[c][b]] == table[table[a][c]][b]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
-    assert fast.passed == associative
 
 
 # -- the point index behind orbits ----------------------------------------------

@@ -32,6 +32,18 @@ def test_backend_validation():
         Backend("approx", tolerance=0.0)
 
 
+def test_is_exact_is_derived_from_the_kind_and_nothing_else():
+    assert EXACT.is_exact and not APPROX.is_exact
+    with pytest.raises(TypeError):
+        Backend("exact", is_exact=False)
+    # it takes no part in equality, hashing or the repr
+    assert Backend("exact") == EXACT and hash(Backend("exact")) == hash(EXACT)
+    assert hash(approx(1e-9)) == hash(("approx", 1e-9))
+    assert repr(approx(1e-6)) == "Backend(kind='approx', tolerance=1e-06)"
+    with pytest.raises(AttributeError):
+        EXACT.is_exact = False
+
+
 def test_eq_semantics():
     assert EXACT.close((Fraction(1, 3),), (Fraction(1, 3),))
     assert not EXACT.close((Fraction(1, 3),), (Fraction(1, 3) + Fraction(1, 10**12),))
