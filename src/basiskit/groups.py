@@ -599,8 +599,11 @@ class MatrixGroup:
         product with a non-finite entry.  Elements are taken from the
         frontier in store order; over the rationals the distinct generators
         other than the identity become ``generators``, and each product
-        formed fills its entry of ``table``.
+        formed fills its entry of ``table``.  A group that already has a
+        store raises instead of replacing it.
         """
+        if self.store is not None:
+            raise BasiskitError("group already has stored elements; close over a new group")
         gens = [self.element(g) for g in generators]
         exact = self.backend.is_exact
         found = self._empty_index()

@@ -200,7 +200,10 @@ def weight_dim(functor: TypeAFunctor, n: int) -> int:
 
 def functor_eval(functor: TypeAFunctor, g: GroupElement) -> Matrix:
     """The grid ``A(g)``; only a dual inverts ``g``."""
-    return _functor_grid(functor, g, _matrix_payload(functor, g))
+    payload = _matrix_payload(functor, g)
+    if payload is None:
+        return _table_lookup(functor, g.group, g)
+    return _grid_at(functor, payload.backend, lambda: payload, payload.inverse)
 
 
 def _matrix_payload(functor: TypeAFunctor, g: GroupElement) -> Optional[Matrix]:
@@ -214,35 +217,22 @@ def _matrix_payload(functor: TypeAFunctor, g: GroupElement) -> Optional[Matrix]:
     return g.payload
 
 
-def _functor_grid(functor: TypeAFunctor, g: GroupElement, payload) -> Matrix:
-    """``A(g)``, given ``payload = _matrix_payload(functor, g)``."""
-    if payload is None:
-        return _table_lookup(functor, g.group, g)
-    return _grid_at(functor, payload.backend, lambda: payload, payload.inverse)
-
-
 def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
-    """``(A(g), A(g)^-1)``; the inverse is ``None`` unless exact.
+    """``(A(g), A(g)^-1)``; the inverse is ``None`` for a table functor,
+    whose grid the caller inverts whole.
 
     ``A(g)^-1 = A(g^-1)``, evaluated from the parts at ``g^-1``: Kronecker
     powers of ``g^-1``, ``g^T`` for a dual, block diagonals of the parts.
     The one ``n``-by-``n`` inverse ``g^-1`` is all it inverts.  Rationals
-    are canonical, so the entries are those of ``A(g).inverse()``.  A
-    float grid, whose inverse's bits the residuals depend on, and a table
-    grid are inverted whole by the caller.
+    are canonical, so the entries are those of ``A(g).inverse()``; floats
+    round in ``g^-1`` and the products that rebuild the grid instead.
     """
     payload = _matrix_payload(functor, g)
-    if payload is None or not payload.backend.is_exact:
-        return _functor_grid(functor, g, payload), None
-    inverses = []
-
-    def inverse() -> Matrix:
-        if not inverses:
-            inverses.append(payload.inverse())
-        return inverses[0]
-
-    grid = _grid_at(functor, payload.backend, lambda: payload, inverse)
-    return grid, _grid_at(functor, payload.backend, inverse, lambda: payload)
+    if payload is None:
+        return _table_lookup(functor, g.group, g), None
+    g_inv = None if functor.tag == "identity" else payload.inverse()
+    grid = _grid_at(functor, payload.backend, lambda: payload, lambda: g_inv)
+    return grid, _grid_at(functor, payload.backend, lambda: g_inv, lambda: payload)
 
 
 def _grid_at(functor: TypeAFunctor, backend, m, m_inv) -> Matrix:
@@ -350,7 +340,8 @@ class ObjectCarrier:
 class ObjectTransformation(GridTransformation):
     """The object law of one element ``g``: ``A(g)`` moves the coordinates
     and the auxiliary basis, the linear part ``L(g)`` moves the anchor
-    passively.  ``A(g)^-1`` is given or formed on first use.
+    passively.  ``A(g)^-1`` is given, as ``A(g^-1)`` from the parts, or for
+    a table functor or a grid from :meth:`with_grid` inverted on first use.
 
     As a grid it is ``A(g) ⊕ L(g)``, which composes, inverts and compares
     like any other grid.

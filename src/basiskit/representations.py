@@ -549,15 +549,12 @@ class Representation:
         ``None`` when the group has no store, the carrier is not enumerable
         or some assigned transformation is not a mapping; the checks then
         run their generic code, which is also the reference the table path
-        must match.
+        must match.  A transformation that cannot be built raises here.
         """
         if self._table is _NOT_COMPILED:
             self._table = None
             if self.group.store is not None and self.carrier.enumerable:
-                try:
-                    maps = [self.transformation(g) for g in self.group.store]
-                except BasiskitError:
-                    maps = ()
+                maps = [self.transformation(g) for g in self.group.store]
                 if maps and all(isinstance(t, MappingTransformation) for t in maps):
                     self._table = [t.row for t in maps]
         return self._table
@@ -1007,7 +1004,16 @@ def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Represent
         def assign(a: GroupElement) -> MappingTransformation:
             products = (compose(group, a, b) if side == "left" else compose(group, b, a)
                         for b in carrier.points())
-            return MappingTransformation(carrier, list(map(carrier.index, products)))
+            row = list(map(carrier.index, products))
+            i = carrier.index(a) if None in row else None
+            if i is not None:
+                j = row.index(None)
+                first, second = (i, j) if side == "left" else (j, i)
+                raise CarrierMismatch(
+                    f"the store is not closed: the product of stored elements {first} "
+                    f"and {second} lies outside the carrier"
+                )
+            return MappingTransformation(carrier, row)
 
     return Representation(
         group,

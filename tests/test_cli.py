@@ -613,6 +613,24 @@ def test_shift_of_a_store_that_is_not_closed_is_exit_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["repcheck", "orbit"])
+def test_shift_of_a_float_store_that_is_not_closed_names_the_missing_product(
+    tmp_path, capsys, command
+):
+    # rot(0.3) squared is not stored; the error names the two positions once
+    turn = [math.cos(0.3), -math.sin(0.3), math.sin(0.3), math.cos(0.3)]
+    group = {"kind": "matrix", "family": "SO", "dim": 2, "elements": [[1.0, 0.0, 0.0, 1.0], turn]}
+    argv = [command, "--input", write(tmp_path, "so2_shift.json", self_shift(group))]
+    if command == "orbit":
+        argv += ["--point", json.dumps({"matrix": [[1.0, 0.0], [0.0, 1.0]]})]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: CarrierMismatch: the store is not closed: the product of stored "
+        "elements 1 and 1 lies outside the carrier\n",
+    )
+
+
 @pytest.mark.parametrize(
     "group, positions",
     [
@@ -1213,6 +1231,31 @@ def test_float_closure_past_the_float_range_is_exit_1(tmp_path, capsys, monkeypa
     assert err.startswith("error: EnumerationCapExceeded: closure left the float range")
     assert err.count("\n") == 1
     assert calls[0] <= 2 * 240
+
+
+def test_a_tensor_square_under_a_stored_rapidity_15_boost_is_no_singular_input(tmp_path, capsys):
+    # the grid at the boost's inverse is built from the 2-by-2 inverse, so no
+    # 4-by-4 elimination meets a pivot below the absolute tolerance; the
+    # verdict itself still waits for a tolerance scaled to the entries
+    from basiskit.groups import boost_2d
+
+    boost = [x for row in boost_2d(15.0).entries for x in row]
+    group = write(
+        tmp_path,
+        "boost.json",
+        {"kind": "matrix", "family": "SO", "dim": 2, "signature": [1, 1],
+         "elements": [[1.0, 0.0, 0.0, 1.0], boost]},
+    )
+    space = {"kind": "pseudo_euclid", "dim": 2, "signature": [1, 1]}
+    obj = write(
+        tmp_path,
+        "object.json",
+        {"functor": {"tag": "tensor_power", "k": 2}, "coords": [0.5, -1, 2, 0.25],
+         "anchor": {"space": space, "vectors": [[1.2, 0.1], [0.2, 0.9]]}},
+    )
+    assert main(["object", "--input", obj, "--group", group, "--report", "json"]) != 2
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["checks"][0]["name"] == "invariance"
 
 
 def test_float_closure_cap_bounds_its_running_time(tmp_path, capsys):

@@ -494,6 +494,15 @@ def test_closure_cap_enforced():
         gl1.close_over([doubling], cap=50)
 
 
+def test_closure_refuses_a_group_that_already_has_a_store():
+    # closing over a quarter turn would silently drop the stored diag(2, 1)
+    identity, stretch = [[1, 0], [0, 1]], [[2, 0], [0, 1]]
+    group = MatrixGroup.general_linear(2, EXACT, elements=[identity, stretch])
+    with pytest.raises(BasiskitError, match="already has stored elements"):
+        group.close_over([Matrix.from_rows([[0, -1], [1, 0]], EXACT)])
+    assert [g.payload.entries for g in group.store] == [((1, 0), (0, 1)), ((2, 0), (0, 1))]
+
+
 def test_permutation_matrix_acts_on_columns():
     # perm sends 0->1, 1->2, 2->0; the matrix must move basis column j
     # to column perm[j]

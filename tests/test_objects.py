@@ -22,7 +22,7 @@ from basiskit.errors import (
     Singular,
     TypeMismatch,
 )
-from basiskit.groups import MatrixGroup, cyclic_group, rotation_2d
+from basiskit.groups import GroupElement, MatrixGroup, cyclic_group, rotation_2d
 from basiskit import objects
 from basiskit.matrices import Matrix
 from basiskit.objects import (
@@ -708,10 +708,19 @@ def test_vector_space_axioms_report_the_first_failing_law():
 
 # -- rational work done once ---------------------------------------------------------
 
+def golden_group(folder, name, backend):
+    path = Path(__file__).parent / "golden" / folder / f"{name}.json"
+    return group_from_descriptor(json.loads(path.read_text(encoding="utf-8")), backend)
+
+
 def gl3_order8():
     """The stored exact GL(3) group of order 8 of the golden files."""
-    path = Path(__file__).parent / "golden" / "exact" / "gl3_order8_group.json"
-    return group_from_descriptor(json.loads(path.read_text(encoding="utf-8")), EXACT)
+    return golden_group("exact", "gl3_order8_group", EXACT)
+
+
+def so3_icosahedral():
+    """The float SO(3) closure of order 60 of the golden files."""
+    return golden_group("float", "so3_I_group", APPROX)
 
 FAST_PATH_FUNCTORS = {
     "identity": identity_functor(),
@@ -728,24 +737,25 @@ FAST_PATH_FUNCTORS = {
 }
 
 
-def reference_functor_eval(functor, g):
+def reference_functor_eval(functor, g, inverse=None):
     """``A(g)`` evaluated part by part as the object law first did, each
-    dual inverting ``g`` again: the oracle for the grids' entries and bits."""
+    dual inverting ``g`` again, or transposing ``inverse``, the matrix of
+    ``g^-1``, when given: the oracle for the grids' entries and bits."""
     m = g.payload
     if functor.tag == "identity":
         return Matrix.from_rows([[1]], m.backend)
     if functor.tag == "fundamental":
         return m
     if functor.tag == "dual":
-        return m.inverse().transpose()
+        return (m.inverse() if inverse is None else inverse).transpose()
     if functor.tag == "tensor_power":
         result = m
         for _ in range(functor.power - 1):
             result = result.kron(m)
         return result
-    result = reference_functor_eval(functor.parts[0], g)
+    result = reference_functor_eval(functor.parts[0], g, inverse)
     for part in functor.parts[1:]:
-        result = result.block_diag(reference_functor_eval(part, g))
+        result = result.block_diag(reference_functor_eval(part, g, inverse))
     return result
 
 
@@ -797,15 +807,30 @@ def test_the_exact_inverse_from_the_parts_is_the_inverse_of_the_grid(name):
 
 @pytest.mark.parametrize("name", FAST_PATH_FUNCTORS)
 def test_float_grids_and_inverses_keep_their_bits(name):
-    # the float law inverts the whole grid, as it always has: the printed
-    # residuals depend on those bits
+    # the float law inverts g alone, as the exact one does: A(g)^-1 is the
+    # grid at g^-1, whose dual transposes g, bit for bit
     functor = FAST_PATH_FUNCTORS[name]
     for g in float_fast_path_elements():
         t = transformation_of(functor, g)
         reference = reference_functor_eval(functor, g)
+        g_inv = GroupElement(g.group, g.payload.inverse())
         assert float_bits(t.functor_grid) == float_bits(functor_eval(functor, g))
         assert float_bits(t.functor_grid) == float_bits(reference)
-        assert float_bits(t.functor_inverse) == float_bits(reference.inverse())
+        assert float_bits(t.functor_inverse) == float_bits(
+            reference_functor_eval(functor, g_inv, inverse=g.payload)
+        )
+
+
+@pytest.mark.parametrize("name", FAST_PATH_FUNCTORS)
+@pytest.mark.parametrize("make_group", [so2_order_12, so3_icosahedral])
+def test_a_float_grid_at_the_inverse_inverts_the_grid_within_the_tolerance(make_group, name):
+    functor = FAST_PATH_FUNCTORS[name]
+    for g in make_group().store:
+        t = transformation_of(functor, g)
+        product = t.functor_inverse.mul(t.functor_grid)
+        identity = Matrix.identity(product.nrows, APPROX)
+        residuals = [abs(x - y) for x, y in zip(product.flat, identity.flat)]
+        assert max(residuals) <= APPROX.tolerance, (g, max(residuals))
 
 
 def counted_inverses(monkeypatch):
@@ -840,6 +865,23 @@ def test_an_exact_sweep_inverts_one_n_by_n_grid_per_element(functor, inverted, m
     verdict, _ = invariance_sweep((obj, g, None, None) for g in group.store)
     assert verdict.passed and verdict.checked == 8
     assert sizes == inverted
+
+
+@pytest.mark.parametrize(
+    "functor",
+    [tensor_power_functor(2), direct_sum_functor(fundamental_functor(), dual_functor())],
+    ids=["tensor-square", "fundamental+dual"],
+)
+def test_a_float_sweep_inverts_one_n_by_n_grid_per_element(functor, monkeypatch):
+    # no 9-by-9 or 6-by-6 grid is eliminated: g^-1 builds A(g)^-1
+    group = so3_icosahedral()
+    anchor = Basis.make(VectorSpace("euclid", 3, APPROX), [[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
+    coords = [k / 3 for k in range(weight_dim(functor, 3))]
+    obj = GeometricalObject.make(functor, coords, anchor)
+    sizes = counted_inverses(monkeypatch)
+    verdict, _ = invariance_sweep((obj, g, None, None) for g in group.store)
+    assert verdict.passed and verdict.checked == 60
+    assert sizes == [3] * 60
 
 
 def test_objects_at_one_frame_share_the_moved_frame():
