@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import isfinite
 from random import Random
 from typing import Optional, Sequence
 
@@ -386,7 +387,7 @@ class ObjectTransformation(GridTransformation):
         """Move coordinates, auxiliary basis and anchor together.  The frame,
         anchor and auxiliary basis, is moved once for the last frame seen:
         objects at one frame share the moved one."""
-        coords = self.functor_inverse.vecmat(obj.coords)
+        coords = self._moved_coords(obj)
         frame = self._frame
         if frame is None or frame[0] is not obj.anchor or frame[1] is not obj.w_basis:
             frame = self._frame = (
@@ -397,12 +398,30 @@ class ObjectTransformation(GridTransformation):
             )
         return GeometricalObject(obj.functor, coords, frame[2], frame[3])
 
-    def _moved_w_basis(self, w_basis: Matrix) -> Matrix:
-        """``A(g) E``; over the rationals ``A(g)`` itself at the shared
-        identity.  A float product keeps its bits: ``0.0 + x * 1.0`` turns
+    def _moved_representative(self, obj: GeometricalObject) -> tuple:
+        """``representative(self.apply(obj))`` bit for bit, with no moved
+        anchor: ``A(g)`` stands for ``A(g) 1``, whose float entries differ
+        only in ``-0.0 -> 0.0``, which a ``vecmat`` adding from ``+0.0``
+        cannot see.  Unless ``w' E'`` is not finite: then ``A(g)`` may
+        lack the NaNs of ``inf * 0.0`` in ``A(g) 1``, so the product is made."""
+        coords, w_basis = self._moved_coords(obj), obj.w_basis
+        after = self._moved_w_basis(w_basis, float_identity=True).vecmat(coords)
+        if w_basis.backend.is_exact or all(map(isfinite, after)):
+            return after
+        return self._moved_w_basis(w_basis).vecmat(coords)
+
+    def _moved_coords(self, obj: GeometricalObject) -> tuple:
+        """``w' = w A(g)^-1``."""
+        return self.functor_inverse.vecmat(obj.coords)
+
+    def _moved_w_basis(self, w_basis: Matrix, float_identity: bool = False) -> Matrix:
+        """``E' = A(g) E``; over the rationals ``A(g)`` itself at the shared
+        identity, and in floating point too when ``float_identity``.  A
+        moved object keeps the float product's bits: ``0.0 + x * 1.0`` turns
         a ``-0.0`` of ``A(g)`` into ``0.0``."""
         grid, backend = self.functor_grid, w_basis.backend
-        if backend.is_exact and w_basis is Matrix.identity(w_basis.nrows, backend):
+        shortcut = backend.is_exact or float_identity
+        if shortcut and w_basis is Matrix.identity(w_basis.nrows, backend):
             return grid
         return grid.mul(w_basis)
 
@@ -436,9 +455,11 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
 
     A case is ``(obj, g, before, after)``: an object, an element, and the
     representatives of ``obj`` and of ``transform_object(obj, g)``, or
-    ``None`` for one the caller does not have yet.  Every case runs; the
-    witness is the first failure's ``(g, before, after)`` and the
-    residual is the worst float one seen, ``None`` over the rationals.
+    ``None`` for one the caller does not have yet.  A missing ``after`` is
+    ``w A(g)^-1`` contracted with ``A(g) E``, with no moved anchor or
+    object.  Every case runs; the witness is the first failure's ``(g,
+    before, after)`` and the residual is the worst float one seen,
+    ``None`` over the rationals.
     """
     witness = worst = None
     checked, total = 0, 0.0
@@ -446,7 +467,8 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
         if before is None:
             before = representative(obj)
         if after is None:
-            after = representative(transform_object(obj, g))
+            carrier = ObjectCarrier(obj.functor, obj.anchor)
+            after = ObjectTransformation.of(carrier, g)._moved_representative(obj)
         backend = obj.anchor.space.backend
         checked += 1
         if not backend.is_exact:

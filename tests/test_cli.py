@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -507,8 +508,8 @@ def test_object_orbit(tmp_path, capsys):
 
 
 def test_object_orbit_computes_the_base_orbit_once(tmp_path, capsys, monkeypatch):
-    # 4 transforms for the invariance sweep, 4 for the orbit and 16 for
-    # re-enumerating it from each of its 4 points
+    # 4 for the orbit and 16 for re-enumerating it from each of its 4
+    # points; the invariance sweep builds no moved object
     from basiskit.objects import ObjectTransformation
 
     calls = [0]
@@ -523,13 +524,14 @@ def test_object_orbit_computes_the_base_orbit_once(tmp_path, capsys, monkeypatch
     assert main(argv + ["--orbit", "--report", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert [c["checked"] for c in out["checks"]] == [4, 4]
-    assert calls[0] == 24
+    assert calls[0] == 20
 
 
 def test_object_sweep_computes_the_unchanged_representative_once(
     tmp_path, capsys, monkeypatch
 ):
-    # one for the report and the sweep together, and one after each of 4 elements
+    # one for the report and the sweep together; the sweep forms each
+    # element's w' E' itself
     import basiskit.cli as cli
     import basiskit.objects as objects
 
@@ -545,7 +547,38 @@ def test_object_sweep_computes_the_unchanged_representative_once(
     argv = ["object", "--input", vector_object(tmp_path), "--group", quarter_turn_group(tmp_path)]
     assert main(argv + ["--report", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["checks"][0]["checked"] == 4
-    assert calls[0] == 5
+    assert calls[0] == 1
+
+
+def test_a_float_sweep_moves_no_anchor_while_an_element_still_does(tmp_path, capsys):
+    # the anchor 1e-4 I moved by 1e-4 I has determinant 1e-16, under the
+    # absolute tolerance; the sweep never moves it, as over the rationals
+    def probe(scalar):
+        small, one, zero = scalar("1/10000"), scalar("1"), scalar("0")
+        obj = write(tmp_path, "small_object.json", {
+            "functor": {"tag": "fundamental"},
+            "coords": [scalar("1/2"), scalar("-1")],
+            "anchor": {
+                "space": {"kind": "central_affine", "dim": 2},
+                "vectors": [[small, zero], [zero, small]],
+            },
+        })
+        group = write(tmp_path, "small_group.json", {
+            "kind": "matrix", "family": "GL", "dim": 2,
+            "elements": [[one, zero, zero, one], [small, zero, zero, small]],
+        })
+        return ["object", "--input", obj, "--group", group, "--report", "json"]
+
+    as_float = lambda text: float(Fraction(text))
+    for argv in (probe(as_float) + ["--approx"], probe(str)):
+        assert main(argv) == 0
+        (check,) = json.loads(capsys.readouterr().out)["checks"]
+        assert (check["name"], check["passed"], check["checked"]) == ("invariance", True, 2)
+    element = json.dumps({"matrix": [[1e-4, 0.0], [0.0, 1e-4]]})
+    assert main(probe(as_float) + ["--approx", "--element", element]) == 2
+    assert capsys.readouterr() == (
+        "", "error: DegenerateBasis: basis vectors are linearly dependent\n"
+    )
 
 
 def test_object_axioms_flag(tmp_path, capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import struct
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -575,16 +576,18 @@ def test_invariance_sweep_matches_the_per_element_loop(
     group = make_group()
     obj = GeometricalObject.make(fundamental_functor(), [F(3, 2), -2], make_anchor())
     targets = [group.store[i] for i in planted]
-    transform = objects.transform_object
+    # a fundamental functor's grid is the element's own matrix
+    target_grids = [g.payload for g in targets]
+    moved_w_basis = ObjectTransformation._moved_w_basis
 
-    def skip_w_basis(o, g):
-        # the planted defect: the auxiliary basis stays put for the targets
-        moved = transform(o, g)
-        if g not in targets:
-            return moved
-        return GeometricalObject(moved.functor, moved.coords, moved.anchor, o.w_basis)
+    def skip_w_basis(self, w_basis, float_identity=False):
+        # the planted defect: the auxiliary basis stays put for the targets,
+        # in the moved object and in the sweep's w' E' alike
+        if any(self.functor_grid is grid for grid in target_grids):
+            return w_basis
+        return moved_w_basis(self, w_basis, float_identity)
 
-    monkeypatch.setattr(objects, "transform_object", skip_w_basis)
+    monkeypatch.setattr(ObjectTransformation, "_moved_w_basis", skip_w_basis)
     failed, checked, worst, mean = per_element_sweep(obj, group)
     verdict, swept_mean = invariance_sweep(
         (obj, g, representative(obj), None) for g in group.store
@@ -990,3 +993,67 @@ def test_a_float_frame_at_the_identity_keeps_the_product_and_its_bits():
     assert float_bits(moved.w_basis) == float_bits(t.functor_grid.mul(obj.w_basis))
     assert moved.w_basis.entries[0][0].hex() == "0x0.0p+0"
     assert t.functor_grid.entries[0][0].hex() == "-0x0.0p+0"
+
+
+def sweep_after(obj, g):
+    """The ``after`` of the sweep's case for ``g``, read off the witness of
+    a case whose ``before`` nothing is close to."""
+    nowhere = (math.nan,) * len(obj.coords)
+    verdict, _ = invariance_sweep([(obj, g, nowhere, None)])
+    return verdict.counterexample[2]
+
+
+def scalar_bits(v):
+    """Entries as they compare bit for bit: a float by its eight bytes, so
+    the sign of a zero or of a NaN counts."""
+    return [struct.pack("<d", x) if isinstance(x, float) else x for x in v]
+
+
+def float_anchor_3d():
+    return Basis.make(VectorSpace("euclid", 3, APPROX), [[2.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 3.0]])
+
+
+def exact_anchor_3d():
+    return Basis.make(VectorSpace("central_affine", 3, EXACT), [[2, 1, 0], [0, 1, 0], [1, 0, 3]])
+
+
+@pytest.mark.parametrize("at_identity", [True, False], ids=["identity-E", "other-E"])
+@pytest.mark.parametrize("name", [*FAST_PATH_FUNCTORS, "table"])
+@pytest.mark.parametrize(
+    "make_group, make_anchor",
+    [(so2_order_12, float_anchor), (so3_icosahedral, float_anchor_3d), (gl3_order8, exact_anchor_3d)],
+)
+def test_the_sweep_gives_the_representative_of_the_moved_object_bit_for_bit(
+    make_group, make_anchor, name, at_identity
+):
+    group, anchor = make_group(), make_anchor()
+    if name == "table":
+        functor = table_functor(group, [g.payload for g in group.store])
+    else:
+        functor = FAST_PATH_FUNCTORS[name]
+    m = weight_dim(functor, anchor.space.dim)
+    coords = [(-1) ** k * F(k + 1, 3) for k in range(m)]
+    w_basis = None
+    if not at_identity:
+        half = F(1, 2) if anchor.space.backend.is_exact else 0.5
+        rows = [[1 if i == j else half if j == i + 1 else 0 for j in range(m)] for i in range(m)]
+        w_basis = Matrix.from_rows(rows, anchor.space.backend)
+    obj = GeometricalObject.make(functor, coords, anchor, w_basis)
+    assert (obj.w_basis is Matrix.identity(m, anchor.space.backend)) == at_identity
+    for g in group.store:
+        expected = representative(transform_object(obj, g))
+        assert scalar_bits(sweep_after(obj, g)) == scalar_bits(expected), g
+
+
+def test_an_overflowing_float_grid_moves_the_identity_by_the_product():
+    # A(g) has inf at (0, 0); its product with the identity has inf * 0.0,
+    # a NaN, in the rest of row 0, which reaches every entry of w' E'
+    group = MatrixGroup.general_linear(2, APPROX)
+    g = group.element(Matrix(((1e200, 1.0), (0.0, 1.0)), APPROX))
+    obj = GeometricalObject.make(tensor_power_functor(2), [0.5, -1.0, 2.0, 0.25], float_anchor())
+    t = ObjectTransformation.of(ObjectCarrier(obj.functor, obj.anchor), g)
+    shortcut = t.functor_grid.vecmat(t.functor_inverse.vecmat(obj.coords))
+    after = sweep_after(obj, g)
+    assert scalar_bits(after) == scalar_bits(representative(transform_object(obj, g)))
+    assert scalar_bits(after) != scalar_bits(shortcut)
+    assert all(map(math.isnan, after))
