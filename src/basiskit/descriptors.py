@@ -13,7 +13,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .bases import Basis, VectorSpace
-from .errors import BasiskitError, CayleyTableError, MembershipError, ParseError
+from .errors import (
+    BasiskitError, CayleyTableError, EnumerationCapExceeded, MembershipError, ParseError
+)
 from .groups import (
     DEFAULT_CLOSURE_CAP,
     AffineTransform,
@@ -341,6 +343,8 @@ def representation_from_descriptor(
         size = _need_int(_need(carrier_d, "size", "carrier"), "carrier: size")
         if size < 1:
             raise ParseError(f"carrier: bad size {size!r}")
+        if size > cap:
+            raise EnumerationCapExceeded(f"finite carrier of {size} points exceeds the cap {cap}")
         carrier = FiniteCarrier(size)
     elif carrier_kind == "coords":
         dim = _need_int(_need(carrier_d, "dim", "carrier"), "carrier: dim")

@@ -137,10 +137,6 @@ class FiniteGroup:
             raise BasiskitError(f"element index {index} out of range 0..{self.order - 1}")
         return self.store[index]
 
-    def index_of(self, g: GroupElement) -> int:
-        """Position of ``g`` in ``store``: its payload."""
-        return self._own(g)
-
     @property
     def identity(self) -> GroupElement:
         return self.store[self.identity_index]
@@ -149,6 +145,9 @@ class FiniteGroup:
         if not isinstance(a, GroupElement) or a.group is not self:
             raise MixedGroups("element does not belong to this group")
         return a.payload
+
+    # the position of an element in ``store`` is its payload
+    index_of = _own
 
     def compose_elements(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.store[self.table[self._own(a)][self._own(b)]]
@@ -386,16 +385,15 @@ class MatrixGroup:
     - ``AFFINE``: affine maps with invertible linear part.
 
     The stored elements are distinct under the backend comparison, so a
-    lookup (:meth:`index_of`) names one position per element.  An exact
-    store that is a group also has ``generators``, store indices without
-    the identity, from which right multiplication reaches every element,
-    and a product table like a :class:`FiniteGroup`'s: ``table[i][j]`` is
-    the index of element ``i`` times element ``j``, looked up on first
-    read and kept.  :meth:`close_over` fills it with the products it
-    forms; a store given as elements finds its generators on first use
-    with :func:`_generating_set`.  Both are ``None`` for a store that is
-    not closed under products, and on the float backend, where a product
-    only lands near an element.
+    lookup (:meth:`index_of`) names one position per element.  A store
+    has a product table like a :class:`FiniteGroup`'s (:class:`_StoreRow`),
+    a float product naming its stored representative.  An exact store
+    that is a group also has ``generators``, store indices without the
+    identity, from which right multiplication reaches every element:
+    :meth:`close_over` keeps the ones it was given, a store given as
+    elements finds them on first use with :func:`_generating_set`.  They
+    are ``None`` for a store that is not closed under products, and on
+    the float backend, where rounding grows with the length of a word.
     """
 
     def __init__(
@@ -428,6 +426,7 @@ class MatrixGroup:
             self._identity_payload = Matrix.identity(dim, backend)
         self.store: Optional[tuple] = None
         self._index: Optional[PointIndex] = None
+        self._formed: tuple = (), ()  # a closure's columns and products: see close_over
         if elements is not None:
             store = tuple(self.element(p) for p in elements)
             if not store:
@@ -505,27 +504,25 @@ class MatrixGroup:
             raise InfeasibleExhaustive("group has no stored elements to look up")
         return self._index.find(g)
 
-    @property
+    @cached_property
     def generators(self) -> Optional[tuple]:
-        return self._schreier[0]
-
-    @property
-    def table(self) -> Optional[tuple]:
-        return self._schreier[1]
+        """Of an exact store given as elements (a closure sets its own):
+        the first product read from ``table`` that is no element leaves them ``None``."""
+        exact = self.store is not None and self.backend.is_exact
+        identity = self.index_of(self.identity) if exact else None
+        gens = None if identity is None else _generating_set(self.table, identity)
+        return None if gens is None else tuple(gens)
 
     @cached_property
-    def _schreier(self) -> tuple:
-        """``(generators, table)`` of a store given as elements (a closure
-        sets them itself): each product of a stored element and a
-        generator is looked up once, and the first one that is no element
-        leaves both ``None``."""
-        store = self.store
-        identity = None if store is None or not self.backend.is_exact else self.index_of(self.identity)
-        if identity is None:
-            return None, None
-        rows = tuple(_StoreRow(self, a) for a in store)
-        gens = _generating_set(rows, identity)
-        return (None, None) if gens is None else (tuple(gens), rows)
+    def table(self) -> Optional[tuple]:
+        """The store's rows, a closure's holding the products it formed."""
+        if self.store is None:
+            return None
+        rows = tuple(_StoreRow(self, a) for a in self.store)
+        columns, formed = self._formed
+        for row, products in zip(rows, formed):
+            row.update((j, products[k]) for j, k in columns)
+        return rows
 
     def _empty_index(self) -> "PointIndex":
         """An empty point index of elements under this group's equality."""
@@ -598,9 +595,9 @@ class MatrixGroup:
         closure grows past ``cap``, and, on the float backend, at the first
         product with a non-finite entry.  Elements are taken from the
         frontier in store order; over the rationals the distinct generators
-        other than the identity become ``generators``, and each product
-        formed fills its entry of ``table``.  A group that already has a
-        store raises instead of replacing it.
+        other than the identity become ``generators``.  The products formed
+        are kept for ``table``, whose rows are built when first read.  A
+        group that already has a store raises instead of replacing it.
         """
         if self.store is not None:
             raise BasiskitError("group already has stored elements; close over a new group")
@@ -635,20 +632,22 @@ class MatrixGroup:
                 formed.append(row)
             frontier = new_frontier
         self.store, self._index = tuple(found.points), found
+        # the identity's products: each new one is the element a generator added,
+        # whose column that generator's products fill; the identity is position 0
+        gens = tuple(dict.fromkeys(j for j in formed[0] if j))
+        self._formed = [(j, formed[0].index(j)) for j in gens], formed
         if exact:
-            # the identity's products are the generators' positions; the
-            # identity (position 0) and repeats are no generators
-            table = tuple(_StoreRow(self, a) for a in self.store)
-            for row, products in zip(table, formed):
-                row.update(zip(formed[0], products))
-            self._schreier = tuple(dict.fromkeys(i for i in formed[0] if i)), table
+            self.generators = gens
 
 
 class _StoreRow(dict):
     """Row ``a`` of a store's product table: entry ``g`` is the position of
-    ``a`` times stored element ``g``, or ``None``, looked up on first read."""
+    ``a`` times stored element ``g``, or ``None`` for none, looked up on first read."""
 
     __slots__ = ("group", "a")
+
+    def __iter__(self):  # the entries in order, as a Cayley table's row gives them
+        return map(self.__getitem__, range(len(self.group.store)))
 
     def __init__(self, group: MatrixGroup, a: GroupElement):
         self.group, self.a = group, a

@@ -140,11 +140,11 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     """Explicit grid per stored element, verified to respect the product.
 
     ``A(e) = 1`` and the homomorphism property ``A(ab) = A(a) A(b)`` are
-    checked before the functor is accepted.  On a group with generators
-    and exact grids ``b`` runs over the generators, ``ab`` read off the
-    group's product ``table``: ``A(a b' s) = A(a b') A(s) = A(a) A(b') A(s)
+    checked before the functor is accepted, ``ab`` read off the group's
+    product ``table``.  On a group with generators and exact grids ``b``
+    runs over the generators: ``A(a b' s) = A(a b') A(s) = A(a) A(b') A(s)
     = A(a) A(b' s)`` gives every pair by induction.  Float grids, and
-    stores that are not closed, are checked over all stored pairs.
+    groups without generators, are checked over all stored pairs.
     """
     elements = group.store
     if elements is None:
@@ -161,21 +161,14 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
     identity_grid = _table_lookup(functor, group, group.identity)
     if not identity_grid.is_identity():
         raise BasiskitError("table functor does not send the identity to the identity")
-    if group.generators is not None and all(grid.backend.is_exact for grid in grids):
-        pairs = (
-            (a, elements[s], grids[i], grids[s], grids[group.table[i][s]])
-            for i, a in enumerate(elements)
-            for s in group.generators
-        )
-    else:
-        pairs = (
-            (a, b, grids[i], grids[k], _table_lookup(functor, group, compose(group, a, b)))
-            for i, a in enumerate(elements)
-            for k, b in enumerate(elements)
-        )
-    for a, b, grid_a, grid_b, grid_ab in pairs:
-        if not grid_ab.eq(grid_a.mul(grid_b)):
-            raise BasiskitError(f"table functor breaks the product at ({a!r}, {b!r})")
+    reduced = group.generators is not None and all(grid.backend.is_exact for grid in grids)
+    for i, row in enumerate(group.table):
+        for s in group.generators if reduced else range(len(elements)):
+            a, b = elements[i], elements[s]
+            if row[s] is None:  # the product is no stored element, which the lookup refuses
+                _table_lookup(functor, group, compose(group, a, b))
+            if not grids[row[s]].eq(grids[i].mul(grids[s])):
+                raise BasiskitError(f"table functor breaks the product at ({a!r}, {b!r})")
     return functor
 
 
@@ -398,7 +391,7 @@ class ObjectTransformation(GridTransformation):
             )
         return GeometricalObject(obj.functor, coords, frame[2], frame[3])
 
-    def _moved_representative(self, obj: GeometricalObject) -> tuple:
+    def moved_representative(self, obj: GeometricalObject) -> tuple:
         """``representative(self.apply(obj))`` bit for bit, with no moved
         anchor: ``A(g)`` stands for ``A(g) 1``, whose float entries differ
         only in ``-0.0 -> 0.0``, which a ``vecmat`` adding from ``+0.0``
@@ -468,7 +461,7 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
             before = representative(obj)
         if after is None:
             carrier = ObjectCarrier(obj.functor, obj.anchor)
-            after = ObjectTransformation.of(carrier, g)._moved_representative(obj)
+            after = ObjectTransformation.of(carrier, g).moved_representative(obj)
         backend = obj.anchor.space.backend
         checked += 1
         if not backend.is_exact:

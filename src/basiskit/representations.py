@@ -22,7 +22,8 @@ worst residual and stops at the first witness.  Every check returns a
 :class:`Verdict`.
 Groups are enumerated through one attribute, ``group.store``: every
 element of a finite group, the stored elements of a matrix group, or
-``None`` for a group without an enumeration.
+``None`` for a group without an enumeration.  Products of stored
+elements are read off ``group.table``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .groups import (
     DEFAULT_CLOSURE_CAP,
-    FiniteGroup,
     GroupElement,
     PointIndex,
     _after,
@@ -829,8 +829,8 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
 
     ``f(g)`` is listed once per element: as an integer row for mappings, a
     grid on the grid plan, a transformation otherwise.  ``f(a s)`` is read
-    off the group's product table, and ``f(s a)`` while the antihomomorphism
-    half is open; without a table both are evaluated.  The side law compares
+    at ``table[i][j]``, and ``f(s a)`` while the antihomomorphism half is
+    open; only a product that is no stored element is evaluated.  The side law compares
     ``f(a s)`` with ``f(a)`` after ``f(s)`` on the left, ``f(s)`` after
     ``f(a)`` on the right: the product ``f(a) f(s)`` of variance for
     mappings and column grids on the left and for row grids on the right,
@@ -854,21 +854,21 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
     # the grid plan counts one case a pair, the others one a point
     holds = (1 if grids else len(probes), None, None)
     for i, a in enumerate(elements):
-        x = values[i]
+        x, row = values[i], table[i]
         for j in seconds:
             s, y = elements[j], values[j]
             side_open, homo_open, anti_open = undecided
             product = mul(x, y) if homo_open or anti_open or shared else None
-            if table is not None:
-                fas = (side_open or homo_open) and values[table[i][j]]
-                fsa = anti_open and values[table[j][i]]
-            else:
-                fas = (side_open or homo_open) and value(compose(group, a, s))
-                fsa = anti_open and value(compose(group, s, a))
+            if side_open or homo_open:
+                k = row[j]
+                fas = values[k] if k is not None else value(compose(group, a, s))
+            if anti_open:
+                ksa = table[j][i]
+                fsa = values[ksa] if ksa is not None else value(compose(group, s, a))
             homo = (homo_open or shared and side_open) and eq(fas, product)
             side = holds
             if side_open and not (homo if shared else eq(fas, mul(y, x))):
-                fab = f(compose(group, a, s))
+                fab = f(elements[k] if k is not None else compose(group, a, s))
                 moved = (n for n, u in enumerate(probes, 1) if not _side_case(rep, a, s, u, fab)[0])
                 n = next(moved)
                 side = (1 if grids else n, probes[n - 1], None)
@@ -987,33 +987,29 @@ def right_shift(group) -> Representation:
 def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Representation:
     """The shift of ``group`` on its own elements that multiplies by the
     acting element on ``side``, on ``carrier`` or a new one; covariant on
-    the left, contravariant on the right."""
+    the left, contravariant on the right: for the element stored at ``i``,
+    row ``i`` of ``group.table`` on the left, column ``i`` on the right.  A
+    group with generators is closed and cancels exactly, so those are
+    permutations, taken unchecked; a float store's are checked."""
     carrier = carrier or SelfCarrier(group)
     if not carrier.enumerable:
         raise InfeasibleExhaustive("shift representations need enumerable elements")
+    rows = list(map(list, group.table if side == "left" else zip(*group.table)))
+    trusted = group.generators is not None
 
-    if isinstance(group, FiniteGroup):
-        # row a of the Cayley table on the left, column a on the right
-        rows = list(map(list, group.table if side == "left" else zip(*group.table)))
-
-        def assign(a: GroupElement) -> MappingTransformation:
-            return MappingTransformation.trusted(carrier, rows[a.payload])
-
-    else:
-
-        def assign(a: GroupElement) -> MappingTransformation:
-            products = (compose(group, a, b) if side == "left" else compose(group, b, a)
-                        for b in carrier.points())
-            row = list(map(carrier.index, products))
-            i = carrier.index(a) if None in row else None
-            if i is not None:
-                j = row.index(None)
-                first, second = (i, j) if side == "left" else (j, i)
-                raise CarrierMismatch(
-                    f"the store is not closed: the product of stored elements {first} "
-                    f"and {second} lies outside the carrier"
-                )
-            return MappingTransformation(carrier, row)
+    def assign(a: GroupElement) -> MappingTransformation:
+        i = group.index_of(a)
+        if i is None:
+            raise CarrierMismatch(f"the store is not closed: {a!r} is not stored")
+        row = rows[i]
+        if not trusted and None in row:
+            j = row.index(None)
+            first, second = (i, j) if side == "left" else (j, i)
+            raise CarrierMismatch(
+                f"the store is not closed: the product of stored elements {first} "
+                f"and {second} lies outside the carrier"
+            )
+        return (MappingTransformation.trusted if trusted else MappingTransformation)(carrier, row)
 
     return Representation(
         group,

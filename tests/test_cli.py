@@ -664,6 +664,17 @@ def test_shift_of_a_float_store_that_is_not_closed_names_the_missing_product(
     )
 
 
+def test_shift_of_a_store_without_the_identity_names_the_missing_identity(tmp_path, capsys):
+    # -I squared is I, which is not stored: the shift cannot even act by I
+    group = {"kind": "matrix", "family": "GL", "dim": 2, "elements": [[-1, 0, 0, -1]]}
+    path = write(tmp_path, "minus_identity.json", self_shift(group))
+    assert main(["repcheck", "--input", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: CarrierMismatch: the store is not closed: <matrix(")
+    assert err.endswith(")> is not stored\n")
+
+
 @pytest.mark.parametrize(
     "group, positions",
     [
@@ -1304,3 +1315,64 @@ def test_float_closure_cap_bounds_its_running_time(tmp_path, capsys):
         "error: EnumerationCapExceeded: closure exceeded the cap of 2000 elements "
         "(2000 found, frontier of 1)\n"
     )
+
+
+@pytest.mark.parametrize("command", ["repcheck", "orbit"])
+@pytest.mark.parametrize("size, cap", [(10**30, None), (11, 10)])
+def test_a_finite_carrier_above_the_cap_is_refused_before_its_points_exist(
+    tmp_path, capsys, monkeypatch, command, size, cap
+):
+    import basiskit.representations as representations
+
+    def no_points(self, n):
+        raise AssertionError(f"a carrier of {n} points was built")
+
+    monkeypatch.setattr(representations.FiniteCarrier, "__init__", no_points)
+    doc = {
+        "group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+        "side": "left",
+        "carrier": {"kind": "finite", "size": size},
+        "assign": {"kind": "trivial"},
+    }
+    argv = [command, "--input", write(tmp_path, "big_carrier.json", doc)]
+    argv += [] if cap is None else ["--cap", str(cap)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"error: EnumerationCapExceeded: finite carrier of {size} points exceeds "
+        f"the cap {cap or 100000}\n",
+    )
+
+
+def test_a_finite_carrier_at_the_cap_is_built(tmp_path, capsys):
+    doc = {
+        "group": {"kind": "finite", "table": [[0, 1], [1, 0]]},
+        "side": "left",
+        "carrier": {"kind": "finite", "size": 10},
+        "assign": {"kind": "trivial"},
+    }
+    argv = ["orbit", "--input", write(tmp_path, "carrier.json", doc), "--cap", "10"]
+    assert main(argv + ["--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["orbit_count"] == 10
+
+
+def test_object_orbit_builds_one_transformation_per_stored_element(capsys, monkeypatch):
+    # the invariance sweep and the orbit share the transformation of each of
+    # the 12 stored rotations; the output is the golden one
+    from basiskit.objects import ObjectTransformation
+
+    golden = Path(__file__).parent / "golden" / "float"
+    job = json.loads((golden / "expected.json").read_text(encoding="utf-8"))["so2_order12_orbit"]
+    assert "--orbit" in job["argv"]
+    calls = [0]
+    of = ObjectTransformation.of.__func__
+
+    def counted(cls, carrier, g):
+        calls[0] += 1
+        return of(cls, carrier, g)
+
+    monkeypatch.setattr(ObjectTransformation, "of", classmethod(counted))
+    argv = [str(golden / a) if a.endswith(".json") else a for a in job["argv"]]
+    assert main(argv) == job["rc"]
+    assert capsys.readouterr() == (job["stdout"], "")
+    assert calls[0] == 12

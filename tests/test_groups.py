@@ -857,8 +857,8 @@ def test_a_float_special_linear_sample_keeps_its_membership_test(monkeypatch):
 # -- generators and tables of stored groups --------------------------------------------
 
 
-def golden_group(name):
-    path = Path(__file__).parent / "golden" / "exact" / name
+def golden_group(name, folder="exact"):
+    path = Path(__file__).parent / "golden" / folder / name
     return group_from_descriptor(json.loads(path.read_text(encoding="utf-8")))
 
 
@@ -961,20 +961,36 @@ def test_a_closure_keeps_its_distinct_generators_in_order(monkeypatch):
     assert by_generators[0] == list(group.generators)
 
 
-def test_stores_that_are_not_closed_or_not_exact_have_no_generators():
+def test_a_store_that_is_not_closed_has_no_generators_and_none_at_its_missing_product():
+    # each store with a stored element whose square is no stored element
     stores = [
-        MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]]]),
-        # closed under products but without the identity: -I squared is I
-        MatrixGroup.general_linear(2, elements=[[[-1, 0], [0, -1]]]),
-        MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], QUARTER]),
-        MatrixGroup.general_linear(2),
-        closed_over(MatrixGroup.metric_preserving(2, 0), [rotation_2d(math.pi / 3)]),
-        MatrixGroup.metric_preserving(
-            2, 0, elements=[rotation_2d(k * math.pi / 2) for k in range(4)]
-        ),
+        (MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]]]), 1),
+        # without the identity: -I squared is I
+        (MatrixGroup.general_linear(2, elements=[[[-1, 0], [0, -1]]]), 0),
+        (MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], QUARTER]), 1),
+        (MatrixGroup.metric_preserving(2, 0, elements=[[[1.0, 0.0], [0.0, 1.0]], rotation_2d(0.3)]), 1),
     ]
-    for group in stores:
-        assert (group.generators, group.table) == (None, None)
+    for group, a in stores:
+        assert group.generators is None
+        assert group.table[a][a] is None
+        assert group.index_of(compose(group, group.store[a], group.store[a])) is None
+    unstored = MatrixGroup.general_linear(2)
+    assert (unstored.generators, unstored.table) == (None, None)
+
+
+@pytest.mark.parametrize("name", ["so2_order12_group.json", "so3_I_group.json", "quarter turns"])
+def test_a_closed_float_store_has_a_table_of_its_representatives_and_no_generators(name):
+    if name == "quarter turns":
+        elements = [rotation_2d(k * math.pi / 2) for k in range(4)]
+        group = MatrixGroup.metric_preserving(2, 0, elements=elements)
+    else:
+        group = golden_group(name, "float")
+    store, table = group.store, group.table
+    assert group.generators is None
+    assert len(table) == len(store)
+    for i, row in enumerate(table):
+        for j in range(len(store)):
+            assert row[j] == group.index_of(compose(group, store[i], store[j])) is not None
 
 
 def test_a_store_that_is_not_closed_stops_at_its_first_missing_product(monkeypatch):

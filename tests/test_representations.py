@@ -310,14 +310,15 @@ def test_shift_commutation_matches_the_triple_oracle(make_group):
 
 
 def test_b3_shift_commutation_forms_only_the_rows_of_the_shifts(monkeypatch):
-    # a triple loop would form four exact products for each of 48^3 triples
+    # a triple loop would form four exact products for each of 48^3 triples;
+    # both shifts read one product table, which holds the closure's products
     b3 = b3_closure()
     products = []
     mul = Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(1) or mul(self, other))
     verdict = shifts_commute_check(b3)
     assert verdict == Verdict(True, "exhaustive", 48**3)
-    assert len(products) == 2 * 48 * 48
+    assert len(products) <= 48 * 48
 
 
 def test_shift_commutation_refuses_a_store_that_is_not_closed():
