@@ -109,9 +109,9 @@ class FiniteGroup:
     as :attr:`MatrixGroup.store` holds a matrix group's stored elements.
     ``table[i][j]`` is the index of element ``i`` times element ``j``.
     ``generators`` are element indices, the identity never among them:
-    right multiplication by them reaches every element from the identity
-    (see :func:`_generating_set`; they are derived from ``table``, so they
-    cannot disagree with it).
+    right multiplication by them reaches every element from the identity.
+    :func:`validate_cayley_table` passes the set its associativity test
+    ran on, found in ``table`` by :func:`_generating_set`.
     """
 
     def __init__(
@@ -119,14 +119,15 @@ class FiniteGroup:
         table: tuple,
         identity_index: int,
         inverses: tuple,
+        generators: tuple,
         names: Optional[tuple] = None,
     ):
         self.table = table
         self.identity_index = identity_index
         self.inverses = inverses
+        self.generators = generators
         self.names = names
         self.store = tuple(GroupElement(self, i) for i in range(len(table)))
-        self.generators = tuple(_generating_set(table, identity_index))
 
     @property
     def order(self) -> int:
@@ -222,7 +223,9 @@ def validate_cayley_table(
         def associative(a, b):
             return list(rows[rows[a][b]]), _after(rows[a], rows[b])
 
-        if _sweep(n, _generating_set(rows, identity_index), associative)[1] is not None:
+        # without an identity every element generates, and the sweep is the full one
+        gens = range(n) if identity_index is None else _generating_set(rows, identity_index)
+        if _sweep(n, gens, associative)[1] is not None:
             violations.append(("not-associative", _sweep(n, range(n), associative)[1]))
 
         inverses = [None] * n
@@ -246,51 +249,74 @@ def validate_cayley_table(
         rows,
         identity_index,
         tuple(inverses),
+        gens,
         tuple(names) if names is not None else None,
     )
 
 
-def _generating_set(rows, identity: Optional[int] = None) -> Optional[list]:
-    """Greedy generators: every element is a left-nested product of them,
-    or the identity followed by such a product when ``identity`` is given.
-    ``None`` when some product is no element.
+def _generating_set(rows, identity: int) -> Optional[tuple]:
+    """Generators without the identity: right multiplication by them
+    reaches every element from ``identity``.  ``None`` at the first
+    product read that is no element.
 
-    ``rows[r][g]`` is the index of the product of elements ``r`` and
-    ``g``, or ``None``: a Cayley table, or the lazily filled rows of a
-    store (:class:`_StoreRow`).  Takes the smallest element not yet reached
-    as the next generator and closes everything reached under right
-    multiplication by all chosen generators; what was reached before is
-    closed under the earlier ones already, so each product of a reached
-    element and a generator is read exactly once.  The identity starts
-    out reached, so it is never chosen.  Only the products read are used,
-    so the result is valid for any closed table, associative or not.
+    ``rows`` is a Cayley table or a store's lazily filled rows
+    (:class:`_StoreRow`).  An element whose powers are every element
+    generates alone.  Otherwise an element of the largest order is tried
+    with each partner in decreasing order (two random elements of S_n
+    generate A_n or S_n with probability tending to 3/4: Dixon, *Math.
+    Z.* 110, 1969), and failing that the greedy set, each element not yet
+    reached in that order, without its redundant members.  :func:`_reach`
+    checks each try on the products it reads, so the result holds for
+    any table with an identity, associative or not.
     """
     n = len(rows)
-    gens: list = []
-    reached = [False] * n
-    if identity is not None:
-        reached[identity] = True
+    order = {}
     for x in range(n):
-        if reached[x]:
-            continue
-        steps = [([r for r in range(n) if reached[r]], (x,))]
-        gens.append(x)
-        reached[x] = True
-        steps.append(([x], gens))
-        while steps:
-            grown = []
-            for frontier, by in steps:
-                for r in frontier:
-                    row = rows[r]
-                    for g in by:
-                        p = row[g]
-                        if p is None:
-                            return None
-                        if not reached[p]:
-                            reached[p] = True
-                            grown.append(p)
-            steps = [(grown, gens)] if grown else []
-    return gens
+        if x != identity:
+            powers = _reach(rows, [x], x)
+            if powers is None:
+                return None
+            if len(powers) == n:
+                return (x,)
+            order[x] = len(powers)
+    by_order = sorted(order, key=order.get, reverse=True)
+    # a failed pair reaches a subgroup of a group, and a partner inside it adds nothing
+    inside = set()
+    for b in by_order[1:]:
+        if b not in inside:
+            reached = _reach(rows, (by_order[0], b), identity)
+            if reached is None or len(reached) == n:
+                return None if reached is None else (by_order[0], b)
+            inside.update(reached)
+    gens, reached = [], {identity}
+    for x in by_order:
+        if x not in reached:
+            gens.append(x)
+            reached = _reach(rows, gens, identity)
+            if reached is None:
+                return None
+    for g in list(gens):  # each subset reads only products read above
+        rest = [h for h in gens if h != g]
+        if len(_reach(rows, rest, identity)) == n:
+            gens = rest
+    return tuple(gens)
+
+
+def _reach(rows, gens, start: int) -> Optional[set]:
+    """The elements right multiplication by ``gens`` reaches from
+    ``start``, found breadth first; ``None`` at the first product that is
+    no element, and no product is read after it."""
+    queue, seen = [start], {start}
+    for r in queue:  # visits the elements appended below too
+        row = rows[r]
+        for g in gens:
+            p = row[g]
+            if p is None:
+                return None
+            if p not in seen:
+                seen.add(p)
+                queue.append(p)
+    return seen
 
 
 def _after(outer, inner) -> list:
@@ -391,9 +417,10 @@ class MatrixGroup:
     that is a group also has ``generators``, store indices without the
     identity, from which right multiplication reaches every element:
     :meth:`close_over` keeps the ones it was given, a store given as
-    elements finds them on first use with :func:`_generating_set`.  They
-    are ``None`` for a store that is not closed under products, and on
-    the float backend, where rounding grows with the length of a word.
+    elements searches its table for them on first use, as a Cayley table
+    is searched (:func:`_generating_set`).  They are ``None`` for a store
+    that is not closed under products, and on the float backend, where
+    rounding grows with the length of a word.
     """
 
     def __init__(
@@ -510,8 +537,7 @@ class MatrixGroup:
         the first product read from ``table`` that is no element leaves them ``None``."""
         exact = self.store is not None and self.backend.is_exact
         identity = self.index_of(self.identity) if exact else None
-        gens = None if identity is None else _generating_set(self.table, identity)
-        return None if gens is None else tuple(gens)
+        return None if identity is None else _generating_set(self.table, identity)
 
     @cached_property
     def table(self) -> Optional[tuple]:

@@ -384,15 +384,15 @@ def test_coordrep_with_a_cayley_table_group_is_exit_2(tmp_path, capsys):
 
 def test_repcheck_proves_the_s5_left_shift_on_its_generators(capsys):
     # all triples of S5 on itself are 1.7M cases, over the cap; the pairs
-    # (a, s) with s one of the 4 generators are 57,600, under it
+    # (a, s) with s one of the 2 generators are 28,800, under it
     path = Path(__file__).parent / "golden" / "exact" / "s5_left_shift.json"
     assert main(["repcheck", "--input", str(path), "--report", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["checks"]
     modes = {line["name"]: (line["mode"], line["checked"]) for line in checks}
     assert modes == {
-        "axioms": ("exhaustive(generators=4)", 1 + 120 * 4 * 120),
+        "axioms": ("exhaustive(generators=2)", 1 + 120 * 2 * 120),
         "inverse-law": ("exhaustive", 120),
-        "variance": ("exhaustive(generators=4)", 120 * 4),
+        "variance": ("exhaustive(generators=2)", 120 * 2),
     }
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from basiskit.bases import Basis, VectorSpace
 from basiskit.descriptors import group_from_descriptor
@@ -269,17 +269,30 @@ def test_light_test_matches_the_full_scan(seed):
 
 
 def test_greedy_generators_reach_every_element():
-    # the identity comes first; after it each generator leaves the subgroup
-    # reached so far, so at least doubles it
-    assert _generating_set(cyclic_group(12).table) == [0, 1]
-    for group in (symmetric_group(4), dihedral_group(8), quaternion_group()):
-        gens = _generating_set(group.table)
-        assert 2 ** (len(gens) - 1) <= group.order
-        reached = frontier = set(gens)
-        while frontier:
-            frontier = {group.table[r][g] for r in frontier for g in gens} - reached
-            reached = reached | frontier
-        assert reached == set(range(group.order))
+    # an element of the largest order generates Z12 alone; S4, D8 and Q8
+    # have a generating pair; Z2^3 and S4 x Z2^2 have none and get the
+    # greedy set, which for S4 x Z2^2 has four members, one redundant
+    assert _generating_set(cyclic_group(12).table, 0) == (1,)
+    z2_cubed = validate_cayley_table([[a ^ b for b in range(8)] for a in range(8)])
+    s4 = symmetric_group(4).table
+    s4_z2_z2 = validate_cayley_table(
+        [[s4[a // 4][b // 4] * 4 + (a % 4 ^ b % 4) for b in range(96)] for a in range(96)]
+    )
+    for group, k in [
+        (symmetric_group(4), 2), (dihedral_group(8), 2), (quaternion_group(), 2),
+        (z2_cubed, 3), (s4_z2_z2, 3),
+    ]:
+        e = group.identity_index
+        gens = _generating_set(group.table, e)
+        assert (gens, len(gens)) == (group.generators, k)
+        assert e not in gens
+        # each reaches every element from the identity, and none is redundant
+        for kept in [gens, *(tuple(h for h in gens if h != g) for g in gens)]:
+            reached = frontier = {e}
+            while frontier:
+                frontier = {group.table[r][g] for r in frontier for g in kept} - reached
+                reached = reached | frontier
+            assert (reached == set(range(group.order))) == (kept == gens)
 
 
 def relabelled(group, sigma):
@@ -296,29 +309,46 @@ GENERATED = {
     "Z": lambda n: cyclic_group(n),
     "D": lambda n: dihedral_group(max(n, 3)),
     "S4": lambda n: symmetric_group(4),
+    "S5": lambda n: symmetric_group(5),
     "Q8": lambda n: quaternion_group(),
 }
 
 
+@pytest.fixture(scope="module")
+def stored_b4():
+    """B4 given as its 384 signed permutation matrices in a shuffled order,
+    its generators searched here rather than in a timed example."""
+    group = MatrixGroup.general_linear(4, elements=shuffled(signed_permutation_matrices(4), 4))
+    assert group.generators is not None
+    return group
+
+
+@example("B4", 4, Random(0))
 @given(st.sampled_from(sorted(GENERATED)), st.integers(1, 12), st.randoms(use_true_random=False))
-def test_generators_of_a_relabelled_group_reach_it_without_the_identity(family, n, rng):
-    base = GENERATED[family](n)
-    sigma = list(range(base.order))
-    rng.shuffle(sigma)
-    group = relabelled(base, sigma)
-    e, gens = group.identity_index, group.generators
+def test_generators_of_a_relabelled_group_reach_it_without_the_identity(stored_b4, family, n, rng):
+    if family == "B4":
+        group, e = stored_b4, stored_b4.index_of(stored_b4.identity)
+    else:
+        base = GENERATED[family](n)
+        sigma = list(range(base.order))
+        rng.shuffle(sigma)
+        group = relabelled(base, sigma)
+        e = group.identity_index
+    order, gens = len(group.table), group.generators
     assert e not in gens
-    assert all(0 <= s < group.order for s in gens)
+    assert all(0 <= s < order for s in gens)
+    # one generator for a cyclic group but the trivial one, two for the others
+    assert len(gens) == (min(order - 1, 1) if family == "Z" else 2)
     # right multiplication by the generators reaches every element from e
     reached, frontier = {e}, [e]
     while frontier:
         frontier = [group.table[x][s] for x in frontier for s in gens]
         frontier = [x for x in dict.fromkeys(frontier) if x not in reached]
         reached.update(frontier)
-    assert reached == set(range(group.order))
+    assert reached == set(range(order))
     # each generator leaves the subgroup the earlier ones reach, so at
     # least doubles it
-    assert 2 ** len(gens) <= group.order
+    assert 2 ** len(gens) <= order
 
 
 def test_the_trivial_group_has_no_generators_and_case_1_decides_its_side_law():
@@ -1001,8 +1031,8 @@ def test_a_store_that_is_not_closed_stops_at_its_first_missing_product(monkeypat
     )
     group = MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], [[2, 0], [0, 1]], FLIP])
     assert group.generators is None
-    # the identity, then e * g and g * g for g = diag(2, 1), which is no element
-    assert len(looked_up) == 3
+    # the identity, then the first power of g = diag(2, 1): g * g is no element
+    assert len(looked_up) == 2
     assert looked_up[-1].payload == Matrix.diagonal((4, 1), EXACT)
 
 

@@ -228,7 +228,7 @@ def test_table_functor_on_b3_names_the_pair_a_wrong_grid_breaks():
     # every pair would first fail at (store[2], store[20])
     x, y = a.payload, b.payload
     assert wrong[grids.index(x.mul(y))] != wrong[grids.index(x)].mul(wrong[grids.index(y)])
-    assert (b3.index_of(a), b3.index_of(b)) == (4, 16)
+    assert (b3.index_of(a), b3.index_of(b)) == (14, 25)
     with pytest.raises(BasiskitError, match=re.escape(f"breaks the product at ({a!r}, {b!r})")):
         table_functor(b3, wrong)
 
@@ -239,9 +239,16 @@ def test_table_functor_on_a_closed_exact_store_runs_the_generator_pairs(monkeypa
     products = []
     mul = Matrix.mul
     monkeypatch.setattr(Matrix, "mul", lambda self, other: products.append(1) or mul(self, other))
+    gens = b3.generators
+    # the search forms each product it reads once, into the table, and
+    # fills the generators' columns
+    searched = len(products)
+    assert searched == sum(map(len, b3.table))
+    assert all(s in row for row in b3.table for s in gens)
+    # the check reads those columns and forms |G| |S| grid products; all pairs are 48 * 48
     table_functor(b3, grids)
-    # |G| |S| products to find the edges, as many to check them; all pairs are 48 * 48
-    assert len(products) == 2 * 48 * len(b3.generators) < 48 * 48
+    assert len(products) == searched + 48 * len(gens) < 48 * 48
+    assert (len(gens), searched) == (2, 262)
 
 
 def test_table_functor_with_float_grids_runs_every_pair():
