@@ -153,6 +153,10 @@ def _flat_matrix_out(m: Matrix) -> list:
     return [scalar_to_json(x, m.backend) for row in m.entries for x in row]
 
 
+def _affine_out(a: AffineTransform) -> dict:
+    return {"P": _matrix_out(a.linear), "R": _vector_out(a.translation, a.backend)}
+
+
 # -- groups -------------------------------------------------------------------
 
 
@@ -251,13 +255,7 @@ def group_to_descriptor(group) -> dict:
     if group.family == "AFFINE":
         d = {"kind": "affine", "dim": group.dim}
         if group.store is not None:
-            d["elements"] = [
-                {
-                    "P": _matrix_out(g.payload.linear),
-                    "R": _vector_out(g.payload.translation, group.backend),
-                }
-                for g in group.store
-            ]
+            d["elements"] = [_affine_out(g.payload) for g in group.store]
         return d
     d = {"kind": "matrix", "family": group.family, "dim": group.dim}
     if group.family == "SO":
@@ -300,10 +298,7 @@ def element_to_descriptor(g: GroupElement) -> dict:
             d["name"] = name
         return d
     if isinstance(payload, AffineTransform):
-        return {
-            "P": _matrix_out(payload.linear),
-            "R": _vector_out(payload.translation, payload.backend),
-        }
+        return _affine_out(payload)
     return {"matrix": _matrix_out(payload)}
 
 
@@ -583,10 +578,7 @@ def to_jsonable(value):
     if isinstance(value, Matrix):
         return _matrix_out(value)
     if isinstance(value, AffineTransform):
-        return {
-            "P": _matrix_out(value.linear),
-            "R": _vector_out(value.translation, value.backend),
-        }
+        return _affine_out(value)
     if isinstance(value, Basis):
         return basis_to_descriptor(value)
     if isinstance(value, GeometricalObject):

@@ -625,13 +625,13 @@ class Orbit:
     witnesses: tuple  # (point, group element) pairs, discovery order
     index: PointIndex = field(compare=False, repr=False)
 
-    def witness_for(self, carrier, point) -> GroupElement:
+    def witness_for(self, point) -> GroupElement:
         i = self.index.find(point)
         if i is None:
             raise NoSolution(f"point {point!r} is not in the orbit")
         return self.witnesses[i][1]
 
-    def contains(self, carrier, point) -> bool:
+    def contains(self, point) -> bool:
         return self.index.find(point) is not None
 
 
@@ -1004,11 +1004,7 @@ def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Represent
         row = rows[i]
         if not trusted and None in row:
             j = row.index(None)
-            first, second = (i, j) if side == "left" else (j, i)
-            raise CarrierMismatch(
-                f"the store is not closed: the product of stored elements {first} "
-                f"and {second} lies outside the carrier"
-            )
+            raise _not_closed(*((i, j) if side == "left" else (j, i)))
         return (MappingTransformation.trusted if trusted else MappingTransformation)(carrier, row)
 
     return Representation(
@@ -1018,6 +1014,14 @@ def _shift(group, side: str, carrier: Optional[SelfCarrier] = None) -> Represent
         assign,
         variance_claim="covariant" if side == "left" else "contravariant",
         label=f"{side}-shift",
+    )
+
+
+def _not_closed(i: int, j: int) -> CarrierMismatch:
+    """The refusal of a store that lacks the product of stored elements ``i`` and ``j``."""
+    return CarrierMismatch(
+        f"the store is not closed: the product of stored elements {i} "
+        f"and {j} lies outside the carrier"
     )
 
 
@@ -1104,14 +1108,13 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
     """
     if not rep.carrier.enumerable:
         raise InfeasibleExhaustive("orbit partition needs an enumerable carrier")
-    carrier = rep.carrier
-    all_points = carrier.points()
+    all_points = rep.carrier.points()
     table = rep._action_table()
     if table is not None:
         return _table_orbit_partition(table, all_points)
     orbits: list = []
     for u in all_points:
-        if any(o.contains(carrier, u) for o in orbits):
+        if any(o.contains(u) for o in orbits):
             continue
         o = orbit(rep, u)
         closure = orbit_closure_check(rep, o)
@@ -1120,7 +1123,7 @@ def orbit_well_defined_check(rep: Representation) -> OrbitPartitionReport:
             return _partition(tuple(o.points for o in orbits), ("orbit-mismatch", u, v))
         orbits.append(o)
     for u in all_points:
-        hits = sum(1 for o in orbits if o.contains(carrier, u))
+        hits = sum(1 for o in orbits if o.contains(u))
         if hits != 1:
             return _partition(tuple(o.points for o in orbits), ("coverage", u, hits))
     return _partition(tuple(o.points for o in orbits))
@@ -1145,7 +1148,7 @@ def orbit_closure_check(rep: Representation, o: Orbit) -> Verdict:
         if len(other.points) != len(o.points):
             return (point,), False, None
         for q in other.points:
-            if not o.contains(rep.carrier, q):
+            if not o.contains(q):
                 return (point, q), False, None
         return (point,), True, None
 
@@ -1220,10 +1223,9 @@ def classify(rep: Representation) -> ClassificationReport:
     kernel = kernel_of_inefficiency(rep)
     effective = len(kernel) == 1 and kernel[0].eq_to(rep.group.identity)
 
-    carrier = rep.carrier
-    all_points = carrier.points()
+    all_points = rep.carrier.points()
     base_orbit = orbit(rep, all_points[0])
-    missed = (v for v in all_points if not base_orbit.contains(carrier, v))
+    missed = (v for v in all_points if not base_orbit.contains(v))
     unreachable = next(((all_points[0], v) for v in missed), None)
     transitive = unreachable is None
     single = transitive and effective
@@ -1333,11 +1335,13 @@ def shifts_commute_check(group) -> Verdict:
 def twin_representation(rep: Representation, origin=None) -> Representation:
     """The opposite-side representation commuting with a single transitive one.
 
-    Identifying each carrier point ``w`` with its unique transport
-    ``c_w`` from the origin, the twin acts by composing on the other
-    side: for a left representation ``h(a): w -> f(c_w a)(origin)``, for
-    a right one ``h(a): w -> f(a c_w)(origin)``.  The chosen origin is
-    recorded on the result.
+    Identifying each carrier point ``w`` with its unique transport ``c_w``
+    from the origin, the twin acts by composing on the other side: for a
+    left representation ``h(a): w -> f(c_w a)(origin)``, for a right one
+    ``h(a): w -> f(a c_w)(origin)``, read from the opposite shift's rows of
+    ``group.table`` with no element product.  A store that is not closed
+    raises here, naming the product it lacks, as its shifts do.  The chosen
+    origin is recorded on the result.
     """
     report = classify(rep)
     if not (report.single_transitive and report.unique_transport):
@@ -1353,18 +1357,16 @@ def twin_representation(rep: Representation, origin=None) -> Representation:
     if not carrier.contains(origin):
         raise CarrierMismatch(f"origin {origin!r} is not in the carrier")
     reached = orbit(rep, origin)
-    transports = [reached.witness_for(carrier, w) for w in points]
+    # the store position of each point's transport, and the point each position reaches
+    t = [rep.group.index_of(reached.witness_for(w)) for w in points]
+    at = dict(zip(t, range(len(t))))
+    opposite = _shift(rep.group, "right" if rep.side == "left" else "left")
 
     def assign(a: GroupElement) -> MappingTransformation:
-        if rep.side == "left":
-            moved = (compose(rep.group, c_w, a) for c_w in transports)
-        else:
-            moved = (compose(rep.group, a, c_w) for c_w in transports)
-        return MappingTransformation(
-            carrier, [carrier.index(rep.apply(m, origin)) for m in moved]
-        )
+        row = opposite.transformation(a).row
+        return MappingTransformation.trusted(carrier, [at[row[p]] for p in t])
 
-    return Representation(
+    twin = Representation(
         rep.group,
         carrier,
         "right" if rep.side == "left" else "left",
@@ -1373,6 +1375,8 @@ def twin_representation(rep: Representation, origin=None) -> Representation:
         label=f"twin({rep.label})",
         origin=origin,
     )
+    twin._action_table()  # every row, so a store that is not closed raises here
+    return twin
 
 
 def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
@@ -1417,28 +1421,30 @@ def same_side_noncommuting_witness(group) -> Optional[SameSideWitness]:
 
     Scans pairs in element order and returns the first ``(a, b)`` with
     ``a b != b a``, evaluated at the point ``b`` of the left shift's
-    carrier with origin at the identity.
+    carrier with origin at the identity.  Both products are read from
+    ``group.table``; the one product formed is the conjugate ``b a b^-1``.
+    A product the scan meets that is no stored element raises, as the
+    shifts do.
     """
     elements = group.store
     if elements is None:
         raise InfeasibleExhaustive("witness search needs enumerable elements")
-    for a in elements:
-        for b in elements:
-            ab = compose(group, a, b)
-            ba = compose(group, b, a)
-            if not ab.eq_to(ba):
-                conjugate = compose(
-                    group, compose(group, b, a), group.inverse_element(b)
-                )
-                return SameSideWitness(
-                    a=a,
-                    b=b,
-                    origin=group.identity,
-                    point=b,
-                    same_side_value=ab,
-                    required_value=ba,
-                    conjugate=conjugate,
-                )
+    table = group.table
+    for i, j in itertools.product(range(len(elements)), repeat=2):
+        ab, ba = table[i][j], table[j][i]
+        if ab is None or ba is None:
+            raise _not_closed(*((i, j) if ab is None else (j, i)))
+        if ab != ba:
+            b = elements[j]
+            return SameSideWitness(
+                a=elements[i],
+                b=b,
+                origin=group.identity,
+                point=b,
+                same_side_value=elements[ab],
+                required_value=elements[ba],
+                conjugate=compose(group, elements[ba], group.inverse_element(b)),
+            )
     return None
 
 

@@ -471,8 +471,8 @@ def test_object_orbit_matches_the_scan_oracle(functor, make_group, make_anchor):
     assert verdict.passed and verdict.mode == "exhaustive"
     assert verdict.checked == len(points)
     for p, g in witnesses:
-        assert result.contains(rep.carrier, p)
-        assert result.witness_for(rep.carrier, p) == g
+        assert result.contains(p)
+        assert result.witness_for(p) == g
 
 
 @pytest.mark.parametrize("functor, make_group, make_anchor", ORACLE_CASES)

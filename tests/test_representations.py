@@ -629,10 +629,10 @@ def test_orbit_of_triangle_turn():
     o = orbit(rep, 0)
     assert o.points == (0, 1, 2)
     # first witness in element order for each point
-    assert o.witness_for(rep.carrier, 1).payload == 1
-    assert o.witness_for(rep.carrier, 2).payload == 2
+    assert o.witness_for(1).payload == 1
+    assert o.witness_for(2).payload == 2
     with pytest.raises(NoSolution):
-        o.witness_for(rep.carrier, 9)
+        o.witness_for(9)
 
 
 def test_kernel_of_triangle_turn():
@@ -765,6 +765,66 @@ def test_twin_respects_chosen_origin():
     assert commutation_check(f, h).passed
 
 
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda group=group: group for _, group in finite_fixtures()]
+    + [lambda: symmetric_group(4), lambda: symmetric_group(5), b3_closure, lambda: so2_closure(12)],
+    ids=[name for name, _ in finite_fixtures()] + ["S4", "S5", "B3-closure", "SO2-order12"],
+)
+def test_the_twin_of_a_shift_at_the_identity_is_the_opposite_shift(make_group):
+    group = make_group()
+    for shift, opposite in ((left_shift, right_shift), (right_shift, left_shift)):
+        twin = twin_representation(shift(group), origin=group.identity)
+        assert twin.side == opposite(group).side
+        assert twin._action_table() == opposite(group)._action_table()
+
+
+@pytest.mark.parametrize(
+    "make_group, abelian",
+    [(lambda: symmetric_group(5), False), (b3_closure, False), (lambda: so2_closure(12), True)],
+    ids=["S5", "B3-closure", "SO2-order12"],
+)
+def test_the_twin_and_the_witness_read_the_product_table(make_group, abelian, monkeypatch):
+    group = make_group()
+    f = left_shift(group)  # reads every row of the table
+    products = []
+    compose_elements = type(group).compose_elements
+
+    def counted(self, a, b):
+        products.append((a, b))
+        return compose_elements(self, a, b)
+
+    monkeypatch.setattr(type(group), "compose_elements", counted)
+    twin_representation(f)._action_table()
+    assert products == []
+    w = same_side_noncommuting_witness(group)
+    # the one product formed is the conjugate b a b^-1
+    assert (w is None) == abelian
+    assert len(products) == (not abelian)
+    monkeypatch.undo()
+    if w is not None:
+        pairs = itertools.product(group.store, repeat=2)
+        first = next((a, b) for a, b in pairs if not (a * b).eq_to(b * a))
+        assert (w.a, w.b) == first
+        assert w.same_side_value.eq_to(w.a * w.b) and w.required_value.eq_to(w.b * w.a)
+        assert w.conjugate.eq_to(w.b * w.a * w.b.inverse())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_the_twin_refuses_a_store_that_is_not_closed(side):
+    # R90 squared is -I, which is not stored; the two points are swapped by R90
+    r90 = [[0, -1], [1, 0]]
+    group = MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], r90])
+    carrier = FiniteCarrier(2)
+    rows = [[0, 1], [1, 0]]
+    rep = Representation(
+        group, carrier, side, lambda g: MappingTransformation(carrier, rows[group.index_of(g)])
+    )
+    assert classify(rep).single_transitive and classify(rep).unique_transport
+    with pytest.raises(CarrierMismatch, match="product of stored elements 1 and 1 lies outside"):
+        twin_representation(rep)
+
+
 # -- the same-side obstruction -------------------------------------------------------
 
 
@@ -788,6 +848,14 @@ def test_witness_structure_on_s3():
             if not (a * b).eq_to(b * a):
                 assert w.a.eq_to(a) and w.b.eq_to(b)
                 return
+
+
+def test_the_witness_refuses_a_store_that_is_not_closed():
+    # swap times diag(-1, 1) is not stored; two missing products are not an equal pair
+    swap, flip = [[0, 1], [1, 0]], [[-1, 0], [0, 1]]
+    group = MatrixGroup.general_linear(2, elements=[[[1, 0], [0, 1]], swap, flip])
+    with pytest.raises(CarrierMismatch, match="product of stored elements 1 and 2 lies outside"):
+        same_side_noncommuting_witness(group)
 
 
 def test_witness_pins_down_the_conjugate():
@@ -1392,7 +1460,7 @@ def test_table_commutation_matches_generic(group):
 
 
 def shear_orbit(base, shifts, tolerance):
-    """The carrier and the orbit of a column point under the stored shears
+    """The orbit of a column point under the stored shears
     ``[[1, s, 0], [0, 1, 0], [0, 0, k]]``: the point ``(x, 1, 0)`` goes to
     ``(x + s, 1, 0)``.  Each shear has its own ``k``, so the stored
     elements stay distinct however close their shifts are."""
@@ -1404,7 +1472,7 @@ def shear_orbit(base, shifts, tolerance):
     group = MatrixGroup.general_linear(3, backend, elements=elements)
     carrier = CoordCarrier(3, "column", backend)
     rep = Representation(group, carrier, "left", lambda g: LinearTransformation(carrier, g.payload))
-    return carrier, orbit(rep, (base, 1.0, 0.0))
+    return orbit(rep, (base, 1.0, 0.0))
 
 
 def test_orbit_dedupes_equal_points_in_adjacent_cells():
@@ -1412,23 +1480,23 @@ def test_orbit_dedupes_equal_points_in_adjacent_cells():
     # the cell boundary at 1e-6 but within the tolerance of each other
     x, s = 1e-6 - 2e-10, 4e-10
     assert math.floor(x / 4e-9) + 1 == math.floor((x + s) / 4e-9)
-    carrier, o = shear_orbit(x, [s], 1e-9)
+    o = shear_orbit(x, [s], 1e-9)
     assert len(o.points) == 1
-    assert o.witness_for(carrier, (x + s, 1.0, 0.0)) == o.witnesses[0][1]
-    assert len(shear_orbit(x, [3 * s], 1e-9)[1].points) == 2
+    assert o.witness_for((x + s, 1.0, 0.0)) == o.witnesses[0][1]
+    assert len(shear_orbit(x, [3 * s], 1e-9).points) == 2
 
 
 def test_orbit_lookup_returns_the_first_equal_point():
     # two orbit points 1.5 tolerances apart, the second in the cell below
     # the first; a point between them equals both
     x = 1e-6 + 0.5e-9
-    carrier, o = shear_orbit(x, [-1.5e-9], 1e-9)
+    o = shear_orbit(x, [-1.5e-9], 1e-9)
     assert len(o.points) == 2
     (p, first), (q, second) = o.witnesses
     assert math.floor(p[0] / 4e-9) == math.floor(q[0] / 4e-9) + 1
-    assert o.witness_for(carrier, (x - 0.75e-9, 1.0, 0.0)) is first
-    assert o.witness_for(carrier, (x - 1.6e-9, 1.0, 0.0)) is second
-    assert not o.contains(carrier, (x - 2.6e-9, 1.0, 0.0))
+    assert o.witness_for((x - 0.75e-9, 1.0, 0.0)) is first
+    assert o.witness_for((x - 1.6e-9, 1.0, 0.0)) is second
+    assert not o.contains((x - 2.6e-9, 1.0, 0.0))
 
 
 def test_orbit_cells_past_the_rounding_limit_are_exact():
@@ -1444,8 +1512,8 @@ def test_orbit_cells_past_the_rounding_limit_are_exact():
     index = PointIndex(None, None, tol)
     assert index._cell(x) == 2**50
     assert index._cell(math.nextafter(x, 0)) == 2**50 - 1
-    assert len(shear_orbit(x, [-(2.0**-11), 2.0**-10], tol)[1].points) == 1
-    assert len(shear_orbit(x, [2 * 2.0**-10], tol)[1].points) == 2
+    assert len(shear_orbit(x, [-(2.0**-11), 2.0**-10], tol).points) == 1
+    assert len(shear_orbit(x, [2 * 2.0**-10], tol).points) == 2
 
 
 def test_orbit_of_product_and_self_carrier_points_over_a_matrix_group():
@@ -1463,8 +1531,8 @@ def test_orbit_of_product_and_self_carrier_points_over_a_matrix_group():
         assert h.eq_to(g)
         # a point within the tolerance of an orbit point finds its witness
         near = ((v[0] + 5e-10, v[1]), h)
-        assert o.witness_for(both.carrier, near) is g
-    assert not o.contains(both.carrier, ((1.0, 0.5 + 1e-6), so2.identity))
+        assert o.witness_for(near) is g
+    assert not o.contains(((1.0, 0.5 + 1e-6), so2.identity))
     assert orbit_closure_check(both, o).passed
 
 
