@@ -396,11 +396,10 @@ def coordinate_representation(group: MatrixGroup) -> Representation:
     if not isinstance(group, MatrixGroup):
         raise GroupSpaceMismatch(f"{group!r} has no linear action on coordinates")
     carrier = CoordCarrier(group.dim, "row", group.backend)
-    identity = LinearTransformation(carrier, Matrix.identity(group.dim, group.backend))
 
     def assign(g: GroupElement) -> LinearTransformation:
         # the inverse of a member's invertible grid needs no determinant
-        return identity.with_grid(_linear_grid(g).inverse())
+        return LinearTransformation.trusted(carrier, _linear_grid(g).inverse())
 
     return Representation(group, carrier, "left", assign, label="coordinates")
 

@@ -273,11 +273,16 @@ def _cmd_object(args) -> int:
     report.data["object"] = obj
     before = representative(obj)
     report.data["representative"] = list(before)
-    group = rep = None
+    group = None
     if args.group is not None:
         group = group_from_descriptor(
             load_json(args.group), obj.anchor.space.backend, args.tolerance, args.cap
         )
+        if group.store is None and args.element is None and not (args.axioms or args.orbit):
+            raise ParseError(
+                "--group without stored elements checks nothing: "
+                "give --element or --axioms"
+            )
     if args.element is not None:
         if group is None:
             raise ParseError("--element needs --group for context")
@@ -288,12 +293,7 @@ def _cmd_object(args) -> int:
         report.data["result_representative"] = list(after)
         report.add_verdict("invariance", invariance_check(obj, g, before, after))
     elif group is not None and group.store is not None:
-        # under --orbit the sweep builds each element's transformation for the orbit
-        rep = object_representation(obj, group) if args.orbit else None
-        verdict, mean = invariance_sweep(
-            (obj, g, before, rep and rep.transformation(g).moved_representative(obj))
-            for g in group.store
-        )
+        verdict, mean = invariance_sweep((obj, g, before, None) for g in group.store)
         report.add_verdict("invariance", verdict)
         if verdict.residual_max is not None:
             report.data["residuals"] = {"max": verdict.residual_max, "mean": mean}
@@ -309,7 +309,7 @@ def _cmd_object(args) -> int:
     if args.orbit:
         if group is None or group.store is None:
             raise ParseError("--orbit needs --group with stored elements")
-        rep = rep or object_representation(obj, group)
+        rep = object_representation(obj, group)
         result = orbit(rep, obj, cap=args.cap)
         report.add_verdict("orbit-well-defined", orbit_closure_check(rep, result))
         report.data["orbit_size"] = len(result.points)

@@ -356,7 +356,7 @@ def representation_from_descriptor(
     if assign_kind == "trivial":
         def assign(g, _carrier=carrier):
             if isinstance(_carrier, CoordCarrier):
-                return LinearTransformation(
+                return LinearTransformation.trusted(
                     _carrier, Matrix.identity(_carrier.dim, _carrier.backend)
                 )
             return MappingTransformation(_carrier, list(range(len(_carrier.points()))))
@@ -408,13 +408,17 @@ def representation_from_descriptor(
                 return LinearTransformation(_carrier, _grids[g.payload])
 
         else:
+            if group.family == "AFFINE":
+                raise ParseError("linear assignment needs a matrix group, not an affine one")
             if group.dim != carrier.dim:
                 raise ParseError(
                     "linear assignment: carrier dimension differs from the group's"
                 )
 
             def assign(g, _carrier=carrier):
-                return LinearTransformation(_carrier, g.payload)
+                # membership decided that a member is invertible, and a
+                # product or an inverse of members is one by construction
+                return LinearTransformation.trusted(_carrier, g.payload)
 
         rep = Representation(group, carrier, side, assign, label="linear")
     else:

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from math import isfinite
+from operator import mul
 from random import Random
 from typing import Optional, Sequence
 
@@ -48,7 +50,7 @@ from .errors import (
     TypeMismatch,
 )
 from .groups import GroupElement, MatrixGroup, compose
-from .matrices import Matrix, vec_add, vec_scale, vector
+from .matrices import Matrix, _fold, vec_add, vec_scale, vector
 from .representations import (
     GridTransformation,
     Representation,
@@ -245,6 +247,58 @@ def _grid_at(functor: TypeAFunctor, backend, m, m_inv) -> Matrix:
     )
 
 
+def _row_times_grid(
+    functor: TypeAFunctor, row: tuple, m: Matrix, m_inv: Matrix, backend
+) -> tuple:
+    """``row A``, for ``A`` the grid of ``functor`` at the element whose
+    matrix is ``m`` and its inverse ``m_inv``, without forming ``A``.
+
+    Each entry is the products and sums of ``A.vecmat(row)`` in their
+    order, less the terms of a block diagonal's zeros: a fold from
+    ``+0.0`` never reaches ``-0.0``, so adding ``x * 0.0`` to it changes
+    nothing while ``x`` is finite.  A dual multiplies the other matrix
+    from the left, ``row (m_inv)^T = m_inv row``, the same products in
+    the same order.  Over the rationals any order gives the same values.
+    """
+    if functor.tag == "identity":
+        return Matrix.identity(1, backend).vecmat(row)
+    if functor.tag == "fundamental":
+        return m.vecmat(row)
+    if functor.tag == "dual":
+        return m_inv.matvec(row)
+    if functor.tag == "tensor_power":
+        return _row_times_kron_power(row, m, functor.power)
+    out, start = [], 0
+    for part in functor.parts:
+        width = weight_dim(part, m.nrows)
+        out.extend(_row_times_grid(part, row[start:start + width], m, m_inv, backend))
+        start += width
+    return tuple(out)
+
+
+def _row_times_kron_power(row: tuple, m: Matrix, k: int) -> tuple:
+    """``row`` times the Kronecker power ``m ⊗ ... ⊗ m`` of ``k`` factors.
+
+    Floats fold each column's entries, formed as :meth:`Matrix.kron`
+    forms them, as :meth:`Matrix.vecmat` folds them.  Rationals split off
+    the last factor: ``row (X ⊗ m)`` is ``X^T W m`` row by row, for ``W``
+    the row cut into rows of ``n``.
+    """
+    if k == 1:
+        return m.vecmat(row)
+    if m.backend.is_exact:
+        n = m.nrows
+        rows = tuple(row[i:i + n] for i in range(0, len(row), n))
+        cols = zip(*Matrix(rows, m.backend).mul(m).entries)
+        parts = [_row_times_kron_power(col, m, k - 1) for col in cols]
+        return tuple(chain.from_iterable(zip(*parts)))
+    factor = tuple(zip(*m.entries))
+    cols = factor
+    for _ in range(k - 1):
+        cols = [tuple(x * y for x in xc for y in yc) for xc in cols for yc in factor]
+    return tuple(_fold(map(mul, row, col), 0.0) for col in cols)
+
+
 @dataclass(frozen=True)
 class GeometricalObject:
     functor: TypeAFunctor
@@ -371,10 +425,12 @@ class ObjectTransformation(GridTransformation):
     def grid(self) -> Matrix:
         return self.functor_grid.block_diag(self.anchor_grid)
 
-    def with_grid(self, grid: Matrix) -> "ObjectTransformation":
-        m, rows = self.carrier.weight_dim, grid.entries
+    @classmethod
+    def trusted(cls, carrier: ObjectCarrier, grid: Matrix) -> "ObjectTransformation":
+        """The transformation of ``grid``, read as ``A(g) ⊕ L(g)``."""
+        m, rows = carrier.weight_dim, grid.entries
         blocks = (tuple(r[:m] for r in rows[:m]), tuple(r[m:] for r in rows[m:]))
-        return type(self)(self.carrier, *(Matrix(b, grid.backend) for b in blocks))
+        return cls(carrier, *(Matrix(b, grid.backend) for b in blocks))
 
     def apply(self, obj: GeometricalObject) -> GeometricalObject:
         """Move coordinates, auxiliary basis and anchor together.  The frame,
@@ -443,16 +499,39 @@ def representative(obj: GeometricalObject) -> tuple:
     return obj.w_basis.vecmat(obj.coords)
 
 
+def _swept_representative(obj: GeometricalObject, g: GroupElement) -> tuple:
+    """``representative(transform_object(obj, g))`` bit for bit, with no
+    grid formed: ``w A(g^-1)`` and then ``A(g)`` act on the coordinate row
+    through the functor tree, and the ``n``-by-``n`` element is all that
+    is inverted.  A table functor, an auxiliary basis other than the shared
+    identity, or a float row that does not stay finite (where a block
+    diagonal's zeros would make NaNs) takes the grid path of
+    :meth:`ObjectTransformation.moved_representative`."""
+    functor, coords, space = obj.functor, obj.coords, obj.anchor.space
+    if functor.tag != "table" and obj.w_basis is Matrix.identity(len(coords), space.backend):
+        m = _matrix_payload(functor, g)
+        m_inv = None if functor.tag == "identity" else m.inverse()
+        _check_acts(g, space)
+        moved = _row_times_grid(functor, coords, m_inv, m, space.backend)
+        after = _row_times_grid(functor, moved, m, m_inv, space.backend)
+        # a non-finite entry of a row makes every entry of its block in the
+        # next row non-finite, so a finite ``after`` had finite rows before it
+        if space.backend.is_exact or all(map(isfinite, after)):
+            return after
+    carrier = ObjectCarrier(functor, obj.anchor)
+    return ObjectTransformation.of(carrier, g).moved_representative(obj)
+
+
 def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
     """The invariance law on every case: ``(verdict, mean residual)``.
 
     A case is ``(obj, g, before, after)``: an object, an element, and the
     representatives of ``obj`` and of ``transform_object(obj, g)``, or
     ``None`` for one the caller does not have yet.  A missing ``after`` is
-    ``w A(g)^-1`` contracted with ``A(g) E``, with no moved anchor or
-    object.  Every case runs; the witness is the first failure's ``(g,
-    before, after)`` and the residual is the worst float one seen,
-    ``None`` over the rationals.
+    computed on the coordinate row alone (:func:`_swept_representative`),
+    with no moved anchor, object or grid.  Every case runs; the witness
+    is the first failure's ``(g, before, after)`` and the residual is the
+    worst float one seen, ``None`` over the rationals.
     """
     witness = worst = None
     checked, total = 0, 0.0
@@ -460,8 +539,7 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
         if before is None:
             before = representative(obj)
         if after is None:
-            carrier = ObjectCarrier(obj.functor, obj.anchor)
-            after = ObjectTransformation.of(carrier, g).moved_representative(obj)
+            after = _swept_representative(obj, g)
         backend = obj.anchor.space.backend
         checked += 1
         if not backend.is_exact:

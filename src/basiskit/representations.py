@@ -28,7 +28,6 @@ elements are read off ``group.table``.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -352,22 +351,27 @@ class GridTransformation(Transformation):
     """Invertible grid acting on a carrier, built as ``(carrier, grid)``;
     composed, inverted and compared through the grid alone.
 
-    A subclass constructor checks the grid it is given.  A grid derived
-    from checked ones, a product or an inverse, is invertible already,
-    so :meth:`with_grid` copies the transformation with the new grid
-    instead of constructing it again.  In floating point a derived grid
-    is only compared, applied or inverted, and ``inverse()`` still
-    raises :class:`Singular` on its own.
+    A subclass constructor checks the grid it is given.  A grid that is
+    invertible by construction, a group member's or one derived from
+    checked ones, a product or an inverse, is taken unchecked by
+    :meth:`trusted`, and :meth:`with_grid` builds it that way.  In
+    floating point such a grid is only compared, applied or inverted,
+    and ``inverse()`` still raises :class:`Singular` on its own.
     """
 
     def __init__(self, carrier, grid: Matrix):
         self.carrier = carrier
         self.grid = grid
 
+    @classmethod
+    def trusted(cls, carrier, grid: Matrix) -> "GridTransformation":
+        """The transformation of ``grid``, invertible by construction, unchecked."""
+        t = cls.__new__(cls)
+        t.carrier, t.grid = carrier, grid
+        return t
+
     def with_grid(self, grid: Matrix) -> "GridTransformation":
-        derived = copy.copy(self)
-        derived.grid = grid
-        return derived
+        return self.trusted(self.carrier, grid)
 
     def after(self, inner: "GridTransformation") -> "GridTransformation":
         """``self`` after ``inner``, for a grid multiplying points from the left."""

@@ -150,6 +150,70 @@ def test_repcheck_with_a_singular_linear_matrix_is_exit_2(tmp_path, capsys):
     assert_one_line_error(main(["repcheck", "--input", path]), capsys)
 
 
+def test_a_float_linear_gl_repcheck_takes_no_determinant_of_a_product(tmp_path, capsys, monkeypatch):
+    # 1e-4 I is a member, so its square 1e-8 I is one too, though its
+    # determinant 1e-16 is under the tolerance; only the stored elements
+    # take a determinant, on entering the group
+    from basiskit.matrices import Matrix
+
+    doc = {
+        "group": {"kind": "matrix", "family": "GL", "dim": 2,
+                  "elements": [[1.0, 0.0, 0.0, 1.0], [1e-4, 0.0, 0.0, 1e-4]]},
+        "side": "left",
+        "carrier": {"kind": "coords", "dim": 2, "layout": "column"},
+        "assign": {"kind": "linear"},
+    }
+    dets, det = [], Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: dets.append(self.flat) or det(self))
+    code = main(["repcheck", "--input", write(tmp_path, "gl_small.json", doc), "--approx", "--report", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(c["name"], c["passed"]) for c in out["checks"]] == [
+        ("axioms", True), ("inverse-law", True), ("variance", True)
+    ]
+    assert dets == [(1.0, 0.0, 0.0, 1.0), (1e-4, 0.0, 0.0, 1e-4)]
+
+
+def golden_job(folder, name):
+    golden = Path(__file__).parent / "golden" / folder
+    job = json.loads((golden / "expected.json").read_text(encoding="utf-8"))[name]
+    return [str(golden / a) if a.endswith(".json") else a for a in job["argv"]], job
+
+
+def test_float_so_linear_repchecks_take_no_determinant(tmp_path, capsys, monkeypatch):
+    # SO membership decides M^T eta M = eta, and no product or inverse of
+    # members takes a determinant: the golden SO(2) order-36 repcheck and
+    # a closed SO(3) of order 24 take none
+    from basiskit.matrices import Matrix
+
+    dets, det = [], Matrix.det
+    monkeypatch.setattr(Matrix, "det", lambda self: dets.append(self) or det(self))
+    argv, job = golden_job("float", "so2_order36_repcheck")
+    assert main(argv) == job["rc"] == 0
+    assert capsys.readouterr() == (job["stdout"], "")
+    so3 = json.loads((Path(__file__).parent / "golden" / "float" / "so3_O_group.json").read_text())
+    doc = {
+        "group": so3,
+        "side": "right",
+        "carrier": {"kind": "coords", "dim": 3, "layout": "row"},
+        "assign": {"kind": "linear"},
+    }
+    code = main(["repcheck", "--input", write(tmp_path, "so3_O_rep.json", doc), "--report", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and all(c["passed"] for c in out["checks"])
+    assert dets == []
+
+
+def test_a_linear_assignment_on_an_affine_group_is_exit_2(tmp_path, capsys):
+    doc = {
+        "group": {"kind": "affine", "dim": 2},
+        "side": "left",
+        "carrier": {"kind": "coords", "dim": 2, "layout": "column"},
+        "assign": {"kind": "linear"},
+    }
+    assert_one_line_error(main(["repcheck", "--input", write(tmp_path, "affine_linear.json", doc)]), capsys)
+
+
 def test_repcheck_text_report(tmp_path, capsys):
     code = main(["repcheck", "--input", shift_rep(tmp_path, "right")])
     out = capsys.readouterr().out
@@ -748,6 +812,33 @@ def test_object_element_needs_group(tmp_path, capsys):
     )
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_object_with_an_unstored_group_and_nothing_to_check_is_exit_2(tmp_path, capsys, backend):
+    # no store to sweep and no --element, --axioms or --orbit: no check would run
+    if backend == "exact":
+        obj = vector_object(tmp_path)
+        group = {"kind": "matrix", "family": "GL", "dim": 2}
+    else:
+        obj = write(tmp_path, "vec4.json", {
+            "functor": {"tag": "fundamental"},
+            "coords": [1.0, 0.5, -2.0, 0.25],
+            "anchor": {
+                "space": {"kind": "pseudo_euclid", "dim": 4, "signature": [3, 1]},
+                "vectors": [[1.0 if i == j else 0.0 for j in range(4)] for i in range(4)],
+            },
+        })
+        group = {"kind": "matrix", "family": "SO", "dim": 4, "signature": [3, 1]}
+    argv = ["object", "--input", obj, "--group", write(tmp_path, "unstored.json", group)]
+    assert_one_line_error(main(argv + ["--report", "json"]), capsys)
+    assert main(["object", "--input", obj, "--report", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["checks"]) == ("pass", [])
+    n = 2 if backend == "exact" else 4
+    element = json.dumps({"matrix": [[1 if i == j else 0 for j in range(n)] for i in range(n)]})
+    assert main(argv + ["--element", element, "--report", "json"]) == 0
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == ["invariance"]
 
 
 # -- selftest and failure plumbing ----------------------------------------------
@@ -1357,8 +1448,8 @@ def test_a_finite_carrier_at_the_cap_is_built(tmp_path, capsys):
 
 
 def test_object_orbit_builds_one_transformation_per_stored_element(capsys, monkeypatch):
-    # the invariance sweep and the orbit share the transformation of each of
-    # the 12 stored rotations; the output is the golden one
+    # the invariance sweep builds no transformation and the orbit one for
+    # each of the 12 stored rotations; the output is the golden one
     from basiskit.objects import ObjectTransformation
 
     golden = Path(__file__).parent / "golden" / "float"

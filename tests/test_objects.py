@@ -594,7 +594,16 @@ def test_invariance_sweep_matches_the_per_element_loop(
             return w_basis
         return moved_w_basis(self, w_basis, float_identity)
 
+    row_times_grid = objects._row_times_grid
+
+    def skip_w_basis_on_the_row(functor, row, m, m_inv, backend):
+        # the same defect where the sweep moves the row: w' E in place of w' A(g) E
+        if any(m is grid for grid in target_grids):
+            return Matrix.identity(len(row), backend).vecmat(row)
+        return row_times_grid(functor, row, m, m_inv, backend)
+
     monkeypatch.setattr(ObjectTransformation, "_moved_w_basis", skip_w_basis)
+    monkeypatch.setattr(objects, "_row_times_grid", skip_w_basis_on_the_row)
     failed, checked, worst, mean = per_element_sweep(obj, group)
     verdict, swept_mean = invariance_sweep(
         (obj, g, representative(obj), None) for g in group.store
@@ -1064,3 +1073,123 @@ def test_an_overflowing_float_grid_moves_the_identity_by_the_product():
     assert scalar_bits(after) == scalar_bits(representative(transform_object(obj, g)))
     assert scalar_bits(after) != scalar_bits(shortcut)
     assert all(map(math.isnan, after))
+
+
+ROW_PATH_FUNCTORS = {
+    "identity": identity_functor(),
+    "fundamental": fundamental_functor(),
+    "dual": dual_functor(),
+    "tensor1": tensor_power_functor(1),
+    "tensor2": tensor_power_functor(2),
+    "tensor3": tensor_power_functor(3),
+    "fundamental+dual": direct_sum_functor(fundamental_functor(), dual_functor()),
+    "nested-sum": direct_sum_functor(
+        direct_sum_functor(identity_functor(), dual_functor()),
+        direct_sum_functor(tensor_power_functor(2), direct_sum_functor(fundamental_functor())),
+    ),
+}
+
+
+def row_path_elements(n, backend):
+    """GL(n) elements with zero entries, signs and fractions: a signed
+    cyclic permutation, a diagonal, a shear and two sampled elements."""
+    half = F(1, 2) if backend.is_exact else 0.5
+    perm = [[(-1) ** i if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+    diag = [[(-2 if i == 0 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    shear = [[1 if i == j else half if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    group = MatrixGroup.general_linear(n, backend)
+    rng = Random(n)
+    return [group.element(Matrix.from_rows(rows, backend)) for rows in (perm, diag, shear)] + [
+        sample_group_element(group, rng) for _ in range(2)
+    ]
+
+
+def row_path_coords(m, backend, kind):
+    """``m`` coordinates: signed zeros between small values, or huge values
+    up to near the largest float, whose rows overflow under some elements."""
+    if backend.is_exact:
+        first = {"signed-zeros": [0, F(3, 2), 0, F(-9, 4)], "huge": [10**308, 0, -(10**300), F(1, 2)]}
+    else:
+        first = {"signed-zeros": [-0.0, 1.5, 0.0, -2.25], "huge": [1e308, -0.0, -1e300, 0.5]}
+    return [first[kind][k % 4] for k in range(m)]
+
+
+def count_grid_paths(monkeypatch):
+    """The number of sweep cases that fall back to the grid path."""
+    calls = [0]
+    moved_representative = ObjectTransformation.moved_representative
+
+    def counted(self, obj):
+        calls[0] += 1
+        return moved_representative(self, obj)
+
+    monkeypatch.setattr(ObjectTransformation, "moved_representative", counted)
+    return calls, moved_representative
+
+
+@pytest.mark.parametrize("kind", ["signed-zeros", "huge"])
+@pytest.mark.parametrize("name", ROW_PATH_FUNCTORS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("backend", [EXACT, APPROX], ids=["exact", "float"])
+def test_the_row_path_gives_the_grid_path_bit_for_bit(backend, n, name, kind, monkeypatch):
+    functor = ROW_PATH_FUNCTORS[name]
+    anchor = Basis.make(VectorSpace("central_affine", n, backend), Matrix.identity(n, backend).entries)
+    coords = row_path_coords(weight_dim(functor, n), backend, kind)
+    obj = GeometricalObject.make(functor, coords, anchor)
+    carrier = ObjectCarrier(functor, anchor)
+    grid_paths, moved_representative = count_grid_paths(monkeypatch)
+    rows = 0
+    for g in row_path_elements(n, backend):
+        grid_path = moved_representative(ObjectTransformation.of(carrier, g), obj)
+        before = grid_paths[0]
+        assert scalar_bits(sweep_after(obj, g)) == scalar_bits(grid_path), g
+        # only a row that does not stay finite takes the grid path
+        finite = backend.is_exact or all(map(math.isfinite, grid_path))
+        assert grid_paths[0] - before == (not finite)
+        rows += finite
+    assert rows
+
+
+def sign_diagonals(n, backend):
+    """The stored group of the ``2^n`` diagonal matrices of signs."""
+    grids = [Matrix.diagonal(signs, backend) for signs in itertools.product((1, -1), repeat=n)]
+    return MatrixGroup.general_linear(n, backend, elements=grids)
+
+
+@pytest.mark.parametrize("case", ["table", "other-E"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("backend", [EXACT, APPROX], ids=["exact", "float"])
+def test_a_table_functor_or_another_auxiliary_basis_keeps_the_grid_path(backend, n, case, monkeypatch):
+    group = sign_diagonals(n, backend)
+    anchor = Basis.make(VectorSpace("central_affine", n, backend), Matrix.identity(n, backend).entries)
+    if case == "table":
+        functor, w_basis = table_functor(group, [g.payload for g in group.store]), None
+    else:
+        functor = direct_sum_functor(dual_functor(), tensor_power_functor(2))
+        m = weight_dim(functor, n)
+        half = F(1, 2) if backend.is_exact else 0.5
+        rows = [[1 if i == j else half if j == i + 1 else 0 for j in range(m)] for i in range(m)]
+        w_basis = Matrix.from_rows(rows, backend)
+    coords = row_path_coords(weight_dim(functor, n), backend, "signed-zeros")
+    obj = GeometricalObject.make(functor, coords, anchor, w_basis)
+    grid_paths, moved_representative = count_grid_paths(monkeypatch)
+    for g in group.store:
+        grid_path = moved_representative(ObjectTransformation.of(ObjectCarrier(functor, anchor), g), obj)
+        assert scalar_bits(sweep_after(obj, g)) == scalar_bits(grid_path), g
+    assert grid_paths[0] == len(group.store)
+
+
+@pytest.mark.parametrize("backend", [EXACT, APPROX], ids=["exact", "float"])
+def test_a_sweep_forms_no_kronecker_block_diagonal_or_transpose(backend, monkeypatch):
+    functor = direct_sum_functor(
+        identity_functor(), dual_functor(), tensor_power_functor(3), fundamental_functor()
+    )
+    anchor = Basis.make(VectorSpace("central_affine", 2, backend), Matrix.identity(2, backend).entries)
+    obj = GeometricalObject.make(functor, row_path_coords(weight_dim(functor, 2), backend, "signed-zeros"), anchor)
+    formed = []
+    for name in ("kron", "block_diag", "transpose"):
+        method = getattr(Matrix, name)
+        monkeypatch.setattr(Matrix, name, lambda *args, _m=method, _n=name: formed.append(_n) or _m(*args))
+    verdict, _ = invariance_sweep((obj, g, None, None) for g in row_path_elements(2, backend))
+    assert verdict.passed and verdict.checked == 5
+    assert formed == []
