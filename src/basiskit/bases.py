@@ -262,8 +262,10 @@ def active_coordinates_check(
         for v in probes:
             before = vector_coordinates(v, b).components
             after = vector_coordinates(linear.matvec(v), moved).components
-            residual = None if backend.is_exact else backend.residual(before, after)
-            yield (v, before, after), backend.close(before, after), residual
+            if backend.is_exact:
+                yield (v, before, after), backend.close(before, after), None
+            else:
+                yield (v, before, after), *backend.compare(before, after)
 
     return _first_failure("", outcomes())
 
@@ -462,7 +464,7 @@ def _float_composition(rep: Representation, samples, seed) -> Verdict:
             for _ in range(VECTORS_PER_PAIR):
                 v = random_vector(rng, group.dim, backend)
                 stepped, direct = step_b.vecmat(step_a.vecmat(v)), once.vecmat(v)
-                yield (b, a, v), backend.close(stepped, direct), backend.residual(stepped, direct)
+                yield (b, a, v), *backend.compare(stepped, direct)
 
     return _first_failure(mode, outcomes())
 
@@ -546,8 +548,11 @@ def is_g_basis(b: Basis) -> Verdict:
     eta = Matrix.diagonal(b.space.metric_signs(), backend)
     rows = b.rows()
     gram, want = rows.mul(eta).mul(rows.transpose()).flat, eta.flat
-    residual = None if backend.is_exact else backend.residual(gram, want)
-    if backend.close(gram, want):
+    if backend.is_exact:
+        holds, residual = backend.close(gram, want), None
+    else:
+        holds, residual = backend.compare(gram, want)
+    if holds:
         return Verdict(True, residual_max=residual, detail="orthonormal")
     return Verdict(False, residual_max=residual, detail="gram matrix differs from the metric")
 

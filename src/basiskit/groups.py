@@ -502,7 +502,7 @@ class MatrixGroup:
         else:
             eta = Matrix.diagonal(self.metric_signs(), self.backend)
             got, want = payload.transpose().mul(eta).mul(payload).flat, eta.flat
-        return self.backend.close(got, want), self.backend.residual(got, want)
+        return self.backend.compare(got, want)
 
     # -- element handling --------------------------------------------------
 

@@ -25,7 +25,8 @@ own canonical entries, so a chain of products never carries unreduced
 denominators forward, and they are tuples, so no kernel can change them.
 A matrix used in many products, inversions or determinants is converted
 once.  So is :attr:`Matrix.flat`, the entries row by row, which is what
-the backend compares.
+the backend compares, and so is the inverse: a matrix is inverted once
+however often it is asked, and only a :class:`Singular` is raised anew.
 
 Float kernels are bit for bit the textbook loops: a dot product is a
 left fold from ``0.0``, term after term, and elimination uses partial
@@ -35,19 +36,20 @@ independent of the Python version, NaN signs excepted: the builtin
 floats with compensated summation, so there :func:`functools.reduce`
 folds instead.  The C loop of ``sum()`` may give ``+nan`` where ``+``
 gives ``-nan``; reports print every NaN alike.  Products,
-``matvec`` and ``vecmat`` of 2-by-2 and 3-by-3 matrices, and ``det``
-and ``inverse`` of 2-by-2 ones, are written out straight-line; every
-other float ``det`` and ``inverse`` runs one elimination that keeps
-only the columns still to be read.  Straight-line or not, each kernel
-does the same IEEE operations in the same order: a dot product is
-``0.0 + a*e + b*g``; the pivot row is divided by the pivot; ``x - f*y``
-is applied only to rows whose factor is not ``0``; ``det`` stops at a
-pivot equal to ``0`` and ``inverse`` raises :class:`Singular` at one
-with ``not abs(p) > tol``.  The order is fixed because floats are not
-associative and zeros are signed: ``0.0 + -0.0`` is ``+0.0`` and
-``0.0 / -2.0`` is ``-0.0``, so a reordered or shortened sum can flip
-the sign of a zero or the last bit of a residual, and reports print
-both.
+``matvec``, ``vecmat`` and ``inverse`` of 2-by-2 and 3-by-3 matrices
+are written out straight-line, each picked by shape from one table, and
+so is ``det`` of 2-by-2 ones; every other float ``det`` and ``inverse``
+runs one elimination that keeps only the columns still to be read.
+Straight-line or not, each kernel does the same IEEE operations in the
+same order: a dot product is ``0.0 + a*e + b*g``; the pivot row, the
+identity's ``0.0`` and ``1.0`` entries included, is divided by the
+pivot; ``x - f*y`` is applied only to rows whose factor is not ``0``;
+``det`` stops at a pivot equal to ``0`` and ``inverse`` raises
+:class:`Singular` at one with ``not abs(p) > tol``.  The order is fixed
+because floats are not associative and zeros are signed: ``0.0 + -0.0``
+is ``+0.0`` and ``0.0 / -2.0`` is ``-0.0``, so a reordered or shortened
+sum can flip the sign of a zero or the last bit of a residual, and
+reports print both.
 """
 
 from __future__ import annotations
@@ -330,6 +332,52 @@ def _float_inverse2(a: tuple, tol: float) -> tuple:
     return ((e0, e1), (o0, o1))
 
 
+def _float_inverse3(a: tuple, tol: float) -> tuple:
+    """:func:`_float_inverse` written out for a 3-by-3 matrix."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    # column 0: the pivot row (p, x1, x2 | e0, e1, e2), then the other two
+    # rows in their order, (q, q1, q2 | f0, f1, f2) and (r, r1, r2 | g0, g1, g2)
+    v0, v1 = abs(a00), abs(a10)
+    if abs(a20) > (v1 if v1 > v0 else v0):
+        p, x1, x2, e0, e1, e2 = a20, a21, a22, 0.0, 0.0, 1.0
+        q, q1, q2, f0, f1, f2 = a10, a11, a12, 0.0, 1.0, 0.0
+        r, r1, r2, g0, g1, g2 = a00, a01, a02, 1.0, 0.0, 0.0
+    elif v1 > v0:
+        p, x1, x2, e0, e1, e2 = a10, a11, a12, 0.0, 1.0, 0.0
+        q, q1, q2, f0, f1, f2 = a00, a01, a02, 1.0, 0.0, 0.0
+        r, r1, r2, g0, g1, g2 = a20, a21, a22, 0.0, 0.0, 1.0
+    else:
+        p, x1, x2, e0, e1, e2 = a00, a01, a02, 1.0, 0.0, 0.0
+        q, q1, q2, f0, f1, f2 = a10, a11, a12, 0.0, 1.0, 0.0
+        r, r1, r2, g0, g1, g2 = a20, a21, a22, 0.0, 0.0, 1.0
+    if not abs(p) > tol:
+        raise Singular("matrix is singular at column 0")
+    x1, x2, e0, e1, e2 = x1 / p, x2 / p, e0 / p, e1 / p, e2 / p
+    if q != 0:
+        q1, q2, f0, f1, f2 = q1 - q * x1, q2 - q * x2, f0 - q * e0, f1 - q * e1, f2 - q * e2
+    if r != 0:
+        r1, r2, g0, g1, g2 = r1 - r * x1, r2 - r * x2, g0 - r * e0, g1 - r * e1, g2 - r * e2
+    # column 1: the pivot row is (q1, q2 | f...), the other (r1, r2 | g...)
+    if abs(r1) > abs(q1):
+        q1, q2, f0, f1, f2, r1, r2, g0, g1, g2 = r1, r2, g0, g1, g2, q1, q2, f0, f1, f2
+    if not abs(q1) > tol:
+        raise Singular("matrix is singular at column 1")
+    q2, f0, f1, f2 = q2 / q1, f0 / q1, f1 / q1, f2 / q1
+    if x1 != 0:
+        x2, e0, e1, e2 = x2 - x1 * q2, e0 - x1 * f0, e1 - x1 * f1, e2 - x1 * f2
+    if r1 != 0:
+        r2, g0, g1, g2 = r2 - r1 * q2, g0 - r1 * f0, g1 - r1 * f1, g2 - r1 * f2
+    # column 2: the pivot row is (r2 | g...)
+    if not abs(r2) > tol:
+        raise Singular("matrix is singular at column 2")
+    g0, g1, g2 = g0 / r2, g1 / r2, g2 / r2
+    if x2 != 0:
+        e0, e1, e2 = e0 - x2 * g0, e1 - x2 * g1, e2 - x2 * g2
+    if q2 != 0:
+        f0, f1, f2 = f0 - q2 * g0, f1 - q2 * g1, f2 - q2 * g2
+    return ((e0, e1, e2), (f0, f1, f2), (g0, g1, g2))
+
+
 def _float_inverse(rows: Sequence, tol: float) -> tuple:
     """Inverse by Gauss-Jordan elimination with partial pivoting on
     ``[A | I]``; a pivot with ``not abs(p) > tol`` raises :class:`Singular`.
@@ -362,6 +410,10 @@ def _float_inverse(rows: Sequence, tol: float) -> tuple:
             else:
                 aug[r] = [x - f * y for x, y in zip(row[1:], tail)]
     return tuple(map(tuple, aug))
+
+
+# Straight-line float inverses, by size; every other size runs the loop
+_FLOAT_INVERSE = {2: _float_inverse2, 3: _float_inverse3}
 
 
 @dataclass(frozen=True)
@@ -538,13 +590,22 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         """Inverse by Gauss-Jordan elimination, fraction-free when exact;
-        raises Singular."""
+        raises Singular.  The inverse is kept on the matrix, so each
+        matrix is inverted once; a :class:`Singular` is raised again."""
+        # kept by hand: before Python 3.12 a cached_property takes a lock
+        # on every first use, and most matrices are inverted only once
+        inverse = self.__dict__.get("_inverse")
+        if inverse is not None:
+            return inverse
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.backend.is_exact:
-            return Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
-        kernel = _float_inverse2 if len(self.entries) == 2 else _float_inverse
-        return Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
+            inverse = Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
+        else:
+            kernel = _FLOAT_INVERSE.get(len(self.entries), _float_inverse)
+            inverse = Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
+        self.__dict__["_inverse"] = inverse
+        return inverse
 
     def is_invertible(self) -> bool:
         """A determinant the backend does not call zero."""

@@ -542,11 +542,13 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
             after = _swept_representative(obj, g)
         backend = obj.anchor.space.backend
         checked += 1
-        if not backend.is_exact:
-            residual = backend.residual(before, after)
+        if backend.is_exact:
+            holds = backend.close(before, after)
+        else:
+            holds, residual = backend.compare(before, after)
             worst = residual if worst is None else max(worst, residual)
             total += residual
-        if witness is None and not backend.close(before, after):
+        if witness is None and not holds:
             witness = (g, before, after)
     verdict = Verdict(witness is None, mode, checked, witness, worst)
     return verdict, total / max(checked, 1)

@@ -7,8 +7,9 @@ a tolerance.  A single computation never mixes the two; binary operations
 check for agreement and raise :class:`~basiskit.errors.BackendMismatch`.
 
 Only the backend compares values, each as one flat tuple of its scalars:
-:meth:`Backend.close`, :meth:`Backend.residual` and :meth:`Backend.is_zero`.
-A NaN supports no claim: it is close to nothing, and it vanishes.
+:meth:`Backend.close`, :meth:`Backend.residual`, :meth:`Backend.compare`
+(the two at once) and :meth:`Backend.is_zero`.  A NaN supports no claim:
+it is close to nothing, and it vanishes.
 """
 
 from __future__ import annotations
@@ -89,10 +90,25 @@ class Backend:
         return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
 
     def residual(self, xs: tuple, ys: tuple) -> float:
-        """The largest entrywise ``|x - y|`` as a float, 0.0 for empty tuples."""
+        """The largest entrywise ``|x - y|`` as a float, 0.0 for empty
+        tuples; the second half of :meth:`compare`."""
+        return self.compare(xs, ys)[1]
+
+    def compare(self, xs: tuple, ys: tuple) -> tuple:
+        """``(close(xs, ys), residual(xs, ys))`` in one pass over the
+        entries; unequal lengths raise :class:`DimensionMismatch`."""
         if len(xs) != len(ys):
             raise DimensionMismatch(f"vector lengths differ: {len(xs)} vs {len(ys)}")
-        return float(max((abs(x - y) for x, y in zip(xs, ys)), default=0.0))
+        # exactly, ``|x - y| <= 0`` is ``x == y``; ``worst`` is what
+        # ``max`` would give, which keeps a NaN only when it comes first
+        tol, holds, worst = self.tolerance, True, None
+        for x, y in zip(xs, ys):
+            d = abs(x - y)
+            if not d <= tol:
+                holds = False
+            if worst is None or d > worst:
+                worst = d
+        return holds, 0.0 if worst is None else float(worst)
 
     def is_zero(self, x: Scalar) -> bool:
         """``x == 0`` over the rationals; in floating point ``|x|`` does not

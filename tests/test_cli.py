@@ -204,6 +204,45 @@ def test_float_so_linear_repchecks_take_no_determinant(tmp_path, capsys, monkeyp
     assert dets == []
 
 
+@pytest.mark.parametrize(
+    "name, runs",
+    [
+        ("so2_order12_orbit", 12),
+        # one computed inverse equals a stored rotation bit for bit, so the
+        # representation's cache hands it back as that rotation's grid: 36 + 1
+        ("so2_order36_repcheck", 37),
+        ("gl3_sum_orbit", 9),
+    ],
+)
+def test_each_stored_matrix_is_inverted_once(capsys, monkeypatch, name, runs):
+    # the sweep and the orbit, or the inverse law's f(g^-1) and f(g)^-1,
+    # share one inverse per matrix: half the eliminations of inverting
+    # every stored element twice
+    import basiskit.matrices as matrices
+    from basiskit.matrices import Matrix
+
+    Matrix.identity.cache_clear()  # no inverse kept from an earlier test
+    counted = []
+
+    def counting(kernel):
+        return lambda *args: counted.append(1) or kernel(*args)
+
+    for size, kernel in list(matrices._FLOAT_INVERSE.items()):
+        monkeypatch.setitem(matrices._FLOAT_INVERSE, size, counting(kernel))
+    for kernel in ("_float_inverse", "_fraction_free_inverse"):
+        monkeypatch.setattr(matrices, kernel, counting(getattr(matrices, kernel)))
+    if name == "gl3_sum_orbit":
+        golden = Path(__file__).parent / "golden" / "exact"
+        argv = ["object", "--input", str(golden / "gl3_sum_object.json"), "--group",
+                str(golden / "gl3_order8_group.json"), "--orbit"]
+        assert main(argv) == 0 and "orbit_size: 8" in capsys.readouterr().out
+    else:
+        argv, job = golden_job("float", name)
+        assert main(argv) == job["rc"]
+        assert capsys.readouterr() == (job["stdout"], "")
+    assert len(counted) == runs
+
+
 def test_a_linear_assignment_on_an_affine_group_is_exit_2(tmp_path, capsys):
     doc = {
         "group": {"kind": "affine", "dim": 2},

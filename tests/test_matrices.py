@@ -1,10 +1,12 @@
 from fractions import Fraction
 from math import inf, lcm, nan, nextafter
+from itertools import permutations, product
 from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import basiskit.matrices as matrices
 from basiskit.errors import BackendMismatch, DimensionMismatch, Singular
 from basiskit.groups import rotation_2d
 from basiskit.matrices import Matrix, _int_rows, metric_dot, vector
@@ -579,6 +581,161 @@ def test_a_float_rotation_times_its_inverse_matches_the_loops():
         assert [bits(row) for row in product.entries] == [bits(row) for row in generator_mul(r, inverse)]
         assert product.is_identity()
         assert r.det().hex() == reference_float_det(r.entries).hex()
+
+
+# -- the written-out 3-by-3 inverse -------------------------------------------
+#
+# Each case must give the bits of the elimination loop and of the
+# reference, or the same Singular message, and must not run the loop.
+
+loop_float_inverse = matrices._float_inverse
+
+
+@pytest.fixture
+def no_general_elimination(monkeypatch):
+    def refuse(rows, tol):
+        raise AssertionError(f"a {len(rows)}x{len(rows)} inverse ran the general elimination")
+
+    monkeypatch.setattr(matrices, "_float_inverse", refuse)
+
+
+def assert_inverse3_bits(rows):
+    """The bits of the 3-by-3 kernel, which equal the loop's and the
+    reference's; a Singular's message in their place."""
+    rows = tuple(map(tuple, rows))
+    got = inverse_bits(lambda: Matrix(rows, APPROX).inverse().entries)
+    assert got == inverse_bits(lambda: loop_float_inverse(rows, TOL)), rows
+    assert got == inverse_bits(lambda: reference_float_inverse(rows)), rows
+    return got
+
+
+def pivot_path(rows):
+    """The rows, by their place in ``rows``, that partial pivoting takes
+    as the pivots of columns 0 and 1."""
+    rows, path = [(i, list(row)) for i, row in enumerate(rows)], []
+    for k in range(2):
+        j = max(range(k, 3), key=lambda r: abs(rows[r][1][k]))
+        rows[k], rows[j] = rows[j], rows[k]
+        pivot = rows[k][1]
+        path.append(rows[k][0])
+        for r in range(k + 1, 3):
+            f = rows[r][1][k] / pivot[k]
+            rows[r] = (rows[r][0], [x - f * y for x, y in zip(rows[r][1], pivot)])
+    return tuple(path)
+
+
+def test_each_pivot_order_of_the_3x3_inverse_matches_the_loop(no_general_elimination):
+    # every order of the first column's sizes, each with the second
+    # column's pivot in the first remaining row and in the other one
+    found = {}
+    for order in permutations(range(3)):
+        column0 = [(0.5, -2.0, 3.0)[rank] for rank in order]
+        for column1 in product((0.25, -1.5, 2.5, 4.0), repeat=3):
+            rows = [(c0, c1, c2) for c0, c1, c2 in zip(column0, column1, (1.0, -0.75, 0.3))]
+            first, second = pivot_path(rows)
+            key = (order, second == min({0, 1, 2} - {first}))
+            if key not in found:
+                found[key] = rows
+                assert isinstance(assert_inverse3_bits(rows), list), rows
+    assert len(found) == 12
+
+
+TIES_AND_ZEROS_3X3 = (
+    # first-column ties: all three, rows 1 and 2, rows 0 and 1, rows 0 and 2
+    [[1.0, 2.0, 0.5], [-1.0, 3.0, 1.0], [1.0, -1.0, 2.0]],
+    [[0.5, 2.0, 0.5], [2.0, 3.0, 1.0], [-2.0, -1.0, 2.0]],
+    [[2.0, 2.0, 0.5], [-2.0, 3.0, 1.0], [1.0, -1.0, 2.0]],
+    [[-2.0, 2.0, 0.5], [1.0, 3.0, 1.0], [2.0, -1.0, 2.0]],
+    # a second-column tie after the first step, either sign
+    [[4.0, 0.0, 1.0], [1.0, 2.0, 3.0], [2.0, -2.0, 1.0]],
+    [[4.0, 1.0, 1.0], [2.0, 2.5, 3.0], [-2.0, 0.5, 1.0]],
+    # factors 0.0 and -0.0 are skipped, so the rows keep their -0.0s
+    [[3.0, 1.0, 1.0], [-0.0, -0.0, 2.0], [0.0, 2.0, -0.0]],
+    [[0.0, 1.0, 2.0], [3.0, 1.0, 1.0], [-0.0, 2.0, 5.0]],
+    [[2.0, 1.0, -0.0], [-0.0, 3.0, 1.0], [0.0, -0.0, 4.0]],
+    [[2.0, -0.0, 1.0], [0.0, -3.0, -0.0], [-0.0, 0.0, -4.0]],
+    # negative pivots turn the identity's 0.0s into -0.0s
+    [[-0.0, -1.0, 0.0], [1.0, -0.0, 0.0], [0.0, 0.0, 1.0]],
+    [[-1.0, -0.0, -0.0], [-0.0, -1.0, -0.0], [-0.0, -0.0, -1.0]],
+    [[0.0, 0.0, -1.0], [0.0, -1.0, 0.0], [-1.0, 0.0, 0.0]],
+)
+
+
+@pytest.mark.parametrize("rows", TIES_AND_ZEROS_3X3)
+def test_3x3_pivot_ties_and_signed_zeros_match_the_loop(no_general_elimination, rows):
+    assert isinstance(assert_inverse3_bits(rows), list)
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_3x3_pivots_at_and_above_the_tolerance_match_the_loop(no_general_elimination, column):
+    # an upper triangle puts the pivot at ``column`` after nontrivial steps
+    above, below = nextafter(TOL, inf), nextafter(TOL, 0.0)
+    for pivot in (above, -above, TOL, -TOL, below, 0.0, -0.0):
+        rows = [[1.0, 5.0, 2.0], [0.0, 0.5, 3.0], [0.0, 0.0, -0.25]]
+        rows[column][column] = pivot
+        got = assert_inverse3_bits(rows)
+        if pivot in (above, -above):
+            assert isinstance(got, list)
+        else:
+            assert got == f"matrix is singular at column {column}"
+
+
+@pytest.mark.parametrize(
+    "column, rows",
+    [
+        (0, [[0.0, 1.0, 2.0], [-0.0, 3.0, 4.0], [0.0, 5.0, 6.0]]),
+        (1, [[1.0, 2.0, 3.0], [2.0, 4.0, 7.0], [3.0, 6.0, 1.0]]),
+        (2, [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]]),
+    ],
+)
+def test_a_singular_3x3_raises_at_the_loops_column(no_general_elimination, column, rows):
+    assert assert_inverse3_bits(rows) == f"matrix is singular at column {column}"
+    with pytest.raises(Singular, match=f"^matrix is singular at column {column}$"):
+        Matrix(tuple(map(tuple, rows)), APPROX).inverse()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[inf, 1.0, 2.0], [1.0, 2.0, 3.0], [0.0, 1.0, 1.0]],
+        [[1.0, 2.0, 3.0], [-inf, 1.0, 1.0], [2.0, 1.0, 0.0]],
+        [[1.0, inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[2.0, 1.0, 0.0], [1.0, 3.0, -inf], [0.0, 1.0, 1.0]],
+        [[nan, 1.0, 2.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+        [[1.0, 2.0, 3.0], [nan, 1.0, 1.0], [2.0, 1.0, 0.0]],
+        [[1.0, 2.0, 3.0], [0.5, 1.0, 1.0], [nan, nan, nan]],
+        [[3.0, 1.0, 1.0], [1.0, nan, 2.0], [0.0, 1.0, 4.0]],
+        [[inf, inf, inf], [1.0, 2.0, 3.0], [0.0, 1.0, 1.0]],
+    ],
+)
+def test_3x3_rows_with_inf_or_nan_match_the_loop(no_general_elimination, rows):
+    assert_inverse3_bits(rows)
+
+
+def test_a_3x3_float_inverse_never_runs_the_general_elimination(no_general_elimination):
+    rng = Random(2027)
+    for _ in range(2000):
+        rows = tuple(tuple(rng.choice(SWEEP_POOL) if rng.random() < 0.5 else rng.uniform(-4.0, 4.0)
+                           for _ in range(3)) for _ in range(3))
+        assert_inverse3_bits(rows)
+    with pytest.raises(AssertionError, match="4x4 inverse ran the general elimination"):
+        Matrix.diagonal([2.0] * 4, APPROX).inverse()
+
+
+def test_a_matrix_is_inverted_once_and_a_singular_one_raises_each_time(monkeypatch):
+    runs = []
+    kernel = matrices._FLOAT_INVERSE[3]
+    monkeypatch.setitem(matrices._FLOAT_INVERSE, 3, lambda rows, tol: runs.append(rows) or kernel(rows, tol))
+    a = Matrix(((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 2.0)), APPROX)
+    assert a.inverse() is a.inverse()
+    assert len(runs) == 1
+    singular = Matrix(((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 1.0)), APPROX)
+    for _ in range(2):
+        with pytest.raises(Singular, match="at column 1$"):
+            singular.inverse()
+    assert len(runs) == 3
+    exact = Matrix.from_rows([[1, 2], [3, 4]], EXACT)
+    assert exact.inverse() is exact.inverse()
 
 
 # -- a seeded sweep of every float kernel --------------------------------------

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import inf, nan, nextafter
+from random import Random
 
 import pytest
 
-from basiskit.errors import BackendMismatch, ParseError
+from basiskit.errors import BackendMismatch, DimensionMismatch, ParseError
 from basiskit.scalars import APPROX, EXACT, Backend, approx, scalar_from_json, scalar_to_json
 
 
@@ -50,6 +52,69 @@ def test_eq_semantics():
     tol = approx(1e-6)
     assert tol.close((1.0,), (1.0 + 1e-7,))
     assert not tol.close((1.0,), (1.0 + 1e-5,))
+
+
+TOL = APPROX.tolerance
+# differences of 0.0 against TOL are the tolerance exactly, against the
+# next float one ulp above it
+FLOAT_POOL = (
+    0.0, -0.0, inf, -inf, nan, 1.0, -1.0, 0.5, 1e16,
+    TOL, -TOL, nextafter(TOL, inf), -nextafter(TOL, inf), nextafter(TOL, 0.0),
+)
+EXACT_POOL = (Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 2), Fraction(10**20, 7))
+
+
+def close_and_residual(backend, xs, ys):
+    holds, residual = backend.compare(xs, ys)
+    assert type(holds) is bool and type(residual) is float
+    assert residual.hex() == backend.residual(xs, ys).hex()
+    return holds, residual.hex()
+
+
+def max_residual(xs, ys):
+    """The residual as the builtin ``max`` takes it."""
+    return float(max((abs(x - y) for x, y in zip(xs, ys)), default=0.0)).hex()
+
+
+@pytest.mark.parametrize("backend", [APPROX, approx(0.5), EXACT], ids=["approx", "approx(0.5)", "exact"])
+def test_compare_is_close_and_residual_bit_for_bit(backend):
+    rng = Random(27)
+    pool = EXACT_POOL if backend.is_exact else FLOAT_POOL
+    residuals = set()
+    for _ in range(4000):
+        n = rng.randrange(6)
+        xs = tuple(rng.choice(pool) for _ in range(n))
+        ys = tuple(rng.choice(pool) if rng.random() < 0.6 else x for x in xs)
+        want = backend.close(xs, ys), max_residual(xs, ys)
+        assert close_and_residual(backend, xs, ys) == want, (xs, ys)
+        residuals.add(want[1])
+    if not backend.is_exact:
+        # the sweep saw a NaN residual, and the tolerance and one ulp above
+        assert {"nan", TOL.hex(), nextafter(TOL, inf).hex()} <= residuals
+
+
+def test_compare_keeps_the_first_nan_rule_and_signed_zeros():
+    cases = [
+        ((nan, 0.0), (0.0, 0.0), (False, "nan")),  # a NaN first is the residual
+        ((0.0, nan), (0.0, 0.0), (False, "0x0.0p+0")),  # a later one is not
+        ((1.0, nan, 3.0), (0.0, 0.0, 0.0), (False, "0x1.8000000000000p+1")),
+        ((inf,), (inf,), (False, "nan")),
+        ((-0.0, 0.0), (0.0, -0.0), (True, "0x0.0p+0")),
+        ((TOL,), (0.0,), (True, TOL.hex())),
+        ((0.0,), (-nextafter(TOL, inf),), (False, nextafter(TOL, inf).hex())),
+        ((), (), (True, "0x0.0p+0")),
+    ]
+    for xs, ys, want in cases:
+        assert close_and_residual(APPROX, xs, ys) == want
+        assert want == (APPROX.close(xs, ys), max_residual(xs, ys))
+    assert close_and_residual(EXACT, (Fraction(1, 3),), (Fraction(-1, 3),)) == (False, (2 / 3).hex())
+
+
+@pytest.mark.parametrize("backend", [APPROX, EXACT], ids=["approx", "exact"])
+def test_compare_refuses_unequal_lengths(backend):
+    one = backend.one()
+    with pytest.raises(DimensionMismatch, match="vector lengths differ: 2 vs 1"):
+        backend.compare((one, one), (one,))
 
 
 def test_require_same():
