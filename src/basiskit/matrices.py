@@ -25,8 +25,11 @@ own canonical entries, so a chain of products never carries unreduced
 denominators forward, and they are tuples, so no kernel can change them.
 A matrix used in many products, inversions or determinants is converted
 once.  So is :attr:`Matrix.flat`, the entries row by row, which is what
-the backend compares, and so is the inverse: a matrix is inverted once
-however often it is asked, and only a :class:`Singular` is raised anew.
+the backend compares, so is the hash of a matrix that keys a dict, and so
+is the inverse: a matrix is inverted once however often it is asked, and
+only a :class:`Singular` is raised anew.  Each is kept in the matrix's
+``__dict__`` by a descriptor that takes no lock; equality and ``repr``
+read only the fields.
 
 Float kernels are bit for bit the textbook loops: a dot product is a
 left fold from ``0.0``, term after term, and elimination uses partial
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from itertools import chain
 from math import lcm, prod
@@ -416,6 +419,27 @@ def _float_inverse(rows: Sequence, tol: float) -> tuple:
 _FLOAT_INVERSE = {2: _float_inverse2, 3: _float_inverse3}
 
 
+class _kept:
+    """A value built on the first read and kept in the instance's
+    ``__dict__``, where every later read finds it before the descriptor:
+    :func:`functools.cached_property` without the lock that it takes on
+    every first use before Python 3.12.  A build that raises keeps
+    nothing."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Row-major dense matrix tied to a scalar backend."""
@@ -457,25 +481,33 @@ class Matrix:
             backend,
         )
 
-    @cached_property
+    @_kept
     def _exact_rows(self) -> tuple:
         """The rows in :func:`_int_rows` form."""
         return _int_rows(self.entries)
 
-    @cached_property
+    @_kept
     def _exact_cols(self) -> tuple:
         """The columns in :func:`_int_rows` form."""
         return _int_rows(zip(*self.entries))
 
-    @cached_property
+    @_kept
     def _float_cols(self) -> tuple:
         """The columns as tuples."""
         return tuple(zip(*self.entries))
 
-    @cached_property
+    @_kept
     def flat(self) -> tuple:
         """The entries row by row."""
         return tuple(chain.from_iterable(self.entries))
+
+    @_kept
+    def _hash(self) -> int:
+        """The dataclass hash of the fields."""
+        return hash((self.entries, self.backend))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nrows(self) -> int:
@@ -592,20 +624,16 @@ class Matrix:
         """Inverse by Gauss-Jordan elimination, fraction-free when exact;
         raises Singular.  The inverse is kept on the matrix, so each
         matrix is inverted once; a :class:`Singular` is raised again."""
-        # kept by hand: before Python 3.12 a cached_property takes a lock
-        # on every first use, and most matrices are inverted only once
-        inverse = self.__dict__.get("_inverse")
-        if inverse is not None:
-            return inverse
+        return self._inverse
+
+    @_kept
+    def _inverse(self) -> "Matrix":
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.backend.is_exact:
-            inverse = Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
-        else:
-            kernel = _FLOAT_INVERSE.get(len(self.entries), _float_inverse)
-            inverse = Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
-        self.__dict__["_inverse"] = inverse
-        return inverse
+            return Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
+        kernel = _FLOAT_INVERSE.get(len(self.entries), _float_inverse)
+        return Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
 
     def is_invertible(self) -> bool:
         """A determinant the backend does not call zero."""

@@ -499,6 +499,11 @@ def _variance_product(t1: Transformation, t2: Transformation) -> Transformation:
     return compose_transformations(t1, t2)
 
 
+def _require_point(carrier, p) -> None:
+    if not carrier.contains(p):
+        raise CarrierMismatch(f"point {p!r} is not in the carrier")
+
+
 # -- the representation type ----------------------------------------------
 
 
@@ -542,8 +547,7 @@ class Representation:
         return t
 
     def apply(self, g: GroupElement, u):
-        if not self.carrier.contains(u):
-            raise CarrierMismatch(f"point {u!r} is not in the carrier")
+        _require_point(self.carrier, u)
         return self.transformation(g).apply(u)
 
     def _action_table(self) -> Optional[list]:
@@ -757,16 +761,25 @@ def _point_residual(carrier, x, y) -> Optional[float]:
     """How far apart two points of a float coordinate carrier are; ``None``
     for points of carriers that measure no distance."""
     if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
-        try:
-            return carrier.backend.residual(x, y)
-        except DimensionMismatch:
-            return float("inf")
+        return _point_compare(carrier, x, y)[1]
     if isinstance(carrier, ProductCarrier):
         return _worst(
             _point_residual(carrier.left, x[0], y[0]),
             _point_residual(carrier.right, x[1], y[1]),
         )
     return None
+
+
+def _point_compare(carrier, x, y) -> tuple:
+    """``(carrier.point_eq(x, y), _point_residual(carrier, x, y))``; a float
+    coordinate carrier decides both in one pass over the entries, and
+    points of unequal lengths are ``(False, inf)`` apart."""
+    if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
+        try:
+            return carrier.backend.compare(x, y)
+        except DimensionMismatch:
+            return False, float("inf")
+    return carrier.point_eq(x, y), _point_residual(carrier, x, y)
 
 
 def check_laws(
@@ -873,23 +886,32 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
             side = holds
             if side_open and not (homo if shared else eq(fas, mul(y, x))):
                 fab = f(elements[k] if k is not None else compose(group, a, s))
-                moved = (n for n, u in enumerate(probes, 1) if not _side_case(rep, a, s, u, fab)[0])
+                fa, fs = maps[i], maps[j]
+                moved = (n for n, u in enumerate(probes, 1) if not _side_case(rep, fa, fs, u, fab)[0])
                 n = next(moved)
                 side = (1 if grids else n, probes[n - 1], None)
             yield (a, s), side, (homo, anti_open and eq(fsa, product))
 
 
-def _side_case(rep, a, b, u, fab) -> tuple:
-    """``(holds, residual)`` of the side law at ``(a, b, u)``, ``fab`` being ``f(ab)``."""
-    outer, inner = (a, b) if rep.side == "left" else (b, a)
-    lhs, rhs = fab.apply(u), rep.apply(outer, rep.apply(inner, u))
-    return rep.carrier.point_eq(lhs, rhs), _point_residual(rep.carrier, lhs, rhs)
+def _side_case(rep, fa, fb, u, fab) -> tuple:
+    """``(holds, residual)`` of the side law at ``(a, b, u)``, ``fa``, ``fb``
+    and ``fab`` being ``f(a)``, ``f(b)`` and ``f(ab)``.  As in
+    :meth:`Representation.apply`, ``u`` and the point between the two
+    steps must lie in the carrier."""
+    outer, inner = (fa, fb) if rep.side == "left" else (fb, fa)
+    carrier = rep.carrier
+    lhs = fab.apply(u)
+    _require_point(carrier, u)
+    middle = inner.apply(u)
+    _require_point(carrier, middle)
+    return _point_compare(carrier, lhs, outer.apply(middle))
 
 
 def _triple_outcomes(rep, undecided, samples: int, seed: int):
     """``samples`` seeded triples ``(a, b, u)``, drawn in that order, as in
     :func:`_pair_outcomes`: the side law at ``u``, with its residual, and
-    variance on ``(a, b)``, both reading the one ``f(ab)``."""
+    variance on ``(a, b)``.  Both read the one ``f(a)``, ``f(b)`` and
+    ``f(ab)``."""
     group, f = rep.group, rep.transformation
     rng = Random(seed)
     for _ in range(samples):
@@ -897,11 +919,12 @@ def _triple_outcomes(rep, undecided, samples: int, seed: int):
         u = rep.carrier.sample(rng)
         side_open, homo_open, anti_open = undecided
         fab = (side_open or homo_open) and f(compose(group, a, b))
+        fa, fb = f(a), f(b)
         side = (1, None, None)
         if side_open:
-            holds, residual = _side_case(rep, a, b, u, fab)
+            holds, residual = _side_case(rep, fa, fb, u, fab)
             side = (1, None if holds else u, residual)
-        product = (homo_open or anti_open) and _variance_product(f(a), f(b))
+        product = (homo_open or anti_open) and _variance_product(fa, fb)
         homo = homo_open and transformations_equal(fab, product)
         anti = anti_open and transformations_equal(f(compose(group, b, a)), product)
         yield (a, b), side, (homo, anti)
@@ -1413,8 +1436,7 @@ def commutation_check(rep1: Representation, rep2: Representation) -> Verdict:
     def outcome(a, b, w):
         lhs = rep1.apply(a, rep2.apply(b, w))
         rhs = rep2.apply(b, rep1.apply(a, w))
-        residual = _point_residual(carrier, lhs, rhs)
-        return (a, b, w), carrier.point_eq(lhs, rhs), residual
+        return (a, b, w), *_point_compare(carrier, lhs, rhs)
 
     cases = itertools.product(elements, elements, points)
     return _first_failure("exhaustive", itertools.starmap(outcome, cases))

@@ -118,7 +118,7 @@ class Backend:
         return not abs(x) > self.tolerance
 
     def require_same(self, other: "Backend") -> None:
-        if self != other:
+        if self is not other and self != other:
             raise BackendMismatch(f"backends differ: {self} vs {other}")
 
 

@@ -1,5 +1,6 @@
 """Bases, coordinates, transports and orthonormalisation."""
 
+import functools
 import itertools
 import json
 import math
@@ -823,6 +824,136 @@ def test_stored_group_above_the_work_cap_is_sampled(monkeypatch):
     assert (result.composition.mode, result.composition.checked) == ("sampled(k=4, seed=7)", 12)
     # effectiveness still runs over every stored element
     assert result.effectiveness.checked == 5
+
+
+# -- the float coordinate law on bound kernels -------------------------------------------
+
+
+def reference_float_composition(rep, samples, seed):
+    """The float side law of :func:`coordinate_representation_check`, every
+    vector moved by ``Matrix.vecmat``."""
+    group, rng = rep.group, Random(seed)
+    store = group.store
+    exhaustive = (
+        store is not None
+        and len(store) ** 2 * bases.VECTORS_PER_PAIR <= bases.EXHAUSTIVE_WORK_CAP
+    )
+    elements = store
+    if not exhaustive:
+        elements = [sample_group_element(group, rng) for _ in range(2 * samples)]
+    steps = [(g, rep.transformation(g).grid) for g in elements]
+    if exhaustive:
+        pairs = itertools.product(steps, steps)
+        mode = f"exhaustive-pairs({len(store) ** 2})"
+    else:
+        pairs = zip(steps[::2], steps[1::2])
+        mode = f"sampled(k={samples}, seed={seed})"
+    checked, worst = 0, None
+    for (a, step_a), (b, step_b) in pairs:
+        once = bases._linear_grid(b).mul(bases._linear_grid(a)).inverse()
+        for _ in range(bases.VECTORS_PER_PAIR):
+            v = random_vector(rng, group.dim, group.backend)
+            stepped, direct = step_b.vecmat(step_a.vecmat(v)), once.vecmat(v)
+            checked += 1
+            r = max(abs(x - y) for x, y in zip(stepped, direct))
+            worst = r if worst is None else max(worst, r)
+            if not group.backend.close(stepped, direct):
+                return Verdict(False, mode, checked, (b, a, v), worst)
+    return Verdict(True, mode, checked, None, worst)
+
+
+def composition_key(verdict):
+    return (
+        verdict.passed,
+        verdict.mode,
+        verdict.checked,
+        verdict.counterexample,
+        verdict.residual_max.hex(),
+    )
+
+
+def rotation_3d(axis, angle):
+    """Rodrigues' rotation about ``axis`` by ``angle``."""
+    norm = math.sqrt(sum(a * a for a in axis))
+    x, y, z = (a / norm for a in axis)
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1.0 - c
+    return Matrix.from_rows(
+        [
+            [t * x * x + c, t * x * y - s * z, t * x * z + s * y],
+            [t * x * y + s * z, t * y * y + c, t * y * z - s * x],
+            [t * x * z - s * y, t * y * z + s * x, t * z * z + c],
+        ],
+        APPROX,
+    )
+
+
+def float_closure(dim, generators):
+    group = MatrixGroup.metric_preserving(dim, 0)
+    group.close_over(generators)
+    return group
+
+
+def so2_closure(m):
+    return float_closure(2, [rotation_2d(2 * math.pi / m)])
+
+
+FLOAT_COMPOSITION_GROUPS = {
+    **{f"SO2-order{m}": functools.partial(so2_closure, m) for m in range(13, 21)},
+    "SO3-T": lambda: float_closure(
+        3, [rotation_3d((1, 1, 1), 2 * math.pi / 3), rotation_3d((0, 0, 1), math.pi)]
+    ),
+    "SO3-O": lambda: float_closure(
+        3, [rotation_3d((0, 0, 1), math.pi / 2), rotation_3d((1, 1, 1), 2 * math.pi / 3)]
+    ),
+    # 2,000**2 pairs of three vectors are above the work cap: sampled
+    "SO2-order2000": functools.partial(so2_closure, 2000),
+    # no 4-by-4 kernel: Matrix.vecmat moves the vectors
+    "SO4-order6": lambda: MatrixGroup.metric_preserving(
+        4,
+        0,
+        elements=[
+            rotation_2d(k * math.pi / 3).block_diag(rotation_2d(2 * k * math.pi / 3))
+            for k in range(6)
+        ],
+    ),
+}
+
+
+def count_vecmat_calls(monkeypatch):
+    calls, vecmat = [], Matrix.vecmat
+
+    def counted(self, u):
+        calls.append(self)
+        return vecmat(self, u)
+
+    monkeypatch.setattr(Matrix, "vecmat", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+@pytest.mark.parametrize("name", FLOAT_COMPOSITION_GROUPS)
+def test_the_bound_vecmat_kernel_gives_the_matrix_vecmat_verdict(monkeypatch, name, seed):
+    group = FLOAT_COMPOSITION_GROUPS[name]()
+    expected = reference_float_composition(coordinate_representation(group), 100, seed)
+    assert expected.mode.startswith("sampled" if len(group.store) == 2000 else "exhaustive")
+    calls = count_vecmat_calls(monkeypatch)
+    got = bases._float_composition(coordinate_representation(group), 100, seed)
+    assert composition_key(got) == composition_key(expected)
+    # the 2-by-2 and 3-by-3 kernels are bound once; a 4-by-4 store falls back
+    assert len(calls) == (3 * got.checked if group.dim == 4 else 0)
+
+
+@pytest.mark.parametrize("name", ["SO2-order17", "SO3-O", "SO4-order6"])
+def test_a_planted_step_grid_gives_the_matrix_vecmat_witness(monkeypatch, name):
+    group = FLOAT_COMPOSITION_GROUPS[name]()
+    # a wrong inverse of one element breaks its step, f(g) = grid(g)^-1,
+    # and the independent side of every pair whose product rounds to it
+    patch_inverse_of(monkeypatch, group.store[5].payload)
+    expected = reference_float_composition(coordinate_representation(group), 100, 42)
+    got = bases._float_composition(coordinate_representation(group), 100, 42)
+    assert not got.passed
+    assert composition_key(got) == composition_key(expected)
 
 
 # -- orthonormalisation ------------------------------------------------------------------

@@ -738,6 +738,47 @@ def test_a_matrix_is_inverted_once_and_a_singular_one_raises_each_time(monkeypat
     assert exact.inverse() is exact.inverse()
 
 
+@pytest.mark.parametrize(
+    "rows, backend, forms",
+    [
+        (
+            [[1, F(1, 2), 0], [F(2, 3), 3, 1], [0, -1, F(5, 4)]],
+            EXACT,
+            ("flat", "_exact_rows", "_exact_cols"),
+        ),
+        ([[0.5, -0.0, 2.0], [1.25, 3.0, 1.0], [0.0, -1.0, 0.75]], APPROX, ("flat", "_float_cols")),
+    ],
+    ids=["exact", "float"],
+)
+def test_the_kept_hash_and_forms_leave_equality_repr_and_hash_unchanged(monkeypatch, rows, backend, forms):
+    built = []
+
+    def counted(name, build):
+        return lambda *args: built.append(name) or build(*args)
+
+    for name in forms:
+        kept = Matrix.__dict__[name]
+        monkeypatch.setattr(kept, "build", counted(name, kept.build))
+    monkeypatch.setattr(matrices, "_int_rows", counted("_int_rows", _int_rows))
+    a, fresh = m(rows, backend), m(rows, backend)
+    # the dataclass hash of the fields, before and after anything is kept
+    assert hash(a) == hash((a.entries, a.backend)) == hash(Matrix(a.entries, a.backend))
+    for _ in range(2):
+        a.inverse()
+        for name in forms:
+            getattr(a, name)
+        a.mul(a), a.det(), a.eq(a)
+        assert hash(a) == hash(Matrix(a.entries, a.backend)) == hash(fresh)
+    assert set(vars(a)) == {"entries", "backend", "_hash", "_inverse", *forms}
+    assert set(vars(fresh)) == {"entries", "backend", "_hash"}
+    assert a == fresh and repr(a) == repr(fresh) == repr(Matrix(a.entries, backend))
+    assert repr(a) == f"Matrix(entries={a.entries!r}, backend={backend!r})"
+    # each form is built once per matrix, an exact row or column form from
+    # one _int_rows
+    exact_forms = [name for name in forms if name.startswith("_exact")]
+    assert sorted(built) == sorted([*forms, *["_int_rows"] * len(exact_forms)])
+
+
 # -- a seeded sweep of every float kernel --------------------------------------
 #
 # More cases than the Hypothesis budget: 5,000 seeded matrices per size,

@@ -15,6 +15,7 @@ from basiskit.errors import (
     BasiskitError,
     CarrierMismatch,
     CayleyTableError,
+    DimensionMismatch,
     InfeasibleExhaustive,
     MixedGroups,
     NoSolution,
@@ -44,10 +45,12 @@ from basiskit.representations import (
     FunctionTransformation,
     LinearTransformation,
     MappingTransformation,
+    ProductCarrier,
     Representation,
     SelfCarrier,
     Verdict,
     _first_failure,
+    _point_compare,
     _variance_product,
     check_axioms,
     check_laws,
@@ -1454,6 +1457,95 @@ def test_table_commutation_matches_generic(group):
     # same-side shifts commute only on an abelian group
     abelian = same_side_noncommuting_witness(group) is None
     assert commutation_check(f, f).passed == abelian
+
+
+def test_a_sampled_float_repcheck_looks_up_four_transformations_per_triple(capsys, monkeypatch):
+    # f(a), f(b), f(ab) and f(ba): the side law and variance read one f(a)
+    # and one f(b), where looking them up for each would take six
+    import basiskit.cli as cli
+
+    golden = Path(__file__).parent / "golden" / "float"
+    job = json.loads((golden / "expected.json").read_text(encoding="utf-8"))["so2_order36_repcheck"]
+    argv = [str(golden / a) if a.endswith(".json") else a for a in job["argv"]]
+    assert argv[argv.index("--samples") + 1] == "200"
+    calls, inside, laws, transformation = [0], [False], cli.check_laws, Representation.transformation
+
+    def counted_laws(*args, **kwargs):
+        inside[0] = True
+        try:
+            return laws(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def counted(self, g):
+        calls[0] += inside[0]
+        return transformation(self, g)
+
+    monkeypatch.setattr(cli, "check_laws", counted_laws)
+    monkeypatch.setattr(Representation, "transformation", counted)
+    assert cli.main(argv) == job["rc"]
+    assert capsys.readouterr() == (job["stdout"], "")
+    # one check_laws pass over 200 sampled triples
+    assert calls[0] == 4 * 200
+
+
+def two_pass_residual(carrier, x, y):
+    """The residual of two points measured apart from ``point_eq``: the
+    backend's for float coordinates, ``inf`` for unequal lengths, the
+    worse of the two parts of a pair, ``None`` where none is measured."""
+    if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
+        try:
+            return carrier.backend.residual(x, y)
+        except DimensionMismatch:
+            return math.inf
+    if isinstance(carrier, ProductCarrier):
+        parts = [
+            r
+            for r in (two_pass_residual(carrier.left, x[0], y[0]), two_pass_residual(carrier.right, x[1], y[1]))
+            if r is not None
+        ]
+        return max(parts) if parts else None
+    return None
+
+
+def test_point_compare_is_point_eq_and_the_residual_in_one_pass():
+    # bit for bit, on float and exact coordinates, a product with a finite
+    # carrier, and points of unequal lengths
+    tol = 1e-9
+    backend = approx(tol)
+    pool = [0.0, -0.0, 1.0, 1.0 + tol, math.nextafter(1.0 + tol, 2.0), math.inf, -math.inf, math.nan]
+    rng = Random(5)
+    coords = CoordCarrier(2, "row", backend)
+    product = ProductCarrier(coords, FiniteCarrier(3))
+    both = ProductCarrier(coords, CoordCarrier(3, "row", backend))
+    exact = CoordCarrier(2, "row", EXACT)
+    cases = [
+        (coords, (1.0, 2.0), (1.0,)),
+        (exact, (F(1), F(2)), (F(1), F(3))),
+        (exact, (F(1), F(2)), (F(1), F(2))),
+    ]
+    for _ in range(500):
+        x, y = [tuple(rng.choice(pool) for _ in range(2)) for _ in range(2)]
+        z, w = [tuple(rng.choice(pool) for _ in range(3)) for _ in range(2)]
+        k, m = rng.randrange(3), rng.randrange(3)
+        cases += [(coords, x, y), (product, (x, k), (y, m)), (both, (x, z), (y, w))]
+    hexed = lambda r: None if r is None else r.hex()
+    for carrier, p, q in cases:
+        holds, residual = _point_compare(carrier, p, q)
+        assert (holds, hexed(residual)) == (carrier.point_eq(p, q), hexed(two_pass_residual(carrier, p, q)))
+    assert _point_compare(coords, (1.0, 2.0), (1.0,)) == (False, math.inf)
+
+
+def test_the_sampled_side_law_keeps_the_carrier_checks_on_the_middle_point():
+    # f(1) sends a coordinate pair out of the carrier; the first triple that
+    # steps through it raises, as Representation.apply does
+    z2 = cyclic_group(2)
+    carrier = CoordCarrier(2, "row", approx(1e-9))
+    identity = LinearTransformation(carrier, Matrix.identity(2, carrier.backend))
+    grow = FunctionTransformation(carrier, lambda p: p + (0.0,))
+    rep = Representation(z2, carrier, "left", lambda g: grow if g.payload else identity)
+    with pytest.raises(CarrierMismatch, match=r"^point \(.*, 0\.0\) is not in the carrier$"):
+        check_axioms(rep, "sampled", 50, 3)
 
 
 # -- the point index behind orbits ----------------------------------------------

@@ -126,6 +126,19 @@ def test_require_same():
         approx(1e-9).require_same(approx(1e-6))
 
 
+def test_require_same_takes_an_identical_backend_without_comparing():
+    class Loud(Backend):
+        def __eq__(self, other):
+            raise AssertionError("compared")
+
+        __hash__ = Backend.__hash__
+
+    loud = Loud("approx", 1e-9)
+    loud.require_same(loud)
+    with pytest.raises(AssertionError, match="compared"):
+        loud.require_same(APPROX)
+
+
 def test_scalar_json_round_trip_exact():
     x = Fraction(-7, 3)
     encoded = scalar_to_json(x, EXACT)
