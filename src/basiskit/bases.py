@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from random import Random
 from typing import Optional, Sequence
 
@@ -37,7 +36,7 @@ from .errors import (
     Singular,
 )
 from .groups import AffineTransform, GroupElement, MatrixGroup
-from .matrices import _FLOAT_VECMAT, Matrix, metric_dot, vector
+from .matrices import _FLOAT_VECMAT, Matrix, _float_vecmat, metric_dot, vector
 from .representations import (
     EXHAUSTIVE_WORK_CAP,
     CoordCarrier,
@@ -447,16 +446,11 @@ def _float_composition(rep: Representation, samples, seed) -> Verdict:
     elements = store
     if not exhaustive:
         elements = [sample_group_element(group, rng) for _ in range(2 * samples)]
-    # the n-by-n vecmat kernel, bound once, acts on the entries; where
-    # there is none, Matrix.vecmat acts on the matrix
+    # the n-by-n vecmat kernel, bound once, acts on the entries
     n = group.dim
-    kernel = _FLOAT_VECMAT.get((n, n))
-    if kernel:
-        vecmat, operand = kernel, attrgetter("entries")
-    else:
-        vecmat, operand = Matrix.vecmat, lambda grid: grid
+    vecmat = _FLOAT_VECMAT.get((n, n), _float_vecmat)
     # each step f(g), acting on rows as x -> x grid(g)^-1, is taken once
-    steps = [(g, operand(rep.transformation(g).grid)) for g in elements]
+    steps = [(g, rep.transformation(g).grid.entries) for g in elements]
     if exhaustive:
         pairs = itertools.product(steps, steps)
         mode = f"exhaustive-pairs({len(store) ** 2})"
@@ -469,7 +463,7 @@ def _float_composition(rep: Representation, samples, seed) -> Verdict:
     def outcomes():
         for (a, step_a), (b, step_b) in pairs:
             # the independent side of the law, never built from the steps
-            once = operand(_linear_grid(b).mul(_linear_grid(a)).inverse())
+            once = _linear_grid(b).mul(_linear_grid(a)).inverse().entries
             for _ in range(VECTORS_PER_PAIR):
                 v = random_vector(rng, n, backend)
                 stepped, direct = vecmat(step_b, vecmat(step_a, v)), vecmat(once, v)

@@ -728,19 +728,22 @@ class PointIndex:
 
     def find(self, point) -> Optional[int]:
         """Position of the first point added that equals ``point``, or ``None``."""
-        near, eq, points = self._near(self._key(point)), self._eq, self.points
-        return min((i for i in near if eq(point, points[i])), default=None)
+        return self._first(point, self._key(point))
 
     def add(self, point) -> int:
-        """Position of a point equal to ``point``, appended when none is in
+        """:meth:`find`'s position, with ``point`` appended when none is in
         yet: the new position is the number of points before."""
-        key, eq, points = self._key(point), self._eq, self.points
-        found = next((i for i in self._near(key) if eq(point, points[i])), None)
+        key, points = self._key(point), self.points
+        found = self._first(point, key)
         if found is not None:
             return found
         self._cells.setdefault(key, []).append(len(points))
         points.append(point)
         return len(points) - 1
+
+    def _first(self, point, key) -> Optional[int]:
+        eq, points = self._eq, self.points
+        return next((i for i in self._near(key) if eq(point, points[i])), None)
 
     def _key(self, point) -> tuple:
         flat = self._entries(point)
@@ -754,12 +757,12 @@ class PointIndex:
 
     def _near(self, key) -> list:
         """Positions of the points filed under ``key`` and, for float
-        points, in the cells around it."""
+        points, in the cells around it, in the order added."""
         cells = self._cells
         if not self._width:
             return cells.get(key, [])
         near = itertools.product(*((c - 1, c, c + 1) for c in key))
-        return [i for k in near for i in cells.get(k, ())]
+        return sorted([i for k in near for i in cells.get(k, ())])
 
     def _cell(self, x):
         # Entries within the tolerance are at most a quarter cell apart;

@@ -18,11 +18,10 @@ identity and multistep integer-preserving Gaussian elimination*, Math.
 Comp. 22, 1968).  Rationals are canonical, so the results are the same
 values as ordinary exact elimination would give.
 
-The operand forms the kernels read are cached on each matrix, built on
-first use: the integer rows and the integer columns of an exact matrix,
-and the column tuples of a float one.  They are built from the matrix's
+The operand forms the exact kernels read, the integer rows and the
+integer columns, are cached on each matrix, built on first use from its
 own canonical entries, so a chain of products never carries unreduced
-denominators forward, and they are tuples, so no kernel can change them.
+denominators forward.  They are tuples, so no kernel can change them.
 A matrix used in many products, inversions or determinants is converted
 once.  So is :attr:`Matrix.flat`, the entries row by row, which is what
 the backend compares, so is the hash of a matrix that keys a dict, and so
@@ -38,15 +37,16 @@ independent of the Python version, NaN signs excepted: the builtin
 ``sum()`` is such a fold before Python 3.12, and from 3.12 on it adds
 floats with compensated summation, so there :func:`functools.reduce`
 folds instead.  The C loop of ``sum()`` may give ``+nan`` where ``+``
-gives ``-nan``; reports print every NaN alike.  Products,
-``matvec``, ``vecmat`` and ``inverse`` of 2-by-2 and 3-by-3 matrices
-are written out straight-line, each picked by shape from one table, and
-so is ``det`` of 2-by-2 ones; every other float ``det`` and ``inverse``
-runs one elimination that keeps only the columns still to be read.
-Straight-line or not, each kernel does the same IEEE operations in the
-same order: a dot product is ``0.0 + a*e + b*g``; the pivot row, the
-identity's ``0.0`` and ``1.0`` entries included, is divided by the
-pivot; ``x - f*y`` is applied only to rows whose factor is not ``0``;
+gives ``-nan``; reports print every NaN alike.  Each float operation
+but ``det`` has one table of straight-line kernels by shape, for 2-by-2
+and 3-by-3 matrices, and runs its loop for every shape the table lacks:
+a fold per entry for products, ``matvec`` and ``vecmat``, and for every
+``det`` and every other ``inverse`` one elimination that keeps only the
+columns still to be read.  Straight-line or not, each kernel does the
+same IEEE operations in the same order: a dot product is ``0.0 + a*e +
+b*g``; the pivot row, the identity's ``0.0`` and ``1.0`` entries
+included, is divided by the pivot; ``x - f*y`` is applied only to rows
+whose factor is not ``0``;
 ``det`` stops at a pivot equal to ``0`` and ``inverse`` raises
 :class:`Singular` at one with ``not abs(p) > tol``.  The order is fixed
 because floats are not associative and zeros are signed: ``0.0 + -0.0``
@@ -258,29 +258,24 @@ def _float_vecmat3(a: tuple, u: Sequence) -> tuple:
     )
 
 
-# Straight-line float products, by the shape of the operands
+def _float_mul(a: tuple, b: tuple) -> tuple:
+    cols = tuple(zip(*b))
+    return tuple(tuple(_fold(map(mul, row, col), 0.0) for col in cols) for row in a)
+
+
+def _float_matvec(a: tuple, u: Sequence) -> tuple:
+    return tuple(_fold(map(mul, row, u), 0.0) for row in a)
+
+
+def _float_vecmat(a: tuple, u: Sequence) -> tuple:
+    return tuple(_fold(map(mul, u, col), 0.0) for col in zip(*a))
+
+
+# Straight-line float products, by the shape of the operands; every other
+# shape runs the loop
 _FLOAT_MUL = {(2, 2, 2): _float_mul2, (3, 3, 3): _float_mul3}
 _FLOAT_MATVEC = {(2, 2): _float_matvec2, (3, 3): _float_matvec3}
 _FLOAT_VECMAT = {(2, 2): _float_vecmat2, (3, 3): _float_vecmat3}
-
-
-def _float_det2(a: tuple) -> float:
-    """:func:`_float_det` written out for a 2-by-2 matrix."""
-    (a00, a01), (a10, a11) = a
-    # the pivot row (p, x) and the other row (q, y)
-    if abs(a10) > abs(a00):
-        det, p, x, q, y = -1.0, a10, a11, a00, a01
-    else:
-        det, p, x, q, y = 1.0, a00, a01, a10, a11
-    if p == 0:
-        return 0.0
-    det = det * p
-    f = q / p
-    if f != 0:
-        y = y - f * x
-    if y == 0:
-        return 0.0
-    return det * y
 
 
 def _float_det(rows: Sequence) -> float:
@@ -492,11 +487,6 @@ class Matrix:
         return _int_rows(zip(*self.entries))
 
     @_kept
-    def _float_cols(self) -> tuple:
-        """The columns as tuples."""
-        return tuple(zip(*self.entries))
-
-    @_kept
     def flat(self) -> tuple:
         """The entries row by row."""
         return tuple(chain.from_iterable(self.entries))
@@ -543,17 +533,8 @@ class Matrix:
             products = _exact_products(self._exact_rows, other._exact_cols)
             return Matrix(products, self.backend)
         a, b = self.entries, other.entries
-        kernel = _FLOAT_MUL.get((len(a), len(b), len(b[0])))
-        if kernel is not None:
-            return Matrix(kernel(a, b), self.backend)
-        cols = other._float_cols
-        return Matrix(
-            tuple(
-                tuple(_fold(map(mul, row, col), 0.0) for col in cols)
-                for row in self.entries
-            ),
-            self.backend,
-        )
+        kernel = _FLOAT_MUL.get((len(a), len(b), len(b[0])), _float_mul)
+        return Matrix(kernel(a, b), self.backend)
 
     def add(self, other: "Matrix") -> "Matrix":
         self.backend.require_same(other.backend)
@@ -593,10 +574,8 @@ class Matrix:
             return tuple(
                 row[0] for row in _exact_products(self._exact_rows, _int_rows((u,)))
             )
-        kernel = _FLOAT_MATVEC.get((len(self.entries), len(u)))
-        if kernel is not None:
-            return kernel(self.entries, u)
-        return tuple(_fold(map(mul, row, u), 0.0) for row in self.entries)
+        kernel = _FLOAT_MATVEC.get((len(self.entries), len(u)), _float_matvec)
+        return kernel(self.entries, u)
 
     def vecmat(self, u: Vector) -> Vector:
         """Apply to a row vector: ``(u M)_c = sum_r u[r] M[r][c]``."""
@@ -604,10 +583,8 @@ class Matrix:
             raise DimensionMismatch(f"expected length {self.nrows}, got {len(u)}")
         if self.backend.is_exact:
             return _exact_products(_int_rows((u,)), self._exact_cols)[0]
-        kernel = _FLOAT_VECMAT.get((len(u), len(self.entries[0])))
-        if kernel is not None:
-            return kernel(self.entries, u)
-        return tuple(_fold(map(mul, u, col), 0.0) for col in self._float_cols)
+        kernel = _FLOAT_VECMAT.get((len(u), len(self.entries[0])), _float_vecmat)
+        return kernel(self.entries, u)
 
     def det(self) -> Scalar:
         """Determinant: Bareiss elimination when exact, Gaussian
@@ -616,8 +593,6 @@ class Matrix:
             raise DimensionMismatch("determinant of a non-square matrix")
         if self.backend.is_exact:
             return _bareiss_det(*self._exact_rows)
-        if len(self.entries) == 2:
-            return _float_det2(self.entries)
         return _float_det(self.entries)
 
     def inverse(self) -> "Matrix":

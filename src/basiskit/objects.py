@@ -449,28 +449,19 @@ class ObjectTransformation(GridTransformation):
 
     def moved_representative(self, obj: GeometricalObject) -> tuple:
         """``representative(self.apply(obj))`` bit for bit, with no moved
-        anchor: ``A(g)`` stands for ``A(g) 1``, whose float entries differ
-        only in ``-0.0 -> 0.0``, which a ``vecmat`` adding from ``+0.0``
-        cannot see.  Unless ``w' E'`` is not finite: then ``A(g)`` may
-        lack the NaNs of ``inf * 0.0`` in ``A(g) 1``, so the product is made."""
-        coords, w_basis = self._moved_coords(obj), obj.w_basis
-        after = self._moved_w_basis(w_basis, float_identity=True).vecmat(coords)
-        if w_basis.backend.is_exact or all(map(isfinite, after)):
-            return after
-        return self._moved_w_basis(w_basis).vecmat(coords)
+        anchor: ``w' E'``."""
+        return self._moved_w_basis(obj.w_basis).vecmat(self._moved_coords(obj))
 
     def _moved_coords(self, obj: GeometricalObject) -> tuple:
         """``w' = w A(g)^-1``."""
         return self.functor_inverse.vecmat(obj.coords)
 
-    def _moved_w_basis(self, w_basis: Matrix, float_identity: bool = False) -> Matrix:
+    def _moved_w_basis(self, w_basis: Matrix) -> Matrix:
         """``E' = A(g) E``; over the rationals ``A(g)`` itself at the shared
-        identity, and in floating point too when ``float_identity``.  A
-        moved object keeps the float product's bits: ``0.0 + x * 1.0`` turns
+        identity.  A float product is always made: ``0.0 + x * 1.0`` turns
         a ``-0.0`` of ``A(g)`` into ``0.0``."""
         grid, backend = self.functor_grid, w_basis.backend
-        shortcut = backend.is_exact or float_identity
-        if shortcut and w_basis is Matrix.identity(w_basis.nrows, backend):
+        if backend.is_exact and w_basis is Matrix.identity(w_basis.nrows, backend):
             return grid
         return grid.mul(w_basis)
 

@@ -33,8 +33,8 @@ def random_fraction(rng: Random, span: int = 9, max_den: int = 9) -> Fraction:
 
 def random_vector(rng: Random, n: int, backend: Backend) -> tuple:
     if backend.is_exact:
-        return tuple(random_fraction(rng) for _ in range(n))
-    return tuple(rng.uniform(-3.0, 3.0) for _ in range(n))
+        return tuple([random_fraction(rng) for _ in range(n)])
+    return tuple([rng.uniform(-3.0, 3.0) for _ in range(n)])
 
 
 def _random_square(rng: Random, n: int, backend: Backend) -> Matrix:

@@ -1054,6 +1054,20 @@ def test_point_index_add_returns_the_position_found_or_appended():
     assert index.points == [(0.0,), (1.0,), (2.0,)]
 
 
+def test_point_index_add_and_find_name_the_first_point_added():
+    # (4.7, 0) equals both points; the later one lies in the cell searched first
+    index = PointIndex(lambda p, q: abs(p[0] - q[0]) <= 1.0, lambda p: p, 1.0)
+    assert [index.add(p) for p in [(5.5, 0.0), (3.9, 0.0)]] == [0, 1]
+    assert index.find((4.7, 0.0)) == index.add((4.7, 0.0)) == 0
+    assert len(index.points) == 2
+    # a store names the pair that index_of gives
+    stored = [[[x, 0.0], [0.0, 1.0]] for x in (1.0000000055, 1.0000000039, 1.0000000047)]
+    with pytest.raises(BasiskitError, match=r"^stored elements 0 and 2 are equal within the tolerance"):
+        MatrixGroup.general_linear(2, APPROX, elements=stored)
+    group = MatrixGroup.general_linear(2, APPROX, elements=stored[:2])
+    assert group.index_of(group.element(stored[2])) == 0
+
+
 # -- integer keys of exact points ----------------------------------------------------
 
 

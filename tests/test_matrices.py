@@ -746,7 +746,7 @@ def test_a_matrix_is_inverted_once_and_a_singular_one_raises_each_time(monkeypat
             EXACT,
             ("flat", "_exact_rows", "_exact_cols"),
         ),
-        ([[0.5, -0.0, 2.0], [1.25, 3.0, 1.0], [0.0, -1.0, 0.75]], APPROX, ("flat", "_float_cols")),
+        ([[0.5, -0.0, 2.0], [1.25, 3.0, 1.0], [0.0, -1.0, 0.75]], APPROX, ("flat",)),
     ],
     ids=["exact", "float"],
 )

@@ -587,12 +587,12 @@ def test_invariance_sweep_matches_the_per_element_loop(
     target_grids = [g.payload for g in targets]
     moved_w_basis = ObjectTransformation._moved_w_basis
 
-    def skip_w_basis(self, w_basis, float_identity=False):
+    def skip_w_basis(self, w_basis):
         # the planted defect: the auxiliary basis stays put for the targets,
         # in the moved object and in the sweep's w' E' alike
         if any(self.functor_grid is grid for grid in target_grids):
             return w_basis
-        return moved_w_basis(self, w_basis, float_identity)
+        return moved_w_basis(self, w_basis)
 
     row_times_grid = objects._row_times_grid
 
@@ -1033,32 +1033,46 @@ def exact_anchor_3d():
     return Basis.make(VectorSpace("central_affine", 3, EXACT), [[2, 1, 0], [0, 1, 0], [1, 0, 3]])
 
 
+def signed_zero_flips():
+    """The float GL(2) group ``{1, S}`` of an involution ``S`` that holds a
+    ``-0.0``, which ``S 1`` turns into ``0.0``; a huge row overflows under ``S``."""
+    flip = ((1.0, 4.0), (-0.0, -1.0))
+    return MatrixGroup.general_linear(2, APPROX, elements=[Matrix.identity(2, APPROX).entries, flip])
+
+
 @pytest.mark.parametrize("at_identity", [True, False], ids=["identity-E", "other-E"])
 @pytest.mark.parametrize("name", [*FAST_PATH_FUNCTORS, "table"])
 @pytest.mark.parametrize(
     "make_group, make_anchor",
-    [(so2_order_12, float_anchor), (so3_icosahedral, float_anchor_3d), (gl3_order8, exact_anchor_3d)],
+    [
+        (so2_order_12, float_anchor),
+        (so3_icosahedral, float_anchor_3d),
+        (gl3_order8, exact_anchor_3d),
+        (signed_zero_flips, float_anchor),
+    ],
 )
 def test_the_sweep_gives_the_representative_of_the_moved_object_bit_for_bit(
     make_group, make_anchor, name, at_identity
 ):
     group, anchor = make_group(), make_anchor()
+    backend = anchor.space.backend
     if name == "table":
         functor = table_functor(group, [g.payload for g in group.store])
     else:
         functor = FAST_PATH_FUNCTORS[name]
     m = weight_dim(functor, anchor.space.dim)
-    coords = [(-1) ** k * F(k + 1, 3) for k in range(m)]
     w_basis = None
     if not at_identity:
-        half = F(1, 2) if anchor.space.backend.is_exact else 0.5
+        half = F(1, 2) if backend.is_exact else 0.5
         rows = [[1 if i == j else half if j == i + 1 else 0 for j in range(m)] for i in range(m)]
-        w_basis = Matrix.from_rows(rows, anchor.space.backend)
-    obj = GeometricalObject.make(functor, coords, anchor, w_basis)
-    assert (obj.w_basis is Matrix.identity(m, anchor.space.backend)) == at_identity
-    for g in group.store:
-        expected = representative(transform_object(obj, g))
-        assert scalar_bits(sweep_after(obj, g)) == scalar_bits(expected), g
+        w_basis = Matrix.from_rows(rows, backend)
+    thirds = [(-1) ** k * F(k + 1, 3) for k in range(m)]
+    for coords in (thirds, *(row_path_coords(m, backend, kind) for kind in ("signed-zeros", "huge"))):
+        obj = GeometricalObject.make(functor, coords, anchor, w_basis)
+        assert (obj.w_basis is Matrix.identity(m, backend)) == at_identity
+        for g in group.store:
+            expected = representative(transform_object(obj, g))
+            assert scalar_bits(sweep_after(obj, g)) == scalar_bits(expected), g
 
 
 def test_an_overflowing_float_grid_moves_the_identity_by_the_product():
