@@ -262,10 +262,7 @@ def active_coordinates_check(
         for v in probes:
             before = vector_coordinates(v, b).components
             after = vector_coordinates(linear.matvec(v), moved).components
-            if backend.is_exact:
-                yield (v, before, after), backend.close(before, after), None
-            else:
-                yield (v, before, after), *backend.compare(before, after)
+            yield (v, before, after), *backend.measure(before, after)
 
     return _first_failure("", outcomes())
 
@@ -550,11 +547,8 @@ def is_g_basis(b: Basis) -> Verdict:
     backend = b.space.backend
     eta = Matrix.diagonal(b.space.metric_signs(), backend)
     rows = b.rows()
-    gram, want = rows.mul(eta).mul(rows.transpose()).flat, eta.flat
-    if backend.is_exact:
-        holds, residual = backend.close(gram, want), None
-    else:
-        holds, residual = backend.compare(gram, want)
+    gram = rows.mul(eta).mul(rows.transpose())
+    holds, residual = backend.measure(gram.flat, eta.flat)
     if holds:
         return Verdict(True, residual_max=residual, detail="orthonormal")
     return Verdict(False, residual_max=residual, detail="gram matrix differs from the metric")

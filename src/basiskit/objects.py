@@ -56,6 +56,7 @@ from .representations import (
     Representation,
     Verdict,
     _first_failure,
+    _worst,
 )
 from .sampling import random_vector, sample_group_element
 
@@ -522,7 +523,7 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
     computed on the coordinate row alone (:func:`_swept_representative`),
     with no moved anchor, object or grid.  Every case runs; the witness
     is the first failure's ``(g, before, after)`` and the residual is the
-    worst float one seen, ``None`` over the rationals.
+    worst that :meth:`~basiskit.scalars.Backend.measure` gives.
     """
     witness = worst = None
     checked, total = 0, 0.0
@@ -531,14 +532,9 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
             before = representative(obj)
         if after is None:
             after = _swept_representative(obj, g)
-        backend = obj.anchor.space.backend
-        checked += 1
-        if backend.is_exact:
-            holds = backend.close(before, after)
-        else:
-            holds, residual = backend.compare(before, after)
-            worst = residual if worst is None else max(worst, residual)
-            total += residual
+        holds, residual = obj.anchor.space.backend.measure(before, after)
+        checked, worst = checked + 1, _worst(worst, residual)
+        total += residual or 0.0
         if witness is None and not holds:
             witness = (g, before, after)
     verdict = Verdict(witness is None, mode, checked, witness, worst)

@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .descriptors import to_jsonable
+from .representations import Verdict
 
 SCHEMA = "basiskit/1"
 
@@ -22,25 +23,21 @@ __all__ = ["SCHEMA", "CheckLine", "RunReport"]
 @dataclass
 class CheckLine:
     name: str
-    passed: bool
-    mode: str = ""
-    checked: int = 0
-    counterexample: object = None
-    residual: Optional[float] = None
-    detail: str = ""
+    verdict: Verdict
 
     def as_dict(self) -> dict:
-        d = {"name": self.name, "passed": self.passed}
-        if self.mode:
-            d["mode"] = self.mode
-        if self.checked:
-            d["checked"] = self.checked
-        if self.counterexample is not None:
-            d["counterexample"] = to_jsonable(self.counterexample)
-        if self.residual is not None:
-            d["residual"] = self.residual
-        if self.detail:
-            d["detail"] = self.detail
+        v = self.verdict
+        d = {"name": self.name, "passed": v.passed}
+        if v.mode:
+            d["mode"] = v.mode
+        if v.checked:
+            d["checked"] = v.checked
+        if v.counterexample is not None:
+            d["counterexample"] = to_jsonable(v.counterexample)
+        if v.residual_max is not None:
+            d["residual"] = v.residual_max
+        if v.detail:
+            d["detail"] = v.detail
         return d
 
 
@@ -54,24 +51,14 @@ class RunReport:
     def add(self, line: CheckLine) -> None:
         self.checks.append(line)
 
-    def add_verdict(self, name: str, verdict) -> None:
-        """Record a check's :class:`~basiskit.representations.Verdict`; the
-        line shows its residual when the check measured one."""
-        self.add(
-            CheckLine(
-                name,
-                verdict.passed,
-                verdict.mode,
-                verdict.checked,
-                verdict.counterexample,
-                verdict.residual_max,
-                verdict.detail,
-            )
-        )
+    def add_verdict(self, name: str, verdict: Verdict) -> None:
+        """Record a check's verdict; the line shows its residual when the
+        check measured one."""
+        self.add(CheckLine(name, verdict))
 
     @property
     def passed(self) -> bool:
-        return all(line.passed for line in self.checks)
+        return all(line.verdict.passed for line in self.checks)
 
     def as_dict(self) -> dict:
         return {
@@ -89,22 +76,23 @@ class RunReport:
         elapsed = time.monotonic() - self.started
         out = [f"{self.command}: {'PASS' if self.passed else 'FAIL'}"]
         for line in self.checks:
-            mark = "ok " if line.passed else "FAIL"
+            v = line.verdict
+            mark = "ok " if v.passed else "FAIL"
             tail = []
-            if line.mode:
-                tail.append(line.mode)
-            if line.checked:
-                tail.append(f"{line.checked} checked")
-            if line.residual is not None:
-                tail.append(f"residual {line.residual:.3g}")
-            if line.detail:
-                tail.append(line.detail)
+            if v.mode:
+                tail.append(v.mode)
+            if v.checked:
+                tail.append(f"{v.checked} checked")
+            if v.residual_max is not None:
+                tail.append(f"residual {v.residual_max:.3g}")
+            if v.detail:
+                tail.append(v.detail)
             suffix = f" ({', '.join(tail)})" if tail else ""
             out.append(f"  [{mark}] {line.name}{suffix}")
-            if line.counterexample is not None:
+            if v.counterexample is not None:
                 out.append(
                     "        counterexample: "
-                    + json.dumps(to_jsonable(line.counterexample))
+                    + json.dumps(to_jsonable(v.counterexample))
                 )
         for key, value in self.data.items():
             out.append(f"  {key}: {json.dumps(to_jsonable(value))}")

@@ -395,8 +395,7 @@ class LinearTransformation(GridTransformation):
             raise DimensionMismatch(
                 f"grid is {grid.nrows}x{grid.ncols}, carrier dimension {carrier.dim}"
             )
-        if carrier.backend != grid.backend:
-            grid = Matrix.from_rows(grid.rows_as_lists(), carrier.backend)
+        carrier.backend.require_same(grid.backend)
         if not grid.is_invertible():
             raise Singular("transformation grid is singular")
         super().__init__(carrier, grid)
@@ -587,9 +586,10 @@ class Verdict:
     """Outcome of a check: what was checked, how, and any witness.
 
     ``residual_max`` is the worst residual the check measured, 0.0
-    included, and ``None`` when it measured none: on the exact backend,
-    for a law on any carrier but float coordinates, and for a law decided
-    by equality alone.  A report shows it exactly when it is not ``None``.
+    included, and ``None`` when it measured none: for a comparison that
+    :meth:`~basiskit.scalars.Backend.measure` states measures none, for a
+    law on a carrier other than coordinates, and for a law decided by
+    equality alone.  A report shows it exactly when it is not ``None``.
     """
 
     passed: bool
@@ -757,29 +757,21 @@ def _worst(r: Optional[float], s: Optional[float]) -> Optional[float]:
     return r if s is None else s if r is None else max(r, s)
 
 
-def _point_residual(carrier, x, y) -> Optional[float]:
-    """How far apart two points of a float coordinate carrier are; ``None``
-    for points of carriers that measure no distance."""
-    if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
-        return _point_compare(carrier, x, y)[1]
-    if isinstance(carrier, ProductCarrier):
-        return _worst(
-            _point_residual(carrier.left, x[0], y[0]),
-            _point_residual(carrier.right, x[1], y[1]),
-        )
-    return None
-
-
 def _point_compare(carrier, x, y) -> tuple:
-    """``(carrier.point_eq(x, y), _point_residual(carrier, x, y))``; a float
-    coordinate carrier decides both in one pass over the entries, and
-    points of unequal lengths are ``(False, inf)`` apart."""
-    if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
+    """``(carrier.point_eq(x, y), residual)``: a coordinate carrier's
+    backend measures the two points (float points of unequal lengths are
+    ``(False, inf)`` apart), a product carrier takes the worse residual of
+    its halves, and any other carrier measures none."""
+    if isinstance(carrier, CoordCarrier):
         try:
-            return carrier.backend.compare(x, y)
+            return carrier.backend.measure(x, y)
         except DimensionMismatch:
             return False, float("inf")
-    return carrier.point_eq(x, y), _point_residual(carrier, x, y)
+    if isinstance(carrier, ProductCarrier):
+        left, r = _point_compare(carrier.left, x[0], y[0])
+        right, s = _point_compare(carrier.right, x[1], y[1])
+        return left and right, _worst(r, s)
+    return carrier.point_eq(x, y), None
 
 
 def check_laws(

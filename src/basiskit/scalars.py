@@ -8,8 +8,9 @@ check for agreement and raise :class:`~basiskit.errors.BackendMismatch`.
 
 Only the backend compares values, each as one flat tuple of its scalars:
 :meth:`Backend.close`, :meth:`Backend.residual`, :meth:`Backend.compare`
-(the two at once) and :meth:`Backend.is_zero`.  A NaN supports no claim:
-it is close to nothing, and it vanishes.
+(the two at once), :meth:`Backend.measure` (what a check's comparison
+measured, the one statement of that rule) and :meth:`Backend.is_zero`.
+A NaN supports no claim: it is close to nothing, and it vanishes.
 """
 
 from __future__ import annotations
@@ -109,6 +110,14 @@ class Backend:
             if worst is None or d > worst:
                 worst = d
         return holds, 0.0 if worst is None else float(worst)
+
+    def measure(self, xs: tuple, ys: tuple) -> tuple:
+        """``(holds, residual)`` of a check's comparison: :meth:`compare`
+        in floating point; over the rationals ``(xs == ys, None)``, since
+        an exact comparison measures no residual."""
+        if self.is_exact:
+            return xs == ys, None
+        return self.compare(xs, ys)
 
     def is_zero(self, x: Scalar) -> bool:
         """``x == 0`` over the rationals; in floating point ``|x|`` does not

@@ -12,6 +12,7 @@ import pytest
 
 from basiskit.descriptors import to_jsonable
 from basiskit.errors import (
+    BackendMismatch,
     BasiskitError,
     CarrierMismatch,
     CayleyTableError,
@@ -509,6 +510,20 @@ def test_linear_transformation_refuses_a_singular_grid(backend):
         flat = Matrix.from_rows([[1e-10, 0.0], [0.0, 1.0]], backend)
         with pytest.raises(Singular):
             LinearTransformation(carrier, flat)
+
+
+@pytest.mark.parametrize(
+    "carrier_backend, grid_backend",
+    [(EXACT, approx(1e-9)), (approx(1e-9), EXACT), (approx(1e-9), approx(1e-6))],
+    ids=["exact-carrier-float-grid", "float-carrier-exact-grid", "other-tolerance"],
+)
+def test_linear_transformation_refuses_a_grid_of_another_backend(carrier_backend, grid_backend):
+    carrier = CoordCarrier(2, "column", carrier_backend)
+    grid = Matrix.from_rows([[2, 1], [1, 1]], grid_backend)
+    with pytest.raises(BackendMismatch, match="backends differ"):
+        LinearTransformation(carrier, grid)
+    same = Matrix.from_rows([[2, 1], [1, 1]], carrier_backend)
+    assert LinearTransformation(carrier, same).grid is same
 
 
 @pytest.mark.parametrize("backend", [EXACT, approx(1e-9)], ids=["exact", "float"])

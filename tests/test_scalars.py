@@ -117,6 +117,50 @@ def test_compare_refuses_unequal_lengths(backend):
         backend.compare((one, one), (one,))
 
 
+def test_exact_measure_is_equality_with_no_residual():
+    third = Fraction(1, 3)
+    assert EXACT.measure((third, Fraction(1)), (third, Fraction(1))) == (True, None)
+    assert EXACT.measure((third,), (-third,)) == (False, None)
+    assert EXACT.measure((), ()) == (True, None)
+    # unequal lengths are unequal tuples, not a dimension error
+    assert EXACT.measure((third, third), (third,)) == (False, None)
+    rng = Random(30)
+    for _ in range(500):
+        xs = tuple(rng.choice(EXACT_POOL) for _ in range(rng.randrange(4)))
+        ys = tuple(rng.choice(EXACT_POOL) if rng.random() < 0.5 else x for x in xs)
+        holds, residual = EXACT.measure(xs, ys)
+        assert type(holds) is bool and residual is None
+        assert holds == (xs == ys) == EXACT.close(xs, ys)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ((-0.0, 0.0), (0.0, -0.0)),
+        ((nan, 0.0), (0.0, 0.0)),
+        ((0.0, nan), (0.0, 0.0)),
+        ((1.0, nan, 3.0), (0.0, 0.0, 0.0)),
+        ((inf,), (inf,)),
+        ((inf, 1.0), (0.0, 1.0)),
+        ((TOL,), (0.0,)),
+        ((0.0,), (-nextafter(TOL, inf),)),
+        ((), ()),
+    ],
+    ids=["signed-zeros", "nan-first", "nan-later", "nan-mixed", "inf-inf", "inf",
+         "tolerance", "one-ulp-above", "empty"],
+)
+def test_float_measure_is_compare_bit_for_bit(xs, ys):
+    holds, residual = APPROX.measure(xs, ys)
+    want_holds, want_residual = APPROX.compare(xs, ys)
+    assert type(holds) is bool and type(residual) is float
+    assert (holds, residual.hex()) == (want_holds, want_residual.hex())
+
+
+def test_float_measure_refuses_unequal_lengths():
+    with pytest.raises(DimensionMismatch, match="vector lengths differ: 2 vs 1"):
+        APPROX.measure((1.0, 1.0), (1.0,))
+
+
 def test_require_same():
     with pytest.raises(BackendMismatch):
         EXACT.require_same(APPROX)
