@@ -460,7 +460,7 @@ class MatrixGroup:
                 raise BasiskitError("stored elements, when given, must not be empty")
             index = self._empty_index()
             for j, g in enumerate(store):
-                i = index.add(g)
+                i = index.add(g.payload)
                 if i < j:
                     within = f" within the tolerance {backend.tolerance}" if backend.tolerance else ""
                     raise BasiskitError(f"stored elements {i} and {j} are equal{within}")
@@ -529,7 +529,7 @@ class MatrixGroup:
         self._own(g)
         if self.store is None:
             raise InfeasibleExhaustive("group has no stored elements to look up")
-        return self._index.find(g)
+        return self._index.find(g.payload)
 
     @cached_property
     def generators(self) -> Optional[tuple]:
@@ -551,12 +551,8 @@ class MatrixGroup:
         return rows
 
     def _empty_index(self) -> "PointIndex":
-        """An empty point index of elements under this group's equality."""
-        return PointIndex(
-            GroupElement.eq_to,
-            lambda g: self.payload_entries(g.payload),
-            self.backend.tolerance,
-        )
+        """An empty point index of payloads under this group's equality."""
+        return PointIndex(self.payload_eq, self.payload_entries, self.backend.tolerance)
 
     def compose_elements(self, a: GroupElement, b: GroupElement) -> GroupElement:
         pa, pb = self._own(a), self._own(b)
@@ -621,31 +617,38 @@ class MatrixGroup:
         closure grows past ``cap``, and, on the float backend, at the first
         product with a non-finite entry.  Elements are taken from the
         frontier in store order; over the rationals the distinct generators
-        other than the identity become ``generators``.  The products formed
-        are kept for ``table``, whose rows are built when first read.  A
-        group that already has a store raises instead of replacing it.
+        other than the identity become ``generators``.  The loop works on
+        payloads: each product is one ``Matrix.mul`` or
+        ``AffineTransform.after``, looked up when the loop starts, filed in
+        or found by the point index of payloads, and a
+        :class:`GroupElement` is built once for each stored element, at
+        the end.  The products formed are kept for ``table``, whose rows
+        are built when first read.  A group that already has a store
+        raises instead of replacing it.
         """
         if self.store is not None:
             raise BasiskitError("group already has stored elements; close over a new group")
-        gens = [self.element(g) for g in generators]
-        exact = self.backend.is_exact
+        gens = [self.element(g).payload for g in generators]
+        product = AffineTransform.after if self.family == "AFFINE" else Matrix.mul
+        exact, isfinite = self.backend.is_exact, math.isfinite
         found = self._empty_index()
-        found.add(self.identity)
-        frontier = [self.identity]
+        add, points = found.add, found.points
+        add(self._identity_payload)
+        frontier = [self._identity_payload]
         formed = []
         while frontier:
             new_frontier = []
             for current in frontier:
                 row = []
                 for g in gens:
-                    candidate = self.compose_elements(current, g)
-                    if not exact and not all(map(math.isfinite, candidate.payload.flat)):
+                    candidate = product(current, g)
+                    if not exact and not all(map(isfinite, candidate.flat)):
                         raise EnumerationCapExceeded(
                             "closure left the float range: a product has a non-finite "
-                            f"entry after {len(found.points)} elements"
+                            f"entry after {len(points)} elements"
                         )
-                    n = len(found.points)
-                    i = found.add(candidate)
+                    n = len(points)
+                    i = add(candidate)
                     row.append(i)
                     if i < n:
                         continue
@@ -657,7 +660,8 @@ class MatrixGroup:
                     new_frontier.append(candidate)
                 formed.append(row)
             frontier = new_frontier
-        self.store, self._index = tuple(found.points), found
+        self.store = tuple(GroupElement(self, p) for p in points)
+        self._index = found
         # the identity's products: each new one is the element a generator added,
         # whose column that generator's products fill; the identity is position 0
         gens = tuple(dict.fromkeys(j for j in formed[0] if j))
@@ -686,8 +690,12 @@ class _StoreRow(dict):
 
 # Float points are filed in square cells this many tolerances wide.
 _CELL_TOLERANCES = 4
+# The tolerance, in cells.
+_REACH = 1 / _CELL_TOLERANCES
 # Cell coordinates at least this large are computed exactly, not rounded.
 _CELL_LIMIT = 2.0**50
+# Per unit of a cell coordinate, the slack that covers rounding (see PointIndex).
+_ROUNDING_SLACK = 2.0**-51
 
 
 _numerators = operator.attrgetter("numerator")
@@ -710,12 +718,34 @@ class PointIndex:
     whose first point has integer entries files every point under its
     entries, any other under :func:`_rational_key`.  Otherwise it is
     filed in the cell ``(floor(x0 / w), floor(x1 / w))`` of its first two
-    entries, ``w`` a fixed multiple of the tolerance: a point equal to it
-    lies within the tolerance entrywise, hence in one of the nine cells
-    around it (the cell grid for fixed-radius near neighbours of Bentley,
-    Stanat & Williams, Inf. Proc. Letters 6(6), 1977).  A point with one
-    entry has one cell coordinate; points with none share a single cell.
-    Every candidate found is confirmed with ``eq(point, candidate)``.
+    entries, ``w`` four tolerances (the cell grid for fixed-radius near
+    neighbours of Bentley, Stanat & Williams, Inf. Proc. Letters 6(6),
+    1977).  A point with one entry has one cell coordinate; points with
+    none share a single cell.  Every candidate found is confirmed with
+    ``eq(point, candidate)``, which must hold only for points whose
+    entries differ by at most the tolerance as computed, ``|x - y| <= t``
+    in floating point.
+
+    A lookup reads only the cells that the tolerance box around the point
+    can meet.  For an entry ``x`` whose cell coordinate is rounded, with
+    ``q = x / w`` as computed, ``c = floor(q)`` and ``f = q - c``, it
+    reads cell ``c``, cell ``c - 1`` when ``f < R`` and cell ``c + 1``
+    when ``f + R >= 1``, where ``R = 1/4 + (|q| + 2) 2**-51``.  The slack
+    over a quarter cell is proven, with ``u = 2**-53``: ``|x - y| <= t``
+    as computed gives ``|x - y| <= t (1 + u)``, so ``y / w`` lies within
+    ``(1 + u) / 4`` of ``x / w``; each quotient rounds by at most ``u``
+    times its size, or ``2**-1075`` when subnormal, so ``y``'s rounded
+    quotient lies within ``1/4 + 2u|q| + 1.25u + 2**-1074`` of ``q``.
+    Computing ``f`` rounds by at most ``u / 2`` (only for ``-1 < q < 0``)
+    and ``R`` by less than ``u``, which the ``4u|q| + 8u`` of ``R``
+    covers.  Below :data:`_CELL_LIMIT`, ``R`` is under one cell, so no
+    match lies two cells away, and below ``2**49 - 2`` it is under half
+    a cell, so at most one neighbour is read: 1, 2 or 4 cells for a
+    two-entry key, 2.25 on average at the present width.  An exact cell
+    coordinate reads its cell and both neighbours; a non-finite entry
+    equals nothing and reads its own cell.  The candidates are read in
+    the order added, so :meth:`find` and :meth:`add` name the first point
+    added that matches.
     """
 
     def __init__(self, eq, entries, tolerance: float):
@@ -728,46 +758,65 @@ class PointIndex:
 
     def find(self, point) -> Optional[int]:
         """Position of the first point added that equals ``point``, or ``None``."""
-        return self._first(point, self._key(point))
+        return self._first(point, self._lookup(point)[1])
 
     def add(self, point) -> int:
         """:meth:`find`'s position, with ``point`` appended when none is in
         yet: the new position is the number of points before."""
-        key, points = self._key(point), self.points
-        found = self._first(point, key)
+        key, near = self._lookup(point)
+        found = self._first(point, near)
         if found is not None:
             return found
+        points = self.points
         self._cells.setdefault(key, []).append(len(points))
         points.append(point)
         return len(points) - 1
 
-    def _first(self, point, key) -> Optional[int]:
+    def _first(self, point, near) -> Optional[int]:
         eq, points = self._eq, self.points
-        return next((i for i in self._near(key) if eq(point, points[i])), None)
+        for i in near:
+            if eq(point, points[i]):
+                return i
+        return None
 
-    def _key(self, point) -> tuple:
-        flat = self._entries(point)
-        if self._width:
-            return tuple(map(self._cell, flat[:2]))
-        if self._exact_key is None:
-            # either key gives equal points equal keys; the first point
-            # picks the cheaper one for the points like it
-            self._exact_key = tuple if all(type(x) is int for x in flat) else _rational_key
-        return self._exact_key(flat)
-
-    def _near(self, key) -> list:
-        """Positions of the points filed under ``key`` and, for float
-        points, in the cells around it, in the order added."""
-        cells = self._cells
+    def _lookup(self, point) -> tuple:
+        """The key of ``point`` and the positions filed in the cells a
+        match can lie in, in the order added."""
+        flat, get = self._entries(point), self._cells.get
         if not self._width:
-            return cells.get(key, [])
-        near = itertools.product(*((c - 1, c, c + 1) for c in key))
-        return sorted([i for k in near for i in cells.get(k, ())])
+            if self._exact_key is None:
+                # either key gives equal points equal keys; the first point
+                # picks the cheaper one for the points like it
+                self._exact_key = tuple if all(type(x) is int for x in flat) else _rational_key
+            key = self._exact_key(flat)
+            return key, get(key, ())
+        width, key, spans, wide = self._width, [], [], False
+        for x in flat[:2]:
+            q = x / width
+            size = abs(q)
+            if size < _CELL_LIMIT:
+                c = math.floor(q)
+                f, reach = q - c, _REACH + (size + 2.0) * _ROUNDING_SLACK
+                if f < reach:
+                    span = (c - 1, c, c + 1) if f + reach >= 1.0 else (c - 1, c)
+                else:
+                    span = (c, c + 1) if f + reach >= 1.0 else (c,)
+            else:
+                c = self._cell(x)
+                span = (c - 1, c, c + 1) if math.isfinite(x) else (c,)
+            key.append(c)
+            spans.append(span)
+            wide = wide or len(span) > 1
+        key = tuple(key)
+        if not wide:
+            return key, get(key, ())
+        near = [i for k in itertools.product(*spans) for i in get(k, ())]
+        near.sort()
+        return key, near
 
     def _cell(self, x):
-        # Entries within the tolerance are at most a quarter cell apart;
-        # below the limit ``x / width`` rounds by less than an eighth of a
-        # cell, so their cells are the same or adjacent.
+        """The cell coordinate of entry ``x``: rounded below
+        :data:`_CELL_LIMIT`, exact from there on."""
         q = x / self._width
         if abs(q) < _CELL_LIMIT:
             return math.floor(q)

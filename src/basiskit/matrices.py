@@ -28,7 +28,10 @@ the backend compares, so is the hash of a matrix that keys a dict, and so
 is the inverse: a matrix is inverted once however often it is asked, and
 only a :class:`Singular` is raised anew.  Each is kept in the matrix's
 ``__dict__`` by a descriptor that takes no lock; equality and ``repr``
-read only the fields.
+read only the fields.  The result of every product and inverse kernel,
+on both backends, is built by :func:`_trusted`: ``object.__new__`` and
+the two field stores, the same instance the frozen dataclass
+``__init__`` builds, without its two ``object.__setattr__`` calls.
 
 Float kernels are bit for bit the textbook loops: a dot product is a
 left fold from ``0.0``, term after term, and elimination uses partial
@@ -530,11 +533,10 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         if self.backend.is_exact:
-            products = _exact_products(self._exact_rows, other._exact_cols)
-            return Matrix(products, self.backend)
+            return _trusted(_exact_products(self._exact_rows, other._exact_cols), self.backend)
         a, b = self.entries, other.entries
         kernel = _FLOAT_MUL.get((len(a), len(b), len(b[0])), _float_mul)
-        return Matrix(kernel(a, b), self.backend)
+        return _trusted(kernel(a, b), self.backend)
 
     def add(self, other: "Matrix") -> "Matrix":
         self.backend.require_same(other.backend)
@@ -606,9 +608,9 @@ class Matrix:
         if not self.is_square:
             raise DimensionMismatch("inverse of a non-square matrix")
         if self.backend.is_exact:
-            return Matrix(_fraction_free_inverse(*self._exact_rows), self.backend)
+            return _trusted(_fraction_free_inverse(*self._exact_rows), self.backend)
         kernel = _FLOAT_INVERSE.get(len(self.entries), _float_inverse)
-        return Matrix(kernel(self.entries, self.backend.tolerance), self.backend)
+        return _trusted(kernel(self.entries, self.backend.tolerance), self.backend)
 
     def is_invertible(self) -> bool:
         """A determinant the backend does not call zero."""
@@ -657,3 +659,15 @@ class Matrix:
 
     def rows_as_lists(self) -> list:
         return [list(row) for row in self.entries]
+
+
+def _trusted(entries: tuple, backend: Backend) -> Matrix:
+    """``Matrix(entries, backend)`` for a kernel's result, whose row tuples
+    need no check: the two fields stored in the new instance's ``__dict__``
+    in the order the frozen dataclass ``__init__`` sets them, without its
+    two ``object.__setattr__`` calls."""
+    m = object.__new__(Matrix)
+    fields = m.__dict__
+    fields["entries"] = entries
+    fields["backend"] = backend
+    return m

@@ -50,6 +50,8 @@ from basiskit.objects import (
     transform_object,
 )
 from basiskit.representations import (
+    CoordCarrier,
+    ProductCarrier,
     Verdict,
     check_axioms,
     left_shift,
@@ -723,23 +725,24 @@ def test_indexed_closure_with_other_tolerances_matches_the_scan(tol):
 
 
 def test_indexed_closure_comparisons_grow_linearly(monkeypatch):
+    # the closure's point index compares payloads with the group's payload_eq
     calls = [0]
-    eq_to = GroupElement.eq_to
+    payload_eq = MatrixGroup.payload_eq
 
-    def counted(self, other):
+    def counted(self, p, q):
         calls[0] += 1
-        return eq_to(self, other)
+        return payload_eq(self, p, q)
 
-    monkeypatch.setattr(GroupElement, "eq_to", counted)
+    monkeypatch.setattr(MatrixGroup, "payload_eq", counted)
     so2 = MatrixGroup.metric_preserving(2, 0)
     so2.close_over([rotation_2d(2 * math.pi * 7 / 200)])
     assert len(so2.store) == 200
-    assert calls[0] <= 2 * len(so2.store)
+    assert 0 < calls[0] <= 2 * len(so2.store)
     calls[0] = 0
     so3 = MatrixGroup.metric_preserving(3, 0)
     so3.close_over([rotation_3d(axis, angle) for axis, angle in SO3_GENERATORS["I"]])
     assert len(so3.store) == 60
-    assert calls[0] <= 2 * 2 * len(so3.store)
+    assert 0 < calls[0] <= 2 * 2 * len(so3.store)
 
 
 def test_closure_cap_error_says_how_far_it_got():
@@ -1066,6 +1069,139 @@ def test_point_index_add_and_find_name_the_first_point_added():
         MatrixGroup.general_linear(2, APPROX, elements=stored)
     group = MatrixGroup.general_linear(2, APPROX, elements=stored[:2])
     assert group.index_of(group.element(stored[2])) == 0
+
+
+# -- float lookups against a scan ----------------------------------------------------
+
+
+class ScanIndex:
+    """The reference for float lookups: a scan of every point added, in order."""
+
+    def __init__(self, eq):
+        self.points, self._eq = [], eq
+
+    def find(self, point):
+        return next((i for i, p in enumerate(self.points) if self._eq(point, p)), None)
+
+    def add(self, point):
+        found = self.find(point)
+        if found is None:
+            self.points.append(point)
+            return len(self.points) - 1
+        return found
+
+
+def ulps(x, steps):
+    """``x`` moved by ``steps`` ulps, down for a negative ``steps``."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+def cell_edge(index, k):
+    """The least float in cell ``k`` of ``index``, found from ``k`` cell widths."""
+    x = k * index._width
+    while index._cell(x) >= k:
+        x = ulps(x, -1)
+    while index._cell(x) < k:
+        x = ulps(x, 1)
+    return x
+
+
+def neighbourhoods(index, cells, tolerances):
+    """For each cell ``k``: its edge and the points one tolerance either side
+    of it, each with the floats one ulp below and above."""
+    out = []
+    for k in cells:
+        edge = cell_edge(index, k)
+        centres = [edge, *(edge + s * t for t in tolerances for s in (1, -1))]
+        out.append([ulps(c, d) for c in centres for d in (-1, 0, 1)])
+    return out
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+def assert_lookups_match_the_scan(index, reference, points, rng):
+    """Adds and finds, interleaved, name the same positions as the scan."""
+    for p in points:
+        if rng.random() < 0.4:
+            assert index.find(p) == reference.find(p), p
+        else:
+            assert index.add(p) == reference.add(p), p
+    assert index.points == reference.points
+    for p in points:
+        assert index.find(p) == reference.find(p), p
+
+
+@pytest.mark.parametrize("tol", [1e-9, 2.0**-10, 0.3, 1e-300])
+@pytest.mark.parametrize("seed", range(3))
+def test_float_lookups_name_the_first_point_a_scan_finds(tol, seed):
+    # points on, and one ulp either side of, cell edges and the tolerance
+    # box, below, at and past the limit where cell coordinates are rounded;
+    # with non-finite entries, and with one, two, three or no entries
+    rng = Random(f"{tol}/{seed}")
+    backend = approx(tol)
+    index, reference = PointIndex(backend.close, tuple, tol), ScanIndex(backend.close)
+    limit = 2**50
+    cells = [0, -1, 1, rng.randrange(-10**6, 10**6), limit - 2, limit - 1, limit, limit + 1, 2 * limit]
+    near = neighbourhoods(index, cells, [tol])
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.03:
+            return rng.choice(NON_FINITE)
+        # most entries come from the first cells, so that points meet
+        return rng.choice(near[rng.randrange(4) if roll < 0.7 else rng.randrange(len(near))])
+
+    points = []
+    for _ in range(600):
+        length = rng.choice((0, 1, 2, 2, 2, 3))
+        points.append(tuple(entry() for _ in range(length)))
+    assert_lookups_match_the_scan(index, reference, points, rng)
+    assert len(reference.points) < len(points) / 2
+
+
+@pytest.mark.parametrize("tols", [(1e-9, 1e-6), (1e-6, 1e-9), (0.25, 0.25)])
+def test_float_lookups_of_product_points_with_two_tolerances_match_the_scan(tols):
+    left, right = (CoordCarrier(n, "column", approx(t)) for n, t in zip((1, 2), tols))
+    carrier = ProductCarrier(left, right)
+    rng = Random(str(tols))
+    index = PointIndex(carrier.point_eq, carrier.entries, carrier.tolerance)
+    reference = ScanIndex(carrier.point_eq)
+    near = neighbourhoods(index, [0, -1, 1, rng.randrange(1, 10**6)], tols)
+    pick = lambda: rng.choice(near[rng.randrange(len(near))])
+    points = [((pick(),), (pick(), pick())) for _ in range(600)]
+    assert_lookups_match_the_scan(index, reference, points, rng)
+    assert len(reference.points) < len(points) / 2
+
+
+class CountedCells(dict):
+    """The cells of a point index, counting the cells a lookup reads."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_a_float_lookup_reads_only_the_cells_its_tolerance_box_meets():
+    # one, two or four cells for a two-entry key, 2.25 on average; one or
+    # two for a one-entry key, and the single cell of a point without entries
+    rng = Random(11)
+    index = PointIndex(APPROX.close, tuple, APPROX.tolerance)
+    index._cells = CountedCells()
+    reads = {}
+    for n in (0, 1, 2, 3):
+        for _ in range(4000):
+            before = index._cells.reads
+            index.find(tuple(rng.uniform(-1.0, 1.0) for _ in range(n)))
+            reads.setdefault(n, []).append(index._cells.reads - before)
+    assert set(reads[0]) == {1}
+    assert set(reads[1]) == {1, 2}
+    assert set(reads[2]) == set(reads[3]) == {1, 2, 4}
+    assert 2.15 < sum(reads[2]) / len(reads[2]) < 2.35
 
 
 # -- integer keys of exact points ----------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from math import inf, lcm, nan, nextafter
 from itertools import permutations, product
@@ -792,20 +793,24 @@ SWEEP_POOL = (
 )
 
 
+def sweep_draw(rng):
+    roll = rng.random()
+    if roll < 0.02:
+        return rng.choice((inf, -inf, nan))
+    if roll < 0.7:
+        return rng.choice(SWEEP_POOL)
+    return rng.uniform(-4.0, 4.0)
+
+
+def sweep_square(rng, n):
+    return tuple(tuple(sweep_draw(rng) for _ in range(n)) for _ in range(n))
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_seeded_float_kernels_match_the_references_bit_for_bit(n):
     rng = Random(19 + n)
-
-    def draw():
-        roll = rng.random()
-        if roll < 0.02:
-            return rng.choice((inf, -inf, nan))
-        if roll < 0.7:
-            return rng.choice(SWEEP_POOL)
-        return rng.uniform(-4.0, 4.0)
-
-    def square():
-        return tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+    draw = lambda: sweep_draw(rng)
+    square = lambda: sweep_square(rng, n)
 
     for _ in range(5000):
         rows = square()
@@ -815,3 +820,50 @@ def test_seeded_float_kernels_match_the_references_bit_for_bit(n):
         assert [bits(r) for r in a.mul(b).entries] == [bits(r) for r in generator_mul(a, b)]
         assert bits(a.matvec(u)) == bits(generator_matvec(a, u))
         assert bits(a.vecmat(u)) == bits(generator_vecmat(a, u))
+
+
+# -- kernel results built without the dataclass __init__ ----------------------
+
+
+def assert_built_as_the_dataclass(result):
+    """A kernel's result is the matrix ``Matrix(entries, backend)`` builds."""
+    built = Matrix(result.entries, result.backend)
+    assert list(vars(result)) == list(vars(built)) == ["entries", "backend"]
+    assert result == built and hash(result) == hash(built) and repr(result) == repr(built)
+    assert result.flat == built.flat
+    assert dataclasses.fields(result) == dataclasses.fields(built)
+    assert dataclasses.astuple(result) == dataclasses.astuple(built)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.entries = built.entries
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_float_kernel_results_are_the_matrices_the_dataclass_builds(n):
+    # the seeded sweep's matrices, infinities and NaN included
+    rng = Random(19 + n)
+    inverted = 0
+    for _ in range(500):
+        a, b = Matrix(sweep_square(rng, n), APPROX), Matrix(sweep_square(rng, n), APPROX)
+        assert_built_as_the_dataclass(a.mul(b))
+        try:
+            inverse = a.inverse()
+        except Singular:
+            continue
+        assert_built_as_the_dataclass(inverse)
+        inverted += 1
+    assert inverted > 100
+
+
+def test_exact_kernel_results_are_the_matrices_the_dataclass_builds():
+    inverted = 0
+    for rng, n, rows in _differential_cases(count=270):
+        a = m(rows)
+        width = rng.randint(1, 4)
+        assert_built_as_the_dataclass(a.mul(m([[_random_fraction(rng) for _ in range(width)] for _ in range(n)])))
+        try:
+            inverse = a.inverse()
+        except Singular:
+            continue
+        assert_built_as_the_dataclass(inverse)
+        inverted += 1
+    assert inverted > 100
