@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from random import Random
 from typing import Optional, Sequence
 
@@ -36,7 +35,7 @@ from .errors import (
     Singular,
 )
 from .groups import AffineTransform, GroupElement, MatrixGroup
-from .matrices import _FLOAT_VECMAT, Matrix, _float_vecmat, metric_dot, vector
+from .matrices import _FLOAT_VECMAT, Matrix, _float_vecmat, _kept, metric_dot, vector
 from .representations import (
     EXHAUSTIVE_WORK_CAP,
     CoordCarrier,
@@ -157,7 +156,7 @@ class Basis:
         """The vectors as the rows of one matrix, built once per basis."""
         return self._rows
 
-    @cached_property
+    @_kept
     def _rows(self) -> Matrix:
         return Matrix(self.vectors, self.space.backend)
 
@@ -634,9 +633,6 @@ class BasisManifold:
 
     def change_of_basis(self, b1: Basis, b2: Basis) -> GroupElement:
         return change_of_basis(b1, b2, self.group)
-
-    def transport_from_reference(self, b: Basis) -> GroupElement:
-        return self.change_of_basis(self.reference, b)
 
     def representation(self) -> Representation:
         """The passive action as a left-side representation with a solver."""

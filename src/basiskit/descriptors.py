@@ -330,9 +330,7 @@ def representation_from_descriptor(
             raise ParseError(
                 f"{assign_kind} is a {expected_side}-side representation"
             )
-        rep = left_shift(group) if side == "left" else right_shift(group)
-        rep.descriptor = d
-        return rep
+        return left_shift(group) if side == "left" else right_shift(group)
 
     if carrier_kind == "finite":
         size = _need_int(_need(carrier_d, "size", "carrier"), "carrier: size")
@@ -354,14 +352,12 @@ def representation_from_descriptor(
         raise ParseError(f"carrier: unknown kind {carrier_kind!r}")
 
     if assign_kind == "trivial":
-        def assign(g, _carrier=carrier):
-            if isinstance(_carrier, CoordCarrier):
-                return LinearTransformation.trusted(
-                    _carrier, Matrix.identity(_carrier.dim, _carrier.backend)
-                )
-            return MappingTransformation(_carrier, list(range(len(_carrier.points()))))
-
-        rep = Representation(group, carrier, side, assign, label="trivial")
+        if isinstance(carrier, CoordCarrier):
+            identity = Matrix.identity(carrier.dim, carrier.backend)
+            fixed = LinearTransformation.trusted(carrier, identity)
+        else:  # the identity row is a permutation by construction
+            fixed = MappingTransformation.trusted(carrier, list(range(len(carrier.points()))))
+        rep = Representation(group, carrier, side, lambda g: fixed, label="trivial")
     elif assign_kind == "permutation-table":
         if not isinstance(group, FiniteGroup) or not isinstance(
             carrier, FiniteCarrier
@@ -423,7 +419,6 @@ def representation_from_descriptor(
         rep = Representation(group, carrier, side, assign, label="linear")
     else:
         raise ParseError(f"assign: unknown kind {assign_kind!r}")
-    rep.descriptor = d
     return rep
 
 

@@ -6,9 +6,10 @@ special linear, metric-preserving, or invertible affine) over a fixed
 dimension, optionally together with an explicit store of elements; the
 store may also be produced by closing a generating set under products.
 
-Composition convention: ``compose(G, a, b)`` is the product ``a b``, the
-map that applies ``b`` first and ``a`` second when elements act on points
-from the left.  For matrix families this is the plain grid product.
+Composition convention: ``G.compose_elements(a, b)`` is the product
+``a b``, the map that applies ``b`` first and ``a`` second when elements
+act on points from the left.  For matrix families this is the plain grid
+product.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -31,7 +31,7 @@ from .errors import (
     MixedGroups,
     Singular,
 )
-from .matrices import Matrix, Vector, vec_add, vector
+from .matrices import Matrix, Vector, _kept, vec_add, vector
 from .scalars import APPROX, EXACT, Backend
 
 __all__ = [
@@ -41,9 +41,6 @@ __all__ = [
     "AffineTransform",
     "affine_apply",
     "MatrixGroup",
-    "membership_check",
-    "compose",
-    "inverse",
     "cyclic_group",
     "dihedral_group",
     "symmetric_group",
@@ -82,7 +79,7 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return compose(self.group, self, other)
+        return self.group.compose_elements(self, other)
 
     def inverse(self) -> "GroupElement":
         return self.group.inverse_element(self)
@@ -385,7 +382,7 @@ class AffineTransform:
             inv, tuple(-x for x in inv.matvec(self.translation))
         )
 
-    @cached_property
+    @_kept
     def flat(self) -> tuple:
         """The linear part's entries row by row, then the translation."""
         return self.linear.flat + tuple(self.translation)
@@ -531,20 +528,20 @@ class MatrixGroup:
             raise InfeasibleExhaustive("group has no stored elements to look up")
         return self._index.find(g.payload)
 
-    @cached_property
+    @_kept
     def generators(self) -> Optional[tuple]:
         """Of an exact store given as elements (a closure sets its own):
         the first product read from ``table`` that is no element leaves them ``None``."""
         exact = self.store is not None and self.backend.is_exact
-        identity = self.index_of(self.identity) if exact else None
+        identity = self._index.find(self._identity_payload) if exact else None
         return None if identity is None else _generating_set(self.table, identity)
 
-    @cached_property
+    @_kept
     def table(self) -> Optional[tuple]:
         """The store's rows, a closure's holding the products it formed."""
         if self.store is None:
             return None
-        rows = tuple(_StoreRow(self, a) for a in self.store)
+        rows = tuple(_StoreRow(self, a.payload) for a in self.store)
         columns, formed = self._formed
         for row, products in zip(rows, formed):
             row.update((j, products[k]) for j, k in columns)
@@ -554,11 +551,14 @@ class MatrixGroup:
         """An empty point index of payloads under this group's equality."""
         return PointIndex(self.payload_eq, self.payload_entries, self.backend.tolerance)
 
+    @property
+    def _product(self):
+        """The product of two payloads, ``Matrix.mul`` or
+        ``AffineTransform.after``, looked up when it is asked for."""
+        return AffineTransform.after if self.family == "AFFINE" else Matrix.mul
+
     def compose_elements(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        pa, pb = self._own(a), self._own(b)
-        if self.family == "AFFINE":
-            return GroupElement(self, pa.after(pb))
-        return GroupElement(self, pa.mul(pb))
+        return GroupElement(self, self._product(self._own(a), self._own(b)))
 
     def inverse_element(self, a: GroupElement) -> GroupElement:
         p = self._own(a)
@@ -618,10 +618,9 @@ class MatrixGroup:
         product with a non-finite entry.  Elements are taken from the
         frontier in store order; over the rationals the distinct generators
         other than the identity become ``generators``.  The loop works on
-        payloads: each product is one ``Matrix.mul`` or
-        ``AffineTransform.after``, looked up when the loop starts, filed in
-        or found by the point index of payloads, and a
-        :class:`GroupElement` is built once for each stored element, at
+        payloads: each product is one :attr:`_product`, looked up when the
+        loop starts, filed in or found by the point index of payloads, and
+        a :class:`GroupElement` is built once for each stored element, at
         the end.  The products formed are kept for ``table``, whose rows
         are built when first read.  A group that already has a store
         raises instead of replacing it.
@@ -629,7 +628,7 @@ class MatrixGroup:
         if self.store is not None:
             raise BasiskitError("group already has stored elements; close over a new group")
         gens = [self.element(g).payload for g in generators]
-        product = AffineTransform.after if self.family == "AFFINE" else Matrix.mul
+        product = self._product
         exact, isfinite = self.backend.is_exact, math.isfinite
         found = self._empty_index()
         add, points = found.add, found.points
@@ -671,20 +670,22 @@ class MatrixGroup:
 
 
 class _StoreRow(dict):
-    """Row ``a`` of a store's product table: entry ``g`` is the position of
-    ``a`` times stored element ``g``, or ``None`` for none, looked up on first read."""
+    """The row of stored payload ``a`` in a store's product table: entry
+    ``g`` is the position of ``a`` times stored element ``g``, or ``None``
+    for none, formed from the two payloads by :attr:`MatrixGroup._product`
+    and looked up in the point index on first read."""
 
     __slots__ = ("group", "a")
 
     def __iter__(self):  # the entries in order, as a Cayley table's row gives them
         return map(self.__getitem__, range(len(self.group.store)))
 
-    def __init__(self, group: MatrixGroup, a: GroupElement):
+    def __init__(self, group: MatrixGroup, a):
         self.group, self.a = group, a
 
     def __missing__(self, g: int) -> Optional[int]:
         group = self.group
-        self[g] = i = group.index_of(group.compose_elements(self.a, group.store[g]))
+        self[g] = i = group._index.find(group._product(self.a, group.store[g].payload))
         return i
 
 
@@ -823,22 +824,6 @@ class PointIndex:
         if math.isfinite(x):
             return Fraction(x) // Fraction(self._width)
         return x  # a non-finite entry equals nothing, so any cell will do
-
-
-def membership_check(group: MatrixGroup, payload) -> tuple:
-    """Family predicate as a standalone operation: ``(ok, residual)``."""
-    if isinstance(payload, GroupElement):
-        payload = payload.payload
-    return group.membership(payload)
-
-
-def compose(group, a: GroupElement, b: GroupElement) -> GroupElement:
-    """Product ``a b`` in ``group``; both elements must belong to it."""
-    return group.compose_elements(a, b)
-
-
-def inverse(group, a: GroupElement) -> GroupElement:
-    return group.inverse_element(a)
 
 
 # -- standard small groups ----------------------------------------------

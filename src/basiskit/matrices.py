@@ -422,7 +422,8 @@ class _kept:
     ``__dict__``, where every later read finds it before the descriptor:
     :func:`functools.cached_property` without the lock that it takes on
     every first use before Python 3.12.  A build that raises keeps
-    nothing."""
+    nothing.  It is the package's one cached attribute: matrices, bases,
+    affine maps and matrix groups keep their derived values through it."""
 
     def __init__(self, build):
         self.build = build
@@ -514,17 +515,8 @@ class Matrix:
     def is_square(self) -> bool:
         return len(self.entries) == len(self.entries[0])
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)), self.backend)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self.backend.require_same(other.backend)
@@ -652,13 +644,10 @@ class Matrix:
         """The largest entrywise difference, as a float."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
-        return self.backend.residual(self.flat, other.flat)
+        return self.backend.compare(self.flat, other.flat)[1]
 
     def is_identity(self) -> bool:
         return self.is_square and self.eq(Matrix.identity(len(self.entries), self.backend))
-
-    def rows_as_lists(self) -> list:
-        return [list(row) for row in self.entries]
 
 
 def _trusted(entries: tuple, backend: Backend) -> Matrix:

@@ -49,7 +49,7 @@ from .errors import (
     Singular,
     TypeMismatch,
 )
-from .groups import GroupElement, MatrixGroup, compose
+from .groups import GroupElement, MatrixGroup
 from .matrices import Matrix, _fold, vec_add, vec_scale, vector
 from .representations import (
     GridTransformation,
@@ -169,7 +169,7 @@ def table_functor(group, grids: Sequence[Matrix]) -> TypeAFunctor:
         for s in group.generators if reduced else range(len(elements)):
             a, b = elements[i], elements[s]
             if row[s] is None:  # the product is no stored element, which the lookup refuses
-                _table_lookup(functor, group, compose(group, a, b))
+                _table_lookup(functor, group, group.compose_elements(a, b))
             if not grids[row[s]].eq(grids[i].mul(grids[s])):
                 raise BasiskitError(f"table functor breaks the product at ({a!r}, {b!r})")
     return functor
@@ -215,8 +215,8 @@ def _matrix_payload(functor: TypeAFunctor, g: GroupElement) -> Optional[Matrix]:
 
 
 def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
-    """``(A(g), A(g)^-1)``; the inverse is ``None`` for a table functor,
-    whose grid the caller inverts whole.
+    """``(A(g), A(g)^-1)``, ``A(g)`` from :func:`functor_eval`; the inverse
+    is ``None`` for a table functor, whose grid the caller inverts whole.
 
     ``A(g)^-1 = A(g^-1)``, evaluated from the parts at ``g^-1``: Kronecker
     powers of ``g^-1``, ``g^T`` for a dual, block diagonals of the parts.
@@ -224,12 +224,11 @@ def _functor_grids(functor: TypeAFunctor, g: GroupElement) -> tuple:
     are canonical, so the entries are those of ``A(g).inverse()``; floats
     round in ``g^-1`` and the products that rebuild the grid instead.
     """
-    payload = _matrix_payload(functor, g)
-    if payload is None:
-        return _table_lookup(functor, g.group, g), None
-    g_inv = None if functor.tag == "identity" else payload.inverse()
-    grid = _grid_at(functor, payload.backend, lambda: payload, lambda: g_inv)
-    return grid, _grid_at(functor, payload.backend, lambda: g_inv, lambda: payload)
+    grid = functor_eval(functor, g)
+    if functor.tag == "table":
+        return grid, None
+    payload = g.payload
+    return grid, _grid_at(functor, payload.backend, payload.inverse, lambda: payload)
 
 
 def _grid_at(functor: TypeAFunctor, backend, m, m_inv) -> Matrix:

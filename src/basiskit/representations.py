@@ -54,7 +54,6 @@ from .groups import (
     PointIndex,
     _after,
     _sweep,
-    compose,
 )
 from .matrices import Matrix
 from .sampling import random_vector, sample_group_element
@@ -80,7 +79,6 @@ __all__ = [
     "Orbit",
     "OrbitPartitionReport",
     "SameSideWitness",
-    "apply",
     "check_laws",
     "check_axioms",
     "check_variance",
@@ -573,11 +571,6 @@ class Representation:
 _NOT_COMPILED = object()
 
 
-def apply(rep: Representation, g: GroupElement, u):
-    """Image of carrier point ``u`` under the transformation for ``g``."""
-    return rep.apply(g, u)
-
-
 # -- verdicts ---------------------------------------------------------------
 
 
@@ -645,13 +638,13 @@ class Orbit:
 
 @dataclass(frozen=True)
 class OrbitPartitionReport(Verdict):
-    """The partition verdict with the orbits found; ``failure`` is its witness."""
+    """The partition verdict with the orbits found.  Its witness, the
+    ``counterexample``, is ``("orbit-mismatch", u, v)`` for a point ``v``
+    in the orbit of ``u`` whose own orbit differs, or ``("coverage", u,
+    hits)`` for a point ``u`` that lies in ``hits`` of the orbits found,
+    not in exactly one."""
 
     orbits: tuple = ()
-
-    @property
-    def failure(self) -> Optional[tuple]:
-        return self.counterexample
 
 
 @dataclass(frozen=True)
@@ -870,14 +863,14 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
             product = mul(x, y) if homo_open or anti_open or shared else None
             if side_open or homo_open:
                 k = row[j]
-                fas = values[k] if k is not None else value(compose(group, a, s))
+                fas = values[k] if k is not None else value(group.compose_elements(a, s))
             if anti_open:
                 ksa = table[j][i]
-                fsa = values[ksa] if ksa is not None else value(compose(group, s, a))
+                fsa = values[ksa] if ksa is not None else value(group.compose_elements(s, a))
             homo = (homo_open or shared and side_open) and eq(fas, product)
             side = holds
             if side_open and not (homo if shared else eq(fas, mul(y, x))):
-                fab = f(elements[k] if k is not None else compose(group, a, s))
+                fab = f(elements[k] if k is not None else group.compose_elements(a, s))
                 fa, fs = maps[i], maps[j]
                 moved = (n for n, u in enumerate(probes, 1) if not _side_case(rep, fa, fs, u, fab)[0])
                 n = next(moved)
@@ -910,7 +903,7 @@ def _triple_outcomes(rep, undecided, samples: int, seed: int):
         a, b = sample_group_element(group, rng), sample_group_element(group, rng)
         u = rep.carrier.sample(rng)
         side_open, homo_open, anti_open = undecided
-        fab = (side_open or homo_open) and f(compose(group, a, b))
+        fab = (side_open or homo_open) and f(group.compose_elements(a, b))
         fa, fb = f(a), f(b)
         side = (1, None, None)
         if side_open:
@@ -918,7 +911,7 @@ def _triple_outcomes(rep, undecided, samples: int, seed: int):
             side = (1, None if holds else u, residual)
         product = (homo_open or anti_open) and _variance_product(fa, fb)
         homo = homo_open and transformations_equal(fab, product)
-        anti = anti_open and transformations_equal(f(compose(group, b, a)), product)
+        anti = anti_open and transformations_equal(f(group.compose_elements(b, a)), product)
         yield (a, b), side, (homo, anti)
 
 
@@ -1461,7 +1454,7 @@ def same_side_noncommuting_witness(group) -> Optional[SameSideWitness]:
                 point=b,
                 same_side_value=elements[ab],
                 required_value=elements[ba],
-                conjugate=compose(group, elements[ba], group.inverse_element(b)),
+                conjugate=group.compose_elements(elements[ba], group.inverse_element(b)),
             )
     return None
 

@@ -7,8 +7,8 @@ a tolerance.  A single computation never mixes the two; binary operations
 check for agreement and raise :class:`~basiskit.errors.BackendMismatch`.
 
 Only the backend compares values, each as one flat tuple of its scalars:
-:meth:`Backend.close`, :meth:`Backend.residual`, :meth:`Backend.compare`
-(the two at once), :meth:`Backend.measure` (what a check's comparison
+:meth:`Backend.close`, :meth:`Backend.compare` (closeness and the
+residual at once), :meth:`Backend.measure` (what a check's comparison
 measured, the one statement of that rule) and :meth:`Backend.is_zero`.
 A NaN supports no claim: it is close to nothing, and it vanishes.
 """
@@ -90,14 +90,10 @@ class Backend:
         tol = self.tolerance
         return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
 
-    def residual(self, xs: tuple, ys: tuple) -> float:
-        """The largest entrywise ``|x - y|`` as a float, 0.0 for empty
-        tuples; the second half of :meth:`compare`."""
-        return self.compare(xs, ys)[1]
-
     def compare(self, xs: tuple, ys: tuple) -> tuple:
-        """``(close(xs, ys), residual(xs, ys))`` in one pass over the
-        entries; unequal lengths raise :class:`DimensionMismatch`."""
+        """``(close(xs, ys), residual)`` in one pass over the entries, the
+        residual the largest entrywise ``|x - y|`` as a float, 0.0 for
+        empty tuples; unequal lengths raise :class:`DimensionMismatch`."""
         if len(xs) != len(ys):
             raise DimensionMismatch(f"vector lengths differ: {len(xs)} vs {len(ys)}")
         # exactly, ``|x - y| <= 0`` is ``x == y``; ``worst`` is what

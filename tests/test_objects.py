@@ -88,45 +88,45 @@ def quarter_turns():
 
 def test_functor_evals_on_a_diagonal_element():
     g = elem([[2, 0], [0, 3]])
-    assert functor_eval(identity_functor(), g).rows_as_lists() == [[F(1)]]
-    assert functor_eval(fundamental_functor(), g).rows_as_lists() == [
-        [F(2), F(0)],
-        [F(0), F(3)],
-    ]
-    assert functor_eval(dual_functor(), g).rows_as_lists() == [
-        [F(1, 2), F(0)],
-        [F(0), F(1, 3)],
-    ]
+    assert functor_eval(identity_functor(), g).entries == ((F(1),),)
+    assert functor_eval(fundamental_functor(), g).entries == (
+        (F(2), F(0)),
+        (F(0), F(3)),
+    )
+    assert functor_eval(dual_functor(), g).entries == (
+        (F(1, 2), F(0)),
+        (F(0), F(1, 3)),
+    )
 
 
 def test_dual_is_inverse_transpose():
     g = elem([[1, 1], [0, 1]])
-    assert functor_eval(dual_functor(), g).rows_as_lists() == [
-        [F(1), F(0)],
-        [F(-1), F(1)],
-    ]
+    assert functor_eval(dual_functor(), g).entries == (
+        (F(1), F(0)),
+        (F(-1), F(1)),
+    )
 
 
 def test_tensor_power_eval():
     g = elem([[2, 0], [0, 3]])
     grid = functor_eval(tensor_power_functor(2), g)
-    assert grid.rows_as_lists() == [
-        [F(4), F(0), F(0), F(0)],
-        [F(0), F(6), F(0), F(0)],
-        [F(0), F(0), F(6), F(0)],
-        [F(0), F(0), F(0), F(9)],
-    ]
+    assert grid.entries == (
+        (F(4), F(0), F(0), F(0)),
+        (F(0), F(6), F(0), F(0)),
+        (F(0), F(0), F(6), F(0)),
+        (F(0), F(0), F(0), F(9)),
+    )
 
 
 def test_direct_sum_eval():
     g = elem([[2, 0], [0, 3]])
     grid = functor_eval(direct_sum_functor(fundamental_functor(), dual_functor()), g)
-    assert grid.rows_as_lists() == [
-        [F(2), F(0), F(0), F(0)],
-        [F(0), F(3), F(0), F(0)],
-        [F(0), F(0), F(1, 2), F(0)],
-        [F(0), F(0), F(0), F(1, 3)],
-    ]
+    assert grid.entries == (
+        (F(2), F(0), F(0), F(0)),
+        (F(0), F(3), F(0), F(0)),
+        (F(0), F(0), F(1, 2), F(0)),
+        (F(0), F(0), F(0), F(1, 3)),
+    )
 
 
 def test_weight_dims():
@@ -163,10 +163,10 @@ def test_table_functor_on_a_finite_group():
     ]
     functor = table_functor(z2, grids)
     assert weight_dim(functor, 5) == 2
-    assert functor_eval(functor, z2.element(1)).rows_as_lists() == [
-        [F(1), F(0)],
-        [F(0), F(-1)],
-    ]
+    assert functor_eval(functor, z2.element(1)).entries == (
+        (F(1), F(0)),
+        (F(0), F(-1)),
+    )
 
 
 def test_table_functor_rejects_broken_product():
@@ -255,7 +255,7 @@ def test_table_functor_with_float_grids_runs_every_pair():
     # a float grid product only lands near a grid, so nothing is induced
     grids = signed_permutation_grids(3)
     b3 = MatrixGroup.general_linear(3, EXACT, elements=grids)
-    floats = [Matrix.from_rows(g.rows_as_lists(), APPROX) for g in grids]
+    floats = [Matrix.from_rows(g.entries, APPROX) for g in grids]
     assert table_functor(b3, floats).table == tuple(floats)
     wrong = list(floats)
     wrong[20], wrong[21] = floats[21], floats[20]
@@ -313,7 +313,7 @@ def test_transform_oracle():
     g = elem([[2, 0], [0, 1]])
     moved = transform_object(obj, g)
     assert moved.coords == (F(2), F(6))
-    assert moved.w_basis.rows_as_lists() == [[F(2), F(0)], [F(0), F(1)]]
+    assert moved.w_basis.entries == ((F(2), F(0)), (F(0), F(1)))
     assert moved.anchor.eq(passive_transform(obj.anchor, g))
     assert representative(moved) == (F(4), F(6))
 

@@ -575,7 +575,7 @@ def test_exhaustive_demand_on_coordinates_is_refused():
     stored = natural_action(_stored_gl2(), "column")
     assert check_axioms(stored, sample="exhaustive").mode == "exhaustive(grids)"
     floats = MatrixGroup.general_linear(
-        2, approx(1e-9), elements=[g.payload.rows_as_lists() for g in _stored_gl2().store]
+        2, approx(1e-9), elements=[g.payload.entries for g in _stored_gl2().store]
     )
     for group in (floats, MatrixGroup.general_linear(2)):
         with pytest.raises(InfeasibleExhaustive):
@@ -1093,7 +1093,7 @@ def test_planted_failures_are_caught():
     assert not classify(table_fixture("S3/not-transitive")).transitive
     assert not classify(table_fixture("Z6/not-effective")).effective
     partition = orbit_well_defined_check(table_fixture("Z2/not-an-action"))
-    assert partition.failure == ("orbit-mismatch", 0, 1)
+    assert partition.counterexample == ("orbit-mismatch", 0, 1)
 
 
 def test_variance_counts_the_pairs_it_ran():
@@ -1510,7 +1510,7 @@ def two_pass_residual(carrier, x, y):
     worse of the two parts of a pair, ``None`` where none is measured."""
     if isinstance(carrier, CoordCarrier) and not carrier.backend.is_exact:
         try:
-            return carrier.backend.residual(x, y)
+            return carrier.backend.compare(x, y)[1]
         except DimensionMismatch:
             return math.inf
     if isinstance(carrier, ProductCarrier):
@@ -1666,5 +1666,5 @@ def test_orbit_closure_check_witnesses_a_re_enumeration_of_another_size():
     o = orbit(rep, 0)
     assert o.points == (0, 1)
     assert orbit_closure_check(rep, o) == Verdict(False, "exhaustive", 2, (1,), None)
-    assert orbit_well_defined_check(rep).failure == ("orbit-mismatch", 0, 1)
+    assert orbit_well_defined_check(rep).counterexample == ("orbit-mismatch", 0, 1)
     assert orbit_closure_check(rep, orbit(rep, 1)) == Verdict(True, "exhaustive", 1, None, None)

@@ -67,7 +67,6 @@ EXACT_POOL = (Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(5, 2), Fractio
 def close_and_residual(backend, xs, ys):
     holds, residual = backend.compare(xs, ys)
     assert type(holds) is bool and type(residual) is float
-    assert residual.hex() == backend.residual(xs, ys).hex()
     return holds, residual.hex()
 
 
