@@ -37,6 +37,7 @@ from .errors import (
 from .groups import AffineTransform, GroupElement, MatrixGroup
 from .matrices import _FLOAT_VECMAT, Matrix, _float_vecmat, _kept, metric_dot, vector
 from .representations import (
+    DEFAULT_SEED,
     EXHAUSTIVE_WORK_CAP,
     CoordCarrier,
     GridTransformation,
@@ -48,7 +49,7 @@ from .representations import (
     check_axioms,
 )
 from .sampling import random_vector, sample_group_element
-from .scalars import Backend, approx
+from .scalars import DEFAULT_TOLERANCE, Backend, approx
 
 __all__ = [
     "VectorSpace",
@@ -234,12 +235,10 @@ def active_transform(b: Basis, g: GroupElement) -> Basis:
     grid = _linear_grid(g)
     new_rows = tuple(grid.matvec(v) for v in b.vectors)
     new_origin = None
-    if b.space.kind == "affine":
+    if isinstance(g.payload, AffineTransform):
+        new_origin = g.payload.apply(b.origin)
+    elif b.space.kind == "affine":
         new_origin = grid.matvec(b.origin)
-        if isinstance(g.payload, AffineTransform):
-            new_origin = tuple(
-                x + t for x, t in zip(new_origin, g.payload.translation)
-            )
     return _moved(b, new_rows, new_origin)
 
 
@@ -403,7 +402,7 @@ def coordinate_representation(group: MatrixGroup) -> Representation:
 
 
 def coordinate_representation_check(
-    group: MatrixGroup, samples: int = 100, seed: int = 42
+    group: MatrixGroup, samples: int = 100, seed: int = DEFAULT_SEED
 ) -> CoordinateRepCheckReport:
     """Verify the coordinate transformation behaves as a representation.
 
@@ -471,7 +470,7 @@ def _float_composition(rep: Representation, samples, seed) -> Verdict:
 def gram_schmidt(
     vectors: Sequence[Sequence],
     signature: tuple,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> Basis:
     """Orthonormalise float vectors against the diagonal metric of ``signature``.
 

@@ -56,6 +56,7 @@ from .objects import (
 )
 from .reports import RunReport
 from .representations import (
+    DEFAULT_SEED,
     Verdict,
     check_laws,
     classify,
@@ -65,7 +66,7 @@ from .representations import (
     orbit_well_defined_check,
     variance_claim_check,
 )
-from .scalars import EXACT, approx
+from .scalars import DEFAULT_TOLERANCE, EXACT, approx
 from .selftest import run_selftest
 
 __all__ = ["main"]
@@ -109,7 +110,7 @@ def _add_common(p, report=True, backend=True, sampling=False):
         p.add_argument(
             "--tolerance",
             type=float,
-            default=1e-9,
+            default=DEFAULT_TOLERANCE,
             help="comparison tolerance for the float backend (default 1e-9)",
         )
     if sampling:
@@ -120,7 +121,7 @@ def _add_common(p, report=True, backend=True, sampling=False):
             help="work plan for the law checks (default auto)",
         )
         p.add_argument("--samples", type=int, default=1000)
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help=_CAP_HELP)
     if report:
         p.add_argument("--report", choices=["text", "json"], default="text")
@@ -128,13 +129,8 @@ def _add_common(p, report=True, backend=True, sampling=False):
 
 def _settings_echo(args) -> dict:
     """The flags that shaped this run, echoed for reproducibility."""
-    if getattr(args, "exact", False):
-        backend = "exact"
-    elif getattr(args, "approx", False):
-        backend = "approx"
-    else:
-        backend = "default"
-    settings = {"backend": backend}
+    backend = _backend_override(args)
+    settings = {"backend": "default" if backend is None else backend.kind}
     for key in ("tolerance", "sample", "samples", "seed", "cap"):
         value = getattr(args, key, None)
         if value is not None:
@@ -151,10 +147,21 @@ def _emit(report: RunReport, args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_repcheck(args) -> int:
-    rep = representation_from_descriptor(
+def _representation(args):
+    """The representation of ``--input``, on the backend the flags force."""
+    return representation_from_descriptor(
         load_json(args.input), _backend_override(args), args.tolerance, args.cap
     )
+
+
+def _group(args, backend):
+    """The group of ``--group``, on ``backend`` unless that is ``None``."""
+    cap = getattr(args, "cap", DEFAULT_CLOSURE_CAP)
+    return group_from_descriptor(load_json(args.group), backend, args.tolerance, cap)
+
+
+def _cmd_repcheck(args) -> int:
+    rep = _representation(args)
     report = RunReport("repcheck")
     plan = (args.sample, args.samples, args.seed)
     axioms, variance = check_laws(rep, *plan)
@@ -178,9 +185,7 @@ def _cmd_repcheck(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    rep = representation_from_descriptor(
-        load_json(args.input), _backend_override(args), args.tolerance, args.cap
-    )
+    rep = _representation(args)
     report = RunReport("orbit")
     if args.point is not None:
         point = point_from_descriptor(_inline_or_file(args.point), rep.carrier)
@@ -209,9 +214,7 @@ def _cmd_basis(args) -> int:
     override = _backend_override(args)
     if args.action == "transform":
         b = basis_from_descriptor(load_json(args.input), override, args.tolerance)
-        group = group_from_descriptor(
-            load_json(args.group), b.space.backend, args.tolerance
-        )
+        group = _group(args, b.space.backend)
         g = element_from_descriptor(_inline_or_file(args.element), group)
         mover = active_transform if args.mode == "active" else passive_transform
         moved = mover(b, g)
@@ -226,9 +229,7 @@ def _cmd_basis(args) -> int:
     elif args.action == "change":
         b1 = basis_from_descriptor(load_json(args.source), override, args.tolerance)
         b2 = basis_from_descriptor(load_json(args.target), override, args.tolerance)
-        group = group_from_descriptor(
-            load_json(args.group), b1.space.backend, args.tolerance
-        )
+        group = _group(args, b1.space.backend)
         try:
             a = change_of_basis(b1, b2, group)
         except NotInOrbit as exc:
@@ -254,9 +255,7 @@ def _cmd_basis(args) -> int:
         report.data["grid"] = sc.grid
         report.data["identity"] = sc.is_identity()
     else:  # coordrep
-        group = group_from_descriptor(
-            load_json(args.group), override, args.tolerance, args.cap
-        )
+        group = _group(args, override)
         result = coordinate_representation_check(
             group, samples=args.samples, seed=args.seed
         )
@@ -275,9 +274,7 @@ def _cmd_object(args) -> int:
     report.data["representative"] = list(before)
     group = None
     if args.group is not None:
-        group = group_from_descriptor(
-            load_json(args.group), obj.anchor.space.backend, args.tolerance, args.cap
-        )
+        group = _group(args, obj.anchor.space.backend)
         if group.store is None and args.element is None and not (args.axioms or args.orbit):
             raise ParseError(
                 "--group without stored elements checks nothing: "
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="path to JSON with 'signature' and 'vectors'",
     )
-    q.add_argument("--tolerance", type=float, default=1e-9)
+    q.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     q.add_argument("--report", choices=["text", "json"], default="text")
     q.set_defaults(func=_cmd_basis, action="gram-schmidt")
 
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.add_argument("--group", required=True, help="group descriptor path")
     q.add_argument("--samples", type=int, default=100)
-    q.add_argument("--seed", type=int, default=42)
+    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     _add_common(q)
     q.set_defaults(func=_cmd_basis, action="coordrep")
@@ -401,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
     p.set_defaults(func=_cmd_object)
 
     p = sub.add_parser("selftest", help="run the built-in deterministic battery")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--report", choices=["text", "json"], default="text")
     p.set_defaults(func=_cmd_selftest)
 
@@ -431,7 +428,7 @@ def main(argv=None) -> int:
         for name in ("samples", "cap"):
             if getattr(args, name, 1) < 1:
                 raise ParseError(f"--{name} must be at least 1, got {getattr(args, name)}")
-        tolerance = getattr(args, "tolerance", 1e-9)
+        tolerance = getattr(args, "tolerance", DEFAULT_TOLERANCE)
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ParseError(
                 f"--tolerance must be a positive finite number, got {tolerance}"

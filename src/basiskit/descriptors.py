@@ -37,6 +37,7 @@ from .representations import (
     right_shift,
 )
 from .scalars import (
+    DEFAULT_TOLERANCE,
     EXACT,
     Backend,
     approx,
@@ -163,7 +164,7 @@ def _affine_out(a: AffineTransform) -> dict:
 def group_from_descriptor(
     d: dict,
     backend: Optional[Backend] = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     cap: int = DEFAULT_CLOSURE_CAP,
 ):
     kind = _need(d, "kind", "group")
@@ -308,7 +309,7 @@ def element_to_descriptor(g: GroupElement) -> dict:
 def representation_from_descriptor(
     d: dict,
     backend: Optional[Backend] = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Representation:
     group = group_from_descriptor(
@@ -344,8 +345,7 @@ def representation_from_descriptor(
         layout = _need(carrier_d, "layout", "carrier")
         if layout not in ("row", "column"):
             raise ParseError(f"carrier: unknown layout {layout!r}")
-        cb = getattr(group, "backend", EXACT)
-        carrier = CoordCarrier(dim, layout, cb)
+        carrier = CoordCarrier(dim, layout, backend or getattr(group, "backend", EXACT))
     elif carrier_kind == "self":
         carrier = SelfCarrier(group)
     else:
@@ -455,7 +455,7 @@ def _space_from_descriptor(
 
 
 def basis_from_descriptor(
-    d: dict, backend: Optional[Backend] = None, tolerance: float = 1e-9
+    d: dict, backend: Optional[Backend] = None, tolerance: float = DEFAULT_TOLERANCE
 ) -> Basis:
     space = _space_from_descriptor(_need(d, "space", "basis"), backend, tolerance)
     vectors_d = _need(d, "vectors", "basis")
@@ -534,7 +534,7 @@ def functor_to_descriptor(f: TypeAFunctor) -> dict:
 
 
 def object_from_descriptor(
-    d: dict, backend: Optional[Backend] = None, tolerance: float = 1e-9
+    d: dict, backend: Optional[Backend] = None, tolerance: float = DEFAULT_TOLERANCE
 ) -> GeometricalObject:
     functor = functor_from_descriptor(_need(d, "functor", "object"))
     anchor = basis_from_descriptor(_need(d, "anchor", "object"), backend, tolerance)

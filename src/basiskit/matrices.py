@@ -423,7 +423,9 @@ class _kept:
     :func:`functools.cached_property` without the lock that it takes on
     every first use before Python 3.12.  A build that raises keeps
     nothing.  It is the package's one cached attribute: matrices, bases,
-    affine maps and matrix groups keep their derived values through it."""
+    affine maps and matrix groups keep their derived values through it,
+    as do a representation's action table and an object transformation's
+    ``A(g)^-1``."""
 
     def __init__(self, build):
         self.build = build

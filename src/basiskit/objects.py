@@ -50,8 +50,9 @@ from .errors import (
     TypeMismatch,
 )
 from .groups import GroupElement, MatrixGroup
-from .matrices import Matrix, _fold, vec_add, vec_scale, vector
+from .matrices import Matrix, _fold, _kept, vec_add, vec_scale, vector
 from .representations import (
+    DEFAULT_SEED,
     GridTransformation,
     Representation,
     Verdict,
@@ -405,7 +406,8 @@ class ObjectTransformation(GridTransformation):
         self.carrier = carrier
         self.functor_grid = functor_grid
         self.anchor_grid = anchor_grid
-        self._functor_inverse = functor_inverse
+        if functor_inverse is not None:
+            self.__dict__["functor_inverse"] = functor_inverse
         # the last frame moved: (anchor, w_basis, moved anchor, moved w_basis)
         self._frame = None
 
@@ -415,11 +417,9 @@ class ObjectTransformation(GridTransformation):
         _check_acts(g, carrier.space)
         return cls(carrier, functor_grid, _linear_grid(g), functor_inverse)
 
-    @property
+    @_kept
     def functor_inverse(self) -> Matrix:
-        if self._functor_inverse is None:
-            self._functor_inverse = self.functor_grid.inverse()
-        return self._functor_inverse
+        return self.functor_grid.inverse()
 
     @property
     def grid(self) -> Matrix:
@@ -604,7 +604,7 @@ def vector_space_axioms_check(
     anchor: Basis,
     group: MatrixGroup,
     samples: int = 100,
-    seed: int = 42,
+    seed: int = DEFAULT_SEED,
 ) -> Verdict:
     """Objects at a fixed anchor form a vector space; transforms are linear.
 

@@ -19,6 +19,10 @@ SCHEMA = "basiskit/1"
 
 __all__ = ["SCHEMA", "CheckLine", "RunReport"]
 
+# the text form of each field of :meth:`CheckLine.as_dict` shown after the
+# check's name, in this order; the counterexample gets a line of its own
+_TEXT_FIELDS = {"mode": "{}", "checked": "{} checked", "residual": "residual {:.3g}", "detail": "{}"}
+
 
 @dataclass
 class CheckLine:
@@ -76,24 +80,12 @@ class RunReport:
         elapsed = time.monotonic() - self.started
         out = [f"{self.command}: {'PASS' if self.passed else 'FAIL'}"]
         for line in self.checks:
-            v = line.verdict
-            mark = "ok " if v.passed else "FAIL"
-            tail = []
-            if v.mode:
-                tail.append(v.mode)
-            if v.checked:
-                tail.append(f"{v.checked} checked")
-            if v.residual_max is not None:
-                tail.append(f"residual {v.residual_max:.3g}")
-            if v.detail:
-                tail.append(v.detail)
-            suffix = f" ({', '.join(tail)})" if tail else ""
-            out.append(f"  [{mark}] {line.name}{suffix}")
-            if v.counterexample is not None:
-                out.append(
-                    "        counterexample: "
-                    + json.dumps(to_jsonable(v.counterexample))
-                )
+            d = line.as_dict()
+            tail = ", ".join(form.format(d[k]) for k, form in _TEXT_FIELDS.items() if k in d)
+            suffix = f" ({tail})" if tail else ""
+            out.append(f"  [{'ok ' if d['passed'] else 'FAIL'}] {line.name}{suffix}")
+            if "counterexample" in d:
+                out.append("        counterexample: " + json.dumps(d["counterexample"]))
         for key, value in self.data.items():
             out.append(f"  {key}: {json.dumps(to_jsonable(value))}")
         out.append(f"  elapsed: {elapsed:.3f}s")

@@ -55,7 +55,7 @@ from .groups import (
     _after,
     _sweep,
 )
-from .matrices import Matrix
+from .matrices import Matrix, _kept
 from .sampling import random_vector, sample_group_element
 from .scalars import EXACT, Backend
 
@@ -529,7 +529,6 @@ class Representation:
         self.transport_solver = transport_solver
         self.origin = origin
         self._cache: dict = {}
-        self._table = _NOT_COMPILED
         if not self.transformation(group.identity).is_identity():
             raise BasiskitError(
                 f"{self.label}: the identity element is not assigned the identity map"
@@ -556,19 +555,18 @@ class Representation:
         run their generic code, which is also the reference the table path
         must match.  A transformation that cannot be built raises here.
         """
-        if self._table is _NOT_COMPILED:
-            self._table = None
-            if self.group.store is not None and self.carrier.enumerable:
-                maps = [self.transformation(g) for g in self.group.store]
-                if maps and all(isinstance(t, MappingTransformation) for t in maps):
-                    self._table = [t.row for t in maps]
         return self._table
+
+    @_kept
+    def _table(self) -> Optional[list]:
+        if self.group.store is not None and self.carrier.enumerable:
+            maps = [self.transformation(g) for g in self.group.store]
+            if maps and all(isinstance(t, MappingTransformation) for t in maps):
+                return [t.row for t in maps]
+        return None
 
     def __repr__(self) -> str:
         return f"Representation({self.label}, side={self.side})"
-
-
-_NOT_COMPILED = object()
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -729,14 +727,14 @@ def _plan(rep: Representation, sample, samples: int, seed: int, pairs: bool = Tr
     return False, (mode, mode), elements, seconds, grids
 
 
-def _first_failure(mode: str, outcomes, checked: int = 0) -> Verdict:
+def _first_failure(mode: str, outcomes) -> Verdict:
     """Run ``(witness, holds, residual)`` outcomes lazily until one fails.
 
-    ``checked`` counts up from its start value, the failing outcome
-    included; ``residual_max`` is the worst residual of the outcomes run,
-    ``None`` when none of them measured one.
+    ``checked`` counts the outcomes run, the failing one included;
+    ``residual_max`` is the worst residual of the outcomes run, ``None``
+    when none of them measured one.
     """
-    residual = None
+    checked, residual = 0, None
     for witness, holds, r in outcomes:
         checked += 1
         residual = _worst(residual, r)
@@ -844,8 +842,8 @@ def _pair_outcomes(rep, undecided, elements, seconds, grids):
     if grids:
         values, value = [t.grid for t in maps], lambda g: f(g).grid
         mul, eq = Matrix.mul, operator.eq
-    elif all(isinstance(t, MappingTransformation) for t in maps):
-        values, value = [t.row for t in maps], lambda g: f(g).row
+    elif (rows := rep._action_table()) is not None:
+        values, value = rows, lambda g: f(g).row
         mul, eq = _after, operator.eq
     else:
         values, value = maps, f
@@ -1037,7 +1035,7 @@ def _not_closed(i: int, j: int) -> CarrierMismatch:
     )
 
 
-def contragredient(rep: Representation, sample: str = "auto") -> Representation:
+def contragredient(rep: Representation) -> Representation:
     """``h(a) = f(a^-1)``; flips variance and side.
 
     The input must classify as covariant or contravariant (abelian "both"
@@ -1045,7 +1043,7 @@ def contragredient(rep: Representation, sample: str = "auto") -> Representation:
     Applying the construction twice gives back the original assignment
     extensionally, which is why the contravariant direction is accepted.
     """
-    vv = check_variance(rep, sample=sample)
+    vv = check_variance(rep)
     if vv.verdict == "neither":
         raise NotCovariant(
             "contragredient needs a homomorphic or antihomomorphic assignment"

@@ -27,8 +27,8 @@ __all__ = [
 ]
 
 
-def random_fraction(rng: Random, span: int = 9, max_den: int = 9) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def random_fraction(rng: Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 def random_vector(rng: Random, n: int, backend: Backend) -> tuple:
@@ -38,9 +38,7 @@ def random_vector(rng: Random, n: int, backend: Backend) -> tuple:
 
 
 def _random_square(rng: Random, n: int, backend: Backend) -> Matrix:
-    rows = [[random_fraction(rng) if backend.is_exact else rng.uniform(-3.0, 3.0)
-             for _ in range(n)] for _ in range(n)]
-    return Matrix.from_rows(rows, backend)
+    return Matrix.from_rows([random_vector(rng, n, backend) for _ in range(n)], backend)
 
 
 def random_invertible_matrix(rng: Random, n: int, backend: Backend) -> Matrix:

@@ -84,11 +84,10 @@ class Backend:
 
     def close(self, xs: tuple, ys: tuple) -> bool:
         """Equal tuples: ``xs == ys`` over the rationals; in floating point
-        equal lengths and ``|x - y| <= tolerance`` at every entry."""
+        equal lengths and :meth:`compare`'s verdict."""
         if self.is_exact:
             return xs == ys
-        tol = self.tolerance
-        return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
+        return len(xs) == len(ys) and self.compare(xs, ys)[0]
 
     def compare(self, xs: tuple, ys: tuple) -> tuple:
         """``(close(xs, ys), residual)`` in one pass over the entries, the

@@ -31,7 +31,6 @@ from .groups import (
     rotation_2d,
     symmetric_group,
 )
-from .matrices import Matrix
 from .objects import (
     ObjectCarrier,
     direct_sum_functor,
@@ -43,6 +42,7 @@ from .objects import (
     vector_space_axioms_check,
 )
 from .representations import (
+    DEFAULT_SEED,
     check_laws,
     commutation_check,
     inverse_law_check,
@@ -57,7 +57,8 @@ from .representations import (
     variance_claim_check,
 )
 from .reports import RunReport
-from .scalars import EXACT, approx
+from .sampling import _random_square
+from .scalars import DEFAULT_TOLERANCE, EXACT, approx
 
 __all__ = ["run_selftest", "finite_fixtures", "so2_octant", "s3_matrix_group"]
 
@@ -74,7 +75,7 @@ def finite_fixtures() -> list:
     ]
 
 
-def so2_octant(tolerance: float = 1e-9) -> MatrixGroup:
+def so2_octant(tolerance: float = DEFAULT_TOLERANCE) -> MatrixGroup:
     """Rotations by multiples of a quarter-right-angle, stored."""
     return MatrixGroup.metric_preserving(
         2,
@@ -84,7 +85,7 @@ def so2_octant(tolerance: float = 1e-9) -> MatrixGroup:
     )
 
 
-def so11_boosts(tolerance: float = 1e-9) -> MatrixGroup:
+def so11_boosts(tolerance: float = DEFAULT_TOLERANCE) -> MatrixGroup:
     return MatrixGroup.metric_preserving(
         1,
         1,
@@ -152,7 +153,7 @@ def _invariance_battery(
 
 
 def run_selftest(
-    seed: int = 42, samples: int = 60, tolerance: float = 1e-9
+    seed: int = DEFAULT_SEED, samples: int = 60, tolerance: float = DEFAULT_TOLERANCE
 ) -> RunReport:
     report = RunReport("selftest")
     rng = Random(seed)
@@ -179,12 +180,10 @@ def run_selftest(
     report.add_verdict("S3perm/coordinate-composition", coord.composition)
     report.add_verdict("S3perm/coordinate-effectiveness", coord.effectiveness)
 
-    gs_inputs = [
-        [rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in range(3)
-    ]
-    while abs(Matrix.from_rows(gs_inputs, approx(tolerance)).det()) < 0.1:
-        gs_inputs = [[rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in range(3)]
-    gs_result = gram_schmidt(gs_inputs, (3, 0), tolerance)
+    gs_inputs = _random_square(rng, 3, approx(tolerance))
+    while abs(gs_inputs.det()) < 0.1:
+        gs_inputs = _random_square(rng, 3, approx(tolerance))
+    gs_result = gram_schmidt(gs_inputs.entries, (3, 0), tolerance)
     report.add_verdict("gram-schmidt/euclid-3", is_g_basis(gs_result))
 
     space2 = VectorSpace("euclid", 2, approx(tolerance))

@@ -1506,3 +1506,250 @@ def test_object_orbit_builds_one_transformation_per_stored_element(capsys, monke
     assert main(argv) == job["rc"]
     assert capsys.readouterr() == (job["stdout"], "")
     assert calls[0] == 12
+
+
+# -- a forced backend and a finite group's linear assignment ----------------------
+
+
+@pytest.mark.parametrize(
+    "flag, mode, residual",
+    [
+        ("--exact", "exhaustive(grids, generators=2)", None),
+        ("--approx", "sampled(k=50, seed=42)", 0.0),
+    ],
+)
+def test_a_forced_backend_parses_the_grids_of_a_finite_groups_linear_assignment(
+    capsys, flag, mode, residual
+):
+    # a Cayley table has no backend of its own, so the flag alone decides
+    # the coordinate carrier and the grids read onto it
+    path = Path(__file__).parent / "golden" / "exact" / "s4_linear_rep.json"
+    argv = ["repcheck", "--input", str(path), flag, "--samples", "50", "--report", "json"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    axioms = out["checks"][0]
+    assert (axioms["name"], axioms["mode"], axioms.get("residual")) == ("axioms", mode, residual)
+    assert out["data"]["settings"]["backend"] == flag[2:]
+
+
+# -- malformed inputs, each with its one error line --------------------------------
+
+
+Z2_TABLE = {"kind": "finite", "table": [[0, 1], [1, 0]]}
+
+
+def z2_rep(carrier, assign, group=Z2_TABLE):
+    return {"group": group, "side": "left", "carrier": carrier, "assign": assign}
+
+
+def object_doc(**fields):
+    return {"functor": {"tag": "fundamental"}, "coords": [1, 0], "anchor": plane_basis(), **fields}
+
+
+COLUMN_LINE = {"kind": "coords", "dim": 1, "layout": "column"}
+SWAP = {"kind": "permutation-table", "table": [[0, 1], [1, 0]]}
+REPCHECK = ["repcheck", "--input", "DOC"]
+COORDREP = ["basis", "coordrep", "--group", "DOC"]
+STANDARD_COORDS = ["basis", "standard-coords", "--input", "DOC", "--reference", "DOC"]
+EUCLID_PLANE = {"kind": "euclid", "dim": 2}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            REPCHECK,
+            z2_rep({"kind": "self"}, {"kind": "shift-left"}, {**Z2_TABLE, "names": ["e", 1]}),
+            "finite group: names must be strings",
+        ),
+        (
+            REPCHECK,
+            z2_rep(
+                {"kind": "self"},
+                {"kind": "shift-left"},
+                {"kind": "finite", "table": [[(i + j) % 257 for j in range(257)] for i in range(257)]},
+            ),
+            "finite group: table of size 257 exceeds the validation cap 256",
+        ),
+        (COORDREP, {"kind": "matrix", "family": "GL", "dim": 0}, "matrix group: bad dimension 0"),
+        (COORDREP, {"kind": "matrix", "family": "U", "dim": 2}, "matrix group: unknown family 'U'"),
+        (
+            COORDREP,
+            {"kind": "affine", "dim": 2, "elements": [{"P": [[1, 0], [0, 1]], "R": [0]}]},
+            "affine group element: translation length does not match linear part",
+        ),
+        (REPCHECK, z2_rep({"kind": "finite", "size": 0}, {"kind": "trivial"}), "carrier: bad size 0"),
+        (
+            REPCHECK,
+            z2_rep({"kind": "coords", "dim": 2, "layout": "diagonal"}, {"kind": "trivial"}),
+            "carrier: unknown layout 'diagonal'",
+        ),
+        (REPCHECK, z2_rep({"kind": "torus"}, {"kind": "trivial"}), "carrier: unknown kind 'torus'"),
+        (
+            REPCHECK,
+            z2_rep(
+                {"kind": "finite", "size": 2},
+                SWAP,
+                {"kind": "matrix", "family": "GL", "dim": 1, "elements": [[1], [-1]]},
+            ),
+            "permutation-table needs a finite group and a finite carrier",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "self"}, SWAP),
+            "permutation-table needs a finite group and a finite carrier",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "permutation-table", "table": [[0, 1]]}),
+            "assign: expected 2 permutations",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "linear", "matrices": [[[1]], [[-1]]]}),
+            "linear assignment needs a coordinate carrier",
+        ),
+        (
+            REPCHECK,
+            z2_rep(COLUMN_LINE, {"kind": "linear", "matrices": [[[1]]]}),
+            "assign: expected 2 matrices",
+        ),
+        (
+            REPCHECK,
+            z2_rep(COLUMN_LINE, {"kind": "linear", "matrices": [[[1]], [[-1, 0], [0, 1]]]}),
+            "assign: matrix size does not match carrier",
+        ),
+        (
+            STANDARD_COORDS,
+            {"space": {"kind": "pseudo_euclid", "dim": 2}, "vectors": [[1, 0], [0, 1]]},
+            "space: pseudo-euclid space of dimension 2 needs a signature (p, q) with q >= 1, got None",
+        ),
+        (
+            STANDARD_COORDS,
+            {"space": EUCLID_PLANE, "vectors": {"e1": [1, 0]}},
+            "basis: vectors must be a list",
+        ),
+        (
+            ["object", "--input", "DOC"],
+            object_doc(functor={"tag": "direct_sum", "parts": {"tag": "fundamental"}}),
+            "functor: parts must be a list",
+        ),
+        (
+            STANDARD_COORDS,
+            {"space": EUCLID_PLANE, "vectors": [[1, 0], 1]},
+            "basis vector: expected a list of scalars",
+        ),
+        (
+            ["object", "--input", "DOC"],
+            object_doc(w_basis=[1, 0, 0, 1]),
+            "object w_basis: expected a list of rows",
+        ),
+        (
+            ["object", "--input", "DOC"],
+            object_doc(w_basis=[[1, 0], [0]]),
+            "object w_basis: matrix rows have unequal lengths",
+        ),
+        (
+            ["object", "--input", "DOC", "--axioms"],
+            object_doc(),
+            "--axioms needs --group for sampling elements",
+        ),
+        (
+            ["object", "--input", "DOC", "--orbit"],
+            object_doc(),
+            "--orbit needs --group with stored elements",
+        ),
+    ],
+    ids=[
+        "names-not-strings",
+        "table-above-the-size-cap",
+        "matrix-group-dim-0",
+        "unknown-family",
+        "affine-translation-length",
+        "carrier-size-0",
+        "unknown-layout",
+        "unknown-carrier-kind",
+        "permutation-table-on-a-matrix-group",
+        "permutation-table-on-the-self-carrier",
+        "permutation-count",
+        "linear-on-a-finite-carrier",
+        "linear-matrix-count",
+        "linear-matrix-size",
+        "pseudo-euclid-without-signature",
+        "basis-vectors-not-a-list",
+        "functor-parts-not-a-list",
+        "vector-not-a-list",
+        "matrix-not-a-list-of-rows",
+        "ragged-rows",
+        "axioms-without-group",
+        "orbit-without-group",
+    ],
+)
+def test_malformed_input_names_its_fault_in_one_error_line(tmp_path, capsys, argv, doc, message):
+    path = write(tmp_path, "doc.json", doc)
+    code = main([path if a == "DOC" else a for a in argv])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+def test_an_element_that_is_not_json_is_exit_2(tmp_path, capsys):
+    argv = ["basis", "transform", "--input", euclid_basis(tmp_path, "b.json", [[1, 0], [0, 1]])]
+    code = main(argv + ["--group", quarter_turn_group(tmp_path), "--element", "[0, "])
+    message = "inline value is not valid JSON: Expecting value: line 1 column 5 (char 4)"
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+# -- working paths that the other tests and the workloads leave unreached -----------
+
+
+def test_trivial_assignment_on_a_coordinate_carrier(tmp_path, capsys):
+    doc = z2_rep({"kind": "coords", "dim": 2, "layout": "column"}, {"kind": "trivial"})
+    assert main(["repcheck", "--input", write(tmp_path, "rep.json", doc), "--report", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["passed"], c["mode"]) for c in out["checks"]] == [
+        ("axioms", True, "exhaustive(grids, generators=1)"),
+        ("inverse-law", True, "exhaustive"),
+        ("variance", True, "exhaustive(generators=1)"),
+    ]
+
+
+def test_orbit_of_a_coordinate_point_leaves_the_partition_unchecked(tmp_path, capsys):
+    doc = z2_rep({"kind": "coords", "dim": 2, "layout": "column"}, {"kind": "trivial"})
+    argv = ["orbit", "--input", write(tmp_path, "rep.json", doc), "--point", "[1, 2]"]
+    assert main(argv + ["--report", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["partition"] == "not checked: orbit partition needs an enumerable carrier"
+    assert (data["size"], data["points"]) == (1, [[1, 2]])
+
+
+def test_an_element_read_from_a_file(tmp_path, capsys):
+    element = write(tmp_path, "element.json", {"matrix": [[0, -1], [1, 0]]})
+    argv = ["basis", "transform", "--input", euclid_basis(tmp_path, "b.json", [[1, 0], [0, 1]])]
+    argv += ["--group", quarter_turn_group(tmp_path), "--element", "@" + element]
+    assert main(argv + ["--report", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)["data"]
+    assert data["element"] == {"matrix": [[0.0, -1.0], [1.0, 0.0]]}
+    assert data["result"]["vectors"] == [[0.0, -1.0], [1.0, 0.0]]
+
+
+def test_object_axioms_sample_an_unstored_float_boost_group(tmp_path, capsys):
+    anchor = {"space": {"kind": "pseudo_euclid", "dim": 2, "signature": [1, 1]}, "vectors": [[1, 0], [0, 1]]}
+    obj = write(tmp_path, "obj.json", object_doc(anchor=anchor))
+    group = write(tmp_path, "so11.json", {"kind": "matrix", "family": "SO", "dim": 2, "signature": [1, 1]})
+    argv = ["object", "--input", obj, "--group", group, "--axioms", "--samples", "5"]
+    assert main(argv + ["--report", "json"]) == 0
+    [axioms] = json.loads(capsys.readouterr().out)["checks"]
+    assert (axioms["name"], axioms["passed"], axioms["mode"]) == (
+        "vector-space-axioms",
+        True,
+        "sampled(k=5, seed=42)",
+    )
+
+
+def test_object_axioms_on_an_unstored_so3_have_no_sampler(tmp_path, capsys):
+    space = {"kind": "euclid", "dim": 3}
+    anchor = {"space": space, "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    obj = write(tmp_path, "obj.json", object_doc(coords=[1, 0, 0], anchor=anchor))
+    group = write(tmp_path, "so3.json", {"kind": "matrix", "family": "SO", "dim": 3, "signature": [3, 0]})
+    code = main(["object", "--input", obj, "--group", group, "--axioms"])
+    message = "BasiskitError: no sampler for MatrixGroup(SO(3), backend=approx) without stored elements"
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")

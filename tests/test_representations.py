@@ -17,6 +17,7 @@ from basiskit.errors import (
     CarrierMismatch,
     CayleyTableError,
     DimensionMismatch,
+    EnumerationCapExceeded,
     InfeasibleExhaustive,
     MixedGroups,
     NoSolution,
@@ -46,6 +47,7 @@ from basiskit.representations import (
     FunctionTransformation,
     LinearTransformation,
     MappingTransformation,
+    PairTransformation,
     ProductCarrier,
     Representation,
     SelfCarrier,
@@ -355,8 +357,8 @@ def test_first_failure_counts_the_failing_case_and_stops_there():
             consumed.append(witness)
             yield witness, holds, residual
 
-    verdict = _first_failure("mode", outcomes(), checked=1)
-    assert verdict == Verdict(False, "mode", 3, "b", 0.5)
+    verdict = _first_failure("mode", outcomes())
+    assert verdict == Verdict(False, "mode", 2, "b", 0.5)
     assert consumed == ["a", "b"]
 
 
@@ -690,6 +692,14 @@ def test_classify_reports_structure_without_checking_the_laws(monkeypatch):
         assert classify(rep).single_transitive
 
 
+def test_orbit_refuses_a_store_above_the_cap():
+    rep = left_shift(cyclic_group(5))
+    base = rep.group.identity
+    with pytest.raises(EnumerationCapExceeded, match="group store of 5 exceeds the cap 4"):
+        orbit(rep, base, cap=4)
+    assert len(orbit(rep, base, cap=5).points) == 5
+
+
 def test_orbit_partition_for_intransitive_action():
     rep = swap_action_of_z2()
     report = orbit_well_defined_check(rep)
@@ -914,6 +924,29 @@ def test_compose_transformations_row_layout_order():
     combined = compose_transformations(a, b)
     u = (F(1), F(1))
     assert combined.apply(u) == a.apply(b.apply(u))
+
+
+def test_compose_transformations_column_layout_order():
+    # the column layout multiplies points from the left: the grid of
+    # ``a after b`` is ``a b``, which here is not ``b a``
+    carrier = CoordCarrier(2, "column", EXACT)
+    a = LinearTransformation(carrier, Matrix.from_rows([[1, 1], [0, 1]], EXACT))
+    b = LinearTransformation(carrier, Matrix.from_rows([[2, 0], [0, 1]], EXACT))
+    combined = compose_transformations(a, b)
+    assert combined.grid == a.grid.mul(b.grid) != b.grid.mul(a.grid)
+    u = (F(1), F(1))
+    assert combined.apply(u) == a.apply(b.apply(u))
+
+
+def test_a_pair_transformation_inverts_each_part():
+    z3 = cyclic_group(3)
+    rep = direct_product(left_shift(z3), left_shift(z3))
+    g = z3.element(1)
+    inverse = rep.transformation(g).inverted()
+    assert isinstance(inverse, PairTransformation)
+    assert transformations_equal(inverse, rep.transformation(z3.inverse_element(g)))
+    for p in rep.carrier.points():
+        assert inverse.apply(rep.apply(g, p)) == p
 
 
 # -- action tables against the generic path ---------------------------------------
