@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -30,6 +29,7 @@ from .descriptors import (
     element_from_descriptor,
     gram_schmidt_input_from_descriptor,
     group_from_descriptor,
+    inline_json,
     load_json,
     object_from_descriptor,
     point_from_descriptor,
@@ -56,6 +56,7 @@ from .objects import (
 )
 from .reports import RunReport
 from .representations import (
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     Verdict,
     check_laws,
@@ -79,12 +80,7 @@ MIN_TOLERANCE = 4 * sys.float_info.epsilon
 
 
 def _inline_or_file(value: str):
-    if value.startswith("@"):
-        return load_json(value[1:])
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"inline value is not valid JSON: {exc}") from exc
+    return load_json(value[1:]) if value.startswith("@") else inline_json(value)
 
 
 def _backend_override(args):
@@ -95,10 +91,9 @@ def _backend_override(args):
     return None
 
 
-_CAP_HELP = "enumeration cap for closures and orbits"
-
-
-def _add_common(p, report=True, backend=True, sampling=False):
+def _add_common(p, backend=True, sample=False, samples=None, cap=False):
+    """Declare the options the subcommands share, each in this one place;
+    ``samples``, a command's ``--samples`` default, also adds ``--seed``."""
     if backend:
         mode = p.add_mutually_exclusive_group()
         mode.add_argument(
@@ -107,24 +102,30 @@ def _add_common(p, report=True, backend=True, sampling=False):
         mode.add_argument(
             "--approx", action="store_true", help="force the float backend"
         )
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=DEFAULT_TOLERANCE,
-            help="comparison tolerance for the float backend (default 1e-9)",
-        )
-    if sampling:
+    p.add_argument(
+        "--tolerance",
+        type=float,
+        default=DEFAULT_TOLERANCE,
+        help="comparison tolerance for the float backend (default 1e-9)",
+    )
+    if sample:
         p.add_argument(
             "--sample",
             choices=["auto", "exhaustive", "sampled"],
             default="auto",
             help="work plan for the law checks (default auto)",
         )
-        p.add_argument("--samples", type=int, default=1000)
+    if samples is not None:
+        p.add_argument("--samples", type=int, default=samples)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help=_CAP_HELP)
-    if report:
-        p.add_argument("--report", choices=["text", "json"], default="text")
+    if cap:
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=DEFAULT_CLOSURE_CAP,
+            help="enumeration cap for closures and orbits",
+        )
+    p.add_argument("--report", choices=["text", "json"], default="text")
 
 
 def _settings_echo(args) -> dict:
@@ -152,6 +153,11 @@ def _representation(args):
     return representation_from_descriptor(
         load_json(args.input), _backend_override(args), args.tolerance, args.cap
     )
+
+
+def _read(args, parse, path):
+    """``parse`` of the descriptor at ``path``, on the backend the flags force."""
+    return parse(load_json(path), _backend_override(args), args.tolerance)
 
 
 def _group(args, backend):
@@ -211,9 +217,8 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_basis(args) -> int:
     report = RunReport(f"basis {args.action}")
-    override = _backend_override(args)
     if args.action == "transform":
-        b = basis_from_descriptor(load_json(args.input), override, args.tolerance)
+        b = _read(args, basis_from_descriptor, args.input)
         group = _group(args, b.space.backend)
         g = element_from_descriptor(_inline_or_file(args.element), group)
         mover = active_transform if args.mode == "active" else passive_transform
@@ -227,8 +232,8 @@ def _cmd_basis(args) -> int:
             # displacement's components alone
             report.add_verdict("coordinates-preserved", active_coordinates_check(b, g, moved))
     elif args.action == "change":
-        b1 = basis_from_descriptor(load_json(args.source), override, args.tolerance)
-        b2 = basis_from_descriptor(load_json(args.target), override, args.tolerance)
+        b1 = _read(args, basis_from_descriptor, args.source)
+        b2 = _read(args, basis_from_descriptor, args.target)
         group = _group(args, b1.space.backend)
         try:
             a = change_of_basis(b1, b2, group)
@@ -249,13 +254,13 @@ def _cmd_basis(args) -> int:
         report.add_verdict("orthonormalised", is_g_basis(result))
         report.data["result"] = result
     elif args.action == "standard-coords":
-        b = basis_from_descriptor(load_json(args.input), override, args.tolerance)
-        ref = basis_from_descriptor(load_json(args.reference), override, args.tolerance)
+        b = _read(args, basis_from_descriptor, args.input)
+        ref = _read(args, basis_from_descriptor, args.reference)
         sc = standard_coordinates(b, ref)
         report.data["grid"] = sc.grid
         report.data["identity"] = sc.is_identity()
     else:  # coordrep
-        group = _group(args, override)
+        group = _group(args, _backend_override(args))
         result = coordinate_representation_check(
             group, samples=args.samples, seed=args.seed
         )
@@ -265,9 +270,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_object(args) -> int:
-    obj = object_from_descriptor(
-        load_json(args.input), _backend_override(args), args.tolerance
-    )
+    obj = _read(args, object_from_descriptor, args.input)
     report = RunReport("object")
     report.data["object"] = obj
     before = representative(obj)
@@ -328,17 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repcheck", help="verify representation laws from a descriptor")
     p.add_argument("--input", required=True, help="representation descriptor path")
-    _add_common(p, sampling=True)
+    _add_common(p, sample=True, samples=DEFAULT_SAMPLES, cap=True)
     p.set_defaults(func=_cmd_repcheck)
 
     p = sub.add_parser("orbit", help="orbits and the partition property")
     p.add_argument("--input", required=True, help="representation descriptor path")
     p.add_argument("--point", help="carrier point, inline JSON or @path")
-    _add_common(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP, help=_CAP_HELP)
+    _add_common(p, cap=True)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("basis", help="basis transformations and checks")
+    p.set_defaults(func=_cmd_basis)
     basis_sub = p.add_subparsers(dest="action", required=True)
 
     q = basis_sub.add_parser("transform", help="move a basis by a group element")
@@ -347,14 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--element", required=True, help="element, inline JSON or @path")
     q.add_argument("--mode", choices=["active", "passive"], default="passive")
     _add_common(q)
-    q.set_defaults(func=_cmd_basis, action="transform")
 
     q = basis_sub.add_parser("change", help="solve for the element joining two bases")
     q.add_argument("--source", required=True, help="starting basis descriptor path")
     q.add_argument("--target", required=True, help="target basis descriptor path")
     q.add_argument("--group", required=True, help="group descriptor path")
     _add_common(q)
-    q.set_defaults(func=_cmd_basis, action="change")
 
     q = basis_sub.add_parser(
         "gram-schmidt", help="orthonormalise vectors against a diagonal metric"
@@ -364,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="path to JSON with 'signature' and 'vectors'",
     )
-    q.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    q.add_argument("--report", choices=["text", "json"], default="text")
-    q.set_defaults(func=_cmd_basis, action="gram-schmidt")
+    _add_common(q, backend=False)
 
     q = basis_sub.add_parser(
         "standard-coords", help="coordinates of a basis against a reference"
@@ -374,17 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True, help="basis descriptor path")
     q.add_argument("--reference", required=True, help="reference basis descriptor path")
     _add_common(q)
-    q.set_defaults(func=_cmd_basis, action="standard-coords")
 
     q = basis_sub.add_parser(
         "coordrep", help="coordinate transformation behaves as a representation"
     )
     q.add_argument("--group", required=True, help="group descriptor path")
-    q.add_argument("--samples", type=int, default=100)
-    q.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    q.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
-    _add_common(q)
-    q.set_defaults(func=_cmd_basis, action="coordrep")
+    _add_common(q, samples=100, cap=True)
 
     p = sub.add_parser("object", help="transform objects and check invariance")
     p.add_argument("--input", required=True, help="object descriptor path")
@@ -396,17 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check the vector space laws at this object's anchor",
     )
-    _add_common(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP)
+    _add_common(p, samples=DEFAULT_SAMPLES, cap=True)
     p.set_defaults(func=_cmd_object)
 
     p = sub.add_parser("selftest", help="run the built-in deterministic battery")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--report", choices=["text", "json"], default="text")
+    _add_common(p, backend=False, samples=60)
     p.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -428,7 +416,7 @@ def main(argv=None) -> int:
         for name in ("samples", "cap"):
             if getattr(args, name, 1) < 1:
                 raise ParseError(f"--{name} must be at least 1, got {getattr(args, name)}")
-        tolerance = getattr(args, "tolerance", DEFAULT_TOLERANCE)
+        tolerance = args.tolerance
         if not (math.isfinite(tolerance) and tolerance > 0):
             raise ParseError(
                 f"--tolerance must be a positive finite number, got {tolerance}"

@@ -3,7 +3,17 @@
 Exact scalars travel as ``"num/den"`` strings, float scalars as JSON
 numbers.  Every descriptor this module can emit it can parse back to an
 equal descriptor, which is what the command line round-trip relies on.
-Malformed input raises :class:`~basiskit.errors.ParseError` uniformly.
+
+This module checks the JSON shape of a descriptor and hands each value
+to the library constructor that already checks it, so each input rule
+is stated once.  Malformed input raises
+:class:`~basiskit.errors.ParseError`, its message prefixed once with the
+field it came from ("carrier: ...", "assign: row 2: ...").  Three library
+errors pass through as they are: :class:`~basiskit.errors.CayleyTableError`
+(a table that is no group), :class:`~basiskit.errors.MembershipError` (a
+value outside its group) and :class:`~basiskit.errors.EnumerationCapExceeded`
+(a closure or carrier over the cap).  Whether a point lies in its carrier
+is the carrier's ``contains`` to decide.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .scalars import (
 )
 
 __all__ = [
+    "inline_json",
     "load_json",
     "group_from_descriptor",
     "group_to_descriptor",
@@ -63,15 +74,20 @@ __all__ = [
 ]
 
 
+def inline_json(text: str):
+    """A JSON value given inline, as on the command line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"inline value is not valid JSON: {exc}") from exc
+
+
 def load_json(path: str):
     """Read a JSON document from a file path, or from the string itself
     when it starts with ``{`` or ``[`` (inline descriptors on the command
     line)."""
     if path.lstrip()[:1] in ("{", "["):
-        try:
-            return json.loads(path)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"inline value is not valid JSON: {exc}") from exc
+        return inline_json(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -79,6 +95,22 @@ def load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+# The library errors that reach the caller as they are.
+_PASSED = (CayleyTableError, MembershipError, EnumerationCapExceeded)
+
+
+def _checked(context: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, the library constructor that checks the
+    value; its errors but those of ``_PASSED`` raise as a
+    :class:`ParseError` prefixed with ``context``."""
+    try:
+        return build(*args, **kwargs)
+    except _PASSED:
+        raise
+    except BasiskitError as exc:
+        raise ParseError(f"{context}: {exc}") from exc
 
 
 def _need(d: dict, key: str, context: str):
@@ -130,12 +162,10 @@ def _vector_out(values, backend: Backend) -> list:
 def _matrix_from(rows, backend: Backend, context: str) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError(f"{context}: expected a list of rows")
-    try:
-        return Matrix.from_rows(
-            [[scalar_from_json(x, backend) for x in row] for row in rows], backend
-        )
-    except BasiskitError as exc:
-        raise ParseError(f"{context}: {exc}") from exc
+    def build():
+        return Matrix.from_rows([[scalar_from_json(x, backend) for x in r] for r in rows], backend)
+
+    return _checked(context, build)
 
 
 def _matrix_out(m: Matrix) -> list:
@@ -177,12 +207,7 @@ def group_from_descriptor(
             isinstance(x, str) for x in _need_list(names, "finite group: names")
         ):
             raise ParseError("finite group: names must be strings")
-        try:
-            group = validate_cayley_table(table, names=names)
-        except CayleyTableError:
-            raise
-        except BasiskitError as exc:
-            raise ParseError(f"finite group: {exc}") from exc
+        group = _checked("finite group", validate_cayley_table, table, names=names)
         declared = d.get("identity")
         if declared is not None and (
             _need_int(declared, "finite group: identity") != group.identity_index
@@ -214,14 +239,10 @@ def group_from_descriptor(
                 _element_payload(e, family, dim, backend, f"{kind} group element")
                 for e in _need_list(d["elements"], f"{kind} group: elements")
             ]
-        try:
-            group = MatrixGroup(
-                family, dim, backend, signature=signature, elements=payloads
-            )
-        except MembershipError:
-            raise
-        except BasiskitError as exc:
-            raise ParseError(f"{kind} group: {exc}") from exc
+        group = _checked(
+            f"{kind} group", MatrixGroup, family, dim, backend,
+            signature=signature, elements=payloads,
+        )
         if "generators" in d:
             gens = [
                 _element_payload(e, family, dim, backend, f"{kind} group generator")
@@ -236,10 +257,7 @@ def _element_payload(e, family: str, dim: int, backend: Backend, context: str):
     if family == "AFFINE":
         linear = _matrix_from(_need(e, "P", context), backend, context)
         shift = _vector_from(_need(e, "R", context), backend, context)
-        try:
-            return AffineTransform(linear, shift)
-        except BasiskitError as exc:
-            raise ParseError(f"{context}: {exc}") from exc
+        return _checked(context, AffineTransform, linear, shift)
     return _flat_matrix_from(e, dim, backend, context)
 
 
@@ -278,10 +296,7 @@ def element_from_descriptor(d, group) -> GroupElement:
         index = _need(d, "index", "element")
         if not _is_index(index):
             raise ParseError(f"element: bad index {index!r}")
-        try:
-            return group.element(index)
-        except BasiskitError as exc:
-            raise ParseError(f"element: {exc}") from exc
+        return _checked("element", group.element, index)
     if group.family == "AFFINE":
         payload = _element_payload(d, "AFFINE", group.dim, group.backend, "element")
     else:
@@ -316,8 +331,6 @@ def representation_from_descriptor(
         _need(d, "group", "representation"), backend, tolerance, cap
     )
     side = _need(d, "side", "representation")
-    if side not in ("left", "right"):
-        raise ParseError(f"representation: side must be left or right, got {side!r}")
     carrier_d = _need(d, "carrier", "representation")
     carrier_kind = _need(carrier_d, "kind", "carrier")
     assign_d = _need(d, "assign", "representation")
@@ -328,24 +341,19 @@ def representation_from_descriptor(
             raise ParseError("shift assignments need the self carrier")
         expected_side = "left" if assign_kind == "shift-left" else "right"
         if side != expected_side:
-            raise ParseError(
-                f"{assign_kind} is a {expected_side}-side representation"
-            )
+            raise ParseError(f"{assign_kind} is a {expected_side}-side representation")
         return left_shift(group) if side == "left" else right_shift(group)
 
     if carrier_kind == "finite":
         size = _need_int(_need(carrier_d, "size", "carrier"), "carrier: size")
-        if size < 1:
-            raise ParseError(f"carrier: bad size {size!r}")
         if size > cap:
             raise EnumerationCapExceeded(f"finite carrier of {size} points exceeds the cap {cap}")
-        carrier = FiniteCarrier(size)
+        carrier = _checked("carrier", FiniteCarrier, size)
     elif carrier_kind == "coords":
         dim = _need_int(_need(carrier_d, "dim", "carrier"), "carrier: dim")
         layout = _need(carrier_d, "layout", "carrier")
-        if layout not in ("row", "column"):
-            raise ParseError(f"carrier: unknown layout {layout!r}")
-        carrier = CoordCarrier(dim, layout, backend or getattr(group, "backend", EXACT))
+        carrier_backend = backend or getattr(group, "backend", EXACT)
+        carrier = _checked("carrier", CoordCarrier, dim, layout, carrier_backend)
     elif carrier_kind == "self":
         carrier = SelfCarrier(group)
     else:
@@ -357,79 +365,53 @@ def representation_from_descriptor(
             fixed = LinearTransformation.trusted(carrier, identity)
         else:  # the identity row is a permutation by construction
             fixed = MappingTransformation.trusted(carrier, list(range(len(carrier.points()))))
-        rep = Representation(group, carrier, side, lambda g: fixed, label="trivial")
+        assign = lambda g: fixed
     elif assign_kind == "permutation-table":
-        if not isinstance(group, FiniteGroup) or not isinstance(
-            carrier, FiniteCarrier
-        ):
-            raise ParseError(
-                "permutation-table needs a finite group and a finite carrier"
-            )
-        perms = _need(assign_d, "table", "assign")
-        if not isinstance(perms, list) or len(perms) != group.order:
-            raise ParseError(
-                f"assign: expected {group.order} permutations"
-            )
-        for i, perm in enumerate(perms):
-            if (
-                not isinstance(perm, list)
-                or not all(_is_index(x) for x in perm)
-                or sorted(perm) != list(range(carrier.size))
-            ):
-                raise ParseError(
-                    f"assign: row {i} is not a permutation of the carrier"
-                )
-
-        def assign(g, _carrier=carrier, _perms=perms):
-            # each row was checked above to be a permutation of the carrier
-            return MappingTransformation.trusted(_carrier, _perms[g.payload])
-
-        rep = Representation(group, carrier, side, assign, label="permutation-table")
+        if not (isinstance(group, FiniteGroup) and isinstance(carrier, FiniteCarrier)):
+            raise ParseError("permutation-table needs a finite group and a finite carrier")
+        rows = _need(assign_d, "table", "assign")
+        if not isinstance(rows, list) or len(rows) != group.order:
+            raise ParseError(f"assign: expected {group.order} permutations")
+        maps = [
+            _checked(f"assign: row {i}", MappingTransformation, carrier,
+                     _need_list(row, f"assign: row {i}"))
+            for i, row in enumerate(rows)
+        ]
+        assign = lambda g: maps[g.payload]
     elif assign_kind == "linear":
         if not isinstance(carrier, CoordCarrier):
             raise ParseError("linear assignment needs a coordinate carrier")
         if isinstance(group, FiniteGroup):
-            grids_d = _need(assign_d, "matrices", "assign")
-            if not isinstance(grids_d, list) or len(grids_d) != group.order:
+            grids = _need(assign_d, "matrices", "assign")
+            if not isinstance(grids, list) or len(grids) != group.order:
                 raise ParseError(f"assign: expected {group.order} matrices")
-            grids = [
-                _matrix_from(rows, carrier.backend, "assign matrix")
-                for rows in grids_d
+            maps = [
+                _checked(f"assign: matrix {i}", LinearTransformation, carrier,
+                         _matrix_from(rows, carrier.backend, f"assign: matrix {i}"))
+                for i, rows in enumerate(grids)
             ]
-            for grid in grids:
-                if grid.nrows != carrier.dim or grid.ncols != carrier.dim:
-                    raise ParseError("assign: matrix size does not match carrier")
-
-            def assign(g, _carrier=carrier, _grids=grids):
-                return LinearTransformation(_carrier, _grids[g.payload])
-
+            assign = lambda g: maps[g.payload]
         else:
             if group.family == "AFFINE":
                 raise ParseError("linear assignment needs a matrix group, not an affine one")
             if group.dim != carrier.dim:
-                raise ParseError(
-                    "linear assignment: carrier dimension differs from the group's"
-                )
-
-            def assign(g, _carrier=carrier):
-                # membership decided that a member is invertible, and a
-                # product or an inverse of members is one by construction
-                return LinearTransformation.trusted(_carrier, g.payload)
-
-        rep = Representation(group, carrier, side, assign, label="linear")
+                raise ParseError("linear assignment: carrier dimension differs from the group's")
+            # membership decided that a member is invertible, and a
+            # product or an inverse of members is one by construction
+            assign = lambda g: LinearTransformation.trusted(carrier, g.payload)
     else:
         raise ParseError(f"assign: unknown kind {assign_kind!r}")
-    return rep
+    return _checked(
+        "representation", Representation, group, carrier, side, assign, label=assign_kind
+    )
 
 
 def point_from_descriptor(raw, carrier):
-    """Interpret an inline JSON value as a carrier point."""
+    """Interpret an inline JSON value as a carrier point.  Only its form is
+    read here; whether it lies in the carrier is ``carrier.contains``'s to
+    decide."""
     if isinstance(carrier, FiniteCarrier):
-        if not _is_index(raw):
-            raise ParseError(f"point: expected an integer index, got {raw!r}")
-        if not 0 <= raw < carrier.size:
-            raise ParseError(f"point: {raw} outside 0..{carrier.size - 1}")
-        return raw
+        return _need_int(raw, "point")
     if isinstance(carrier, CoordCarrier):
         return _vector_from(raw, carrier.backend, "point")
     if isinstance(carrier, SelfCarrier):
@@ -448,10 +430,7 @@ def _space_from_descriptor(
     signature = _signature_from(d.get("signature"), "space: signature")
     if backend is None:
         backend = approx(tolerance) if kind in ("euclid", "pseudo_euclid") else EXACT
-    try:
-        return VectorSpace(kind, dim, backend, signature=signature)
-    except BasiskitError as exc:
-        raise ParseError(f"space: {exc}") from exc
+    return _checked("space", VectorSpace, kind, dim, backend, signature=signature)
 
 
 def basis_from_descriptor(
@@ -465,10 +444,7 @@ def basis_from_descriptor(
     origin = None
     if d.get("origin") is not None:
         origin = _vector_from(d["origin"], space.backend, "basis origin")
-    try:
-        return Basis.make(space, vectors, origin)
-    except BasiskitError as exc:
-        raise ParseError(f"basis: {exc}") from exc
+    return _checked("basis", Basis.make, space, vectors, origin)
 
 
 def basis_to_descriptor(b: Basis) -> dict:
@@ -503,22 +479,16 @@ def gram_schmidt_input_from_descriptor(d) -> tuple:
 
 def functor_from_descriptor(d: dict) -> TypeAFunctor:
     tag = _need(d, "tag", "functor")
-    try:
-        if tag == "tensor_power":
-            return TypeAFunctor(tag, power=_need_int(_need(d, "k", "functor"), "functor: k"))
-        if tag == "direct_sum":
-            parts = _need(d, "parts", "functor")
-            if not isinstance(parts, list):
-                raise ParseError("functor: parts must be a list")
-            return TypeAFunctor(
-                tag, parts=tuple(functor_from_descriptor(p) for p in parts)
-            )
-        return TypeAFunctor(tag)
-    except ParseError:
-        # raised with its context already, here or by a part
-        raise
-    except BasiskitError as exc:
-        raise ParseError(f"functor: {exc}") from exc
+    if tag == "tensor_power":
+        power = _need_int(_need(d, "k", "functor"), "functor: k")
+        return _checked("functor", TypeAFunctor, tag, power=power)
+    if tag == "direct_sum":
+        parts = _need(d, "parts", "functor")
+        if not isinstance(parts, list):
+            raise ParseError("functor: parts must be a list")
+        parts = tuple(functor_from_descriptor(p) for p in parts)
+        return _checked("functor", TypeAFunctor, tag, parts=parts)
+    return _checked("functor", TypeAFunctor, tag)
 
 
 def functor_to_descriptor(f: TypeAFunctor) -> dict:
@@ -543,10 +513,7 @@ def object_from_descriptor(
     w_basis = None
     if d.get("w_basis") is not None:
         w_basis = _matrix_from(d["w_basis"], be, "object w_basis")
-    try:
-        return GeometricalObject.make(functor, coords, anchor, w_basis)
-    except BasiskitError as exc:
-        raise ParseError(f"object: {exc}") from exc
+    return _checked("object", GeometricalObject.make, functor, coords, anchor, w_basis)
 
 
 def object_to_descriptor(obj: GeometricalObject) -> dict:

@@ -113,7 +113,8 @@ DEFAULT_SEED = 42
 # point index of orbits (:class:`~basiskit.groups.PointIndex`) a point's
 # scalars, ``entries(p)``, and the ``tolerance`` of its equality.  An
 # enumerable carrier also gives ``index(p)``, the position of ``p`` in
-# ``points()``, or ``None`` for a point outside it.
+# ``points()``, or ``None`` for a point outside it: ``contains(p)`` is
+# ``index(p) is not None``.
 
 
 class FiniteCarrier:
@@ -124,7 +125,7 @@ class FiniteCarrier:
 
     def __init__(self, size: int):
         if size < 1:
-            raise BasiskitError("carrier needs at least one point")
+            raise BasiskitError(f"a finite carrier needs at least one point, got size {size}")
         self.size = size
         self._points = tuple(range(size))
 
@@ -160,7 +161,7 @@ class CoordCarrier:
         if layout not in ("row", "column"):
             raise BasiskitError(f"unknown layout {layout!r}")
         if dim < 1:
-            raise BasiskitError("carrier needs positive dimension")
+            raise BasiskitError(f"a coordinate carrier needs a positive dimension, got {dim}")
         self.dim = dim
         self.layout = layout
         self.backend = backend
@@ -205,10 +206,15 @@ class SelfCarrier:
         return self.group.store
 
     def contains(self, p) -> bool:
-        return isinstance(p, GroupElement) and p.group is self.group
+        """An element of the group; of a stored group, a stored one."""
+        if self.group.store is None:
+            return isinstance(p, GroupElement) and p.group is self.group
+        return self.index(p) is not None
 
     def index(self, p) -> Optional[int]:
-        return self.group.index_of(p) if self.contains(p) else None
+        if isinstance(p, GroupElement) and p.group is self.group:
+            return self.group.index_of(p)
+        return None
 
     def point_eq(self, p, q) -> bool:
         return p.eq_to(q)
@@ -1084,11 +1090,13 @@ def orbit(rep: Representation, base, cap: int = DEFAULT_CLOSURE_CAP) -> Orbit:
             f"group store of {len(elements)} exceeds the cap {cap}"
         )
     carrier = rep.carrier
-    if not carrier.contains(base):
+    # an enumerable carrier contains exactly the points it indexes
+    j = carrier.index(base) if carrier.enumerable else None
+    if j is None and (carrier.enumerable or not carrier.contains(base)):
         raise CarrierMismatch(f"base point {base!r} is not in the carrier")
     table = rep._action_table()
     if table is not None:
-        points, j = carrier.points(), carrier.index(base)
+        points = carrier.points()
         images = ((points[row[j]], g) for row, g in zip(table, elements))
     else:
         images = ((rep.apply(g, base), g) for g in elements)

@@ -92,7 +92,8 @@ class Backend:
     def compare(self, xs: tuple, ys: tuple) -> tuple:
         """``(close(xs, ys), residual)`` in one pass over the entries, the
         residual the largest entrywise ``|x - y|`` as a float, 0.0 for
-        empty tuples; unequal lengths raise :class:`DimensionMismatch`."""
+        empty tuples and ``inf`` for an exact one beyond the float range;
+        unequal lengths raise :class:`DimensionMismatch`."""
         if len(xs) != len(ys):
             raise DimensionMismatch(f"vector lengths differ: {len(xs)} vs {len(ys)}")
         # exactly, ``|x - y| <= 0`` is ``x == y``; ``worst`` is what
@@ -104,7 +105,10 @@ class Backend:
                 holds = False
             if worst is None or d > worst:
                 worst = d
-        return holds, 0.0 if worst is None else float(worst)
+        try:
+            return holds, 0.0 if worst is None else float(worst)
+        except OverflowError:
+            return holds, math.inf
 
     def measure(self, xs: tuple, ys: tuple) -> tuple:
         """``(holds, residual)`` of a check's comparison: :meth:`compare`

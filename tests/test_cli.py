@@ -1549,6 +1549,7 @@ def object_doc(**fields):
 COLUMN_LINE = {"kind": "coords", "dim": 1, "layout": "column"}
 SWAP = {"kind": "permutation-table", "table": [[0, 1], [1, 0]]}
 REPCHECK = ["repcheck", "--input", "DOC"]
+ORBIT = ["orbit", "--input", "DOC"]
 COORDREP = ["basis", "coordrep", "--group", "DOC"]
 STANDARD_COORDS = ["basis", "standard-coords", "--input", "DOC", "--reference", "DOC"]
 EUCLID_PLANE = {"kind": "euclid", "dim": 2}
@@ -1578,7 +1579,16 @@ EUCLID_PLANE = {"kind": "euclid", "dim": 2}
             {"kind": "affine", "dim": 2, "elements": [{"P": [[1, 0], [0, 1]], "R": [0]}]},
             "affine group element: translation length does not match linear part",
         ),
-        (REPCHECK, z2_rep({"kind": "finite", "size": 0}, {"kind": "trivial"}), "carrier: bad size 0"),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 0}, {"kind": "trivial"}),
+            "carrier: a finite carrier needs at least one point, got size 0",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "coords", "dim": 0, "layout": "row"}, {"kind": "trivial"}),
+            "carrier: a coordinate carrier needs a positive dimension, got 0",
+        ),
         (
             REPCHECK,
             z2_rep({"kind": "coords", "dim": 2, "layout": "diagonal"}, {"kind": "trivial"}),
@@ -1617,7 +1627,67 @@ EUCLID_PLANE = {"kind": "euclid", "dim": 2}
         (
             REPCHECK,
             z2_rep(COLUMN_LINE, {"kind": "linear", "matrices": [[[1]], [[-1, 0], [0, 1]]]}),
-            "assign: matrix size does not match carrier",
+            "assign: matrix 1: grid is 2x2, carrier dimension 1",
+        ),
+        (
+            REPCHECK,
+            z2_rep(COLUMN_LINE, {"kind": "linear", "matrices": [[[1]], [[1], [0, 1]]]}),
+            "assign: matrix 1: matrix rows have unequal lengths",
+        ),
+        # a singular matrix is refused when the descriptor is read, by
+        # every command, whether or not the command reaches that element
+        *(
+            (
+                argv,
+                z2_rep(COLUMN_LINE, {"kind": "linear", "matrices": [[[1]], [[0]]]}),
+                "assign: matrix 1: transformation grid is singular",
+            )
+            for argv in (REPCHECK, ORBIT, ORBIT + ["--point", "[1]"])
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "permutation-table", "table": [[0, 1], [True, 0]]}),
+            "assign: row 1: mapping sends point 0 outside the carrier",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "permutation-table", "table": [[0, 1], 3]}),
+            "assign: row 1: expected a list, got 3",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "permutation-table", "table": [[0, 1], [1, 1]]}),
+            "assign: row 1: mapping is not injective",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "permutation-table", "table": [[0, 1], [1]]}),
+            "assign: row 1: mapping covers 1 of 2 points",
+        ),
+        (
+            REPCHECK,
+            z2_rep({"kind": "finite", "size": 2}, {"kind": "permutation-table", "table": [[1, 0], [0, 1]]}),
+            "representation: permutation-table: the identity element is not assigned the identity map",
+        ),
+        (
+            ORBIT + ["--point", "2"],
+            z2_rep({"kind": "finite", "size": 2}, SWAP),
+            "CarrierMismatch: base point 2 is not in the carrier",
+        ),
+        (
+            ORBIT + ["--point", "true"],
+            z2_rep({"kind": "finite", "size": 2}, SWAP),
+            "point: expected an integer, got True",
+        ),
+        (
+            REPCHECK,
+            {**z2_rep({"kind": "finite", "size": 2}, SWAP), "side": "up"},
+            "representation: side must be 'left' or 'right', got 'up'",
+        ),
+        (
+            REPCHECK,
+            {**z2_rep({"kind": "self"}, {"kind": "shift-left"}), "side": "up"},
+            "shift-left is a left-side representation",
         ),
         (
             STANDARD_COORDS,
@@ -1667,6 +1737,7 @@ EUCLID_PLANE = {"kind": "euclid", "dim": 2}
         "unknown-family",
         "affine-translation-length",
         "carrier-size-0",
+        "carrier-dim-0",
         "unknown-layout",
         "unknown-carrier-kind",
         "permutation-table-on-a-matrix-group",
@@ -1675,6 +1746,19 @@ EUCLID_PLANE = {"kind": "euclid", "dim": 2}
         "linear-on-a-finite-carrier",
         "linear-matrix-count",
         "linear-matrix-size",
+        "linear-matrix-ragged",
+        "singular-linear-matrix-repcheck",
+        "singular-linear-matrix-orbit",
+        "singular-linear-matrix-orbit-point",
+        "permutation-row-holding-true",
+        "permutation-row-a-number",
+        "permutation-row-not-injective",
+        "permutation-row-short",
+        "permutation-identity-row-not-the-identity",
+        "point-outside-a-finite-carrier",
+        "point-true-on-a-finite-carrier",
+        "side-unknown",
+        "side-unknown-under-a-shift",
         "pseudo-euclid-without-signature",
         "basis-vectors-not-a-list",
         "functor-parts-not-a-list",
@@ -1753,3 +1837,65 @@ def test_object_axioms_on_an_unstored_so3_have_no_sampler(tmp_path, capsys):
     code = main(["object", "--input", obj, "--group", group, "--axioms"])
     message = "BasiskitError: no sampler for MatrixGroup(SO(3), backend=approx) without stored elements"
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+def test_an_orbit_point_outside_a_stored_groups_store_is_exit_2(tmp_path, capsys):
+    # a member of GL(2) that is not among the four stored elements
+    group = {"kind": "matrix", "family": "GL", "dim": 2, "elements": [[1, 0, 0, 1], [0, -1, 1, 0], [-1, 0, 0, -1], [0, 1, -1, 0]]}
+    doc = {"group": group, "side": "left", "carrier": {"kind": "self"}, "assign": {"kind": "shift-left"}}
+    argv = ["orbit", "--input", write(tmp_path, "rep.json", doc)]
+    code = main(argv + ["--point", '{"matrix": [[2, 0], [0, 1]]}'])
+    point = "<matrix(((Fraction(2, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 1))))>"
+    message = f"CarrierMismatch: base point {point} is not in the carrier"
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+    assert main(argv + ["--point", '{"matrix": [[0, -1], [1, 0]]}', "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["size"] == 4
+
+
+def test_an_exact_residual_beyond_the_float_range_reads_inf(tmp_path, capsys):
+    group = {"kind": "matrix", "family": "SL", "dim": 2, "elements": [[1, 0, 0, 1], [10**400, 0, 0, 1]]}
+    code = main(["basis", "coordrep", "--group", write(tmp_path, "group.json", group)])
+    assert (code, *capsys.readouterr()) == (2, "", "error: value is not in SL(2) (residual inf)\n")
+
+
+# every subcommand's options with their defaults; the settings echo of a
+# report prints them, so none may move
+COMMON = {"--tolerance": 1e-9, "--report": "text"}
+BACKEND = {"--exact": False, "--approx": False}
+OPTIONS = {
+    "repcheck": {
+        "--input": None, **BACKEND, **COMMON,
+        "--sample": "auto", "--samples": 1000, "--seed": 42, "--cap": 100000,
+    },
+    "orbit": {"--input": None, "--point": None, **BACKEND, **COMMON, "--cap": 100000},
+    "basis transform": {
+        "--input": None, "--group": None, "--element": None, "--mode": "passive", **BACKEND, **COMMON,
+    },
+    "basis change": {"--source": None, "--target": None, "--group": None, **BACKEND, **COMMON},
+    "basis gram-schmidt": {"--input": None, **COMMON},
+    "basis standard-coords": {"--input": None, "--reference": None, **BACKEND, **COMMON},
+    "basis coordrep": {
+        "--group": None, **BACKEND, **COMMON, "--samples": 100, "--seed": 42, "--cap": 100000,
+    },
+    "object": {
+        "--input": None, "--group": None, "--element": None, "--orbit": False, "--axioms": False,
+        **BACKEND, **COMMON, "--samples": 1000, "--seed": 42, "--cap": 100000,
+    },
+    "selftest": {**COMMON, "--samples": 60, "--seed": 42},
+}
+
+
+def _options(parser, prefix=()) -> dict:
+    """``{subcommand: {option: default}}`` over every leaf parser."""
+    found, own = {}, {}
+    for action in parser._actions:
+        if action.choices is not None and not action.option_strings:
+            for name, sub in action.choices.items():
+                found.update(_options(sub, (*prefix, name)))
+        elif action.option_strings and action.dest != "help":
+            own[action.option_strings[0]] = action.default
+    return found or {" ".join(prefix): own}
+
+
+def test_each_subcommand_keeps_its_options_and_defaults():
+    assert _options(build_parser()) == OPTIONS

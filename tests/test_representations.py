@@ -783,6 +783,24 @@ def test_twin_needs_a_unique_transport():
         twin_representation(rep)
 
 
+def test_a_self_carrier_of_a_stored_group_holds_only_the_stored_elements():
+    quarter_turns = [[[1, 0], [0, 1]], [[0, -1], [1, 0]], [[-1, 0], [0, -1]], [[0, 1], [-1, 0]]]
+    group = MatrixGroup.general_linear(2, elements=quarter_turns)
+    carrier = SelfCarrier(group)
+    inside, outside = group.element([[0, -1], [1, 0]]), group.element([[2, 0], [0, 1]])
+    assert (carrier.contains(inside), carrier.index(inside)) == (True, 1)
+    assert (carrier.contains(outside), carrier.index(outside)) == (False, None)
+    assert not ProductCarrier(carrier, FiniteCarrier(2)).contains((outside, 0))
+    rep = left_shift(group)
+    with pytest.raises(CarrierMismatch, match="^base point .* is not in the carrier$"):
+        orbit(rep, outside)
+    with pytest.raises(CarrierMismatch, match="^origin .* is not in the carrier$"):
+        twin_representation(rep, origin=outside)
+    # without a store, every element of the group is a point of its carrier
+    unstored = MatrixGroup.general_linear(2)
+    assert SelfCarrier(unstored).contains(unstored.element([[2, 0], [0, 1]]))
+
+
 def test_twin_respects_chosen_origin():
     s3 = symmetric_group(3)
     f = left_shift(s3)

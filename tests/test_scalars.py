@@ -109,6 +109,12 @@ def test_compare_keeps_the_first_nan_rule_and_signed_zeros():
     assert close_and_residual(EXACT, (Fraction(1, 3),), (Fraction(-1, 3),)) == (False, (2 / 3).hex())
 
 
+def test_an_exact_residual_beyond_the_float_range_is_inf():
+    huge = Fraction(10**400)
+    assert EXACT.compare((huge, Fraction(0)), (Fraction(0), Fraction(0))) == (False, inf)
+    assert EXACT.compare((-huge,), (huge,)) == (False, inf)
+
+
 @pytest.mark.parametrize("backend", [APPROX, EXACT], ids=["approx", "exact"])
 def test_compare_refuses_unequal_lengths(backend):
     one = backend.one()
