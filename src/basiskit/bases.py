@@ -19,7 +19,6 @@ the single transformation for the product ``b a``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from random import Random
 from typing import Optional, Sequence
 
@@ -48,6 +47,7 @@ from .representations import (
     _single_elements,
     check_axioms,
 )
+from .records import Frozen, _set
 from .sampling import random_vector, sample_group_element
 from .scalars import DEFAULT_TOLERANCE, Backend, approx
 
@@ -79,33 +79,43 @@ SPACE_KINDS = ("central_affine", "affine", "euclid", "pseudo_euclid")
 VECTORS_PER_PAIR = 3
 
 
-@dataclass(frozen=True)
-class VectorSpace:
+class VectorSpace(Frozen):
     """A finite-dimensional space with a kind, backend, and optional metric."""
 
-    kind: str
-    dim: int
-    backend: Backend
-    signature: Optional[tuple] = None
+    _fields = ("kind", "dim", "backend", "signature")
 
-    def __post_init__(self):
-        if self.kind not in SPACE_KINDS:
-            raise BasiskitError(f"unknown space kind {self.kind!r}")
-        if self.dim < 1:
+    def __init__(self, kind: str, dim: int, backend: Backend, signature: Optional[tuple] = None):
+        if kind not in SPACE_KINDS:
+            raise BasiskitError(f"unknown space kind {kind!r}")
+        if dim < 1:
             raise BasiskitError("space dimension must be positive")
-        if self.kind == "pseudo_euclid":
-            sig = self.signature
-            if sig is None or len(sig) != 2 or sig[0] + sig[1] != self.dim or sig[1] < 1:
+        if kind == "pseudo_euclid":
+            sig = signature
+            if sig is None or len(sig) != 2 or sig[0] + sig[1] != dim or sig[1] < 1:
                 raise BasiskitError(
-                    f"pseudo-euclid space of dimension {self.dim} needs a "
+                    f"pseudo-euclid space of dimension {dim} needs a "
                     f"signature (p, q) with q >= 1, got {sig}"
                 )
-        elif self.kind == "euclid":
-            if self.signature not in (None, (self.dim, 0)):
+        elif kind == "euclid":
+            if signature not in (None, (dim, 0)):
                 raise BasiskitError("euclid signature must be (dim, 0)")
-            object.__setattr__(self, "signature", (self.dim, 0))
-        elif self.signature is not None:
-            raise BasiskitError(f"{self.kind} space takes no signature")
+            signature = (dim, 0)
+        elif signature is not None:
+            raise BasiskitError(f"{kind} space takes no signature")
+        _set(self, "kind", kind)
+        _set(self, "dim", dim)
+        _set(self, "backend", backend)
+        _set(self, "signature", signature)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.dim, self.backend, self.signature) == (
+                other.kind, other.dim, other.backend, other.signature
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.dim, self.backend, self.signature))
 
     @property
     def has_metric(self) -> bool:
@@ -118,13 +128,25 @@ class VectorSpace:
         return (1,) * p + (-1,) * q
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Frozen):
     """Ordered independent vectors, with an origin point for affine spaces."""
 
-    space: VectorSpace
-    vectors: tuple
-    origin: Optional[tuple] = None
+    _fields = ("space", "vectors", "origin")
+
+    def __init__(self, space: VectorSpace, vectors: tuple, origin: Optional[tuple] = None):
+        _set(self, "space", space)
+        _set(self, "vectors", vectors)
+        _set(self, "origin", origin)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.space, self.vectors, self.origin) == (
+                other.space, other.vectors, other.origin
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.vectors, self.origin))
 
     @classmethod
     def make(
@@ -167,24 +189,28 @@ class Basis:
         )
 
 
-@dataclass(frozen=True)
-class StandardCoordinates:
+class StandardCoordinates(Frozen):
     """Row ``k`` holds the coordinates of basis vector ``e_k`` in the reference."""
 
-    grid: Matrix
-    basis: Basis
-    reference: Basis
+    _fields = ("grid", "basis", "reference")
+
+    def __init__(self, grid: Matrix, basis: Basis, reference: Basis):
+        _set(self, "grid", grid)
+        _set(self, "basis", basis)
+        _set(self, "reference", reference)
 
     def is_identity(self) -> bool:
         return self.grid.is_identity()
 
 
-@dataclass(frozen=True)
-class CoordinateVector:
+class CoordinateVector(Frozen):
     """Components of a vector relative to a basis."""
 
-    components: tuple
-    basis: Basis
+    _fields = ("components", "basis")
+
+    def __init__(self, components: tuple, basis: Basis):
+        _set(self, "components", components)
+        _set(self, "basis", basis)
 
     def reconstruct(self) -> tuple:
         """Ambient vector ``sum_k components[k] e_k``."""
@@ -375,10 +401,12 @@ def coordinate_transformation(cv: CoordinateVector, a: GroupElement) -> Coordina
     return CoordinateVector(new_components, passive_transform(cv.basis, a))
 
 
-@dataclass(frozen=True)
-class CoordinateRepCheckReport:
-    composition: Verdict
-    effectiveness: Verdict
+class CoordinateRepCheckReport(Frozen):
+    _fields = ("composition", "effectiveness")
+
+    def __init__(self, composition: Verdict, effectiveness: Verdict):
+        _set(self, "composition", composition)
+        _set(self, "effectiveness", effectiveness)
 
     @property
     def passed(self) -> bool:

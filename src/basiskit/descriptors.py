@@ -149,10 +149,14 @@ def _signature_from(value, context: str) -> Optional[tuple]:
     return tuple(value)
 
 
+def _scalars_from(values: list, backend: Backend) -> tuple:
+    return tuple(scalar_from_json(v, backend) for v in values)
+
+
 def _vector_from(values, backend: Backend, context: str) -> tuple:
     if not isinstance(values, list):
         raise ParseError(f"{context}: expected a list of scalars")
-    return tuple(scalar_from_json(v, backend) for v in values)
+    return _checked(context, _scalars_from, values, backend)
 
 
 def _vector_out(values, backend: Backend) -> list:
@@ -175,7 +179,7 @@ def _matrix_out(m: Matrix) -> list:
 def _flat_matrix_from(values, dim: int, backend: Backend, context: str) -> Matrix:
     if not isinstance(values, list) or len(values) != dim * dim:
         raise ParseError(f"{context}: expected {dim * dim} row-major scalars")
-    scalars = [scalar_from_json(v, backend) for v in values]
+    scalars = _checked(context, _scalars_from, values, backend)
     rows = [scalars[i * dim : (i + 1) * dim] for i in range(dim)]
     return Matrix.from_rows(rows, backend)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -32,6 +31,7 @@ from .errors import (
     Singular,
 )
 from .matrices import Matrix, Vector, _kept, vec_add, vector
+from .records import Frozen, _set
 from .scalars import APPROX, EXACT, Backend
 
 __all__ = [
@@ -54,8 +54,7 @@ MAX_TABLE_SIZE = 256
 DEFAULT_CLOSURE_CAP = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(Frozen):
     """An element together with the group instance that owns it.
 
     Equality and hashing bind to the owning instance, so elements of two
@@ -63,8 +62,9 @@ class GroupElement:
     product raises :class:`MixedGroups` instead of silently "working".
     """
 
-    group: object = field(repr=False)
-    payload: object
+    def __init__(self, group, payload):
+        _set(self, "group", group)
+        _set(self, "payload", payload)
 
     def __eq__(self, other) -> bool:
         return (
@@ -340,18 +340,26 @@ def _sweep(n: int, seconds, rows) -> tuple:
     return checked, None
 
 
-@dataclass(frozen=True)
-class AffineTransform:
+class AffineTransform(Frozen):
     """Invertible affine map: a linear part and a translation."""
 
-    linear: Matrix
-    translation: Vector
+    _fields = ("linear", "translation")
 
-    def __post_init__(self):
-        if not self.linear.is_square:
+    def __init__(self, linear: Matrix, translation: Vector):
+        if not linear.is_square:
             raise DimensionMismatch("affine linear part must be square")
-        if len(self.translation) != self.linear.nrows:
+        if len(translation) != linear.nrows:
             raise DimensionMismatch("translation length does not match linear part")
+        _set(self, "linear", linear)
+        _set(self, "translation", translation)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.linear, self.translation) == (other.linear, other.translation)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.linear, self.translation))
 
     @property
     def dim(self) -> int:

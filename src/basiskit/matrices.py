@@ -30,8 +30,8 @@ only a :class:`Singular` is raised anew.  Each is kept in the matrix's
 ``__dict__`` by a descriptor that takes no lock; equality and ``repr``
 read only the fields.  The result of every product and inverse kernel,
 on both backends, is built by :func:`_trusted`: ``object.__new__`` and
-the two field stores, the same instance the frozen dataclass
-``__init__`` builds, without its two ``object.__setattr__`` calls.
+the two field stores, the same instance :meth:`Matrix.__init__` builds,
+without its two ``object.__setattr__`` calls.
 
 Float kernels are bit for bit the textbook loops: a dot product is a
 left fold from ``0.0``, term after term, and elimination uses partial
@@ -61,7 +61,6 @@ reports print both.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from fractions import Fraction
 from itertools import chain
@@ -70,6 +69,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, Singular
+from .records import Frozen, _set
 from .scalars import Backend, Scalar
 
 __all__ = [
@@ -441,12 +441,19 @@ class _kept:
         return value
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """Row-major dense matrix tied to a scalar backend."""
 
-    entries: tuple
-    backend: Backend
+    _fields = ("entries", "backend")
+
+    def __init__(self, entries: tuple, backend: Backend):
+        _set(self, "entries", entries)
+        _set(self, "backend", backend)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.entries, self.backend) == (other.entries, other.backend)
+        return NotImplemented
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], backend: Backend) -> "Matrix":
@@ -499,7 +506,7 @@ class Matrix:
 
     @_kept
     def _hash(self) -> int:
-        """The dataclass hash of the fields."""
+        """The hash of the fields."""
         return hash((self.entries, self.backend))
 
     def __hash__(self) -> int:
@@ -655,8 +662,8 @@ class Matrix:
 def _trusted(entries: tuple, backend: Backend) -> Matrix:
     """``Matrix(entries, backend)`` for a kernel's result, whose row tuples
     need no check: the two fields stored in the new instance's ``__dict__``
-    in the order the frozen dataclass ``__init__`` sets them, without its
-    two ``object.__setattr__`` calls."""
+    in the order :meth:`Matrix.__init__` sets them, without its two
+    ``object.__setattr__`` calls."""
     m = object.__new__(Matrix)
     fields = m.__dict__
     fields["entries"] = entries

@@ -24,7 +24,6 @@ re-enumerating it from any of its points gives it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import isfinite
@@ -51,13 +50,13 @@ from .errors import (
 )
 from .groups import GroupElement, MatrixGroup
 from .matrices import Matrix, _fold, _kept, vec_add, vec_scale, vector
+from .records import Frozen, _set
 from .representations import (
     DEFAULT_SEED,
     GridTransformation,
     Representation,
     Verdict,
     _first_failure,
-    _worst,
 )
 from .sampling import random_vector, sample_group_element
 
@@ -86,17 +85,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TypeAFunctor:
+class TypeAFunctor(Frozen):
     """Grid-valued assignment matching the group product: ``A(ab) = A(a) A(b)``."""
 
-    tag: str
-    power: Optional[int] = None
-    parts: Optional[tuple] = None
-    table: Optional[tuple] = None
+    _fields = ("tag", "power", "parts", "table")
 
-    def __post_init__(self):
-        if self.tag not in (
+    def __init__(
+        self,
+        tag: str,
+        power: Optional[int] = None,
+        parts: Optional[tuple] = None,
+        table: Optional[tuple] = None,
+    ):
+        if tag not in (
             "identity",
             "fundamental",
             "dual",
@@ -104,13 +105,27 @@ class TypeAFunctor:
             "direct_sum",
             "table",
         ):
-            raise BasiskitError(f"unknown functor tag {self.tag!r}")
-        if self.tag == "tensor_power" and (self.power is None or self.power < 1):
+            raise BasiskitError(f"unknown functor tag {tag!r}")
+        if tag == "tensor_power" and (power is None or power < 1):
             raise BasiskitError("tensor power needs a positive exponent")
-        if self.tag == "direct_sum" and not self.parts:
+        if tag == "direct_sum" and not parts:
             raise BasiskitError("direct sum needs at least one part")
-        if self.tag == "table" and not self.table:
+        if tag == "table" and not table:
             raise BasiskitError("table functor needs its grids")
+        _set(self, "tag", tag)
+        _set(self, "power", power)
+        _set(self, "parts", parts)
+        _set(self, "table", table)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tag, self.power, self.parts, self.table) == (
+                other.tag, other.power, other.parts, other.table
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.power, self.parts, self.table))
 
     def describe(self) -> str:
         if self.tag == "tensor_power":
@@ -300,12 +315,24 @@ def _row_times_kron_power(row: tuple, m: Matrix, k: int) -> tuple:
     return tuple(_fold(map(mul, row, col), 0.0) for col in cols)
 
 
-@dataclass(frozen=True)
-class GeometricalObject:
-    functor: TypeAFunctor
-    coords: tuple
-    anchor: Basis
-    w_basis: Matrix
+class GeometricalObject(Frozen):
+    _fields = ("functor", "coords", "anchor", "w_basis")
+
+    def __init__(self, functor: TypeAFunctor, coords: tuple, anchor: Basis, w_basis: Matrix):
+        _set(self, "functor", functor)
+        _set(self, "coords", coords)
+        _set(self, "anchor", anchor)
+        _set(self, "w_basis", w_basis)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.functor, self.coords, self.anchor, self.w_basis) == (
+                other.functor, other.coords, other.anchor, other.w_basis
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.functor, self.coords, self.anchor, self.w_basis))
 
     @classmethod
     def make(
@@ -524,15 +551,21 @@ def invariance_sweep(cases, mode: str = "stored-elements") -> tuple:
     is the first failure's ``(g, before, after)`` and the residual is the
     worst that :meth:`~basiskit.scalars.Backend.measure` gives.
     """
-    witness = worst = None
+    witness = worst = backend = measure = None
     checked, total = 0, 0.0
     for obj, g, before, after in cases:
         if before is None:
             before = representative(obj)
         if after is None:
             after = _swept_representative(obj, g)
-        holds, residual = obj.anchor.space.backend.measure(before, after)
-        checked, worst = checked + 1, _worst(worst, residual)
+        if obj.anchor.space.backend is not backend:
+            backend = obj.anchor.space.backend
+            measure = backend.measure
+        holds, residual = measure(before, after)
+        checked += 1
+        # the larger residual, as ``max`` keeps it: a NaN only when it came first
+        if residual is not None and (worst is None or residual > worst):
+            worst = residual
         total += residual or 0.0
         if witness is None and not holds:
             witness = (g, before, after)

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from .descriptors import to_jsonable
+from .records import Record
 from .representations import Verdict
 
 SCHEMA = "basiskit/1"
@@ -24,10 +24,12 @@ __all__ = ["SCHEMA", "CheckLine", "RunReport"]
 _TEXT_FIELDS = {"mode": "{}", "checked": "{} checked", "residual": "residual {:.3g}", "detail": "{}"}
 
 
-@dataclass
-class CheckLine:
-    name: str
-    verdict: Verdict
+class CheckLine(Record):
+    _fields = ("name", "verdict")
+
+    def __init__(self, name: str, verdict: Verdict):
+        self.name = name
+        self.verdict = verdict
 
     def as_dict(self) -> dict:
         v = self.verdict
@@ -45,12 +47,23 @@ class CheckLine:
         return d
 
 
-@dataclass
-class RunReport:
-    command: str
-    checks: List[CheckLine] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    started: float = field(default_factory=time.monotonic)
+class RunReport(Record):
+    """A command's check lines and data; ``checks`` and ``data`` start as
+    a new list and dict and ``started`` as the time of construction."""
+
+    _fields = ("command", "checks", "data", "started")
+
+    def __init__(
+        self,
+        command: str,
+        checks: Optional[List[CheckLine]] = None,
+        data: Optional[dict] = None,
+        started: Optional[float] = None,
+    ):
+        self.command = command
+        self.checks = [] if checks is None else checks
+        self.data = {} if data is None else data
+        self.started = time.monotonic() if started is None else started
 
     def add(self, line: CheckLine) -> None:
         self.checks.append(line)

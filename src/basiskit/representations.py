@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Optional
 
@@ -56,6 +55,7 @@ from .groups import (
     _sweep,
 )
 from .matrices import Matrix, _kept
+from .records import Frozen, _set
 from .sampling import random_vector, sample_group_element
 from .scalars import EXACT, Backend
 
@@ -578,8 +578,7 @@ class Representation:
 # -- verdicts ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Frozen):
     """Outcome of a check: what was checked, how, and any witness.
 
     ``residual_max`` is the worst residual the check measured, 0.0
@@ -589,46 +588,84 @@ class Verdict:
     equality alone.  A report shows it exactly when it is not ``None``.
     """
 
-    passed: bool
-    mode: str = ""
-    checked: int = 0
-    counterexample: Optional[tuple] = None
-    residual_max: Optional[float] = None
-    detail: str = ""
+    _fields = ("passed", "mode", "checked", "counterexample", "residual_max", "detail")
+
+    def __init__(
+        self,
+        passed: bool,
+        mode: str = "",
+        checked: int = 0,
+        counterexample: Optional[tuple] = None,
+        residual_max: Optional[float] = None,
+        detail: str = "",
+    ):
+        _set(self, "passed", passed)
+        _set(self, "mode", mode)
+        _set(self, "checked", checked)
+        _set(self, "counterexample", counterexample)
+        _set(self, "residual_max", residual_max)
+        _set(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class VarianceVerdict:
-    verdict: str
-    mode: str
-    homomorphism_witness: Optional[tuple] = None
-    antihomomorphism_witness: Optional[tuple] = None
-    checked: int = 0
+class VarianceVerdict(Frozen):
+    _fields = ("verdict", "mode", "homomorphism_witness", "antihomomorphism_witness", "checked")
+
+    def __init__(
+        self,
+        verdict: str,
+        mode: str,
+        homomorphism_witness: Optional[tuple] = None,
+        antihomomorphism_witness: Optional[tuple] = None,
+        checked: int = 0,
+    ):
+        _set(self, "verdict", verdict)
+        _set(self, "mode", mode)
+        _set(self, "homomorphism_witness", homomorphism_witness)
+        _set(self, "antihomomorphism_witness", antihomomorphism_witness)
+        _set(self, "checked", checked)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(Frozen):
     """The structure of a representation; the laws are checked apart, by
     :func:`check_laws`."""
 
-    kernel: tuple
-    effective: bool
-    transitive: bool
-    unreachable_pair: Optional[tuple]
-    single_transitive: bool
-    unique_transport: bool
-    uniqueness_agrees: bool
+    _fields = (
+        "kernel", "effective", "transitive", "unreachable_pair",
+        "single_transitive", "unique_transport", "uniqueness_agrees",
+    )
+
+    def __init__(
+        self,
+        kernel: tuple,
+        effective: bool,
+        transitive: bool,
+        unreachable_pair: Optional[tuple],
+        single_transitive: bool,
+        unique_transport: bool,
+        uniqueness_agrees: bool,
+    ):
+        _set(self, "kernel", kernel)
+        _set(self, "effective", effective)
+        _set(self, "transitive", transitive)
+        _set(self, "unreachable_pair", unreachable_pair)
+        _set(self, "single_transitive", single_transitive)
+        _set(self, "unique_transport", unique_transport)
+        _set(self, "uniqueness_agrees", uniqueness_agrees)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Frozen):
     """The points reached from ``base``; lookups go through ``index``,
-    which holds ``points`` in order under the orbit's carrier equality."""
+    which holds ``points`` in order under the orbit's carrier equality.
+    ``witnesses`` are ``(point, group element)`` pairs in discovery
+    order.  Neither ``repr`` nor ``==`` reads ``index``."""
 
-    base: object
-    points: tuple
-    witnesses: tuple  # (point, group element) pairs, discovery order
-    index: PointIndex = field(compare=False, repr=False)
+    _fields = ("base", "points", "witnesses")
+
+    def __init__(self, base, points: tuple, witnesses: tuple, index: PointIndex):
+        _set(self, "base", base)
+        _set(self, "points", points)
+        _set(self, "witnesses", witnesses)
+        _set(self, "index", index)
 
     def witness_for(self, point) -> GroupElement:
         i = self.index.find(point)
@@ -640,7 +677,6 @@ class Orbit:
         return self.index.find(point) is not None
 
 
-@dataclass(frozen=True)
 class OrbitPartitionReport(Verdict):
     """The partition verdict with the orbits found.  Its witness, the
     ``counterexample``, is ``("orbit-mismatch", u, v)`` for a point ``v``
@@ -648,11 +684,23 @@ class OrbitPartitionReport(Verdict):
     hits)`` for a point ``u`` that lies in ``hits`` of the orbits found,
     not in exactly one."""
 
-    orbits: tuple = ()
+    _fields = Verdict._fields + ("orbits",)
+
+    def __init__(
+        self,
+        passed: bool,
+        mode: str = "",
+        checked: int = 0,
+        counterexample: Optional[tuple] = None,
+        residual_max: Optional[float] = None,
+        detail: str = "",
+        orbits: tuple = (),
+    ):
+        super().__init__(passed, mode, checked, counterexample, residual_max, detail)
+        _set(self, "orbits", orbits)
 
 
-@dataclass(frozen=True)
-class SameSideWitness:
+class SameSideWitness(Frozen):
     """Obstruction to a same-side commuting twin on a noncommutative group.
 
     At the point ``point = b`` (image of the origin under the left shift
@@ -662,13 +710,25 @@ class SameSideWitness:
     ``same_side_value = a b`` instead.
     """
 
-    a: GroupElement
-    b: GroupElement
-    origin: GroupElement
-    point: GroupElement
-    same_side_value: GroupElement
-    required_value: GroupElement
-    conjugate: GroupElement
+    _fields = ("a", "b", "origin", "point", "same_side_value", "required_value", "conjugate")
+
+    def __init__(
+        self,
+        a: GroupElement,
+        b: GroupElement,
+        origin: GroupElement,
+        point: GroupElement,
+        same_side_value: GroupElement,
+        required_value: GroupElement,
+        conjugate: GroupElement,
+    ):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "origin", origin)
+        _set(self, "point", point)
+        _set(self, "same_side_value", same_side_value)
+        _set(self, "required_value", required_value)
+        _set(self, "conjugate", conjugate)
 
 
 # -- checks ------------------------------------------------------------------

@@ -16,11 +16,11 @@ A NaN supports no claim: it is close to nothing, and it vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .errors import BackendMismatch, DimensionMismatch, ParseError
+from .records import Frozen, _set
 
 __all__ = [
     "Scalar",
@@ -37,22 +37,31 @@ Scalar = Union[Fraction, float]
 DEFAULT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Backend:
-    """Arithmetic regime: ``"exact"`` rationals or ``"approx"`` floats."""
+class Backend(Frozen):
+    """Arithmetic regime: ``"exact"`` rationals or ``"approx"`` floats.
+    ``is_exact`` is set from ``kind``, and neither ``repr`` nor ``==``
+    reads it."""
 
-    kind: str
-    tolerance: float = 0.0
-    is_exact: bool = field(init=False, repr=False, compare=False)  # set from ``kind``
+    _fields = ("kind", "tolerance")
 
-    def __post_init__(self):
-        if self.kind not in ("exact", "approx"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "exact" and self.tolerance != 0.0:
+    def __init__(self, kind: str, tolerance: float = 0.0):
+        if kind not in ("exact", "approx"):
+            raise ValueError(f"unknown backend kind {kind!r}")
+        if kind == "exact" and tolerance != 0.0:
             raise ValueError("exact backend takes no tolerance")
-        if self.kind == "approx" and self.tolerance <= 0.0:
+        if kind == "approx" and tolerance <= 0.0:
             raise ValueError("approximate backend needs a positive tolerance")
-        object.__setattr__(self, "is_exact", self.kind == "exact")
+        _set(self, "kind", kind)
+        _set(self, "tolerance", tolerance)
+        _set(self, "is_exact", kind == "exact")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.tolerance) == (other.kind, other.tolerance)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.tolerance))
 
     def coerce(self, value) -> Scalar:
         """Convert a number to this backend's scalar type.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
 from random import Random
 
 from .bases import (
@@ -43,6 +42,7 @@ from .objects import (
 )
 from .representations import (
     DEFAULT_SEED,
+    Verdict,
     check_laws,
     commutation_check,
     inverse_law_check,
@@ -128,8 +128,10 @@ def _twin_battery(report: RunReport, name: str, group) -> None:
 
 def _variance_line(report: RunReport, prefix: str, variance, claim: str) -> None:
     """The line ``{prefix}-{claim}``: the classification ``variance`` is ``claim``."""
-    verdict = variance_claim_check(claim, variance)
-    report.add_verdict(f"{prefix}-{claim}", replace(verdict, detail=f"verdict {variance.verdict}"))
+    v = variance_claim_check(claim, variance)
+    detail = f"verdict {variance.verdict}"
+    verdict = Verdict(v.passed, v.mode, v.checked, v.counterexample, v.residual_max, detail)
+    report.add_verdict(f"{prefix}-{claim}", verdict)
 
 
 def _invariance_battery(

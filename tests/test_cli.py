@@ -1273,6 +1273,25 @@ def test_non_finite_scalar_is_exit_2(tmp_path, capsys, backend, entry):
     assert_one_line_error(main(argv + [backend]), capsys)
 
 
+def test_a_bad_scalar_error_names_its_field(tmp_path, capsys):
+    plane = {"space": {"kind": "euclid", "dim": 2}, "vectors": [[1, 0], [0, 1]]}
+    bad_object = {"functor": {"tag": "fundamental"}, "coords": ["x", 0], "anchor": plane}
+    bad_basis = {"space": plane["space"], "vectors": [["x", 0], [0, 1]]}
+    bad_group = {"kind": "matrix", "family": "GL", "dim": 2, "elements": [["x", 0, 0, 1]]}
+    runs = [
+        (["object", "--input", write(tmp_path, "object.json", bad_object)], "object coords"),
+        (["basis", "standard-coords", "--input", write(tmp_path, "basis.json", bad_basis),
+          "--reference", write(tmp_path, "plane.json", plane)], "basis vector"),
+        (["basis", "coordrep", "--group", write(tmp_path, "group.json", bad_group)],
+         "matrix group element"),
+    ]
+    for argv, context in runs:
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {context}: bad scalar literal 'x': Invalid literal for Fraction: 'x'\n"
+        )
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
 def test_nonsense_tolerance_is_exit_2(tmp_path, capsys, value):
     code = main(

@@ -46,7 +46,7 @@ PROGRAMS = inline_programs()
 
 
 def test_every_inline_program_is_found():
-    assert len(PROGRAMS) == 14
+    assert len(PROGRAMS) == 15
 
 
 @pytest.mark.parametrize("timeout, flags, source", PROGRAMS)
