@@ -107,16 +107,6 @@ class VectorSpace(Frozen):
         _set(self, "backend", backend)
         _set(self, "signature", signature)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.dim, self.backend, self.signature) == (
-                other.kind, other.dim, other.backend, other.signature
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.dim, self.backend, self.signature))
-
     @property
     def has_metric(self) -> bool:
         return self.kind in ("euclid", "pseudo_euclid")
@@ -137,16 +127,6 @@ class Basis(Frozen):
         _set(self, "space", space)
         _set(self, "vectors", vectors)
         _set(self, "origin", origin)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.space, self.vectors, self.origin) == (
-                other.space, other.vectors, other.origin
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.vectors, self.origin))
 
     @classmethod
     def make(

@@ -353,14 +353,6 @@ class AffineTransform(Frozen):
         _set(self, "linear", linear)
         _set(self, "translation", translation)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.linear, self.translation) == (other.linear, other.translation)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.linear, self.translation))
-
     @property
     def dim(self) -> int:
         return self.linear.nrows

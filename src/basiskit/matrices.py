@@ -450,11 +450,6 @@ class Matrix(Frozen):
         _set(self, "entries", entries)
         _set(self, "backend", backend)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.entries, self.backend) == (other.entries, other.backend)
-        return NotImplemented
-
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], backend: Backend) -> "Matrix":
         coerced = tuple(tuple(backend.coerce(x) for x in row) for row in rows)
@@ -507,7 +502,7 @@ class Matrix(Frozen):
     @_kept
     def _hash(self) -> int:
         """The hash of the fields."""
-        return hash((self.entries, self.backend))
+        return Frozen.__hash__(self)
 
     def __hash__(self) -> int:
         return self._hash

@@ -117,16 +117,6 @@ class TypeAFunctor(Frozen):
         _set(self, "parts", parts)
         _set(self, "table", table)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.tag, self.power, self.parts, self.table) == (
-                other.tag, other.power, other.parts, other.table
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.power, self.parts, self.table))
-
     def describe(self) -> str:
         if self.tag == "tensor_power":
             return f"tensor_power({self.power})"
@@ -323,16 +313,6 @@ class GeometricalObject(Frozen):
         _set(self, "coords", coords)
         _set(self, "anchor", anchor)
         _set(self, "w_basis", w_basis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.functor, self.coords, self.anchor, self.w_basis) == (
-                other.functor, other.coords, other.anchor, other.w_basis
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.functor, self.coords, self.anchor, self.w_basis))
 
     @classmethod
     def make(

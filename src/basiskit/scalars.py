@@ -49,19 +49,11 @@ class Backend(Frozen):
             raise ValueError(f"unknown backend kind {kind!r}")
         if kind == "exact" and tolerance != 0.0:
             raise ValueError("exact backend takes no tolerance")
-        if kind == "approx" and tolerance <= 0.0:
-            raise ValueError("approximate backend needs a positive tolerance")
+        if kind == "approx" and not 0.0 < tolerance < math.inf:
+            raise ValueError("approximate backend needs a positive finite tolerance")
         _set(self, "kind", kind)
         _set(self, "tolerance", tolerance)
         _set(self, "is_exact", kind == "exact")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.tolerance) == (other.kind, other.tolerance)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.tolerance))
 
     def coerce(self, value) -> Scalar:
         """Convert a number to this backend's scalar type.
@@ -142,9 +134,16 @@ class Backend(Frozen):
 EXACT = Backend("exact")
 
 
+_APPROX_BY_TOLERANCE: dict = {}
+
+
 def approx(tolerance: float = DEFAULT_TOLERANCE) -> Backend:
-    """Float backend with the given comparison tolerance."""
-    return Backend("approx", tolerance)
+    """The float backend with the given comparison tolerance, one per
+    tolerance, so that values built apart share it."""
+    backend = _APPROX_BY_TOLERANCE.get(tolerance)
+    if backend is None:
+        backend = _APPROX_BY_TOLERANCE[tolerance] = Backend("approx", tolerance)
+    return backend
 
 
 APPROX = approx()

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from basiskit.descriptors import basis_from_descriptor, group_from_descriptor
 from basiskit.errors import BackendMismatch, DimensionMismatch, ParseError
 from basiskit.scalars import APPROX, EXACT, Backend, approx, scalar_from_json, scalar_to_json
 
@@ -32,6 +33,27 @@ def test_backend_validation():
         Backend("exact", tolerance=1e-9)
     with pytest.raises(ValueError):
         Backend("approx", tolerance=0.0)
+
+
+def test_approx_gives_one_backend_per_tolerance():
+    assert approx(2.5e-7) is approx(2.5e-7)
+    assert approx(2.5e-7) is not approx(5e-7)
+    assert approx() is APPROX is approx(1e-9)
+
+
+def test_a_group_and_a_basis_parsed_at_one_tolerance_share_their_backend():
+    group = group_from_descriptor(
+        {"kind": "matrix", "family": "SO", "dim": 2, "signature": [2, 0]}, None, 3e-8
+    )
+    basis = basis_from_descriptor(
+        {"space": {"kind": "euclid", "dim": 2}, "vectors": [[1, 0], [0, 1]]}, None, 3e-8
+    )
+    assert group.backend is basis.space.backend is approx(3e-8)
+
+
+def test_a_backend_built_apart_equals_the_shared_one():
+    built = Backend("approx", 1e-9)
+    assert built is not APPROX and built == APPROX and hash(built) == hash(APPROX)
 
 
 def test_is_exact_is_derived_from_the_kind_and_nothing_else():

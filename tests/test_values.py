@@ -7,6 +7,8 @@ value raises ``dataclasses.FrozenInstanceError`` with the record's
 message.
 """
 
+import importlib
+import pkgutil
 import time
 from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
@@ -14,6 +16,7 @@ from unittest.mock import ANY
 
 import pytest
 
+import basiskit
 from basiskit.bases import (
     Basis,
     CoordinateRepCheckReport,
@@ -25,6 +28,7 @@ from basiskit.errors import BasiskitError, DimensionMismatch
 from basiskit.groups import AffineTransform, GroupElement, cyclic_group
 from basiskit.matrices import Matrix
 from basiskit.objects import GeometricalObject, TypeAFunctor
+from basiskit.records import Frozen, Record
 from basiskit.reports import CheckLine, RunReport
 from basiskit.representations import (
     ClassificationReport,
@@ -186,6 +190,43 @@ def test_a_verdict_never_equals_an_orbit_partition_report():
     assert Verdict(True).__eq__(OrbitPartitionReport(True)) is NotImplemented
 
 
+def test_a_value_holding_a_nan_equals_itself():
+    nan = float("nan")
+    verdict = Verdict(False, "sampled(1)", 1, None, nan)
+    assert verdict == verdict and verdict == Verdict(False, "sampled(1)", 1, None, nan)
+    assert verdict != Verdict(False, "sampled(1)", 1, None, float("nan"))
+    grid = Matrix(((nan,),), APPROX)
+    assert grid == grid and hash(grid) == hash((((nan,),), APPROX))
+
+
+def record_types():
+    """Every :class:`Record` subclass the package defines, after each of
+    its modules is imported."""
+    for module in pkgutil.iter_modules(basiskit.__path__):
+        importlib.import_module(f"basiskit.{module.name}")
+    found, stack = [], list(Record.__subclasses__())
+    while stack:
+        cls = stack.pop()
+        stack.extend(cls.__subclasses__())
+        if cls.__module__.startswith("basiskit.") and cls is not Frozen:
+            found.append(cls)
+    return found
+
+
+def test_equality_and_hash_come_from_the_fields_alone():
+    written_out = set()
+    for cls in record_types():
+        if cls._fields:
+            # one field would make ``_values`` a bare value, not a tuple
+            assert len(cls._fields) >= 2, cls
+            assert "__eq__" not in vars(cls), cls
+            assert "__hash__" not in vars(cls) or cls is Matrix, cls
+        else:
+            assert "__eq__" in vars(cls) and "__hash__" in vars(cls), cls
+            written_out.add(cls)
+    assert written_out == {GroupElement}
+
+
 def test_group_elements_compare_by_group_and_payload():
     assert GroupElement(Z3, 1) == E1 and GroupElement(cyclic_group(3), 1) != E1
     assert hash(GroupElement(Z3, 1)) == hash((id(Z3), 1))
@@ -249,8 +290,12 @@ def test_a_euclid_space_fills_in_its_signature():
     [
         (lambda: Backend("float"), ValueError, "unknown backend kind 'float'"),
         (lambda: Backend("exact", 1e-9), ValueError, "exact backend takes no tolerance"),
-        (lambda: Backend("approx"), ValueError, "approximate backend needs a positive tolerance"),
-        (lambda: Backend("approx", -1.0), ValueError, "approximate backend needs a positive tolerance"),
+        (lambda: Backend("approx"), ValueError, "approximate backend needs a positive finite tolerance"),
+        (lambda: Backend("approx", -1.0), ValueError, "approximate backend needs a positive finite tolerance"),
+        (lambda: Backend("approx", float("inf")), ValueError,
+         "approximate backend needs a positive finite tolerance"),
+        (lambda: Backend("approx", float("nan")), ValueError,
+         "approximate backend needs a positive finite tolerance"),
         (lambda: VectorSpace("hyperbolic", 2, EXACT), BasiskitError, "unknown space kind 'hyperbolic'"),
         (lambda: VectorSpace("affine", 0, EXACT), BasiskitError, "space dimension must be positive"),
         (lambda: VectorSpace("pseudo_euclid", 2, EXACT), BasiskitError,
